@@ -45,8 +45,8 @@ from .fading import (
     rayleigh_rate_exact,
     rician_moment_matched,
 )
-from .mimo import MimoScenario, crlb, fisher_info, hermitian_eig, mimo_rate, rate_surface
-from .numerics import QuadratureRule, RandomStream, gauss_laguerre, lambert_w0
+from .mimo import MimoScenario, crlb, fisher_info, mimo_rate, rate_surface
+from .numerics import QuadratureRule, RandomStream, gauss_laguerre
 from .region import Frontier, FrontierPoint, frontier, in_region, separated_baseline
 from .allocate import (
     AllocationProblem,
@@ -72,8 +72,8 @@ __all__ = [
     "ergodic_distortion_rayleigh", "ergodic_distortion_rician",
     "ergodic_rate_rayleigh", "ergodic_rate_rician", "fisher_info",
     "frontier", "gauss_laguerre", "gaussian_mi", "gen_tradeoff_bound",
-    "hermitian_eig", "in_region", "info_to_distortion", "jensen_upper_bound",
-    "kappa", "kkt_power_split", "kkt_residual_check", "lambert_w0",
+    "in_region", "info_to_distortion", "jensen_upper_bound",
+    "kappa", "kkt_power_split", "kkt_residual_check",
     "mimo_rate", "monte_carlo_oracle", "objective", "optimize_alpha",
     "parse_config", "preset_config", "rate", "rate_surface",
     "rayleigh_rate_exact", "rician_moment_matched", "scaling_gap",

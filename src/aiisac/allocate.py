@@ -1,9 +1,10 @@
 """Resource allocation under a learning-capacity constraint.
 
 Splits total transmit power between communication and sensing to maximize
-a scalarized rate/distortion objective, with the latent mutual-information
-constraint enforced numerically at every iterate.  Stationarity residuals
-use analytic marginal values cross-checked against finite differences.
+a scalarized rate/distortion objective.  The latent noise is set by the
+total power, so the latent mutual-information constraint is enforced
+numerically once per run.  Stationarity residuals use analytic marginal
+values cross-checked against finite differences.
 """
 from __future__ import annotations
 
@@ -27,9 +28,8 @@ class AllocationProblem:
     The scenario supplies gains, noises, and the prior variance; its own
     power field is ignored in favor of total_power.  The objective mode is
     either "penalized" (J = R - weight * D) or "convex"
-    (J = weight * R - (1 - weight) * D).  latent_power selects whether the
-    equivalent noise is set by the total power ("total", the default) or by
-    each task's own power ("per_task").
+    (J = weight * R - (1 - weight) * D).  The equivalent noise is set by
+    the total power.
     """
 
     total_power: float
@@ -38,7 +38,6 @@ class AllocationProblem:
     budget: AiBudget
     scenario: ScalarScenario
     mode: str = "penalized"
-    latent_power: str = "total"
 
     def __post_init__(self) -> None:
         if self.total_power <= 0 or self.total_time <= 0:
@@ -47,8 +46,6 @@ class AllocationProblem:
             raise ValueError(f"weight must lie in [0,1], got {self.weight}")
         if self.mode not in ("penalized", "convex"):
             raise ValueError(f"unknown objective mode {self.mode!r}")
-        if self.latent_power not in ("total", "per_task"):
-            raise ValueError(f"unknown latent-power convention {self.latent_power!r}")
 
 
 @dataclass(frozen=True)
@@ -62,38 +59,27 @@ class AllocationResult:
     trace: tuple[tuple[int, float, float, float], ...] = field(default=())
 
 
-def _kappa(problem: AllocationProblem) -> float:
-    return kappa(problem.budget)
+def _link(problem: AllocationProblem, gain: float, noise: float,
+          power: float) -> tuple[float, float]:
+    """Effective SNR of a link at the given power and its slope d SNR / d power,
+    with the latent noise N_z set by the total power."""
+    nz = kappa(problem.budget) * problem.total_power
+    slope = gain / (noise + gain * nz)
+    return slope * power, slope
 
 
 def _comm_rate_and_grad(problem: AllocationProblem, p_c: float) -> tuple[float, float]:
     """Rate R(P_c) in bits per use and its derivative dR/dP_c."""
     sc = problem.scenario
-    kap = _kappa(problem)
-    if problem.latent_power == "total":
-        nz = kap * problem.total_power
-        slope = sc.gain_c / (sc.noise_c + sc.gain_c * nz)
-        snr = slope * p_c
-        return math.log2(1.0 + snr), slope / ((1.0 + snr) * LN2)
-    gam = sc.gain_c * p_c / sc.noise_c
-    eff = gam / (1.0 + gam * kap)
-    d_eff = (sc.gain_c / sc.noise_c) / (1.0 + gam * kap) ** 2
-    return math.log2(1.0 + eff), d_eff / ((1.0 + eff) * LN2)
+    snr, slope = _link(problem, sc.gain_c, sc.noise_c, p_c)
+    return math.log2(1.0 + snr), slope / ((1.0 + snr) * LN2)
 
 
 def _sense_dist_and_grad(problem: AllocationProblem, p_s: float) -> tuple[float, float]:
     """Distortion D(P_s) and its derivative dD/dP_s (negative)."""
     sc = problem.scenario
-    kap = _kappa(problem)
-    if problem.latent_power == "total":
-        nz = kap * problem.total_power
-        slope = sc.gain_s / (sc.noise_s + sc.gain_s * nz)
-        snr = slope * p_s
-        return sc.prior_var / (1.0 + snr), -sc.prior_var * slope / (1.0 + snr) ** 2
-    gam = sc.gain_s * p_s / sc.noise_s
-    eff = gam / (1.0 + gam * kap)
-    d_eff = (sc.gain_s / sc.noise_s) / (1.0 + gam * kap) ** 2
-    return sc.prior_var / (1.0 + eff), -sc.prior_var * d_eff / (1.0 + eff) ** 2
+    snr, slope = _link(problem, sc.gain_s, sc.noise_s, p_s)
+    return sc.prior_var / (1.0 + snr), -sc.prior_var * slope / (1.0 + snr) ** 2
 
 
 def _weights(problem: AllocationProblem) -> tuple[float, float]:
@@ -164,24 +150,21 @@ def optimize_alpha(
 ) -> AllocationResult:
     """Projected-gradient ascent on the power split with backtracking.
 
-    Each iterate re-enforces the latent mutual-information constraint by
-    root-finding and records the achieved MI in the trace, so constraint
-    satisfaction is observable rather than assumed.
+    The latent mutual-information constraint is enforced once by
+    root-finding: the latent noise depends only on the total power and the
+    budget, not on the split.  Every trace row records the MI that noise
+    achieves, so constraint satisfaction is observable rather than assumed.
     """
     if not 0.0 <= alpha0 <= 1.0:
         raise ValueError(f"alpha0 must lie in [0,1], got {alpha0}")
     p = problem.total_power
-    c = problem.budget.c_ai
-
-    def mi_now() -> float:
-        if problem.budget.is_classical:
-            return math.inf
-        nz = enforce_mi_numerically(p, c, tol=1e-12)
-        return achieved_mi(p, nz)
+    if problem.budget.is_classical:
+        mi = math.inf
+    else:
+        mi = achieved_mi(p, enforce_mi_numerically(p, problem.budget.c_ai, tol=1e-12))
 
     alpha = alpha0
     j = objective(problem, alpha)
-    mi = mi_now()
     trace = [(0, alpha, j, mi)]
     converged = False
     step0 = 0.5
@@ -203,7 +186,7 @@ def optimize_alpha(
         if not moved:
             converged = True
             break
-        trace.append((it, alpha, j, mi_now()))
+        trace.append((it, alpha, j, mi))
     p_c = alpha * p
     return AllocationResult(
         alpha_star=alpha,

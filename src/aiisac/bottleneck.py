@@ -2,8 +2,9 @@
 
 A budget of C bits per channel use on the latent representation acts, in
 the Gaussian model, like an additive noise of variance N_z = P / (2^C - 1).
-The matrix version maps a transmit covariance Q to the minimum-trace noise
-covariance R_z = zeta * Q on the active subspace of Q.
+The matrix version maps a transmit covariance Q to the proportional noise
+covariance R_z = zeta * Q on the active subspace of Q, which meets the
+log-det budget exactly but is trace-minimal only for a flat spectrum of Q.
 """
 from __future__ import annotations
 
@@ -17,6 +18,9 @@ from .numerics import find_root
 
 # Eigenvalues below this fraction of the largest are treated as null space.
 RANK_RTOL = 1e-12
+
+# Largest matrix dimension accepted by the Hermitian validator.
+MAX_DIM = 64
 
 
 @dataclass(frozen=True)
@@ -93,10 +97,16 @@ def enforce_mi_numerically(power: float, target_c_ai: float, tol: float) -> floa
 
 
 def _as_hermitian(a: np.ndarray, name: str) -> np.ndarray:
+    """Complex Hermitian part of a finite square matrix of dimension <= MAX_DIM;
+    raises ValueError unless it is Hermitian within 1e-12 * max|A|."""
     m = np.atleast_2d(np.asarray(a, dtype=complex))
-    if m.shape[0] != m.shape[1]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    scale = float(np.max(np.abs(m))) or 1.0
+    if m.shape[0] > MAX_DIM:
+        raise ValueError(f"{name} exceeds the supported dimension {MAX_DIM}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} has non-finite entries")
+    scale = float(np.max(np.abs(m)))
     if float(np.max(np.abs(m - m.conj().T))) > 1e-12 * scale:
         raise ValueError(f"{name} is not Hermitian within tolerance")
     return 0.5 * (m + m.conj().T)
@@ -113,11 +123,12 @@ def _active_subspace(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def covariance_map(q: np.ndarray, c_ai: float) -> np.ndarray:
-    """Minimum-trace noise covariance meeting the log-det budget.
+    """Proportional noise covariance meeting the log-det budget.
 
     Returns R_z = zeta * Q on the rank-r active subspace of Q, with
     zeta = (2^(C/r) - 1)^-1, and zero on the null space.  By
-    construction gaussian_mi(Q, R_z) equals C exactly.
+    construction gaussian_mi(Q, R_z) equals C exactly; the map is
+    trace-minimal only when the active eigenvalues of Q are equal.
     """
     q = _as_hermitian(q, "Q")
     if c_ai <= 0 or math.isnan(c_ai):

@@ -227,10 +227,11 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, float, float, bool]]:
                     float(np.max(hi.distortions() - lo.distortions())))
     checks.append(("frontier_nesting_violation", worst, 1e-12, worst <= 1e-12))
 
-    # Optimizer convergence and constraint satisfaction.
-    result = alloc_mod.optimize_alpha(_allocation_problem(cfg), cfg.alpha0,
-                                      max_iter=50)
-    alpha_err = abs(result.alpha_star - 1.0)
+    # Optimizer convergence, against the KKT split, and constraint satisfaction.
+    problem = _allocation_problem(cfg)
+    result = alloc_mod.optimize_alpha(problem, cfg.alpha0, max_iter=50)
+    alpha_kkt = alloc_mod.kkt_power_split(problem)[0] / problem.total_power
+    alpha_err = abs(result.alpha_star - alpha_kkt)
     checks.append(("optimizer_alpha_err", alpha_err, 2e-3, alpha_err <= 2e-3))
     mi_err = max(abs(mi - cfg.alloc_c_ai) for _, _, _, mi in result.trace)
     checks.append(("optimizer_mi_max_dev", mi_err, 1e-9, mi_err <= 1e-9))

@@ -27,8 +27,7 @@ class RunConfig:
 
     power is stored linear; the tableI-dbm preset reads the 10 dBm transmit
     power as 0.01 W, while tableI-normalized keeps the dimensionless
-    value 10 in the same unit as the 0.1 noise variances.  carrier_ghz and blocklength are recorded for
-    provenance only and consumed by no formula.
+    value 10 in the same unit as the 0.1 noise variances.
     """
 
     preset: str = "tableI-dbm"
@@ -54,8 +53,6 @@ class RunConfig:
     quadrature_order: int = 20
     seed: int = 20240817
     mc_samples: int = 1_000_000
-    carrier_ghz: float = 28.0
-    blocklength: int = 10_000
 
     def __post_init__(self) -> None:
         if self.preset not in PRESETS:
@@ -88,8 +85,7 @@ def preset_config(name: str) -> RunConfig:
     raise ConfigError(f"unknown preset {name!r}; choose from {PRESETS}")
 
 
-_INT_FIELDS = {"mimo_nt", "mimo_nr", "quadrature_order", "seed", "mc_samples",
-               "blocklength"}
+_INT_FIELDS = {"mimo_nt", "mimo_nr", "quadrature_order", "seed", "mc_samples"}
 _STR_FIELDS = {"preset"}
 
 

@@ -56,14 +56,6 @@ class FadingModel:
         if self.kind == "rician" and self.k_factor < 0:
             raise ValueError("rician K-factor must be >= 0")
 
-    @property
-    def mean_gain(self) -> float:
-        if self.kind == "awgn":
-            return self.gain
-        if self.kind == "rayleigh":
-            return 1.0
-        return 1.0 + self.k_factor
-
 
 def conditional_snr(x, gamma_bar: float, kappa: float):
     """Effective SNR x*gamma / (1 + x*gamma*kappa) at channel gain x.

@@ -78,10 +78,6 @@ def distortion(sc: ScalarScenario, budget: AiBudget) -> float:
     return sc.prior_var / (1.0 + g_s)
 
 
-def perf_point(sc: ScalarScenario, budget: AiBudget) -> PerfPoint:
-    return PerfPoint(rate=rate(sc, budget), distortion=distortion(sc, budget))
-
-
 def info_to_distortion(info_bits: float, prior_var: float) -> float:
     """MMSE distortion achievable from a given sensing mutual information.
 

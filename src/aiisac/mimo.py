@@ -1,60 +1,31 @@
 """MIMO rate and estimation bounds with a capacity-limited learning module.
 
-The latent-noise covariance R_z follows the minimum-trace mapping from the
-transmit covariance; rates are log-determinants against the effective noise
-covariance and sensing performance is scalar Fisher information / CRLB for
-a linear Gaussian parameter model.
+The latent-noise covariance follows the proportional mapping R_z = zeta * Q
+from the transmit covariance; rates are log-determinants against the
+effective noise covariance and sensing performance is scalar Fisher
+information / CRLB for a linear Gaussian parameter model.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bottleneck import AiBudget, covariance_map
+from .bottleneck import AiBudget, _as_hermitian, covariance_map
 from .errors import SingularMatrixError, UnobservableParameterError
 
-MAX_DIM = 64
-
-_HERM_TOL = 1e-12
 _PSD_TOL = 1e-10
 
 
-def _check_hermitian(a: np.ndarray, name: str) -> np.ndarray:
-    m = np.atleast_2d(np.asarray(a, dtype=complex))
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
-    if m.shape[0] > MAX_DIM:
-        raise ValueError(f"{name} exceeds the supported dimension {MAX_DIM}")
-    scale = float(np.max(np.abs(m))) or 1.0
-    if float(np.max(np.abs(m - m.conj().T))) > _HERM_TOL * max(scale, 1.0):
-        raise ValueError(f"{name} is not Hermitian within tolerance")
-    return 0.5 * (m + m.conj().T)
-
-
 def check_psd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validated Hermitian PSD copy of `a` (eigenvalue floor check)."""
-    m = _check_hermitian(a, name)
+    """Validated Hermitian PSD copy of `a`: finite, and no eigenvalue below
+    -1e-10 times the largest eigenvalue magnitude (the zero matrix passes)."""
+    m = _as_hermitian(a, name)
     evals = np.linalg.eigvalsh(m)
-    lam_max = float(evals[-1])
-    if lam_max > 0 and float(evals[0]) < -_PSD_TOL * lam_max:
+    if float(evals[0]) < -_PSD_TOL * float(np.max(np.abs(evals))):
         raise ValueError(f"{name} is not positive semidefinite")
     return m
-
-
-def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition A = U diag(w) U^H with ascending eigenvalues.
-
-    Residual ||A U - U diag(w)|| is verified to within 1e-10 * ||A||.
-    """
-    m = _check_hermitian(a, "A")
-    evals, evecs = np.linalg.eigh(m)
-    norm = float(np.linalg.norm(m)) or 1.0
-    resid = float(np.linalg.norm(m @ evecs - evecs * evals))
-    if resid > 1e-10 * norm:
-        raise ArithmeticError(f"eigendecomposition residual {resid} too large")
-    return evals, evecs
 
 
 @dataclass(frozen=True)
@@ -72,7 +43,6 @@ class MimoScenario:
     r_s: np.ndarray
     dmu: np.ndarray
     budget: AiBudget
-    max_power: float | None = field(default=None)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "h_c", np.atleast_2d(np.asarray(self.h_c, complex)))
@@ -83,18 +53,12 @@ class MimoScenario:
         object.__setattr__(
             self, "dmu", np.atleast_1d(np.asarray(self.dmu, complex)).ravel()
         )
-        if self.max_power is not None:
-            tr = float(np.real(np.trace(self.q)))
-            if tr > self.max_power + 1e-9:
-                raise ValueError(
-                    f"trace(Q) = {tr} exceeds the power limit {self.max_power}"
-                )
 
 
-def _noise_rz(sc: MimoScenario) -> np.ndarray:
-    if sc.budget.is_classical:
-        return np.zeros_like(sc.q)
-    return covariance_map(sc.q, sc.budget.c_ai)
+def _noise_rz(q: np.ndarray, budget: AiBudget) -> np.ndarray:
+    if budget.is_classical:
+        return np.zeros_like(q)
+    return covariance_map(q, budget.c_ai)
 
 
 def _logdet_chol(m: np.ndarray, name: str) -> float:
@@ -105,11 +69,11 @@ def _logdet_chol(m: np.ndarray, name: str) -> float:
     return 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
 
 
-def mimo_rate(sc: MimoScenario) -> float:
-    """log2 det(I + H_c Q H_c^H (R_c + H_c R_z H_c^H)^{-1}), bits per use."""
-    rz = _noise_rz(sc)
-    signal = sc.h_c @ sc.q @ sc.h_c.conj().T
-    noise = sc.r_c + sc.h_c @ rz @ sc.h_c.conj().T
+def _rate(h_c: np.ndarray, q: np.ndarray, r_c: np.ndarray, budget: AiBudget) -> float:
+    """Rate kernel of mimo_rate on already validated matrices."""
+    rz = _noise_rz(q, budget)
+    signal = h_c @ q @ h_c.conj().T
+    noise = r_c + h_c @ rz @ h_c.conj().T
     noise = 0.5 * (noise + noise.conj().T)
     total = noise + 0.5 * (signal + signal.conj().T)
     val = _logdet_chol(total, "effective covariance") - _logdet_chol(
@@ -118,9 +82,14 @@ def mimo_rate(sc: MimoScenario) -> float:
     return val / math.log(2.0)
 
 
+def mimo_rate(sc: MimoScenario) -> float:
+    """log2 det(I + H_c Q H_c^H (R_c + H_c R_z H_c^H)^{-1}), bits per use."""
+    return _rate(sc.h_c, sc.q, sc.r_c, sc.budget)
+
+
 def fisher_info(sc: MimoScenario) -> float:
     """Fisher information dmu^H (R_s + H_s R_z H_s^H)^{-1} dmu, real >= 0."""
-    rz = _noise_rz(sc)
+    rz = _noise_rz(sc.q, sc.budget)
     cov = sc.r_s + sc.h_s @ rz @ sc.h_s.conj().T
     cov = 0.5 * (cov + cov.conj().T)
     try:
@@ -147,21 +116,16 @@ def rate_surface(
     """Rates on the Cartesian grid [capacity x power scale], row-major.
 
     Each column scales the template transmit covariance Q so that power
-    sweeps reuse one scenario definition.
+    sweeps reuse one scenario definition.  A positive finite scale keeps the
+    validated template PSD, so each point skips re-validation.
     """
     if not c_grid or not power_scales:
         raise ValueError("grids must be non-empty")
+    if not all(math.isfinite(s) and s > 0 for s in power_scales):
+        raise ValueError("power scales must be positive and finite")
     out = np.empty((len(c_grid), len(power_scales)))
     for i, c in enumerate(c_grid):
+        budget = AiBudget(c)
         for j, scale in enumerate(power_scales):
-            sc = MimoScenario(
-                h_c=template.h_c,
-                h_s=template.h_s,
-                q=template.q * scale,
-                r_c=template.r_c,
-                r_s=template.r_s,
-                dmu=template.dmu,
-                budget=AiBudget(c),
-            )
-            out[i, j] = mimo_rate(sc)
+            out[i, j] = _rate(template.h_c, template.q * scale, template.r_c, budget)
     return out

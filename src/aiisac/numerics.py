@@ -1,6 +1,5 @@
 """Numerical building blocks: Gauss-Laguerre and graded composite rules,
-special functions, safeguarded root finding, and counter-based
-deterministic random streams.
+safeguarded root finding, and counter-based deterministic random streams.
 
 Everything here is a pure function of its inputs; quadrature rules are
 cached by order and immutable.
@@ -13,17 +12,11 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import lambertw, roots_laguerre, roots_legendre
+from scipy.special import roots_laguerre, roots_legendre
 
 from .errors import BracketError
 
 MAX_QUADRATURE_ORDER = 128
-
-# Switch between the power series and the large-argument expansion of I0.
-# Both branches carry better than 1e-10 relative accuracy at this point.
-I0_SWITCH = 20.0
-
-_NEG_INV_E = -0.36787944117144233  # -1/e rounded to double
 
 
 @dataclass(frozen=True)
@@ -129,67 +122,6 @@ def graded_laguerre(order: int, split: float,
     log_head = log_ws + np.log(2.0 * split * s) - head
     log_tail = log_wt + math.log(scale) + t - tail
     return np.concatenate((head, tail)), np.concatenate((log_head, log_tail))
-
-
-def lambert_w0(x: float) -> float:
-    """Principal branch of the Lambert W function, W(x) * exp(W(x)) = x.
-
-    Defined for x >= -1/e; relative accuracy ~1e-12 away from the branch
-    point.
-    """
-    x = float(x)
-    if math.isnan(x) or x < _NEG_INV_E:
-        raise ValueError(f"lambert_w0 requires x >= -1/e, got {x}")
-    if x == 0.0:
-        return 0.0
-    w = lambertw(x, k=0)
-    return float(w.real)
-
-
-def _log_i0_series(x: np.ndarray) -> np.ndarray:
-    """ln I0 via the ascending series sum_k (x/2)^(2k) / (k!)^2."""
-    x = np.asarray(x, dtype=float)
-    q = x * x / 4.0
-    total = np.ones_like(x)
-    term = np.ones_like(x)
-    for k in range(1, 200):
-        term = term * q / (k * k)
-        total += term
-        if np.all(term <= 1e-18 * total):
-            break
-    return np.log(total)
-
-
-def _log_i0_asymptotic(x: np.ndarray) -> np.ndarray:
-    """ln I0 via the large-argument expansion e^x / sqrt(2 pi x) * sum_k mu_k."""
-    x = np.asarray(x, dtype=float)
-    total = np.ones_like(x)
-    term = np.ones_like(x)
-    for k in range(1, 40):
-        factor = (2 * k - 1) ** 2 / (8.0 * k * x)
-        if np.all(factor >= 1.0):
-            break
-        term = term * factor
-        total += term
-        if np.all(term <= 1e-18 * total):
-            break
-    return x - 0.5 * np.log(2.0 * np.pi * x) + np.log(total)
-
-
-def log_bessel_i0(x):
-    """Overflow-safe ln I0(x) for x >= 0; accepts scalars or arrays."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("log_bessel_i0 requires x >= 0")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    small = arr < I0_SWITCH
-    if np.any(small):
-        out[small] = _log_i0_series(arr[small])
-    if np.any(~small):
-        out[~small] = _log_i0_asymptotic(arr[~small])
-    return float(out[0]) if scalar else out
 
 
 def find_root(f, lo: float, hi: float, tol: float) -> float:

@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bottleneck import AiBudget, equivalent_noise
-from .gaussian import PerfPoint, ScalarScenario
+from .bottleneck import AiBudget
+from .gaussian import PerfPoint, ScalarScenario, effective_snrs
 
 DEFAULT_GRID = 201
 
@@ -55,17 +55,6 @@ class Frontier:
         return np.array([p.distortion for p in self.points])
 
 
-def _full_power_snrs(sc: ScalarScenario, budget: AiBudget) -> tuple[float, float]:
-    """Per-unit-power effective SNR slopes with the latent noise fixed by
-    the total power budget."""
-    if budget.c_ai == 0:
-        return 0.0, 0.0
-    nz = equivalent_noise(budget, sc.power)
-    g_c = sc.gain_c * sc.power / (sc.noise_c + sc.gain_c * nz)
-    g_s = sc.gain_s * sc.power / (sc.noise_s + sc.gain_s * nz)
-    return g_c, g_s
-
-
 def frontier(sc: ScalarScenario, budget: AiBudget, n_points: int = DEFAULT_GRID) -> Frontier:
     """Joint-design frontier over a uniform alpha grid.
 
@@ -74,7 +63,7 @@ def frontier(sc: ScalarScenario, budget: AiBudget, n_points: int = DEFAULT_GRID)
     """
     if n_points < 2:
         raise ValueError("need at least 2 frontier points")
-    g_c, g_s = _full_power_snrs(sc, budget)
+    g_c, g_s = effective_snrs(sc, budget)
     pts = []
     for alpha in np.linspace(0.0, 1.0, n_points):
         a = float(alpha)
@@ -96,7 +85,7 @@ def separated_baseline(
     SNR by the energy fraction 1 - tau."""
     if n_points < 2:
         raise ValueError("need at least 2 baseline points")
-    g_c, g_s = _full_power_snrs(sc, budget)
+    g_c, g_s = effective_snrs(sc, budget)
     rate_full = math.log2(1.0 + g_c)
     pts = []
     for tau in np.linspace(0.0, 1.0, n_points):

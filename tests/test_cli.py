@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aiisac.cli import main
-from aiisac.config import RunConfig, parse_config, preset_config
+from aiisac.config import PRESETS, RunConfig, parse_config, preset_config
 from aiisac.errors import ConfigError
 
 
@@ -101,6 +101,12 @@ class TestCommands:
         assert main(["verify", "--out", str(out)]) == 0
         text = out.read_text()
         assert "FAIL" not in text
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_verify_passes_on_every_preset(self, preset, tmp_path):
+        out = tmp_path / "report.txt"
+        assert main(["verify", "--preset", preset, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[-1] == "all checks passed"
 
     def test_bad_config_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -10,8 +10,8 @@ from aiisac.gaussian import rate as scalar_rate
 from aiisac.mimo import (
     MimoScenario,
     crlb,
+    check_psd,
     fisher_info,
-    hermitian_eig,
     mimo_rate,
     rate_surface,
 )
@@ -31,27 +31,35 @@ def make_scenario(h_c, q, r_c, c_ai=math.inf, h_s=None, r_s=None, dmu=None):
     )
 
 
-class TestHermitianEig:
-    def test_identity(self):
-        evals, _ = hermitian_eig(np.eye(3))
-        assert np.allclose(evals, 1.0)
+def _scenario_with_q(q):
+    return make_scenario(np.eye(q.shape[0]), q, np.eye(q.shape[0]))
 
-    def test_diagonal(self):
-        evals, evecs = hermitian_eig(np.diag([1.0, 4.0]))
-        assert np.allclose(evals, [1.0, 4.0])
-        assert np.allclose(np.abs(evecs), np.eye(2))
 
-    def test_reconstruction(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = a + a.conj().T
-        evals, evecs = hermitian_eig(h)
-        recon = (evecs * evals) @ evecs.conj().T
-        assert np.linalg.norm(recon - h) <= 1e-10 * np.linalg.norm(h)
+class TestValidation:
+    NON_HERMITIAN = np.array([[0.0, 1.0], [0.0, 0.0]])
 
-    def test_non_hermitian_rejected(self):
+    @pytest.mark.parametrize("build", [_scenario_with_q,
+                                       lambda q: covariance_map(q, 1.0)],
+                             ids=["MimoScenario", "covariance_map"])
+    @pytest.mark.parametrize("q", [NON_HERMITIAN, np.eye(65)],
+                             ids=["non_hermitian", "dim_65"])
+    def test_rejected(self, build, q):
         with pytest.raises(ValueError):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            build(q)
+
+    @pytest.mark.parametrize("q", [-0.01 * np.eye(2),
+                                   np.array([[1.0, np.nan], [np.nan, 1.0]]),
+                                   np.array([[np.inf, 0.0], [0.0, 1.0]])],
+                             ids=["negative_definite", "nan", "inf"])
+    def test_not_psd_rejected(self, q):
+        with pytest.raises(ValueError):
+            _scenario_with_q(q)
+        with pytest.raises(ValueError):
+            check_psd(q)
+
+    def test_zero_and_max_dim_accepted(self):
+        assert np.array_equal(check_psd(np.zeros((2, 2))), np.zeros((2, 2)))
+        assert np.array_equal(check_psd(np.eye(64)), np.eye(64))
 
 
 class TestMimoRate:
@@ -136,11 +144,18 @@ class TestFisherAndCrlb:
 
 class TestRateSurface:
     def test_single_point(self):
-        sc = make_scenario(np.eye(2), np.eye(2), 0.1 * np.eye(2))
-        surf = rate_surface(sc, [4.0], [1.0])
-        ref = mimo_rate(make_scenario(np.eye(2), np.eye(2), 0.1 * np.eye(2),
-                                      c_ai=4.0))
-        assert math.isclose(float(surf[0, 0]), ref, rel_tol=1e-12)
+        # Every grid point equals mimo_rate of its own scaled scenario.
+        rng = np.random.default_rng(31)
+        h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        sc = make_scenario(h, a @ a.conj().T, 0.2 * np.eye(3))
+        c_grid, scales = [0.5, 2.0, 4.0, math.inf], [0.1, 1.0, 3.7]
+        surf = rate_surface(sc, c_grid, scales)
+        for i, c in enumerate(c_grid):
+            for j, scale in enumerate(scales):
+                ref = mimo_rate(make_scenario(h, sc.q * scale, sc.r_c, c_ai=c,
+                                              h_s=sc.h_s, r_s=sc.r_s, dmu=sc.dmu))
+                assert surf[i, j] == ref
 
     def test_monotone_both_axes(self):
         sc = make_scenario(np.eye(2), 0.005 * np.eye(2), 0.1 * np.eye(2))
@@ -152,3 +167,9 @@ class TestRateSurface:
         sc = make_scenario(np.eye(2), np.eye(2), 0.1 * np.eye(2))
         with pytest.raises(ValueError):
             rate_surface(sc, [], [1.0])
+
+    @pytest.mark.parametrize("scale", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_scale_rejected(self, scale):
+        sc = make_scenario(np.eye(2), np.eye(2), 0.1 * np.eye(2))
+        with pytest.raises(ValueError, match="power scales"):
+            rate_surface(sc, [1.0], [1.0, scale])

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import i0
 
 from aiisac.errors import BracketError
 from aiisac.numerics import (
@@ -11,8 +10,6 @@ from aiisac.numerics import (
     find_root,
     gauss_laguerre,
     graded_laguerre,
-    lambert_w0,
-    log_bessel_i0,
 )
 
 
@@ -69,39 +66,6 @@ class TestGaussLaguerre:
     def test_rule_validation(self):
         with pytest.raises(ValueError):
             QuadratureRule(order=2, nodes=np.array([1.0]), weights=np.array([1.0]))
-
-
-class TestLambertW:
-    def test_known_values(self):
-        assert lambert_w0(0.0) == 0.0
-        assert math.isclose(lambert_w0(math.e), 1.0, rel_tol=1e-12)
-        w = lambert_w0(5.0)
-        assert math.isclose(w * math.exp(w), 5.0, rel_tol=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            lambert_w0(-1.0)
-
-
-class TestLogBesselI0:
-    def test_small_matches_scipy(self):
-        x = np.linspace(0.0, 15.0, 50)
-        assert np.allclose(log_bessel_i0(x), np.log(i0(x)), atol=1e-12)
-
-    def test_branch_continuity(self):
-        # Both evaluation branches must agree where the implementation
-        # switches between them.
-        from aiisac.numerics import _log_i0_asymptotic, _log_i0_series
-
-        x = np.array([20.0])
-        gap = _log_i0_series(x) - _log_i0_asymptotic(x)
-        assert abs(float(gap[0])) < 1e-12
-
-    def test_large_argument_no_overflow(self):
-        val = log_bessel_i0(1e4)
-        assert math.isfinite(val)
-        assert math.isclose(val, 1e4 - 0.5 * math.log(2 * math.pi * 1e4),
-                            rel_tol=1e-6)
 
 
 class TestFindRoot:
