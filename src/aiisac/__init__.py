@@ -16,6 +16,7 @@ from .errors import (
     AiIsacError,
     BracketError,
     ConfigError,
+    ConvergenceError,
     DegenerateBudgetError,
     DegenerateFitError,
     DegenerateInputError,
@@ -62,7 +63,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AiBudget", "AiIsacError", "AllocationProblem", "AllocationResult",
-    "BracketError", "ConfigError", "DegenerateBudgetError",
+    "BracketError", "ConfigError", "ConvergenceError", "DegenerateBudgetError",
     "DegenerateFitError", "DegenerateInputError", "FadingModel", "Frontier",
     "FrontierPoint", "MimoScenario", "MonteCarloEstimate", "PerfPoint",
     "QuadratureRule", "RandomStream", "RunConfig", "ScalarScenario",

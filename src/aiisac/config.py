@@ -28,6 +28,9 @@ class RunConfig:
     power is stored linear; the tableI-dbm preset reads the 10 dBm transmit
     power as 0.01 W, while tableI-normalized keeps the dimensionless
     value 10 in the same unit as the 0.1 noise variances.
+
+    Every float must be finite, except alloc_c_ai = inf, the classical
+    limit with no learning bottleneck. Malformed values raise ConfigError.
     """
 
     preset: str = "tableI-dbm"
@@ -57,14 +60,32 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}; choose from {PRESETS}")
+        for name, value in vars(self).items():
+            if (isinstance(value, float) and not math.isfinite(value)
+                    and not (name == "alloc_c_ai" and value == math.inf)):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.power <= 0 or self.noise_c <= 0 or self.noise_s <= 0:
             raise ConfigError("power and noise variances must be positive")
+        if self.gain_c <= 0 or self.gain_s <= 0:
+            raise ConfigError("channel gains must be positive")
+        if self.alloc_c_ai <= 0:
+            raise ConfigError("alloc_c_ai must be positive")
         if self.prior_var <= 0:
             raise ConfigError("prior variance must be positive")
         if not 1 <= self.quadrature_order <= 128:
             raise ConfigError("quadrature order must lie in [1, 128]")
-        if self.c_step <= 0 or self.c_max < self.c_min:
-            raise ConfigError("invalid capacity grid")
+        if self.c_min < 0 or self.c_step <= 0 or self.c_max < self.c_min:
+            raise ConfigError("invalid capacity grid: need 0 <= c_min <= c_max "
+                              "and c_step > 0")
+        if self.snr_step_db <= 0 or self.snr_max_db < self.snr_min_db:
+            raise ConfigError("invalid SNR grid: need snr_min_db <= snr_max_db "
+                              "and snr_step_db > 0")
+        if self.mimo_nt < 1 or self.mimo_nr < 1:
+            raise ConfigError("mimo_nt and mimo_nr must be at least 1")
+        for name in ("weight", "alpha0", "alpha_verify"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1], "
+                                  f"got {getattr(self, name)}")
 
     @property
     def rician_k(self) -> float:

@@ -9,6 +9,10 @@ class BracketError(AiIsacError):
     """Root bracket does not contain a sign change."""
 
 
+class ConvergenceError(AiIsacError):
+    """Iterative solver met a NaN or hit its iteration cap."""
+
+
 class DegenerateBudgetError(AiIsacError):
     """Capacity budget of zero bits; the equivalent noise is unbounded."""
 

@@ -21,10 +21,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import exp1, i0e
 
 from .numerics import QuadratureRule, RandomStream, graded_laguerre
 
@@ -34,6 +34,16 @@ _MC_CHUNK = 1 << 20
 # density's unit mass, accepted without a warning: the 1e-4 accuracy
 # acceptance criterion 1 states for the averages.
 DENSITY_TOL = 1e-4
+
+
+@lru_cache(maxsize=None)
+def _special():
+    """scipy.special, imported by the first call that needs it, so that
+    commands with no fading average never load SciPy; cached, because
+    _average runs once per grid point."""
+    import scipy.special
+
+    return scipy.special
 
 
 @dataclass(frozen=True)
@@ -87,7 +97,7 @@ def _average(values_at, k_factor: float, rule: QuadratureRule) -> float:
                                    math.sqrt(1.0 + 2.0 * k_factor))
     if k_factor > 0:
         z = 2.0 * np.sqrt(k_factor * nodes)
-        log_w = log_w + np.log(i0e(z)) + z - k_factor
+        log_w = log_w + np.log(_special().i0e(z)) + z - k_factor
     w = np.exp(log_w)
     values = values_at(nodes)
     miss = abs(float(np.sum(w)) - 1.0)
@@ -170,7 +180,7 @@ def rayleigh_rate_exact(gamma_bar: float, kappa: float) -> float:
         u = 1.0 / beta
         # e^u E1(u) directly for small u, scaled via log for large u.
         if u < 500.0:
-            return math.exp(u) * float(exp1(u))
+            return math.exp(u) * float(_special().exp1(u))
         # asymptotic e^u E1(u) ~ 1/u (1 - 1/u + 2/u^2 - ...)
         return (1.0 - 1.0 / u + 2.0 / u**2 - 6.0 / u**3) / u
 

@@ -1,20 +1,22 @@
 """Numerical building blocks: Gauss-Laguerre and graded composite rules,
-safeguarded root finding, and counter-based deterministic random streams.
+Brent's bracketing root finder, and counter-based deterministic random
+streams.
 
 Everything here is a pure function of its inputs; quadrature rules are
-cached by order and immutable.
+cached by order and immutable. Brent's method is implemented here, so no
+SciPy module loads for root finding; scipy.special loads on the first
+quadrature rule that is built.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import roots_laguerre, roots_legendre
 
-from .errors import BracketError
+from .errors import BracketError, ConvergenceError
 
 MAX_QUADRATURE_ORDER = 128
 
@@ -51,6 +53,8 @@ class QuadratureRule:
 
 @lru_cache(maxsize=None)
 def _laguerre_nodes_weights(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    from scipy.special import roots_laguerre
+
     nodes, weights = roots_laguerre(order)
     return tuple(nodes), tuple(weights)
 
@@ -83,6 +87,8 @@ def _graded_parts(order: int) -> tuple[np.ndarray, ...]:
     """Unit pieces of the order-M composite rule: order // 2 Gauss-Legendre
     nodes and log-weights on s in [0, 1], and the remaining Gauss-Laguerre
     nodes and log-weights."""
+    from scipy.special import roots_laguerre, roots_legendre
+
     n_head = order // 2
     s, ws = roots_legendre(n_head) if n_head else (np.empty(0), np.empty(0))
     t, wt = roots_laguerre(order - n_head)
@@ -124,11 +130,29 @@ def graded_laguerre(order: int, split: float,
     return np.concatenate((head, tail)), np.concatenate((log_head, log_tail))
 
 
-def find_root(f, lo: float, hi: float, tol: float) -> float:
-    """Root of f on [lo, hi] by safeguarded bracketing (Brent); deterministic.
+# Relative part of the root tolerance, and the iteration cap.
+_RTOL = 4.0 * sys.float_info.epsilon
+_MAX_ITER = 200
 
-    Requires a sign change on the bracket; terminates when the bracket
-    width falls below tol.
+
+def _value(f, x: float) -> float:
+    fx = float(f(x))
+    if math.isnan(fx):
+        raise ConvergenceError(f"the function value at x={x} is NaN; "
+                               "the root finder cannot continue")
+    return fx
+
+
+def find_root(f, lo: float, hi: float, tol: float) -> float:
+    """Root of f on [lo, hi] by Brent's method (R. P. Brent, Algorithms for
+    Minimization without Derivatives, 1973); deterministic.
+
+    Requires a sign change on the bracket, else raises BracketError.
+    Returns the current best point once f vanishes there or the half-width
+    of the bracket falls below (tol + 4 eps |x|) / 2. Raises
+    ConvergenceError if f returns NaN or 200 iterations do not converge.
+    Step for step this is SciPy's brentq with xtol = tol, maxiter = 200,
+    so it returns the same point, bit for bit.
     """
     lo = float(lo)
     hi = float(hi)
@@ -136,17 +160,53 @@ def find_root(f, lo: float, hi: float, tol: float) -> float:
         raise ValueError(f"invalid bracket [{lo}, {hi}]")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
+    xpre, xcur = lo, hi
+    fpre, fcur = _value(f, xpre), _value(f, xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
         raise BracketError(
-            f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}"
+            f"no sign change on [{lo}, {hi}]: f(lo)={fpre}, f(hi)={fcur}"
         )
-    return float(brentq(f, lo, hi, xtol=tol, maxiter=200))
+    # xcur is the best point so far, xblk the other end of the bracket and
+    # xpre the previous point; scur and spre are the last two steps.
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAX_ITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (tol + _RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # Secant step.
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # Inverse quadratic interpolation.
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = _value(f, xcur)
+    raise ConvergenceError(
+        f"root finder did not converge in {_MAX_ITER} iterations on "
+        f"[{lo}, {hi}]; last point {xcur}"
+    )
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,38 @@ class TestCommands:
         cfg.write_text("power = -1\n")
         assert main(["verify", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("command, line", [
+        ("gaussian-sweep", "power = nan"),
+        ("frontier", "noise_c = inf"),
+        ("allocate", "alloc_c_ai = -inf"),
+        ("mimo-surface", "snr_step_db = 0"),
+        ("mimo-surface", "snr_step_db = -1"),
+        ("mimo-surface", "snr_max_db = -10"),
+        ("mimo-surface", "mimo_nt = 0"),
+        ("mimo-surface", "mimo_nr = 0"),
+        ("gaussian-sweep", "c_min = -3"),
+        ("gaussian-sweep", "gain_c = -1"),
+        ("allocate", "alloc_c_ai = 0"),
+        ("allocate", "weight = 2"),
+        ("allocate", "alpha0 = -1"),
+        ("verify", "alpha_verify = 1.5"),
+    ])
+    def test_malformed_value_exit_code(self, command, line, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("config error:") == 1 and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_classical_limit_budget_accepted(self, tmp_path):
+        cfg = tmp_path / "classical.cfg"
+        cfg.write_text("alloc_c_ai = inf\n")
+        assert main(["allocate", "--config", str(cfg),
+                     "--out", str(tmp_path / "a.csv")]) == 0
+
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "nope.cfg")]) == 2
 

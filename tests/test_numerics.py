@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from aiisac.errors import BracketError
+from aiisac import allocate, bottleneck
+from aiisac.allocate import AllocationProblem, kkt_power_split
+from aiisac.bottleneck import AiBudget, enforce_mi_numerically
+from aiisac.errors import AiIsacError, BracketError, ConvergenceError
+from aiisac.gaussian import ScalarScenario
 from aiisac.numerics import (
     QuadratureRule,
     RandomStream,
@@ -76,6 +80,116 @@ class TestFindRoot:
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
             find_root(lambda x: x * x + 1.0, -1.0, 1.0, tol=1e-12)
+
+    @pytest.mark.parametrize("f", [
+        lambda x: math.nan if 0.0 < x < 1.0 else x - 0.3,  # inside
+        lambda x: math.nan if x > 0.5 else x - 0.7,        # at an end
+    ])
+    def test_nan_raises(self, f):
+        with pytest.raises(ConvergenceError, match="NaN"):
+            find_root(f, 0.0, 1.0, tol=1e-12)
+
+    def test_iteration_cap_raises(self):
+        # A step function leaves Brent nothing to interpolate, so it bisects
+        # a bracket of width 2e300 and needs over 1000 halvings.
+        def step(x):
+            return -1.0 if x < 0.3 else 1.0
+
+        with pytest.raises(ConvergenceError, match="200 iterations") as info:
+            find_root(step, -1e300, 1e300, tol=1e-12)
+        assert isinstance(info.value, AiIsacError)
+        assert find_root(step, 0.0, 1.0, tol=1e-12) == pytest.approx(0.3)
+
+
+def _recorded_brackets(monkeypatch, module, run):
+    """(f, lo, hi, tol) of every find_root call that run() makes through
+    module."""
+    calls = []
+
+    def record(f, lo, hi, tol):
+        calls.append((f, lo, hi, tol))
+        return find_root(f, lo, hi, tol)
+
+    monkeypatch.setattr(module, "find_root", record)
+    run()
+    return calls
+
+
+class TestFindRootMatchesBrentq:
+    """The port returns exactly what scipy.optimize.brentq returns with
+    xtol = tol and maxiter = 200."""
+
+    @staticmethod
+    def assert_same(calls):
+        from scipy.optimize import brentq
+
+        assert calls
+        for f, lo, hi, tol in calls:
+            assert find_root(f, lo, hi, tol) == brentq(f, lo, hi, xtol=tol,
+                                                      maxiter=200)
+
+    def test_enforce_mi_gap(self, monkeypatch):
+        rng = np.random.default_rng(11)
+
+        def run():
+            for _ in range(400):
+                enforce_mi_numerically(10.0 ** rng.uniform(-3.0, 3.0),
+                                       rng.uniform(0.25, 9.75), tol=1e-9)
+
+        self.assert_same(_recorded_brackets(monkeypatch, bottleneck, run))
+
+    def test_kkt_stationarity(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        interior = []
+
+        def run():
+            while len(interior) < 60:
+                sc = ScalarScenario(
+                    power=1.0,
+                    gain_c=float(rng.uniform(0.2, 3.0)),
+                    gain_s=float(rng.uniform(0.2, 3.0)),
+                    noise_c=float(rng.uniform(0.05, 0.5)),
+                    noise_s=float(rng.uniform(0.05, 0.5)),
+                    prior_var=float(rng.uniform(5.0, 60.0)),
+                )
+                prob = AllocationProblem(
+                    total_power=1.0, total_time=1.0,
+                    weight=float(rng.uniform(0.1, 0.9)),
+                    budget=AiBudget(float(rng.uniform(1.0, 8.0))),
+                    scenario=sc, mode=str(rng.choice(["penalized", "convex"])))
+                p_c = kkt_power_split(prob)[0]
+                if 1e-9 < p_c < 1.0 - 1e-9:
+                    interior.append(p_c)
+
+        calls = _recorded_brackets(monkeypatch, allocate, run)
+        # Keep the brackets whose root is interior; the rest have no sign
+        # change and end in BracketError on both sides.
+        with_root = [c for c in calls
+                     if (c[0](c[1]) < 0.0) != (c[0](c[2]) < 0.0)]
+        assert len(with_root) == len(interior)
+        self.assert_same(with_root)
+
+    @pytest.mark.parametrize("tol", [1e-14, 1e-12, 1e-8, 1e-3])
+    def test_random_monotone(self, tol):
+        rng = np.random.default_rng(int(-math.log10(tol)))
+        calls = []
+        for _ in range(750):
+            r = float(rng.uniform(-5.0, 5.0))
+            a, b, c = (float(v) for v in rng.uniform(0.01, 3.0, size=3))
+            kind = int(rng.integers(3))
+            if kind == 0:
+                def f(x, r=r, a=a, b=b):
+                    return a * (x - r) + b * (x - r) ** 3
+            elif kind == 1:
+                def f(x, r=r, a=a, c=c):
+                    return math.tanh(a * (x - r)) + 1e-3 * c * (x - r)
+            else:
+                def f(x, r=r, a=a, b=b):
+                    return math.expm1(a * (x - r)) * (1.0 + b)
+            lo = r - float(rng.uniform(1e-3, 20.0))
+            hi = r + float(rng.uniform(1e-3, 20.0))
+            calls.append((f, lo, hi, tol))
+        self.assert_same(calls)
 
 
 class TestRandomStream:
