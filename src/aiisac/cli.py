@@ -109,9 +109,10 @@ def cmd_frontier(cfg: RunConfig, out: str | None) -> int:
         front = region.frontier(sc, budget)
         base = region.separated_baseline(sc, budget)
         label = "inf" if math.isinf(c) else _fmt(c)
-        for fp, bp in zip(front.points, base.points):
-            rows.append([label, fp.alpha, fp.rate, fp.distortion,
-                         bp.rate, bp.distortion])
+        for row in zip(front.alphas.tolist(), front.rates().tolist(),
+                       front.distortions().tolist(), base.rates().tolist(),
+                       base.distortions().tolist()):
+            rows.append([label, *row])
     _write_csv(out, _header(cfg),
                ["c_ai", "alpha", "rate", "distortion", "baseline_rate",
                 "baseline_distortion"], rows)

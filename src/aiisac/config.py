@@ -12,6 +12,10 @@ from .errors import ConfigError
 
 PRESETS = ("tableI-dbm", "tableI-normalized")
 
+# Most points on the capacity axis of gaussian-sweep or the SNR axis of
+# mimo-surface; both grids are built in full in memory.
+MAX_GRID_POINTS = 10_000
+
 
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
@@ -30,7 +34,9 @@ class RunConfig:
     value 10 in the same unit as the 0.1 noise variances.
 
     Every float must be finite, except alloc_c_ai = inf, the classical
-    limit with no learning bottleneck. Malformed values raise ConfigError.
+    limit with no learning bottleneck, and neither the capacity nor the SNR
+    axis may exceed MAX_GRID_POINTS points. Malformed values raise
+    ConfigError.
     """
 
     preset: str = "tableI-dbm"
@@ -80,6 +86,15 @@ class RunConfig:
         if self.snr_step_db <= 0 or self.snr_max_db < self.snr_min_db:
             raise ConfigError("invalid SNR grid: need snr_min_db <= snr_max_db "
                               "and snr_step_db > 0")
+        for axis, lo, hi, step in (
+                ("capacity", self.c_min, self.c_max, self.c_step),
+                ("SNR", self.snr_min_db, self.snr_max_db, self.snr_step_db)):
+            # round((hi - lo) / step) + 1 points, counted without building
+            # them; the first test keeps round() off a span of inf.
+            span = (hi - lo) / step
+            if span > MAX_GRID_POINTS or round(span) + 1 > MAX_GRID_POINTS:
+                raise ConfigError(f"{axis} grid has more than {MAX_GRID_POINTS} "
+                                  f"points; raise its step")
         if self.mimo_nt < 1 or self.mimo_nr < 1:
             raise ConfigError("mimo_nt and mimo_nr must be at least 1")
         for name in ("weight", "alpha0", "alpha_verify"):

@@ -10,7 +10,8 @@ class BracketError(AiIsacError):
 
 
 class ConvergenceError(AiIsacError):
-    """Iterative solver met a NaN or hit its iteration cap."""
+    """Iterative solver met a NaN or hit its iteration cap, or a quadrature
+    rule missed its density's unit mass by too much to average with."""
 
 
 class DegenerateBudgetError(AiIsacError):

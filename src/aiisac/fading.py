@@ -13,7 +13,8 @@ mean SNR (the integrand is singular just left of the origin) and missed the
 Rayleigh closed form by 3.3e-2 bits at M = 20 and 2.2e-3 bits at M = 128
 for mean SNRs up to 25 dB; the composite rule misses it by 3.8e-5 bits at
 M = 20, 8.5e-8 at M = 40 and 1e-11 at M >= 80.  Every average checks that
-its weights integrate the gain density to one and warns where they do not.
+its weights integrate the gain density to one; it warns where they miss by
+a little and raises ConvergenceError where they miss by more than 1e-2.
 A seeded Monte-Carlo oracle provides an independent route for validation.
 """
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .numerics import QuadratureRule, RandomStream, graded_laguerre
 
 _MC_CHUNK = 1 << 20
@@ -34,6 +36,11 @@ _MC_CHUNK = 1 << 20
 # density's unit mass, accepted without a warning: the 1e-4 accuracy
 # acceptance criterion 1 states for the averages.
 DENSITY_TOL = 1e-4
+
+# Largest miss of the unit mass itself for which an average is returned at
+# all; beyond it the rule has not resolved the density, and an average can
+# land outside the range of its integrand (an MMSE above the prior).
+DENSITY_FAIL = 1e-2
 
 
 @lru_cache(maxsize=None)
@@ -90,7 +97,8 @@ def _average(values_at, k_factor: float, rule: QuadratureRule) -> float:
     The density factor e^{-K} I0(2 sqrt(K x)) is folded into the log-weights
     as log(i0e(z)) + z - K, so weights neither under- nor overflow at large
     K. The same weights must integrate the density to one: a miss of m
-    shifts the average by about m times the values, so the call issues a
+    shifts the average by about m times the values, so the call raises
+    ConvergenceError where m exceeds DENSITY_FAIL, and otherwise issues a
     RuntimeWarning where m * max(1, max |values|) exceeds DENSITY_TOL.
     """
     nodes, log_w = graded_laguerre(rule.order, 1.0 + k_factor,
@@ -101,6 +109,11 @@ def _average(values_at, k_factor: float, rule: QuadratureRule) -> float:
     w = np.exp(log_w)
     values = values_at(nodes)
     miss = abs(float(np.sum(w)) - 1.0)
+    if not miss <= DENSITY_FAIL:
+        raise ConvergenceError(
+            f"order-{rule.order} fading rule misses the K = {k_factor:g} gain "
+            f"density's unit mass by {miss:.2e}, more than {DENSITY_FAIL:g}; "
+            f"raise the quadrature order or lower the K-factor")
     if miss * max(1.0, float(np.max(np.abs(values)))) > DENSITY_TOL:
         warnings.warn(
             f"order-{rule.order} fading rule misses the K = {k_factor:g} gain "

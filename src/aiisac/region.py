@@ -4,6 +4,11 @@ The joint design splits transmit power between a communication component
 (fraction alpha) and a sensing probe; both pass through the same
 capacity-limited latent, whose equivalent noise is set by the total power.
 A time-sharing baseline gives the separated comparison curve.
+
+Each curve is computed in one pass over a uniform alpha grid and held as
+three read-only float64 arrays (alphas, rates, distortions); a membership
+query is one argmax over the grid. Rates are taken with math.log2 element
+by element, so they equal the scalar closed form bit for bit.
 """
 from __future__ import annotations
 
@@ -19,40 +24,59 @@ from .gaussian import PerfPoint, ScalarScenario, effective_snrs
 DEFAULT_GRID = 201
 
 
-@dataclass(frozen=True)
-class FrontierPoint:
+class FrontierPoint(NamedTuple):
     alpha: float
     rate: float
     distortion: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0,1], got {self.alpha}")
-        if self.rate < 0 or self.distortion <= 0:
-            raise ValueError("rate must be >= 0 and distortion positive")
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frontier:
-    """Operating points ordered by ascending power split alpha.
+    """Operating points on an ascending alpha grid, as three read-only
+    float64 arrays of equal length: alphas, rates() and distortions().
 
-    Rate is non-decreasing and distortion non-decreasing along the list:
+    Rate is non-decreasing and distortion non-decreasing along the grid:
     shifting power toward communication always costs sensing accuracy.
     """
 
     budget: AiBudget
-    points: tuple[FrontierPoint, ...]
+    alphas: np.ndarray
+    _rates: np.ndarray
+    _distortions: np.ndarray
 
     def __post_init__(self) -> None:
-        alphas = [p.alpha for p in self.points]
-        if alphas != sorted(alphas):
+        bad = ~((self.alphas >= 0.0) & (self.alphas <= 1.0))
+        if bad.any():
+            raise ValueError(f"alpha must lie in [0,1], got {self.alphas[bad][0]}")
+        if (self._rates < 0).any() or (self._distortions <= 0).any():
+            raise ValueError("rate must be >= 0 and distortion positive")
+        if (np.diff(self.alphas) < 0).any():
             raise ValueError("frontier points must be ordered by alpha")
+        for arr in (self.alphas, self._rates, self._distortions):
+            arr.flags.writeable = False
 
     def rates(self) -> np.ndarray:
-        return np.array([p.rate for p in self.points])
+        return self._rates
 
     def distortions(self) -> np.ndarray:
-        return np.array([p.distortion for p in self.points])
+        return self._distortions
+
+    @property
+    def points(self) -> tuple[FrontierPoint, ...]:
+        """The grid as (alpha, rate, distortion) points, built on each access."""
+        return tuple(map(FrontierPoint, self.alphas.tolist(), self._rates.tolist(),
+                         self._distortions.tolist()))
+
+
+def _split_grid(sc: ScalarScenario, budget: AiBudget, n_points: int,
+                what: str) -> tuple[np.ndarray, float, np.ndarray]:
+    """Alpha grid, communication SNR, and the sensing distortion
+    prior_var / (1 + (1 - alpha) * g_s) at every grid point."""
+    if n_points < 2:
+        raise ValueError(f"need at least 2 {what} points")
+    g_c, g_s = effective_snrs(sc, budget)
+    alphas = np.linspace(0.0, 1.0, n_points)
+    return alphas, g_c, sc.prior_var / (1.0 + (1.0 - alphas) * g_s)
 
 
 def frontier(sc: ScalarScenario, budget: AiBudget, n_points: int = DEFAULT_GRID) -> Frontier:
@@ -61,20 +85,9 @@ def frontier(sc: ScalarScenario, budget: AiBudget, n_points: int = DEFAULT_GRID)
     Communication rides on power alpha*P (the sensing probe is known and
     cancelled at the receiver); sensing uses the remaining (1-alpha)*P.
     """
-    if n_points < 2:
-        raise ValueError("need at least 2 frontier points")
-    g_c, g_s = effective_snrs(sc, budget)
-    pts = []
-    for alpha in np.linspace(0.0, 1.0, n_points):
-        a = float(alpha)
-        pts.append(
-            FrontierPoint(
-                alpha=a,
-                rate=math.log2(1.0 + a * g_c),
-                distortion=sc.prior_var / (1.0 + (1.0 - a) * g_s),
-            )
-        )
-    return Frontier(budget=budget, points=tuple(pts))
+    alphas, g_c, dists = _split_grid(sc, budget, n_points, "frontier")
+    rates = np.fromiter(map(math.log2, (1.0 + alphas * g_c).tolist()), float, n_points)
+    return Frontier(budget, alphas, rates, dists)
 
 
 def separated_baseline(
@@ -83,21 +96,8 @@ def separated_baseline(
     """Time-sharing baseline: fraction tau of the frame is communication-only
     at full power, the rest sensing-only; rate scales by tau and the sensing
     SNR by the energy fraction 1 - tau."""
-    if n_points < 2:
-        raise ValueError("need at least 2 baseline points")
-    g_c, g_s = effective_snrs(sc, budget)
-    rate_full = math.log2(1.0 + g_c)
-    pts = []
-    for tau in np.linspace(0.0, 1.0, n_points):
-        t = float(tau)
-        pts.append(
-            FrontierPoint(
-                alpha=t,
-                rate=t * rate_full,
-                distortion=sc.prior_var / (1.0 + (1.0 - t) * g_s),
-            )
-        )
-    return Frontier(budget=budget, points=tuple(pts))
+    taus, g_c, dists = _split_grid(sc, budget, n_points, "baseline")
+    return Frontier(budget, taus, taus * math.log2(1.0 + g_c), dists)
 
 
 class Membership(NamedTuple):
@@ -115,16 +115,13 @@ def in_region(
 ) -> Membership:
     """Whether some power split achieves the candidate point.
 
-    Returns the best achieving alpha and the slack in each coordinate;
-    inside means non-negative slack in both.
+    Returns the best achieving alpha (the first, on a tie) and the slack in
+    each coordinate; inside means non-negative slack in both.
     """
     front = frontier(sc, budget, n_points)
-    best = None
-    for p in front.points:
-        r_slack = p.rate - candidate.rate
-        d_slack = candidate.distortion - p.distortion
-        score = min(r_slack, d_slack)
-        if best is None or score > best[0]:
-            best = (score, p.alpha, r_slack, d_slack)
-    score, alpha, r_slack, d_slack = best
-    return Membership(score >= 0.0, alpha, r_slack, d_slack)
+    r_slack = front.rates() - candidate.rate
+    d_slack = candidate.distortion - front.distortions()
+    score = np.minimum(r_slack, d_slack)
+    i = int(np.argmax(score))
+    return Membership(bool(score[i] >= 0.0), float(front.alphas[i]),
+                      float(r_slack[i]), float(d_slack[i]))

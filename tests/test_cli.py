@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -128,6 +129,10 @@ class TestCommands:
         ("allocate", "weight = 2"),
         ("allocate", "alpha0 = -1"),
         ("verify", "alpha_verify = 1.5"),
+        ("gaussian-sweep", "c_step = 1e-9"),
+        ("gaussian-sweep", "c_step = 5e-324"),
+        ("mimo-surface", "snr_step_db = 1e-7"),
+        ("mimo-surface", "snr_max_db = 1e300"),
     ])
     def test_malformed_value_exit_code(self, command, line, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -138,6 +143,36 @@ class TestCommands:
         assert "Traceback" not in err
         assert err.count("config error:") == 1 and err.count("\n") == 1
         assert not out.exists()
+
+    def test_unresolved_fading_density_is_an_error(self, tmp_path, capsys):
+        # At K = 400 dB the order-20 rule misses the gain density's unit
+        # mass by about 9; the average it gave was an MMSE of 8.4 under a
+        # prior variance of 1.
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("rician_k_db = 400\n")
+        out = tmp_path / "out.csv"
+        assert main(["gaussian-sweep", "--config", str(cfg), "--out", str(out)]) != 0
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    # sha256 of CSVs written before frontier and in_region ran over alpha
+    # arrays; both commands rest on libm and IEEE arithmetic only.
+    @pytest.mark.parametrize("command, preset, digest", [
+        ("frontier", "tableI-dbm",
+         "df6d6d86497b26417127e0a01e69ee2a159578c64b8a7935c5143f6ccb081ef1"),
+        ("frontier", "tableI-normalized",
+         "8279fff928c91caaad86532e665231def644d69d66f8fa87145581ad971441bf"),
+        ("allocate", "tableI-dbm",
+         "6be583bdd49edf10b71f822392e066a52bec9f16beb783a1fed957bfe410704e"),
+        ("allocate", "tableI-normalized",
+         "0b362f753403d7dbff5fed906625a4b636f9dc5f05ab964d085d0733cb985f23"),
+    ])
+    def test_csv_bytes_unchanged(self, command, preset, digest, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main([command, "--preset", preset, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_classical_limit_budget_accepted(self, tmp_path):
         cfg = tmp_path / "classical.cfg"

@@ -15,6 +15,7 @@ from aiisac.fading import (
     rayleigh_rate_exact,
     rician_moment_matched,
 )
+from aiisac.errors import ConvergenceError
 from aiisac.numerics import RandomStream, gauss_laguerre
 
 RULE = gauss_laguerre(128)
@@ -104,6 +105,11 @@ class TestRician:
         # about 1e-4, and the rate by about 2e-3 bits.
         with pytest.warns(RuntimeWarning, match=r"order-20 .* K = 100 "):
             ergodic_rate_rician(10.0, 0.0, 100.0, gauss_laguerre(20))
+
+    def test_unresolved_density_raises(self):
+        # At K = 40 dB the order-20 weights miss the unit mass by 0.156.
+        with pytest.raises(ConvergenceError, match=r"order-20 .* K = 10000 "):
+            ergodic_distortion_rician(10.0, 0.0, 1e4, 1.0, gauss_laguerre(20))
 
     def test_moment_matched_values(self):
         assert math.isclose(rician_moment_matched(10.0, 0.0, 0.0),
