@@ -3,18 +3,19 @@
 Splits total transmit power between communication and sensing to maximize
 a scalarized rate/distortion objective.  The latent noise is set by the
 total power, so the latent mutual-information constraint is enforced
-numerically once per run.  Stationarity residuals use analytic marginal
-values cross-checked against finite differences.
+numerically once per run.  The optimal split is in closed form: the KKT
+stationarity condition is a quadratic in the sensing SNR.  kkt_power_split
+finds the same point by Brent's method, as a reference.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bottleneck import AiBudget, achieved_mi, enforce_mi_numerically, kappa
-from .errors import BracketError
+from .errors import BracketError, DegenerateInputError
 from .gaussian import ScalarScenario
 from .numerics import find_root
 
@@ -55,8 +56,7 @@ class AllocationResult:
     p_s: float
     objective: float
     kkt_residual: float
-    converged: bool
-    trace: tuple[tuple[int, float, float, float], ...] = field(default=())
+    trace: tuple[tuple[int, float, float, float], ...]
 
 
 def _link(problem: AllocationProblem, gain: float, noise: float,
@@ -79,7 +79,8 @@ def _sense_dist_and_grad(problem: AllocationProblem, p_s: float) -> tuple[float,
     """Distortion D(P_s) and its derivative dD/dP_s (negative)."""
     sc = problem.scenario
     snr, slope = _link(problem, sc.gain_s, sc.noise_s, p_s)
-    return sc.prior_var / (1.0 + snr), -sc.prior_var * slope / (1.0 + snr) ** 2
+    u = 1.0 + snr  # u * u where u ** 2 would raise OverflowError
+    return sc.prior_var / u, -sc.prior_var * slope / (u * u)
 
 
 def _weights(problem: AllocationProblem) -> tuple[float, float]:
@@ -98,43 +99,38 @@ def objective(problem: AllocationProblem, alpha: float) -> float:
     return w_r * r - w_d * d
 
 
+def _stationarity(problem: AllocationProblem, p_c: float) -> float:
+    """dJ/dP_c = w_r dR/dP_c - w_d (-dD/dP_s) at the split (P_c, P - P_c)."""
+    w_r, w_d = _weights(problem)
+    _, dr = _comm_rate_and_grad(problem, p_c)
+    _, dd = _sense_dist_and_grad(problem, problem.total_power - p_c)
+    return w_r * dr - w_d * (-dd)
+
+
 def objective_gradient(problem: AllocationProblem, alpha: float) -> float:
     """dJ/d(alpha), analytic."""
-    w_r, w_d = _weights(problem)
-    p = problem.total_power
-    _, dr = _comm_rate_and_grad(problem, alpha * p)
-    _, dd = _sense_dist_and_grad(problem, (1.0 - alpha) * p)
-    return p * (w_r * dr + w_d * dd)
+    return problem.total_power * _stationarity(problem, alpha * problem.total_power)
 
 
 def kkt_residual_check(problem: AllocationProblem, p_c: float) -> float:
     """Absolute stationarity mismatch |w_r dR/dP_c - w_d (-dD/dP_s)|."""
     if not 0.0 <= p_c <= problem.total_power:
         raise ValueError("P_c must lie in [0, total power]")
-    w_r, w_d = _weights(problem)
-    _, dr = _comm_rate_and_grad(problem, p_c)
-    _, dd = _sense_dist_and_grad(problem, problem.total_power - p_c)
-    return abs(w_r * dr - w_d * (-dd))
+    return abs(_stationarity(problem, p_c))
 
 
 def kkt_power_split(problem: AllocationProblem) -> tuple[float, float, float]:
-    """Interior stationarity root on P_c, or the better boundary point.
+    """Interior stationarity root on P_c by Brent's method, or the better
+    boundary point: the numerical reference for optimize_alpha's closed form.
 
     Returns (P_c, P_s, residual).  Since the rate's marginal value falls
     and the distortion's marginal value rises with the power moved, an
     interior sign change is a maximizer when it exists.
     """
     p = problem.total_power
-    w_r, w_d = _weights(problem)
-
-    def stationarity(p_c: float) -> float:
-        _, dr = _comm_rate_and_grad(problem, p_c)
-        _, dd = _sense_dist_and_grad(problem, p - p_c)
-        return w_r * dr - w_d * (-dd)
-
     eps = 1e-12 * p
     try:
-        p_c = find_root(stationarity, eps, p - eps, tol=1e-14)
+        p_c = find_root(lambda x: _stationarity(problem, x), eps, p - eps, tol=1e-14)
     except BracketError:
         # No interior root: the objective is monotone in the split.
         a_best = max((0.0, 1.0), key=lambda a: objective(problem, a))
@@ -142,19 +138,35 @@ def kkt_power_split(problem: AllocationProblem) -> tuple[float, float, float]:
     return p_c, p - p_c, kkt_residual_check(problem, p_c)
 
 
-def optimize_alpha(
-    problem: AllocationProblem,
-    alpha0: float,
-    max_iter: int = 200,
-    tol: float = 1e-10,
-) -> AllocationResult:
-    """Projected-gradient ascent on the power split with backtracking.
+def _optimal_sensing_power(problem: AllocationProblem) -> float:
+    """P_s that maximizes the objective: with r = s_c / s_s, k = w_d sigma^2 ln2
+    and u = 1 + s_s P_s, the positive root of the stationarity condition
+    w_r r u^2 + k r u - k (1 + s_c P + r) = 0, whose coefficients stay in
+    range for any finite power or gain, clipped to [0, P].  The objective is
+    concave in the split, so the clip is exact."""
+    sc = problem.scenario
+    p = problem.total_power
+    w_r, w_d = _weights(problem)
+    _, s_c = _link(problem, sc.gain_c, sc.noise_c, 0.0)
+    _, s_s = _link(problem, sc.gain_s, sc.noise_s, 0.0)
+    k = w_d * sc.prior_var * LN2
+    if k == 0.0 or s_s == 0.0:
+        return 0.0  # sensing power buys no objective
+    r = s_c / s_s
+    a, b, c = w_r * r, k * r, -k * (1.0 + s_c * p + r)
+    den = b + math.sqrt(b * b - 4.0 * a * c)
+    u = -2.0 * c / den if den > 0.0 else math.inf
+    return min(max((u - 1.0) / s_s, 0.0), p)
 
-    The latent mutual-information constraint is enforced once by
-    root-finding: the latent noise depends only on the total power and the
-    budget, not on the split.  Every trace row records the MI that noise
-    achieves, so constraint satisfaction is observable rather than assumed.
-    """
+
+def optimize_alpha(problem: AllocationProblem, alpha0: float) -> AllocationResult:
+    """The optimal power split, from the closed-form stationarity root.
+
+    The latent MI constraint is enforced once by root-finding, since the
+    latent noise does not depend on the split.  The trace rows are alpha0 and
+    the optimum, each with the MI that noise achieves.  Raises
+    DegenerateInputError when the optimal sensing power is positive but too
+    small a fraction of the total for alpha to resolve."""
     if not 0.0 <= alpha0 <= 1.0:
         raise ValueError(f"alpha0 must lie in [0,1], got {alpha0}")
     p = problem.total_power
@@ -163,40 +175,19 @@ def optimize_alpha(
     else:
         mi = achieved_mi(p, enforce_mi_numerically(p, problem.budget.c_ai, tol=1e-12))
 
-    alpha = alpha0
-    j = objective(problem, alpha)
-    trace = [(0, alpha, j, mi)]
-    converged = False
-    step0 = 0.5
-    for it in range(1, max_iter + 1):
-        grad = objective_gradient(problem, alpha)
-        if abs(min(1.0, max(0.0, alpha + grad)) - alpha) <= tol:
-            converged = True
-            break
-        step = step0
-        moved = False
-        while step > 1e-16:
-            cand = min(1.0, max(0.0, alpha + step * grad))
-            j_cand = objective(problem, cand)
-            if cand != alpha and j_cand >= j:
-                moved = True
-                alpha, j = cand, j_cand
-                break
-            step *= 0.5
-        if not moved:
-            converged = True
-            break
-        trace.append((it, alpha, j, mi))
+    p_s = _optimal_sensing_power(problem)
+    alpha = (p - p_s) / p
+    if 0.0 < p_s < p and alpha in (0.0, 1.0):
+        raise DegenerateInputError(f"optimal sensing power {p_s!r} is too small "
+                                   f"a fraction of {p!r} for the split alpha")
+    j0, j = objective(problem, alpha0), objective(problem, alpha)
+    if j < j0:  # alpha0 is the optimum to rounding; keep it so J never falls
+        alpha, j = alpha0, j0
     p_c = alpha * p
     return AllocationResult(
-        alpha_star=alpha,
-        p_c=p_c,
-        p_s=p - p_c,
-        objective=j,
+        alpha_star=alpha, p_c=p_c, p_s=p - p_c, objective=j,
         kkt_residual=kkt_residual_check(problem, p_c),
-        converged=converged,
-        trace=tuple(trace),
-    )
+        trace=((0, alpha0, j0, mi), (1, alpha, j, mi)))
 
 
 def grid_argmax(problem: AllocationProblem, n_points: int = 10_001) -> tuple[float, float]:

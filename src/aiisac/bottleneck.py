@@ -49,7 +49,9 @@ def kappa(budget: AiBudget) -> float:
         return 0.0
     if budget.c_ai == 0:
         raise DegenerateBudgetError("kappa is unbounded at zero capacity")
-    return 1.0 / math.expm1(budget.c_ai * math.log(2.0))
+    x = budget.c_ai * math.log(2.0)
+    # expm1 overflows near x = 709.8; long before, 1/expm1(x) is exp(-x).
+    return math.exp(-x) if x >= 709.0 else 1.0 / math.expm1(x)
 
 
 def equivalent_noise(budget: AiBudget, power: float) -> float:

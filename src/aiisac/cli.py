@@ -167,8 +167,7 @@ def _allocation_problem(cfg: RunConfig) -> alloc_mod.AllocationProblem:
 
 
 def cmd_allocate(cfg: RunConfig, out: str | None) -> int:
-    result = alloc_mod.optimize_alpha(_allocation_problem(cfg), cfg.alpha0,
-                                      max_iter=50)
+    result = alloc_mod.optimize_alpha(_allocation_problem(cfg), cfg.alpha0)
     rows = [[it, a, j, mi] for it, a, j, mi in result.trace]
     summary = (f"{_header(cfg)} | alpha_star = {_fmt(result.alpha_star)}, "
                f"J_star = {_fmt(result.objective)}, "
@@ -228,9 +227,9 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, float, float, bool]]:
                     float(np.max(hi.distortions() - lo.distortions())))
     checks.append(("frontier_nesting_violation", worst, 1e-12, worst <= 1e-12))
 
-    # Optimizer convergence, against the KKT split, and constraint satisfaction.
+    # Closed-form optimizer against the Brent KKT split, and constraint satisfaction.
     problem = _allocation_problem(cfg)
-    result = alloc_mod.optimize_alpha(problem, cfg.alpha0, max_iter=50)
+    result = alloc_mod.optimize_alpha(problem, cfg.alpha0)
     alpha_kkt = alloc_mod.kkt_power_split(problem)[0] / problem.total_power
     alpha_err = abs(result.alpha_star - alpha_kkt)
     checks.append(("optimizer_alpha_err", alpha_err, 2e-3, alpha_err <= 2e-3))

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
+from .bottleneck import MAX_DIM
 from .errors import ConfigError
 
 PRESETS = ("tableI-dbm", "tableI-normalized")
@@ -34,9 +35,9 @@ class RunConfig:
     value 10 in the same unit as the 0.1 noise variances.
 
     Every float must be finite, except alloc_c_ai = inf, the classical
-    limit with no learning bottleneck, and neither the capacity nor the SNR
-    axis may exceed MAX_GRID_POINTS points. Malformed values raise
-    ConfigError.
+    limit with no learning bottleneck; neither the capacity nor the SNR
+    axis may exceed MAX_GRID_POINTS points, nor mimo_nt or mimo_nr the
+    MAX_DIM of the matrix validator. Malformed values raise ConfigError.
     """
 
     preset: str = "tableI-dbm"
@@ -95,8 +96,8 @@ class RunConfig:
             if span > MAX_GRID_POINTS or round(span) + 1 > MAX_GRID_POINTS:
                 raise ConfigError(f"{axis} grid has more than {MAX_GRID_POINTS} "
                                   f"points; raise its step")
-        if self.mimo_nt < 1 or self.mimo_nr < 1:
-            raise ConfigError("mimo_nt and mimo_nr must be at least 1")
+        if not (1 <= self.mimo_nt <= MAX_DIM and 1 <= self.mimo_nr <= MAX_DIM):
+            raise ConfigError(f"mimo_nt and mimo_nr must lie in [1, {MAX_DIM}]")
         for name in ("weight", "alpha0", "alpha_verify"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], "

@@ -185,15 +185,19 @@ def find_root(f, lo: float, hi: float, tol: float) -> float:
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # Secant step.
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # Inverse quadratic interpolation.
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
+            try:
+                if xpre == xblk:
+                    # Secant step.
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # Inverse quadratic interpolation.
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # brentq's C code gets inf or NaN here, so it bisects.
+                stry = math.inf
             if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:

@@ -266,7 +266,7 @@ def test_criterion_10_optimizer_convergence():
     prob = AllocationProblem(total_power=TABLE_I.power, total_time=1.0,
                              weight=0.3, budget=AiBudget(4.0),
                              scenario=TABLE_I, mode="penalized")
-    result = optimize_alpha(prob, 0.4, max_iter=50)
+    result = optimize_alpha(prob, 0.4)
     alpha_err = abs(result.alpha_star - 1.0)
     mi_dev = max(abs(mi - 4.0) for _, _, _, mi in result.trace)
     objs = [j for _, _, j, _ in result.trace]

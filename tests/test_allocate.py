@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from aiisac.allocate import (
     AllocationProblem,
+    _optimal_sensing_power,
     grid_argmax,
     kkt_power_split,
     kkt_residual_check,
@@ -13,6 +15,7 @@ from aiisac.allocate import (
     optimize_alpha,
 )
 from aiisac.bottleneck import AiBudget
+from aiisac.errors import DegenerateInputError
 from aiisac.gaussian import ScalarScenario
 
 TABLE_I = ScalarScenario(power=0.01, gain_c=1.0, gain_s=1.0, noise_c=0.1,
@@ -65,18 +68,17 @@ def objective_snr_s(prob):
 
 class TestOptimizeAlpha:
     def test_reference_run_reaches_unity(self):
-        result = optimize_alpha(make_problem(weight=0.3, c_ai=4.0), 0.4,
-                                max_iter=50)
+        result = optimize_alpha(make_problem(weight=0.3, c_ai=4.0), 0.4)
         assert abs(result.alpha_star - 1.0) <= 2e-3
         assert len(result.trace) <= 51
 
     def test_mi_constant_along_trace(self):
-        result = optimize_alpha(make_problem(), 0.4, max_iter=50)
+        result = optimize_alpha(make_problem(), 0.4)
         for _, _, _, mi in result.trace:
             assert abs(mi - 4.0) <= 1e-9
 
     def test_ascent(self):
-        result = optimize_alpha(make_problem(), 0.4, max_iter=50)
+        result = optimize_alpha(make_problem(), 0.4)
         objs = [j for _, _, j, _ in result.trace]
         assert all(b >= a for a, b in zip(objs, objs[1:]))
 
@@ -99,7 +101,7 @@ class TestOptimizeAlpha:
                                 c_ai=float(rng.uniform(1.0, 8.0)),
                                 mode=rng.choice(["penalized", "convex"]),
                                 scenario=sc, power=1.0)
-            result = optimize_alpha(prob, 0.5, max_iter=500)
+            result = optimize_alpha(prob, 0.5)
             a_grid, _ = grid_argmax(prob, 2001)
             assert abs(result.alpha_star - a_grid) <= 2.0 / 2000.0
 
@@ -155,3 +157,132 @@ class TestKktResidual:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             kkt_residual_check(make_problem(), 1.0)
+
+
+def random_problem(rng):
+    """Seeded problem over both modes, C in [0.3, 10] or inf, weight in
+    [0, 1] with its ends drawn on purpose, and power from 1e-3 to 1e2."""
+    power = float(10.0 ** rng.uniform(-3.0, 2.0))
+    sc = ScalarScenario(
+        power=power,
+        gain_c=float(rng.uniform(0.2, 3.0)),
+        gain_s=float(rng.uniform(0.2, 3.0)),
+        noise_c=float(rng.uniform(0.05, 0.5)),
+        noise_s=float(rng.uniform(0.05, 0.5)),
+        prior_var=float(rng.uniform(0.5, 60.0)),
+    )
+    c_ai = math.inf if rng.random() < 0.2 else float(rng.uniform(0.3, 10.0))
+    weight = float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)],
+                              p=[0.05, 0.05, 0.9]))
+    return make_problem(weight=weight, c_ai=c_ai, scenario=sc, power=power,
+                        mode=str(rng.choice(["penalized", "convex"])))
+
+
+def closed_form_alpha(prob):
+    p = prob.total_power
+    return (p - _optimal_sensing_power(prob)) / p
+
+
+class TestClosedForm:
+    def test_matches_brent_reference(self):
+        rng = np.random.default_rng(61)
+        interior = 0
+        for _ in range(2500):
+            prob = random_problem(rng)
+            alpha = closed_form_alpha(prob)
+            p_c, _, _ = kkt_power_split(prob)
+            assert abs(alpha - p_c / prob.total_power) <= 1e-12
+            interior += 1e-9 < alpha < 1.0 - 1e-9
+        assert interior >= 500
+
+    def test_objective_matches_grid_oracle(self):
+        rng = np.random.default_rng(62)
+        checked = 0
+        while checked < 4:
+            prob = random_problem(rng)
+            alpha = closed_form_alpha(prob)
+            if not 0.05 < alpha < 0.95:
+                continue
+            result = optimize_alpha(prob, 0.5)
+            a_grid, j_grid = grid_argmax(prob, 10_001)
+            assert abs(result.alpha_star - a_grid) <= 1e-4
+            assert result.objective >= j_grid - 1e-15
+            checked += 1
+
+    def test_linear_edge_cases(self):
+        # w_d = 0: all power to communication; w_r = 0: all to sensing.
+        assert _optimal_sensing_power(make_problem(weight=0.0)) == 0.0
+        assert _optimal_sensing_power(make_problem(weight=1.0, mode="convex")) == 0.0
+        prob = make_problem(weight=0.0, mode="convex")
+        assert _optimal_sensing_power(prob) == prob.total_power
+        assert optimize_alpha(prob, 0.5).alpha_star == 0.0
+
+    @pytest.mark.parametrize("link, alpha", [("c", 0.0), ("s", 1.0)])
+    def test_link_without_slope(self, link, alpha):
+        # A gain of 5e-324 over a noise of 10 rounds the link's slope to 0:
+        # all power goes to the other link.
+        sc = ScalarScenario(power=0.01, gain_c=1.0, gain_s=1.0, noise_c=0.1,
+                            noise_s=0.1, prior_var=1.0)
+        sc = replace(sc, **{f"gain_{link}": 5e-324, f"noise_{link}": 10.0})
+        assert optimize_alpha(make_problem(scenario=sc), 0.4).alpha_star == alpha
+
+    def test_classical_limit(self):
+        prob = make_problem(c_ai=math.inf, scenario=INTERIOR, power=1.0)
+        result = optimize_alpha(prob, 0.5)
+        assert 0.0 < result.alpha_star < 1.0
+        assert result.kkt_residual <= 1e-12
+        assert all(mi == math.inf for _, _, _, mi in result.trace)
+
+    def test_trace_is_start_then_optimum(self):
+        prob = make_problem(scenario=INTERIOR, power=1.0)
+        result = optimize_alpha(prob, 0.25)
+        assert [row[:2] for row in result.trace] == [(0, 0.25),
+                                                     (1, result.alpha_star)]
+        assert result.trace[1][2] == result.objective
+
+    def test_start_at_optimum_never_descends(self):
+        # Within about 1e-8 of the optimum J is flat below its rounding, so
+        # J(alpha0) can read an ulp above J at the closed-form root.
+        rng = np.random.default_rng(63)
+        for _ in range(300):
+            prob = random_problem(rng)
+            alpha = closed_form_alpha(prob)
+            for delta in (1e-9, -1e-9, 3e-12):
+                a0 = min(1.0, max(0.0, alpha + delta))
+                result = optimize_alpha(prob, a0)
+                assert result.trace[1][2] >= result.trace[0][2]
+                assert abs(result.alpha_star - alpha) <= 1e-8
+
+    @pytest.mark.parametrize("power", [1e-300, 1e300])
+    def test_extreme_power(self, power):
+        prob = make_problem(scenario=INTERIOR, power=power)
+        p_c, _, _ = kkt_power_split(prob)
+        assert abs(closed_form_alpha(prob) - p_c / power) <= 1e-12
+
+    def test_extreme_sensing_gain(self):
+        sc = ScalarScenario(power=0.01, gain_c=1.0, gain_s=1e300, noise_c=0.1,
+                            noise_s=0.1, prior_var=1.0)
+        prob = make_problem(scenario=sc)
+        result = optimize_alpha(prob, 0.4)
+        a_grid, _ = grid_argmax(prob, 10_001)
+        assert abs(result.alpha_star - a_grid) <= 1e-4
+        assert result.trace[1][2] >= result.trace[0][2]
+
+    def test_unresolvable_split_raises(self):
+        # With no latent noise the optimal sensing power is about 5e-150 of
+        # the total: positive, yet 1 - P_s / P rounds to 1.
+        sc = ScalarScenario(power=0.01, gain_c=1.0, gain_s=1e300, noise_c=0.1,
+                            noise_s=0.1, prior_var=1.0)
+        prob = make_problem(c_ai=math.inf, scenario=sc)
+        assert 0.0 < _optimal_sensing_power(prob) < 1e-140
+        with pytest.raises(DegenerateInputError):
+            optimize_alpha(prob, 0.4)
+
+    def test_distortion_slope_does_not_overflow(self):
+        # A sensing SNR of 1e299 squares past the float range: the slope of
+        # D is 0 there, not an OverflowError.
+        sc = ScalarScenario(power=0.01, gain_c=1.0, gain_s=1e300, noise_c=0.1,
+                            noise_s=0.1, prior_var=1.0)
+        prob = make_problem(c_ai=math.inf, scenario=sc)
+        assert math.isfinite(kkt_residual_check(prob, 0.0))
+        assert math.isfinite(objective_gradient(prob, 0.0))

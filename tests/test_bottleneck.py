@@ -38,6 +38,12 @@ class TestKappa:
             assert math.isclose(kappa(AiBudget(c)) * (2.0**c - 1.0), 1.0,
                                 rel_tol=1e-12)
 
+    def test_large_budget_underflows(self):
+        # expm1(C ln2) overflows from C = 1024 on; kappa goes to 0 instead.
+        for c in (1000.0, 1022.0, 1023.0):
+            assert math.isclose(kappa(AiBudget(c)), 2.0**-c, rel_tol=1e-12)
+        assert kappa(AiBudget(2000.0)) == 0.0
+
 
 class TestEquivalentNoise:
     def test_values(self):

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from aiisac.cli import main
+from aiisac.allocate import grid_argmax
+from aiisac.cli import _allocation_problem, main
 from aiisac.config import PRESETS, RunConfig, parse_config, preset_config
 from aiisac.errors import ConfigError
 
@@ -133,6 +134,7 @@ class TestCommands:
         ("gaussian-sweep", "c_step = 5e-324"),
         ("mimo-surface", "snr_step_db = 1e-7"),
         ("mimo-surface", "snr_max_db = 1e300"),
+        ("mimo-surface", "mimo_nt = 65"),
     ])
     def test_malformed_value_exit_code(self, command, line, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -157,22 +159,67 @@ class TestCommands:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not out.exists()
 
-    # sha256 of CSVs written before frontier and in_region ran over alpha
-    # arrays; both commands rest on libm and IEEE arithmetic only.
+    # sha256 of CSVs, which rest on libm and IEEE arithmetic only: frontier's
+    # as written before frontier and in_region ran over alpha arrays,
+    # allocate's as written since it solves the stationarity quadratic in
+    # closed form (a start row and an optimum row, not 50 gradient steps).
     @pytest.mark.parametrize("command, preset, digest", [
         ("frontier", "tableI-dbm",
          "df6d6d86497b26417127e0a01e69ee2a159578c64b8a7935c5143f6ccb081ef1"),
         ("frontier", "tableI-normalized",
          "8279fff928c91caaad86532e665231def644d69d66f8fa87145581ad971441bf"),
         ("allocate", "tableI-dbm",
-         "6be583bdd49edf10b71f822392e066a52bec9f16beb783a1fed957bfe410704e"),
+         "7e1c9fcd16cc00ce078eeb283aa0dc4b529d93d46faa058184dc001c3f06706c"),
         ("allocate", "tableI-normalized",
-         "0b362f753403d7dbff5fed906625a4b636f9dc5f05ab964d085d0733cb985f23"),
+         "db8eaf7d8e75907ace0ed75aafb8f95f3eecf867182b851314acfc5ae8072c94"),
     ])
     def test_csv_bytes_unchanged(self, command, preset, digest, tmp_path):
         out = tmp_path / "out.csv"
         assert main([command, "--preset", preset, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("line", ["noise_c = 1", "power = 1e300"])
+    def test_verify_passes_off_preset(self, line, tmp_path):
+        # noise_c = 1 puts the optimum inside (0, 1), where a capped gradient
+        # loop stopped 0.11 short of it; at power = 1e300 the link slopes
+        # are about 1e-299.
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "report.txt"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[-1] == "all checks passed"
+
+    def test_allocate_at_extreme_sensing_gain(self, tmp_path):
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text("gain_s = 1e300\n")
+        out = tmp_path / "a.csv"
+        assert main(["allocate", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        problem = _allocation_problem(parse_config("gain_s = 1e300\n"))
+        a_grid, _ = grid_argmax(problem, 10_001)
+        assert abs(float(rows[-1][1]) - a_grid) <= 1e-4
+
+    def test_unresolvable_split_is_an_error(self, tmp_path, capsys):
+        # Without latent noise the optimal sensing power is about 5e-150 of
+        # the total, which no split alpha in [0, 1] can express.
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text("alloc_c_ai = inf\ngain_s = 1e300\n")
+        out = tmp_path / "a.csv"
+        assert main(["allocate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_sweep_past_kappa_overflow(self, tmp_path):
+        # 1/expm1(C ln2) overflows from C = 1024 on; kappa is exp(-C ln2) there.
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("c_max = 2000\n")
+        out = tmp_path / "s.csv"
+        assert main(["gaussian-sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 8001
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
 
     def test_classical_limit_budget_accepted(self, tmp_path):
         cfg = tmp_path / "classical.cfg"

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from aiisac import allocate, bottleneck
+from aiisac import allocate, bottleneck, cli
 from aiisac.allocate import AllocationProblem, kkt_power_split
 from aiisac.bottleneck import AiBudget, enforce_mi_numerically
+from aiisac.config import parse_config
 from aiisac.errors import AiIsacError, BracketError, ConvergenceError
 from aiisac.gaussian import ScalarScenario
 from aiisac.numerics import (
@@ -168,6 +169,34 @@ class TestFindRootMatchesBrentq:
                      if (c[0](c[1]) < 0.0) != (c[0](c[2]) < 0.0)]
         assert len(with_root) == len(interior)
         self.assert_same(with_root)
+
+    def test_verify_at_huge_power(self, monkeypatch):
+        # At power = 1e300 the stationarity values are about 1e-299, and an
+        # interpolation step's denominator underflows to 0.
+        cfg = parse_config("power = 1e300\n")
+        calls = []
+        for module in (bottleneck, allocate):
+            calls += _recorded_brackets(monkeypatch, module,
+                                        lambda: cli._verify_checks(cfg))
+        self.assert_same([c for c in calls
+                          if (c[0](c[1]) < 0.0) != (c[0](c[2]) < 0.0)])
+
+    def test_tiny_values(self):
+        # Products of values near 1e-200 underflow to 0 in the denominator
+        # of the interpolation step; brentq then bisects.
+        rng = np.random.default_rng(17)
+        calls = []
+        for _ in range(300):
+            r = float(rng.uniform(-5.0, 5.0))
+            a, b = (float(v) for v in rng.uniform(0.01, 3.0, size=2))
+            scale = float(10.0 ** rng.uniform(-300.0, -100.0))
+
+            def f(x, r=r, a=a, b=b, scale=scale):
+                return scale * (a * (x - r) + b * (x - r) ** 3)
+            lo = r - float(rng.uniform(1e-3, 20.0))
+            hi = r + float(rng.uniform(1e-3, 20.0))
+            calls.append((f, lo, hi, 1e-12))
+        self.assert_same(calls)
 
     @pytest.mark.parametrize("tol", [1e-14, 1e-12, 1e-8, 1e-3])
     def test_random_monotone(self, tol):
