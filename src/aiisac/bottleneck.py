@@ -114,36 +114,56 @@ def _as_hermitian(a: np.ndarray, name: str) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def _active_subspace(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors and eigenvalues of Q above the relative rank threshold."""
-    evals, evecs = np.linalg.eigh(q)
-    lam_max = float(evals[-1])
-    if lam_max <= 0:
-        return np.empty((q.shape[0], 0)), np.empty(0)
-    keep = evals > RANK_RTOL * lam_max
-    return evecs[:, keep], evals[keep]
+def _logdet(m: np.ndarray, name: str) -> np.ndarray:
+    """Natural log-determinants of a positive definite matrix or of a stack
+    of them, by Cholesky; raises SingularMatrixError naming m otherwise."""
+    try:
+        chol = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"{name} is not positive definite") from exc
+    return 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1))),
+                        axis=-1)
 
 
 def covariance_map(q: np.ndarray, c_ai: float) -> np.ndarray:
     """Proportional noise covariance meeting the log-det budget.
 
     Returns R_z = zeta * Q on the rank-r active subspace of Q, with
-    zeta = (2^(C/r) - 1)^-1, and zero on the null space.  By
-    construction gaussian_mi(Q, R_z) equals C exactly; the map is
-    trace-minimal only when the active eigenvalues of Q are equal.
+    zeta = (2^(C/r) - 1)^-1, and zero on the null space (and everywhere at
+    C = inf).  By construction gaussian_mi(Q, R_z) equals C exactly; the
+    map is trace-minimal only when the active eigenvalues of Q are equal.
     """
     q = _as_hermitian(q, "Q")
     if c_ai <= 0 or math.isnan(c_ai):
         raise DegenerateBudgetError(f"capacity must be positive, got {c_ai}")
-    vecs, vals = _active_subspace(q)
-    r = vals.size
-    if r == 0:
+    return proportional_maps(q[None], [c_ai])[0, 0]
+
+
+def proportional_maps(qs: np.ndarray, c_grid: list[float]) -> np.ndarray:
+    """covariance_map for every capacity in c_grid and every Hermitian Q in
+    the stack qs (J x n x n), as a C x J x n x n stack, from one stacked
+    eigh. Active subspaces are sliced per group of Q with equal rank masks,
+    so each R_z is bit for bit the product for its Q alone.
+    """
+    out = np.zeros((len(c_grid),) + qs.shape, dtype=complex)
+    finite = [i for i, c in enumerate(c_grid) if c != math.inf]
+    if not finite:
+        return out
+    evals, evecs = np.linalg.eigh(qs)
+    if not np.all(evals[:, -1] > 0):
         raise DegenerateInputError("Q has no active subspace (zero matrix)")
-    if math.isinf(c_ai):
-        return np.zeros_like(q)
-    zeta = 1.0 / math.expm1((c_ai / r) * math.log(2.0))
-    rz = (vecs * (zeta * vals)) @ vecs.conj().T
-    return 0.5 * (rz + rz.conj().T)
+    keep = evals > RANK_RTOL * evals[:, -1:]
+    groups = {}
+    for j, mask in enumerate(keep):
+        groups.setdefault(mask.tobytes(), []).append(j)
+    for members in groups.values():
+        mask = keep[members[0]]
+        vecs, vals = evecs[members][:, :, mask], evals[members][:, mask]
+        zeta = np.array([kappa(AiBudget(c_grid[i] / vals.shape[1])) for i in finite])
+        rz = (vecs * (zeta[:, None, None] * vals)[:, :, None, :]
+              ) @ vecs.conj().swapaxes(-1, -2)
+        out[np.ix_(finite, members)] = 0.5 * (rz + rz.conj().swapaxes(-1, -2))
+    return out
 
 
 def gaussian_mi(q: np.ndarray, r_z: np.ndarray) -> float:
@@ -154,19 +174,13 @@ def gaussian_mi(q: np.ndarray, r_z: np.ndarray) -> float:
     """
     q = _as_hermitian(q, "Q")
     r_z = _as_hermitian(r_z, "R_z")
-    vecs, vals = _active_subspace(q)
-    if vals.size == 0:
+    evals, evecs = np.linalg.eigh(q)
+    if evals[-1] <= 0:
         return 0.0
-    q_sub = np.diag(vals)
+    keep = evals > RANK_RTOL * evals[-1]
+    vecs = evecs[:, keep]
     r_sub = vecs.conj().T @ r_z @ vecs
     r_sub = 0.5 * (r_sub + r_sub.conj().T)
-    try:
-        chol_r = np.linalg.cholesky(r_sub)
-        chol_sum = np.linalg.cholesky(r_sub + q_sub)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(
-            "R_z is singular on the active subspace of Q"
-        ) from exc
-    logdet_r = 2.0 * float(np.sum(np.log(np.real(np.diag(chol_r)))))
-    logdet_sum = 2.0 * float(np.sum(np.log(np.real(np.diag(chol_sum)))))
-    return (logdet_sum - logdet_r) / math.log(2.0)
+    name = "R_z on the active subspace of Q"
+    nats = _logdet(r_sub + np.diag(evals[keep]), name) - _logdet(r_sub, name)
+    return float(nats) / math.log(2.0)

@@ -10,6 +10,7 @@ import argparse
 import math
 import sys
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -78,23 +79,27 @@ def _header(cfg: RunConfig) -> str:
 def cmd_gaussian_sweep(cfg: RunConfig, out: str | None) -> int:
     rule = gauss_laguerre(cfg.quadrature_order)
     g_c, g_s = cfg.mean_snr_c(), cfg.mean_snr_s()
-    k = cfg.rician_k
-    rows = []
-    for c in _c_grid(cfg):
-        if c == 0.0:
-            rows.append([c, 0.0, 0.0, 0.0, cfg.prior_var, cfg.prior_var,
-                         cfg.prior_var])
-            continue
-        kap = kappa(AiBudget(c))
-        rows.append([
-            c,
-            math.log2(1.0 + fading.conditional_snr(1.0, g_c, kap)),
-            fading.ergodic_rate_rayleigh(g_c, kap, rule),
-            fading.ergodic_rate_rician(g_c, kap, k, rule),
-            cfg.prior_var / (1.0 + fading.conditional_snr(1.0, g_s, kap)),
-            fading.ergodic_distortion_rayleigh(g_s, kap, cfg.prior_var, rule),
-            fading.ergodic_distortion_rician(g_s, kap, k, cfg.prior_var, rule),
-        ])
+    k, pv = cfg.rician_k, cfg.prior_var
+    c_grid = _c_grid(cfg)
+    # c = 0 can only open the grid: no capacity, so rate 0 and the prior
+    # variance as distortion.
+    rows = [[c_grid[0], 0.0, 0.0, 0.0, pv, pv, pv]] if c_grid[0] == 0.0 else []
+    c_pos = c_grid[len(rows):]
+    if c_pos:
+        # One call per column, over every capacity c > 0 at once.
+        kaps = np.array([kappa(AiBudget(c)) for c in c_pos])
+        cols = [
+            fading.conditional_snr(1.0, g_c, kaps),
+            fading.ergodic_rate_rayleigh(g_c, kaps, rule),
+            fading.ergodic_rate_rician(g_c, kaps, k, rule),
+            fading.conditional_snr(1.0, g_s, kaps),
+            fading.ergodic_distortion_rayleigh(g_s, kaps, pv, rule),
+            fading.ergodic_distortion_rician(g_s, kaps, k, pv, rule),
+        ]
+        for c, snr_c, r_ray, r_ric, snr_s, d_ray, d_ric in zip(
+                c_pos, *(col.tolist() for col in cols)):
+            rows.append([c, math.log2(1.0 + snr_c), r_ray, r_ric,
+                         pv / (1.0 + snr_s), d_ray, d_ric])
     _write_csv(out, _header(cfg),
                ["c_ai", "rate_awgn", "rate_rayleigh", "rate_rician",
                 "dist_awgn", "dist_rayleigh", "dist_rician"], rows)
@@ -146,11 +151,9 @@ def cmd_mimo_surface(cfg: RunConfig, out: str | None) -> int:
     c_grid = [0.5 * i for i in range(1, 17)]
     scales = mimo_power_scales(cfg)
     surface = rate_surface(mimo_template(cfg), c_grid, scales)
-    rows = []
-    for i, c in enumerate(c_grid):
-        for j, scale in enumerate(scales):
-            snr_db = cfg.snr_min_db + j * cfg.snr_step_db
-            rows.append([c, snr_db, float(surface[i, j])])
+    snr_db = [cfg.snr_min_db + j * cfg.snr_step_db for j in range(len(scales))]
+    rows = [[c, snr, rate] for c, rates in zip(c_grid, surface.tolist())
+            for snr, rate in zip(snr_db, rates)]
     _write_csv(out, _header(cfg), ["c_ai", "snr_db", "rate"], rows)
     return EXIT_OK
 
@@ -260,7 +263,9 @@ def cmd_verify(cfg: RunConfig, out: str | None) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parse_args does not change it."""
     parser = argparse.ArgumentParser(
         prog="aiisac",
         description="Learning-constrained ISAC performance sweeps (CSV output)",
@@ -299,8 +304,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
     except (ConfigError, OSError, ValueError) as exc:

@@ -17,13 +17,13 @@ PRESETS = ("tableI-dbm", "tableI-normalized")
 # mimo-surface; both grids are built in full in memory.
 MAX_GRID_POINTS = 10_000
 
+# Largest magnitude of a dB field, so that its linear value (and the
+# mimo-surface power scale, 10 dB lower) is a positive finite float.
+MAX_DB = 3000.0
+
 
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,8 @@ class RunConfig:
     Every float must be finite, except alloc_c_ai = inf, the classical
     limit with no learning bottleneck; neither the capacity nor the SNR
     axis may exceed MAX_GRID_POINTS points, nor mimo_nt or mimo_nr the
-    MAX_DIM of the matrix validator. Malformed values raise ConfigError.
+    MAX_DIM of the matrix validator, nor a dB field MAX_DB in magnitude.
+    Malformed values raise ConfigError.
     """
 
     preset: str = "tableI-dbm"
@@ -96,6 +97,9 @@ class RunConfig:
             if span > MAX_GRID_POINTS or round(span) + 1 > MAX_GRID_POINTS:
                 raise ConfigError(f"{axis} grid has more than {MAX_GRID_POINTS} "
                                   f"points; raise its step")
+        db = (self.rician_k_db, self.snr_min_db, self.snr_max_db)
+        if max(map(abs, db)) > MAX_DB:
+            raise ConfigError(f"dB values must lie in [-{MAX_DB:g}, {MAX_DB:g}]")
         if not (1 <= self.mimo_nt <= MAX_DIM and 1 <= self.mimo_nr <= MAX_DIM):
             raise ConfigError(f"mimo_nt and mimo_nr must lie in [1, {MAX_DIM}]")
         for name in ("weight", "alpha0", "alpha_verify"):

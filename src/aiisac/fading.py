@@ -15,6 +15,8 @@ for mean SNRs up to 25 dB; the composite rule misses it by 3.8e-5 bits at
 M = 20, 8.5e-8 at M = 40 and 1e-11 at M >= 80.  Every average checks that
 its weights integrate the gain density to one; it warns where they miss by
 a little and raises ConvergenceError where they miss by more than 1e-2.
+An array of kappas is averaged as one column: the rule and the check are
+built once, and each entry is the float a scalar call gives.
 A seeded Monte-Carlo oracle provides an independent route for validation.
 """
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DegenerateInputError
 from .numerics import QuadratureRule, RandomStream, graded_laguerre
 
 _MC_CHUNK = 1 << 20
@@ -47,7 +49,7 @@ DENSITY_FAIL = 1e-2
 def _special():
     """scipy.special, imported by the first call that needs it, so that
     commands with no fading average never load SciPy; cached, because
-    _average runs once per grid point."""
+    _average runs once per column of averages."""
     import scipy.special
 
     return scipy.special
@@ -74,32 +76,42 @@ class FadingModel:
             raise ValueError("rician K-factor must be >= 0")
 
 
-def conditional_snr(x, gamma_bar: float, kappa: float):
+def _check_snr(gamma_bar: float) -> None:
+    if not 0.0 < gamma_bar < math.inf:
+        raise DegenerateInputError(
+            f"mean SNR must be positive and finite, got {gamma_bar}")
+
+
+def conditional_snr(x, gamma_bar: float, kappa: float | np.ndarray):
     """Effective SNR x*gamma / (1 + x*gamma*kappa) at channel gain x.
 
-    Saturates at 1/kappa for kappa > 0.  Accepts scalars or arrays.
+    Saturates at 1/kappa for kappa > 0.  Accepts scalars or arrays of x and
+    kappa, which broadcast against each other.  Raises DegenerateInputError
+    unless the mean SNR gamma is positive and finite.
     """
-    if gamma_bar <= 0:
-        raise ValueError(f"mean SNR must be positive, got {gamma_bar}")
-    if kappa < 0:
+    _check_snr(gamma_bar)
+    if np.any(np.asarray(kappa) < 0):
         raise ValueError(f"kappa must be >= 0, got {kappa}")
     xg = np.asarray(x, dtype=float) * gamma_bar
     out = xg / (1.0 + xg * kappa)
-    return float(out) if np.isscalar(x) else out
+    return float(out) if np.isscalar(x) and np.isscalar(kappa) else out
 
 
-def _average(values_at, k_factor: float, rule: QuadratureRule) -> float:
+def _average(values_at, k_factor: float, rule: QuadratureRule):
     """Average of values_at(x) over the Rician gain density with K-factor
     k_factor (K = 0 is Rayleigh), spending rule.order nodes on the
     composite rule split at the mean gain 1 + K, its tail scaled by the
     gain's standard deviation sqrt(1 + 2K).
 
-    The density factor e^{-K} I0(2 sqrt(K x)) is folded into the log-weights
-    as log(i0e(z)) + z - K, so weights neither under- nor overflow at large
+    values_at maps the M nodes to M values (a float is returned) or to
+    rows x M values (one np.dot(w, row) per row is returned). The density
+    factor e^{-K} I0(2 sqrt(K x)) is folded into the log-weights as
+    log(i0e(z)) + z - K, so weights neither under- nor overflow at large
     K. The same weights must integrate the density to one: a miss of m
-    shifts the average by about m times the values, so the call raises
+    shifts an average by about m times its values, so the call raises
     ConvergenceError where m exceeds DENSITY_FAIL, and otherwise issues a
     RuntimeWarning where m * max(1, max |values|) exceeds DENSITY_TOL.
+    A value that is not finite raises DegenerateInputError.
     """
     nodes, log_w = graded_laguerre(rule.order, 1.0 + k_factor,
                                    math.sqrt(1.0 + 2.0 * k_factor))
@@ -107,30 +119,39 @@ def _average(values_at, k_factor: float, rule: QuadratureRule) -> float:
         z = 2.0 * np.sqrt(k_factor * nodes)
         log_w = log_w + np.log(_special().i0e(z)) + z - k_factor
     w = np.exp(log_w)
-    values = values_at(nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = values_at(nodes)
     miss = abs(float(np.sum(w)) - 1.0)
     if not miss <= DENSITY_FAIL:
         raise ConvergenceError(
             f"order-{rule.order} fading rule misses the K = {k_factor:g} gain "
             f"density's unit mass by {miss:.2e}, more than {DENSITY_FAIL:g}; "
             f"raise the quadrature order or lower the K-factor")
+    if not np.all(np.isfinite(values)):
+        raise DegenerateInputError(
+            f"the order-{rule.order} fading average overflows at the rule's "
+            f"largest gains; lower the mean SNR")
     if miss * max(1.0, float(np.max(np.abs(values)))) > DENSITY_TOL:
         warnings.warn(
             f"order-{rule.order} fading rule misses the K = {k_factor:g} gain "
             f"density's unit mass by {miss:.2e}; averages may be off by more "
             f"than {DENSITY_TOL:g}, raise the quadrature order",
             RuntimeWarning, stacklevel=3)
-    return float(np.dot(w, values))
+    if values.ndim == 1:
+        return float(np.dot(w, values))
+    return np.array([np.dot(w, row) for row in values])
 
 
-def _rate_bits(gamma_bar: float, kappa: float):
-    return lambda x: np.log1p(conditional_snr(x, gamma_bar, kappa)) / math.log(2.0)
+def _rate_bits(gamma_bar: float, kappa: float | np.ndarray):
+    kap = np.asarray(kappa, dtype=float)[..., None]
+    return lambda x: np.log1p(conditional_snr(x, gamma_bar, kap)) / math.log(2.0)
 
 
-def _mmse(gamma_bar: float, kappa: float, prior_var: float):
+def _mmse(gamma_bar: float, kappa: float | np.ndarray, prior_var: float):
     if prior_var <= 0:
         raise ValueError("prior variance must be positive")
-    return lambda x: prior_var / (1.0 + conditional_snr(x, gamma_bar, kappa))
+    kap = np.asarray(kappa, dtype=float)[..., None]
+    return lambda x: prior_var / (1.0 + conditional_snr(x, gamma_bar, kap))
 
 
 def _check_k(k_factor: float) -> None:
@@ -139,16 +160,16 @@ def _check_k(k_factor: float) -> None:
 
 
 def ergodic_rate_rayleigh(
-    gamma_bar: float, kappa: float, rule: QuadratureRule
-) -> float:
+    gamma_bar: float, kappa: float | np.ndarray, rule: QuadratureRule
+) -> float | np.ndarray:
     """Rayleigh ergodic rate, bits per use, by the composite rule of order
     rule.order split at the mean gain 1 (the rule's own nodes are not used)."""
     return _average(_rate_bits(gamma_bar, kappa), 0.0, rule)
 
 
 def ergodic_distortion_rayleigh(
-    gamma_bar: float, kappa: float, prior_var: float, rule: QuadratureRule
-) -> float:
+    gamma_bar: float, kappa: float | np.ndarray, prior_var: float, rule: QuadratureRule
+) -> float | np.ndarray:
     """Fading-averaged MMSE distortion E[prior_var / (1 + snr(x))] by the
     composite rule of order rule.order split at the mean gain 1 (the rule's
     own nodes are not used)."""
@@ -156,8 +177,8 @@ def ergodic_distortion_rayleigh(
 
 
 def ergodic_rate_rician(
-    gamma_bar: float, kappa: float, k_factor: float, rule: QuadratureRule
-) -> float:
+    gamma_bar: float, kappa: float | np.ndarray, k_factor: float, rule: QuadratureRule
+) -> float | np.ndarray:
     """Rician ergodic rate: the non-central chi-square average, bits per
     use, by the composite rule of order rule.order split at the mean gain
     1 + K (the rule's own nodes are not used)."""
@@ -166,9 +187,9 @@ def ergodic_rate_rician(
 
 
 def ergodic_distortion_rician(
-    gamma_bar: float, kappa: float, k_factor: float, prior_var: float,
-    rule: QuadratureRule,
-) -> float:
+    gamma_bar: float, kappa: float | np.ndarray, k_factor: float,
+    prior_var: float, rule: QuadratureRule,
+) -> float | np.ndarray:
     """Rician fading-averaged MMSE distortion by the composite rule of order
     rule.order split at the mean gain 1 + K (the rule's own nodes are not
     used)."""
@@ -184,8 +205,7 @@ def rayleigh_rate_exact(gamma_bar: float, kappa: float) -> float:
     is e^{1/beta1} E1(1/beta1) - e^{1/beta2} E1(1/beta2); the second term
     vanishes at kappa = 0.
     """
-    if gamma_bar <= 0:
-        raise ValueError("mean SNR must be positive")
+    _check_snr(gamma_bar)
 
     def term(beta: float) -> float:
         if beta == 0.0:

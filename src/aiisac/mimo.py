@@ -3,7 +3,9 @@
 The latent-noise covariance follows the proportional mapping R_z = zeta * Q
 from the transmit covariance; rates are log-determinants against the
 effective noise covariance and sensing performance is scalar Fisher
-information / CRLB for a linear Gaussian parameter model.
+information / CRLB for a linear Gaussian parameter model.  A rate grid is
+one stacked pass: one eigh of the scaled Q's, then stacked matmuls and one
+Cholesky per covariance stack; mimo_rate is that pass on a 1 x 1 grid.
 """
 from __future__ import annotations
 
@@ -12,10 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bottleneck import AiBudget, _as_hermitian, covariance_map
-from .errors import SingularMatrixError, UnobservableParameterError
+from .bottleneck import (AiBudget, _as_hermitian, _logdet, covariance_map,
+                         proportional_maps)
+from .errors import (DegenerateInputError, SingularMatrixError,
+                     UnobservableParameterError)
 
 _PSD_TOL = 1e-10
+
+# Most matrix entries (capacities x scales x n^2) in one stacked pass of
+# rate_surface, which bounds its memory on large grids.
+_BLOCK = 1 << 16
 
 
 def check_psd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -55,28 +63,17 @@ class MimoScenario:
         )
 
 
-def _noise_rz(q: np.ndarray, budget: AiBudget) -> np.ndarray:
-    if budget.is_classical:
-        return np.zeros_like(q)
-    return covariance_map(q, budget.c_ai)
-
-
-def _logdet_chol(m: np.ndarray, name: str) -> float:
-    try:
-        chol = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"{name} is not positive definite") from exc
-    return 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
-
-
-def _rate(h_c: np.ndarray, q: np.ndarray, r_c: np.ndarray, budget: AiBudget) -> float:
-    """Rate kernel of mimo_rate on already validated matrices."""
-    rz = _noise_rz(q, budget)
-    signal = h_c @ q @ h_c.conj().T
-    noise = r_c + h_c @ rz @ h_c.conj().T
-    noise = 0.5 * (noise + noise.conj().T)
-    total = noise + 0.5 * (signal + signal.conj().T)
-    val = _logdet_chol(total, "effective covariance") - _logdet_chol(
+def _rates(h_c: np.ndarray, r_c: np.ndarray, qs: np.ndarray,
+           c_grid: list[float]) -> np.ndarray:
+    """Rate kernel on already validated matrices, C x J for every capacity
+    in c_grid and every Q in the stack qs: stacked matmuls and Choleskys."""
+    rz = proportional_maps(qs, c_grid)
+    h_h = h_c.conj().T
+    signal = h_c @ qs @ h_h
+    noise = r_c + h_c @ rz @ h_h
+    noise = 0.5 * (noise + noise.conj().swapaxes(-1, -2))
+    total = noise + 0.5 * (signal + signal.conj().swapaxes(-1, -2))
+    val = _logdet(total, "effective covariance") - _logdet(
         noise, "effective noise covariance"
     )
     return val / math.log(2.0)
@@ -84,12 +81,12 @@ def _rate(h_c: np.ndarray, q: np.ndarray, r_c: np.ndarray, budget: AiBudget) -> 
 
 def mimo_rate(sc: MimoScenario) -> float:
     """log2 det(I + H_c Q H_c^H (R_c + H_c R_z H_c^H)^{-1}), bits per use."""
-    return _rate(sc.h_c, sc.q, sc.r_c, sc.budget)
+    return float(_rates(sc.h_c, sc.r_c, sc.q[None], [sc.budget.c_ai])[0, 0])
 
 
 def fisher_info(sc: MimoScenario) -> float:
     """Fisher information dmu^H (R_s + H_s R_z H_s^H)^{-1} dmu, real >= 0."""
-    rz = _noise_rz(sc.q, sc.budget)
+    rz = covariance_map(sc.q, sc.budget.c_ai)
     cov = sc.r_s + sc.h_s @ rz @ sc.h_s.conj().T
     cov = 0.5 * (cov + cov.conj().T)
     try:
@@ -117,15 +114,21 @@ def rate_surface(
 
     Each column scales the template transmit covariance Q so that power
     sweeps reuse one scenario definition.  A positive finite scale keeps the
-    validated template PSD, so each point skips re-validation.
+    validated template PSD, so the grid skips re-validation and runs as
+    stacked passes of _rates over blocks of scales; each rate equals
+    mimo_rate of its own point, bit for bit.
     """
     if not c_grid or not power_scales:
         raise ValueError("grids must be non-empty")
     if not all(math.isfinite(s) and s > 0 for s in power_scales):
         raise ValueError("power scales must be positive and finite")
-    out = np.empty((len(c_grid), len(power_scales)))
-    for i, c in enumerate(c_grid):
-        budget = AiBudget(c)
-        for j, scale in enumerate(power_scales):
-            out[i, j] = _rate(template.h_c, template.q * scale, template.r_c, budget)
-    return out
+    q = template.q
+    step = max(1, _BLOCK // (len(c_grid) * q.size))
+    blocks = []
+    for lo in range(0, len(power_scales), step):
+        with np.errstate(over="ignore"):
+            qs = q * np.asarray(power_scales[lo:lo + step])[:, None, None]
+        if not np.all(np.isfinite(qs)):
+            raise DegenerateInputError("Q overflows at the largest power scales")
+        blocks.append(_rates(template.h_c, template.r_c, qs, c_grid))
+    return np.concatenate(blocks, axis=1)

@@ -1,8 +1,12 @@
+import contextlib
 import hashlib
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from aiisac.allocate import grid_argmax
 from aiisac.cli import _allocation_problem, main
@@ -162,8 +166,18 @@ class TestCommands:
     # sha256 of CSVs, which rest on libm and IEEE arithmetic only: frontier's
     # as written before frontier and in_region ran over alpha arrays,
     # allocate's as written since it solves the stationarity quadratic in
-    # closed form (a start row and an optimum row, not 50 gradient steps).
+    # closed form (a start row and an optimum row, not 50 gradient steps),
+    # gaussian-sweep's and mimo-surface's as written per grid point, before
+    # each ran as one pass over its whole grid.
     @pytest.mark.parametrize("command, preset, digest", [
+        ("gaussian-sweep", "tableI-dbm",
+         "2091301a2f16b044491cfc763958f3a0db3c68cd6ebfa5b0168143bacfb87b5c"),
+        ("gaussian-sweep", "tableI-normalized",
+         "8812a1d139cfcba0583f63ac383214d55a2ce3186f4a86ac730e8149c99cc889"),
+        ("mimo-surface", "tableI-dbm",
+         "295bc582d1d23a2859504d09a31bb6628d4dbdb69eb80af7057a56f3db73e145"),
+        ("mimo-surface", "tableI-normalized",
+         "ee9b17a96388a742ed637b6645f4f1441935c5252b59fe770226b0d370610c25"),
         ("frontier", "tableI-dbm",
          "df6d6d86497b26417127e0a01e69ee2a159578c64b8a7935c5143f6ccb081ef1"),
         ("frontier", "tableI-normalized",
@@ -177,6 +191,24 @@ class TestCommands:
         out = tmp_path / "out.csv"
         assert main([command, "--preset", preset, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("command", ["verify", "gaussian-sweep"])
+    @pytest.mark.parametrize("text", ["gain_c = 5e-324\nnoise_c = 10\n",
+                                      "power = 1e300\nnoise_c = 1e-300\n"],
+                             ids=["snr_zero", "snr_inf"])
+    def test_degenerate_mean_snr_is_an_error(self, command, text, tmp_path,
+                                             capsys):
+        # The mean SNR gain_c * power / noise_c rounds to 0 or overflows to
+        # inf: verify ended in a raw ValueError traceback on the first, and
+        # gaussian-sweep wrote 32 nan cells on the second.
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: mean SNR") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("line", ["noise_c = 1", "power = 1e300"])
     def test_verify_passes_off_preset(self, line, tmp_path):
@@ -241,3 +273,72 @@ class TestCommands:
         assert main(["gaussian-sweep", "--preset", "tableI-normalized",
                      "--out", str(out)]) == 0
         assert "tableI-normalized" in out.read_text().splitlines()[0]
+
+
+class TestCachedParser:
+    """main builds its argument parser once; no call may see the flags of
+    an earlier one."""
+
+    def test_seed_does_not_leak(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["gaussian-sweep", "--seed", "5", "--out", str(a)]) == 0
+        assert main(["gaussian-sweep", "--out", str(b)]) == 0
+        assert a.read_text().splitlines()[0].endswith(", seed = 5")
+        assert b.read_text().splitlines()[0].endswith(f", seed = {RunConfig().seed}")
+
+    def test_quadrature_order_does_not_leak(self, tmp_path):
+        a, b, c = (tmp_path / f"{n}.csv" for n in "abc")
+        assert main(["gaussian-sweep", "--out", str(a)]) == 0
+        assert main(["gaussian-sweep", "--quadrature-order", "40",
+                     "--out", str(b)]) == 0
+        assert main(["gaussian-sweep", "--out", str(c)]) == 0
+        assert a.read_bytes() != b.read_bytes()
+        assert a.read_bytes() == c.read_bytes()
+
+    def test_usage_error_after_good_call(self, tmp_path, capsys):
+        assert main(["frontier", "--out", str(tmp_path / "f.csv")]) == 0
+        for argv in (["frontier", "--seed", "x"], ["bogus"], []):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+
+# The config keys gaussian-sweep and mimo-surface read; floats are drawn
+# log-uniform in magnitude over 1e-300 .. 1e300, with either sign. Few keys
+# per config, so that most configs get past the checks into the physics.
+_FUZZ_FLOAT = st.tuples(st.booleans(), st.floats(-300.0, 300.0)).map(
+    lambda t: (-1.0 if t[0] else 1.0) * 10.0 ** t[1])
+_FUZZ_KEYS = {
+    **{key: _FUZZ_FLOAT for key in (
+        "power", "noise_c", "noise_s", "gain_c", "gain_s", "prior_var",
+        "c_min", "c_max", "c_step", "rician_k_db", "snr_min_db",
+        "snr_max_db", "snr_step_db")},
+    "preset": st.sampled_from(PRESETS),
+    "mimo_nt": st.integers(0, 9),
+    "mimo_nr": st.integers(0, 9),
+    "quadrature_order": st.integers(0, 130),
+    "seed": st.integers(-5, 2**70),
+}
+_fuzz_config = st.lists(st.sampled_from(sorted(_FUZZ_KEYS)), min_size=1,
+                        max_size=3, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({k: _FUZZ_KEYS[k] for k in keys}))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fields=_fuzz_config, command=st.sampled_from(["gaussian-sweep",
+                                                     "mimo-surface"]))
+def test_fuzzed_config_exits_cleanly(fields, command, tmp_path):
+    # Any config text ends in a CSV (0), a domain error (1) or a config
+    # error (2): never a traceback, never a nan cell.
+    cfg = tmp_path / "fuzz.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main([command, "--config", str(cfg)])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert "nan" not in out.getvalue()
+    if rc != 0:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1

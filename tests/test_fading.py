@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import i0e
 
+from aiisac.cli import main
 from aiisac.fading import (
     FadingModel,
     conditional_snr,
@@ -15,8 +17,8 @@ from aiisac.fading import (
     rayleigh_rate_exact,
     rician_moment_matched,
 )
-from aiisac.errors import ConvergenceError
-from aiisac.numerics import RandomStream, gauss_laguerre
+from aiisac.errors import ConvergenceError, DegenerateInputError
+from aiisac.numerics import RandomStream, gauss_laguerre, graded_laguerre
 
 RULE = gauss_laguerre(128)
 RULE40 = gauss_laguerre(40)
@@ -190,3 +192,74 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_oracle(FadingModel("rayleigh"), 1.0, 0.0, 1.0, 0,
                                self.STREAM)
+
+
+def _per_point_average(values_at, k, order):
+    """The per-point fading average: its own rule, Rician log-weights and
+    one np.dot; kept here as the reference each entry of a column of
+    averages must match bit for bit."""
+    nodes, log_w = graded_laguerre(order, 1.0 + k, math.sqrt(1.0 + 2.0 * k))
+    if k > 0:
+        z = 2.0 * np.sqrt(k * nodes)
+        log_w = log_w + np.log(i0e(z)) + z - k
+    return float(np.dot(np.exp(log_w), values_at(nodes)))
+
+
+def _snr(x, g, kap):
+    xg = x * g
+    return xg / (1.0 + xg * kap)
+
+
+# kappa = 1/(2^C - 1) over the CLI's default capacity axis 0.25 .. 8.
+KAPS = np.array([1.0 / math.expm1(0.25 * i * math.log(2.0)) for i in range(1, 33)])
+
+
+class TestColumnAverages:
+    @pytest.mark.parametrize("order", [20, 40, 128])
+    @pytest.mark.parametrize("g", [0.1, 100.0, 10 ** 2.5])
+    @pytest.mark.parametrize("k", [0.0, 10 ** 0.2, 10 ** 0.6, 10 ** 1.2])
+    def test_bit_identical_to_per_point(self, order, g, k):
+        rule = gauss_laguerre(order)
+        rate_ref = [_per_point_average(
+            lambda x: np.log1p(_snr(x, g, kap)) / math.log(2.0), k, order)
+            for kap in KAPS]
+        dist_ref = [_per_point_average(lambda x: 30.0 / (1.0 + _snr(x, g, kap)),
+                                       k, order) for kap in KAPS]
+        if k == 0.0:
+            rate_col = ergodic_rate_rayleigh(g, KAPS, rule)
+            dist_col = ergodic_distortion_rayleigh(g, KAPS, 30.0, rule)
+            rate_row = [ergodic_rate_rayleigh(g, kap, rule) for kap in KAPS]
+            dist_row = [ergodic_distortion_rayleigh(g, kap, 30.0, rule)
+                        for kap in KAPS]
+        else:
+            rate_col = ergodic_rate_rician(g, KAPS, k, rule)
+            dist_col = ergodic_distortion_rician(g, KAPS, k, 30.0, rule)
+            rate_row = [ergodic_rate_rician(g, kap, k, rule) for kap in KAPS]
+            dist_row = [ergodic_distortion_rician(g, kap, k, 30.0, rule)
+                        for kap in KAPS]
+        assert rate_row == rate_ref and dist_row == dist_ref
+        assert rate_col.tolist() == rate_ref and dist_col.tolist() == dist_ref
+
+    def test_column_warns_once_where_a_point_would(self):
+        # At K = 20 dB and order 20 the weights miss the unit mass by 1.3e-4.
+        with pytest.warns(RuntimeWarning, match=r"order-20 .* K = 100 ") as rec:
+            ergodic_rate_rician(10.0, KAPS, 100.0, gauss_laguerre(20))
+        assert len(rec) == 1
+
+    def test_sweep_under_resolved_order_warns(self, tmp_path):
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("rician_k_db = 20\nquadrature_order = 20\n")
+        with pytest.warns(RuntimeWarning, match=r"order-20 .* K = 100 "):
+            assert main(["gaussian-sweep", "--config", str(cfg),
+                         "--out", str(tmp_path / "s.csv")]) == 0
+
+    @pytest.mark.parametrize("g", [0.0, -1.0, math.inf, math.nan])
+    def test_mean_snr_zero_or_not_finite_is_a_domain_error(self, g):
+        with pytest.raises(DegenerateInputError, match="mean SNR"):
+            ergodic_rate_rayleigh(g, KAPS, RULE40)
+        with pytest.raises(DegenerateInputError, match="mean SNR"):
+            rayleigh_rate_exact(g, 0.0)
+
+    def test_overflowing_integrand_is_a_domain_error(self):
+        with pytest.raises(DegenerateInputError, match="overflows"):
+            ergodic_rate_rician(1e306, 0.0, 10.0, gauss_laguerre(128))

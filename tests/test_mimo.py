@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from aiisac.bottleneck import AiBudget, covariance_map
-from aiisac.errors import SingularMatrixError, UnobservableParameterError
+from aiisac.errors import (
+    DegenerateInputError,
+    SingularMatrixError,
+    UnobservableParameterError,
+)
 from aiisac.gaussian import ScalarScenario
 from aiisac.gaussian import rate as scalar_rate
 from aiisac.mimo import (
@@ -173,3 +177,92 @@ class TestRateSurface:
         sc = make_scenario(np.eye(2), np.eye(2), 0.1 * np.eye(2))
         with pytest.raises(ValueError, match="power scales"):
             rate_surface(sc, [1.0], [1.0, scale])
+
+
+def _per_point_rate(sc, c, scale):
+    """The per-point rate: the scaled Q's own eigh, active subspace and
+    zeta = 1/expm1((C/r) ln2), then one Cholesky per covariance; kept here
+    as the reference the stacked rate_surface must match bit for bit."""
+    q = sc.q * scale
+    rz = np.zeros_like(q)
+    if not math.isinf(c):
+        qh = 0.5 * (q + q.conj().T)
+        evals, evecs = np.linalg.eigh(qh)
+        keep = evals > 1e-12 * float(evals[-1])
+        vecs, vals = evecs[:, keep], evals[keep]
+        zeta = 1.0 / math.expm1((c / vals.size) * math.log(2.0))
+        rz = (vecs * (zeta * vals)) @ vecs.conj().T
+        rz = 0.5 * (rz + rz.conj().T)
+    h = sc.h_c
+    signal = h @ q @ h.conj().T
+    noise = sc.r_c + h @ rz @ h.conj().T
+    noise = 0.5 * (noise + noise.conj().T)
+    total = noise + 0.5 * (signal + signal.conj().T)
+
+    def logdet(m):
+        return 2.0 * float(np.sum(np.log(np.real(np.diag(np.linalg.cholesky(m))))))
+
+    return (logdet(total) - logdet(noise)) / math.log(2.0)
+
+
+def _random_template(rng, nt, rank):
+    m = int(rng.integers(1, 9))
+    h = rng.normal(size=(m, nt)) + 1j * rng.normal(size=(m, nt))
+    a = rng.normal(size=(nt, rank)) + 1j * rng.normal(size=(nt, rank))
+    b = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    return make_scenario(h, a @ a.conj().T, b @ b.conj().T + 0.1 * np.eye(m))
+
+
+# 72 random complex templates: nt = 1..8, each at full rank and at 8 drawn
+# ranks, of which those below nt are rank-deficient.
+TEMPLATES = [(nt, nt if i == 0 else int(np.random.default_rng(nt * 10 + i)
+                                      .integers(1, nt + 1)), nt * 10 + i)
+             for nt in range(1, 9) for i in range(9)]
+
+
+class TestStackedSurface:
+    C_GRID = [0.25, 0.5, 1.0, 3.3, 8.0, 30.0, math.inf]
+
+    @pytest.mark.parametrize("nt, rank, seed", TEMPLATES)
+    def test_bit_identical_to_per_point(self, nt, rank, seed):
+        rng = np.random.default_rng(seed)
+        sc = _random_template(rng, nt, rank)
+        scales = list(10.0 ** rng.uniform(-3.0, 3.0, size=7)) + [1e-3, 1e3]
+        ref = [[_per_point_rate(sc, c, s) for s in scales] for c in self.C_GRID]
+        assert np.array_equal(rate_surface(sc, self.C_GRID, scales), ref)
+        budget_sc = make_scenario(sc.h_c, sc.q, sc.r_c, c_ai=0.5)
+        assert mimo_rate(budget_sc) == _per_point_rate(sc, 0.5, 1.0)
+
+    @pytest.mark.parametrize("nt", [1, 2, 4, 8])
+    def test_cli_template_bit_identical(self, nt):
+        eye = np.eye(nt)
+        sc = make_scenario(eye, (0.01 / nt) * eye, 0.1 * eye)
+        c_grid = [0.5 * i for i in range(1, 17)]
+        scales = [10.0 ** ((snr - 10.0) / 10.0) for snr in range(-5, 26)]
+        ref = [[_per_point_rate(sc, c, s) for s in scales] for c in c_grid]
+        assert np.array_equal(rate_surface(sc, c_grid, scales), ref)
+
+    def test_blocks_of_scales_agree(self):
+        # 64 x 64 matrices at 16 capacities hold more than one block of
+        # entries per scale, so every scale is its own stacked pass.
+        rng = np.random.default_rng(4)
+        sc = _random_template(rng, 64, 40)
+        c_grid = [0.5 * i for i in range(1, 17)]
+        surf = rate_surface(sc, c_grid, [0.5, 2.0])
+        assert np.array_equal(surf[:, 1], rate_surface(sc, c_grid, [2.0])[:, 0])
+
+    def test_rank_zero_q_rejected_unless_classical(self):
+        sc = make_scenario(np.eye(2), np.zeros((2, 2)), 0.1 * np.eye(2))
+        assert np.array_equal(rate_surface(sc, [math.inf], [1.0]), [[0.0]])
+        with pytest.raises(DegenerateInputError):
+            rate_surface(sc, [1.0, math.inf], [1.0])
+
+    def test_singular_noise_rejected(self):
+        sc = make_scenario(np.eye(2), np.eye(2), np.zeros((2, 2)))
+        with pytest.raises(SingularMatrixError):
+            rate_surface(sc, [1.0, math.inf], [1.0, 2.0])
+
+    def test_overflowing_scale_is_a_domain_error(self):
+        sc = make_scenario(np.eye(2), 1e300 * np.eye(2), np.eye(2))
+        with pytest.raises(DegenerateInputError, match="overflows"):
+            rate_surface(sc, [1.0], [1.0, 1e10])
