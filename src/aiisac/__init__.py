@@ -47,7 +47,7 @@ from .fading import (
     rician_moment_matched,
 )
 from .mimo import MimoScenario, crlb, fisher_info, mimo_rate, rate_surface
-from .numerics import QuadratureRule, RandomStream, gauss_laguerre
+from .numerics import QuadratureRule, RandomStream
 from .region import Frontier, FrontierPoint, frontier, in_region, separated_baseline
 from .allocate import (
     AllocationProblem,
@@ -72,7 +72,7 @@ __all__ = [
     "effective_snrs", "enforce_mi_numerically", "equivalent_noise",
     "ergodic_distortion_rayleigh", "ergodic_distortion_rician",
     "ergodic_rate_rayleigh", "ergodic_rate_rician", "fisher_info",
-    "frontier", "gauss_laguerre", "gaussian_mi", "gen_tradeoff_bound",
+    "frontier", "gaussian_mi", "gen_tradeoff_bound",
     "in_region", "info_to_distortion", "jensen_upper_bound",
     "kappa", "kkt_power_split", "kkt_residual_check",
     "mimo_rate", "monte_carlo_oracle", "objective", "optimize_alpha",

@@ -132,9 +132,9 @@ def kkt_power_split(problem: AllocationProblem) -> tuple[float, float, float]:
     try:
         p_c = find_root(lambda x: _stationarity(problem, x), eps, p - eps, tol=1e-14)
     except BracketError:
-        # No interior root: the objective is monotone in the split.
-        a_best = max((0.0, 1.0), key=lambda a: objective(problem, a))
-        p_c = a_best * p
+        # No interior root: J is monotone in the split, rising towards P_c = P
+        # where the stationarity is positive (J at the two ends can round equal).
+        p_c = p if _stationarity(problem, eps) > 0.0 else 0.0
     return p_c, p - p_c, kkt_residual_check(problem, p_c)
 
 

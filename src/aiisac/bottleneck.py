@@ -85,7 +85,13 @@ def enforce_mi_numerically(power: float, target_c_ai: float, tol: float) -> floa
 
     # Solve in u = ln(N_z) so the bracket spans many decades safely.
     def gap(u: float) -> float:
-        return math.log2(1.0 + power * math.exp(-u)) - target_c_ai
+        try:
+            return math.log2(1.0 + power * math.exp(-u)) - target_c_ai
+        except OverflowError:
+            # log2(1 + e^v) with v = ln(P e^-u), which is finite here.
+            v = math.log(power) - u
+            nats = max(v, 0.0) + math.log1p(math.exp(-abs(v)))
+            return nats / math.log(2.0) - target_c_ai
 
     lo = math.log(power) - (target_c_ai + 60.0) * math.log(2.0)
     hi = math.log(power) + 60.0 * math.log(2.0)

@@ -10,6 +10,7 @@ from dataclasses import dataclass, fields, replace
 
 from .bottleneck import MAX_DIM
 from .errors import ConfigError
+from .numerics import MAX_QUADRATURE_ORDER
 
 PRESETS = ("tableI-dbm", "tableI-normalized")
 
@@ -80,8 +81,8 @@ class RunConfig:
             raise ConfigError("alloc_c_ai must be positive")
         if self.prior_var <= 0:
             raise ConfigError("prior variance must be positive")
-        if not 1 <= self.quadrature_order <= 128:
-            raise ConfigError("quadrature order must lie in [1, 128]")
+        if not 1 <= self.quadrature_order <= MAX_QUADRATURE_ORDER:
+            raise ConfigError(f"quadrature order must lie in [1, {MAX_QUADRATURE_ORDER}]")
         if self.c_min < 0 or self.c_step <= 0 or self.c_max < self.c_min:
             raise ConfigError("invalid capacity grid: need 0 <= c_min <= c_max "
                               "and c_step > 0")

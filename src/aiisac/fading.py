@@ -2,8 +2,8 @@
 
 The channel power gain x is unit-mean exponential (Rayleigh), non-central
 chi-square with unit scattered power (Rician, mean 1+K), or a point mass
-(AWGN).  Fading averages spend the order M of the QuadratureRule they are
-given on a composite rule (numerics.graded_laguerre), not on its nodes:
+(AWGN).  Fading averages integrate by the order-M composite rule of the
+QuadratureRule they are given (QuadratureRule.graded):
 M // 2 Gauss-Legendre nodes on [0, a] in the graded variable x = a s^2,
 and the rest Gauss-Laguerre nodes on [a, inf), where a is the model's mean
 gain (1 for Rayleigh, 1 + K for Rician) and the tail is stretched by the
@@ -16,21 +16,21 @@ M = 20, 8.5e-8 at M = 40 and 1e-11 at M >= 80.  Every average checks that
 its weights integrate the gain density to one; it warns where they miss by
 a little and raises ConvergenceError where they miss by more than 1e-2.
 An array of kappas is averaged as one column: the rule and the check are
-built once, and each entry is the float a scalar call gives.
-A seeded Monte-Carlo oracle provides an independent route for validation.
+built once, and each entry is the float a scalar call gives.  A seeded
+Monte-Carlo oracle provides an independent route for validation.  SciPy
+loads inside the functions that use it, never on import.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateInputError
-from .numerics import QuadratureRule, RandomStream, graded_laguerre
+from .numerics import QuadratureRule, RandomStream
 
 _MC_CHUNK = 1 << 20
 
@@ -43,16 +43,6 @@ DENSITY_TOL = 1e-4
 # all; beyond it the rule has not resolved the density, and an average can
 # land outside the range of its integrand (an MMSE above the prior).
 DENSITY_FAIL = 1e-2
-
-
-@lru_cache(maxsize=None)
-def _special():
-    """scipy.special, imported by the first call that needs it, so that
-    commands with no fading average never load SciPy; cached, because
-    _average runs once per column of averages."""
-    import scipy.special
-
-    return scipy.special
 
 
 @dataclass(frozen=True)
@@ -113,11 +103,12 @@ def _average(values_at, k_factor: float, rule: QuadratureRule):
     RuntimeWarning where m * max(1, max |values|) exceeds DENSITY_TOL.
     A value that is not finite raises DegenerateInputError.
     """
-    nodes, log_w = graded_laguerre(rule.order, 1.0 + k_factor,
-                                   math.sqrt(1.0 + 2.0 * k_factor))
+    nodes, log_w = rule.graded(1.0 + k_factor, math.sqrt(1.0 + 2.0 * k_factor))
     if k_factor > 0:
+        from scipy.special import i0e
+
         z = 2.0 * np.sqrt(k_factor * nodes)
-        log_w = log_w + np.log(_special().i0e(z)) + z - k_factor
+        log_w = log_w + np.log(i0e(z)) + z - k_factor
     w = np.exp(log_w)
     with np.errstate(over="ignore", invalid="ignore"):
         values = values_at(nodes)
@@ -163,7 +154,7 @@ def ergodic_rate_rayleigh(
     gamma_bar: float, kappa: float | np.ndarray, rule: QuadratureRule
 ) -> float | np.ndarray:
     """Rayleigh ergodic rate, bits per use, by the composite rule of order
-    rule.order split at the mean gain 1 (the rule's own nodes are not used)."""
+    rule.order split at the mean gain 1."""
     return _average(_rate_bits(gamma_bar, kappa), 0.0, rule)
 
 
@@ -171,8 +162,7 @@ def ergodic_distortion_rayleigh(
     gamma_bar: float, kappa: float | np.ndarray, prior_var: float, rule: QuadratureRule
 ) -> float | np.ndarray:
     """Fading-averaged MMSE distortion E[prior_var / (1 + snr(x))] by the
-    composite rule of order rule.order split at the mean gain 1 (the rule's
-    own nodes are not used)."""
+    composite rule of order rule.order split at the mean gain 1."""
     return _average(_mmse(gamma_bar, kappa, prior_var), 0.0, rule)
 
 
@@ -181,7 +171,7 @@ def ergodic_rate_rician(
 ) -> float | np.ndarray:
     """Rician ergodic rate: the non-central chi-square average, bits per
     use, by the composite rule of order rule.order split at the mean gain
-    1 + K (the rule's own nodes are not used)."""
+    1 + K."""
     _check_k(k_factor)
     return _average(_rate_bits(gamma_bar, kappa), k_factor, rule)
 
@@ -191,8 +181,7 @@ def ergodic_distortion_rician(
     prior_var: float, rule: QuadratureRule,
 ) -> float | np.ndarray:
     """Rician fading-averaged MMSE distortion by the composite rule of order
-    rule.order split at the mean gain 1 + K (the rule's own nodes are not
-    used)."""
+    rule.order split at the mean gain 1 + K."""
     _check_k(k_factor)
     return _average(_mmse(gamma_bar, kappa, prior_var), k_factor, rule)
 
@@ -206,16 +195,17 @@ def rayleigh_rate_exact(gamma_bar: float, kappa: float) -> float:
     vanishes at kappa = 0.
     """
     _check_snr(gamma_bar)
+    from scipy.special import exp1
 
     def term(beta: float) -> float:
         if beta == 0.0:
             return 0.0
         u = 1.0 / beta
-        # e^u E1(u) directly for small u, scaled via log for large u.
+        # e^u E1(u) directly for small u, where e^u does not overflow.
         if u < 500.0:
-            return math.exp(u) * float(_special().exp1(u))
-        # asymptotic e^u E1(u) ~ 1/u (1 - 1/u + 2/u^2 - ...)
-        return (1.0 - 1.0 / u + 2.0 / u**2 - 6.0 / u**3) / u
+            return math.exp(u) * float(exp1(u))
+        # e^u E1(u) ~ (1 - 1/u + 2/u^2 - ...) / u; u * u overflows where u**2 raises
+        return (1.0 - 1.0 / u + 2.0 / (u * u) - 6.0 / (u * u * u)) / u
 
     return (term(gamma_bar * (1.0 + kappa)) - term(gamma_bar * kappa)) / math.log(2.0)
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bottleneck import AiBudget, equivalent_noise
-from .errors import DegenerateFitError
+from .errors import DegenerateFitError, DegenerateInputError
 
 
 @dataclass(frozen=True)
@@ -56,13 +56,16 @@ def effective_snrs(sc: ScalarScenario, budget: AiBudget) -> tuple[float, float]:
     """Effective SNRs gamma_i = |h_i|^2 P / (N_i + |h_i|^2 N_z) for both links.
 
     The equivalent noise passes through the same channel as the signal, so
-    the bottleneck caps each SNR at 1/kappa.
+    the bottleneck caps each SNR at 1/kappa. Raises DegenerateInputError
+    where either SNR overflows.
     """
     if budget.c_ai == 0:
         return 0.0, 0.0
     nz = equivalent_noise(budget, sc.power)
     g_c = sc.gain_c * sc.power / (sc.noise_c + sc.gain_c * nz)
     g_s = sc.gain_s * sc.power / (sc.noise_s + sc.gain_s * nz)
+    if not (math.isfinite(g_c) and math.isfinite(g_s)):
+        raise DegenerateInputError(f"effective SNRs ({g_c}, {g_s}) overflow")
     return g_c, g_s
 
 

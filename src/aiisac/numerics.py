@@ -1,11 +1,11 @@
-"""Numerical building blocks: Gauss-Laguerre and graded composite rules,
+"""Numerical building blocks: the graded composite quadrature rule,
 Brent's bracketing root finder, and counter-based deterministic random
 streams.
 
-Everything here is a pure function of its inputs; quadrature rules are
-cached by order and immutable. Brent's method is implemented here, so no
-SciPy module loads for root finding; scipy.special loads on the first
-quadrature rule that is built.
+Everything here is a pure function of its inputs; the pieces of a
+quadrature rule are cached by order and immutable. Brent's method is
+implemented here, so no SciPy module loads for root finding;
+scipy.special loads on the first rule whose nodes are built.
 """
 from __future__ import annotations
 
@@ -23,63 +23,48 @@ MAX_QUADRATURE_ORDER = 128
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights for integration against exp(-x) on (0, inf).
-
-    Nodes are strictly ascending and positive; weights are positive and
-    sum to one (the weight function integrates to one).
-    """
+    """Order M of the composite rule that fading averages integrate by, an
+    integer in [1, MAX_QUADRATURE_ORDER] (else ValueError); graded() builds
+    its nodes and weights."""
 
     order: int
-    nodes: np.ndarray
-    weights: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.order != len(self.nodes) or self.order != len(self.weights):
-            raise ValueError("rule arrays do not match the stated order")
-        if np.any(self.nodes <= 0) or np.any(np.diff(self.nodes) <= 0):
-            raise ValueError("nodes must be positive and strictly ascending")
-        if np.any(self.weights <= 0):
-            raise ValueError("weights must be positive")
+        order = self.order
+        if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
+            raise ValueError(f"quadrature order must be an integer, got {order!r}")
+        if order < 1 or order > MAX_QUADRATURE_ORDER:
+            raise ValueError(
+                f"quadrature order must be in [1, {MAX_QUADRATURE_ORDER}], got {order}"
+            )
 
-    def integrate(self, integrand) -> float:
-        """Weighted sum of the integrand over the nodes.
+    def graded(self, split: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes x and log-weights of the order-M composite rule on (0, inf):
+        sum(exp(log_w) * f(x)) approximates the integral of exp(-x) f(x).
 
-        Accepts either a callable evaluated at the nodes or an array of
-        pre-sampled values.
+        order // 2 Gauss-Legendre nodes cover [0, split] in the graded
+        variable x = split * s**2, which packs them towards the origin where
+        log(1 + x snr) bends sharply at high SNR. The other nodes are
+        Gauss-Laguerre nodes t mapped to x = split + scale * t on
+        [split, inf); scale = 1 is a plain shift. Order 1 has no head, and
+        its one Gauss-Laguerre node is not shifted. The weights are returned
+        as logarithms so that a density factor can be folded in without
+        under- or overflow. The unit pieces are cached per order; raises
+        ValueError for a split or scale that is not positive and finite.
         """
-        values = integrand(self.nodes) if callable(integrand) else integrand
-        return float(np.sum(self.weights * np.asarray(values, dtype=float)))
-
-
-@lru_cache(maxsize=None)
-def _laguerre_nodes_weights(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    from scipy.special import roots_laguerre
-
-    nodes, weights = roots_laguerre(order)
-    return tuple(nodes), tuple(weights)
-
-
-def _check_order(order: int) -> None:
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
-        raise ValueError(f"quadrature order must be an integer, got {order!r}")
-    if order < 1 or order > MAX_QUADRATURE_ORDER:
-        raise ValueError(
-            f"quadrature order must be in [1, {MAX_QUADRATURE_ORDER}], got {order}"
-        )
-
-
-def gauss_laguerre(order: int) -> QuadratureRule:
-    """Order-M Gauss-Laguerre rule, exact for polynomials up to degree 2M-1.
-
-    Raises ValueError for orders outside [1, 128].
-    """
-    _check_order(order)
-    nodes, weights = _laguerre_nodes_weights(int(order))
-    return QuadratureRule(
-        order=int(order),
-        nodes=np.array(nodes, dtype=float),
-        weights=np.array(weights, dtype=float),
-    )
+        for name, value in (("split", split), ("scale", scale)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        s, log_ws, t, log_wt = _graded_parts(int(self.order))
+        if s.size == 0:
+            return t, log_wt
+        head = split * s * s
+        tail = split + scale * t
+        # dx = 2 split s ds on the head and scale dt on the tail; exp(-x) is
+        # carried by the weights, less the exp(-t) the Laguerre weights hold.
+        log_head = log_ws + np.log(2.0 * split * s) - head
+        log_tail = log_wt + math.log(scale) + t - tail
+        return np.concatenate((head, tail)), np.concatenate((log_head, log_tail))
 
 
 @lru_cache(maxsize=None)
@@ -96,38 +81,6 @@ def _graded_parts(order: int) -> tuple[np.ndarray, ...]:
     for arr in parts:
         arr.flags.writeable = False
     return parts
-
-
-def graded_laguerre(order: int, split: float,
-                    scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x and log-weights of an order-M composite rule on (0, inf):
-    sum(exp(log_w) * f(x)) approximates the integral of exp(-x) f(x).
-
-    order // 2 Gauss-Legendre nodes cover [0, split] in the graded variable
-    x = split * s**2, which packs them towards the origin where
-    log(1 + x snr) bends sharply at high SNR. The other nodes are
-    Gauss-Laguerre nodes t mapped to x = split + scale * t on
-    [split, inf); scale = 1 is a plain shift. Order 1 has no head, and its
-    one Gauss-Laguerre node is not shifted. The weights are returned as
-    logarithms so that a density factor can be folded in without under- or
-    overflow. The unit pieces are cached per order; raises ValueError for
-    orders outside [1, 128] or a split or scale that is not positive and
-    finite.
-    """
-    _check_order(order)
-    for name, value in (("split", split), ("scale", scale)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
-    s, log_ws, t, log_wt = _graded_parts(int(order))
-    if s.size == 0:
-        return t, log_wt
-    head = split * s * s
-    tail = split + scale * t
-    # dx = 2 split s ds on the head and scale dt on the tail; exp(-x) is
-    # carried by the weights, less the exp(-t) the Laguerre weights hold.
-    log_head = log_ws + np.log(2.0 * split * s) - head
-    log_tail = log_wt + math.log(scale) + t - tail
-    return np.concatenate((head, tail)), np.concatenate((log_head, log_tail))
 
 
 # Relative part of the root tolerance, and the iteration cap.

@@ -43,13 +43,13 @@ from aiisac.fading import (
 from aiisac.gaussian import ScalarScenario, scaling_gap
 from aiisac.gaussian import rate as scalar_rate
 from aiisac.mimo import MimoScenario, mimo_rate, rate_surface
-from aiisac.numerics import RandomStream, gauss_laguerre
+from aiisac.numerics import QuadratureRule, RandomStream
 from aiisac.region import frontier, separated_baseline
 
 TABLE_I = ScalarScenario(power=0.01, gain_c=1.0, gain_s=1.0, noise_c=0.1,
                          noise_s=0.1, prior_var=1.0)
 
-RULE = gauss_laguerre(128)
+RULE = QuadratureRule(128)
 
 
 def report(number: int, passed: bool, detail: str) -> None:
@@ -59,7 +59,7 @@ def report(number: int, passed: bool, detail: str) -> None:
 
 def test_criterion_01_quadrature_accuracy():
     """Order-20 vs order-80 Gauss-Laguerre rates agree within 1e-4."""
-    r20, r80 = gauss_laguerre(20), gauss_laguerre(80)
+    r20, r80 = QuadratureRule(20), QuadratureRule(80)
     worst = 0.0
     for g_db in np.linspace(-5.0, 25.0, 31):
         gamma = 10 ** (g_db / 10)

@@ -135,6 +135,14 @@ class TestKktSplit:
         p_c, _, _ = kkt_power_split(prob)
         assert p_c >= 0.999
 
+    def test_boundary_where_objective_rounds_flat(self):
+        # At power 1e-20 J(0) and J(1) both round to -0.3, while dJ/dP_c is
+        # about +11.4 on the whole split, so the optimum is P_c = P.
+        prob = make_problem(power=1e-20)
+        assert objective(prob, 0.0) == objective(prob, 1.0)
+        assert kkt_power_split(prob)[0] == 1e-20
+        assert optimize_alpha(prob, 0.4).alpha_star == 1.0
+
     def test_classical_limit_recovery(self):
         base = dict(total_power=1.0, total_time=1.0, weight=0.5,
                     scenario=INTERIOR, mode="convex")

@@ -74,6 +74,15 @@ class TestEnforceMi:
             assert math.isclose(nz, ref, rel_tol=1e-9)
             assert abs(achieved_mi(power, nz) - c) <= 1e-12
 
+    @pytest.mark.parametrize("power, c", [(1e-300, 4.0), (0.01, 1000.0),
+                                          (1e-310, 0.5), (1e-320, 1e-10)])
+    def test_bracket_past_exp_overflow(self, power, c):
+        # e^-u overflows at the bracket's low end; it raised OverflowError.
+        # At (1e-320, 1e-10) even the root lies there, with P e^-u = 7e-11.
+        nz = enforce_mi_numerically(power, c, 1e-12)
+        assert math.isclose(nz, equivalent_noise(AiBudget(c), power),
+                            rel_tol=1e-12)
+
 
 class TestCovarianceMap:
     def test_identity_two_bits(self):

@@ -210,11 +210,18 @@ class TestCommands:
         assert err.startswith("error: mean SNR") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["noise_c = 1", "power = 1e300"])
+    @pytest.mark.parametrize("line", ["noise_c = 1", "power = 1e300",
+                                      "power = 1e-20", "power = 1e-150",
+                                      "power = 1e-300", "alloc_c_ai = 1000",
+                                      "noise_c = 4e190", "alloc_c_ai = inf"])
     def test_verify_passes_off_preset(self, line, tmp_path):
         # noise_c = 1 puts the optimum inside (0, 1), where a capped gradient
         # loop stopped 0.11 short of it; at power = 1e300 the link slopes
-        # are about 1e-299.
+        # are about 1e-299. At power = 1e-20 the reference split compared
+        # two objectives that round equal and took the wrong end; the other
+        # lines ended in an OverflowError traceback from e^-u in the MI
+        # enforcement or u**2 in the closed-form Rayleigh rate, except
+        # alloc_c_ai = inf, whose MI check read inf - inf = nan and failed.
         cfg = tmp_path / "v.cfg"
         cfg.write_text(line + "\n")
         out = tmp_path / "report.txt"
@@ -304,9 +311,10 @@ class TestCachedParser:
         assert "usage:" in capsys.readouterr().err
 
 
-# The config keys gaussian-sweep and mimo-surface read; floats are drawn
-# log-uniform in magnitude over 1e-300 .. 1e300, with either sign. Few keys
-# per config, so that most configs get past the checks into the physics.
+# The config keys the five commands read; floats are drawn log-uniform in
+# magnitude over 1e-300 .. 1e300, with either sign, and fractions around
+# [0, 1]. Few keys per config, so that most configs get past the checks
+# into the physics.
 _FUZZ_FLOAT = st.tuples(st.booleans(), st.floats(-300.0, 300.0)).map(
     lambda t: (-1.0 if t[0] else 1.0) * 10.0 ** t[1])
 _FUZZ_KEYS = {
@@ -314,6 +322,9 @@ _FUZZ_KEYS = {
         "power", "noise_c", "noise_s", "gain_c", "gain_s", "prior_var",
         "c_min", "c_max", "c_step", "rician_k_db", "snr_min_db",
         "snr_max_db", "snr_step_db")},
+    **{key: st.floats(-0.25, 1.25) for key in (
+        "weight", "alpha0", "alpha_verify")},
+    "alloc_c_ai": st.one_of(_FUZZ_FLOAT, st.just(math.inf)),
     "preset": st.sampled_from(PRESETS),
     "mimo_nt": st.integers(0, 9),
     "mimo_nr": st.integers(0, 9),
@@ -325,13 +336,11 @@ _fuzz_config = st.lists(st.sampled_from(sorted(_FUZZ_KEYS)), min_size=1,
     lambda keys: st.fixed_dictionaries({k: _FUZZ_KEYS[k] for k in keys}))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(fields=_fuzz_config, command=st.sampled_from(["gaussian-sweep",
-                                                     "mimo-surface"]))
-def test_fuzzed_config_exits_cleanly(fields, command, tmp_path):
-    # Any config text ends in a CSV (0), a domain error (1) or a config
-    # error (2): never a traceback, never a nan cell.
+def _exit_code_of_clean_run(command, fields, tmp_path):
+    """Exit code of command on the config fields, after checking that it
+    ends in an output (0), a domain error or failed check (1) or a config
+    error (2): never a traceback, never a nan cell, and on an error no
+    output and one line on stderr; a failed check prints verify's report."""
     cfg = tmp_path / "fuzz.cfg"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
     out, err = io.StringIO(), io.StringIO()
@@ -340,5 +349,31 @@ def test_fuzzed_config_exits_cleanly(fields, command, tmp_path):
     assert rc in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert "nan" not in out.getvalue()
-    if rc != 0:
+    if rc == 1 and command == "verify" and err.getvalue() == "":
+        assert out.getvalue().endswith("one or more checks FAILED\n")
+    elif rc != 0:
         assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+    return rc
+
+
+_COMMAND_NAMES = ["gaussian-sweep", "frontier", "mimo-surface", "allocate",
+                  "verify"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fields=_fuzz_config, command=st.sampled_from(_COMMAND_NAMES))
+def test_fuzzed_config_exits_cleanly(fields, command, tmp_path):
+    _exit_code_of_clean_run(command, fields, tmp_path)
+
+
+@pytest.mark.parametrize("command, fields, code", [
+    ("allocate", {"power": 1e-300}, 0),
+    ("allocate", {"alloc_c_ai": 1000.0}, 0),
+    ("verify", {"power": 1e-320, "alloc_c_ai": 1e-10}, 0),
+    ("frontier", {"power": 1e300, "noise_c": 1e-300}, 1),
+])
+def test_known_configs_exit_cleanly(command, fields, code, tmp_path):
+    # Configs that ended in an OverflowError traceback (allocate, verify),
+    # or in 201 inf-rate rows and nan cells (frontier) before.
+    assert _exit_code_of_clean_run(command, fields, tmp_path) == code

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import i0e
+from scipy.special import exp1, i0e
 
 from aiisac.cli import main
 from aiisac.fading import (
@@ -18,10 +18,10 @@ from aiisac.fading import (
     rician_moment_matched,
 )
 from aiisac.errors import ConvergenceError, DegenerateInputError
-from aiisac.numerics import RandomStream, gauss_laguerre, graded_laguerre
+from aiisac.numerics import QuadratureRule, RandomStream
 
-RULE = gauss_laguerre(128)
-RULE40 = gauss_laguerre(40)
+RULE = QuadratureRule(128)
+RULE40 = QuadratureRule(40)
 
 
 class TestConditionalSnr:
@@ -50,6 +50,21 @@ class TestRayleigh:
         got = ergodic_rate_rayleigh(10.0, 1.0 / 15.0, RULE)
         want = rayleigh_rate_exact(10.0, 1.0 / 15.0)
         assert abs(got - want) <= 1e-6
+
+    @pytest.mark.parametrize("u", [500.0, 550.0, 640.0, 700.0])
+    def test_exact_asymptotic_branch(self, u):
+        # For u = 1 / mean SNR >= 500 the closed form takes its asymptotic
+        # series, truncated after 6/u^3 (relative error about 24/u^4); it
+        # must track e^u E1(u) wherever that product is finite.
+        assert math.isclose(rayleigh_rate_exact(1.0 / u, 0.0) * math.log(2.0),
+                            math.exp(u) * exp1(u), rel_tol=25.0 / u**4)
+
+    @pytest.mark.parametrize("g", [1e-103, 1e-150, 1e-300, 1e-307])
+    def test_exact_at_tiny_snr(self, g):
+        # u**2 and u**3 raised OverflowError below a mean SNR of about 5e-103;
+        # e^u E1(u) ~ 1/u = g there.
+        assert math.isclose(rayleigh_rate_exact(g, 0.0), g / math.log(2.0),
+                            rel_tol=1e-12)
 
     def test_small_snr_vanishes(self):
         assert ergodic_rate_rayleigh(1e-12, 0.0, RULE) < 1e-10
@@ -93,7 +108,7 @@ class TestRician:
         # without a warning. Splitting at 1 instead of the mean gain 1 + K
         # gave 5.78 bits instead of 8.31 at 15 dB and SNR 10.
         k = 10 ** (k_db / 10)
-        r20 = gauss_laguerre(20)
+        r20 = QuadratureRule(20)
         for g_db in (-5.0, 0.0, 10.0, 20.0, 25.0):
             g = 10 ** (g_db / 10)
             for kap in (0.0, 1.0 / 15.0, 1.0 / 255.0):
@@ -106,12 +121,12 @@ class TestRician:
         # At K = 20 dB the order-20 weights miss the density's unit mass by
         # about 1e-4, and the rate by about 2e-3 bits.
         with pytest.warns(RuntimeWarning, match=r"order-20 .* K = 100 "):
-            ergodic_rate_rician(10.0, 0.0, 100.0, gauss_laguerre(20))
+            ergodic_rate_rician(10.0, 0.0, 100.0, QuadratureRule(20))
 
     def test_unresolved_density_raises(self):
         # At K = 40 dB the order-20 weights miss the unit mass by 0.156.
         with pytest.raises(ConvergenceError, match=r"order-20 .* K = 10000 "):
-            ergodic_distortion_rician(10.0, 0.0, 1e4, 1.0, gauss_laguerre(20))
+            ergodic_distortion_rician(10.0, 0.0, 1e4, 1.0, QuadratureRule(20))
 
     def test_moment_matched_values(self):
         assert math.isclose(rician_moment_matched(10.0, 0.0, 0.0),
@@ -198,7 +213,7 @@ def _per_point_average(values_at, k, order):
     """The per-point fading average: its own rule, Rician log-weights and
     one np.dot; kept here as the reference each entry of a column of
     averages must match bit for bit."""
-    nodes, log_w = graded_laguerre(order, 1.0 + k, math.sqrt(1.0 + 2.0 * k))
+    nodes, log_w = QuadratureRule(order).graded(1.0 + k, math.sqrt(1.0 + 2.0 * k))
     if k > 0:
         z = 2.0 * np.sqrt(k * nodes)
         log_w = log_w + np.log(i0e(z)) + z - k
@@ -219,7 +234,7 @@ class TestColumnAverages:
     @pytest.mark.parametrize("g", [0.1, 100.0, 10 ** 2.5])
     @pytest.mark.parametrize("k", [0.0, 10 ** 0.2, 10 ** 0.6, 10 ** 1.2])
     def test_bit_identical_to_per_point(self, order, g, k):
-        rule = gauss_laguerre(order)
+        rule = QuadratureRule(order)
         rate_ref = [_per_point_average(
             lambda x: np.log1p(_snr(x, g, kap)) / math.log(2.0), k, order)
             for kap in KAPS]
@@ -243,7 +258,7 @@ class TestColumnAverages:
     def test_column_warns_once_where_a_point_would(self):
         # At K = 20 dB and order 20 the weights miss the unit mass by 1.3e-4.
         with pytest.warns(RuntimeWarning, match=r"order-20 .* K = 100 ") as rec:
-            ergodic_rate_rician(10.0, KAPS, 100.0, gauss_laguerre(20))
+            ergodic_rate_rician(10.0, KAPS, 100.0, QuadratureRule(20))
         assert len(rec) == 1
 
     def test_sweep_under_resolved_order_warns(self, tmp_path):
@@ -262,4 +277,4 @@ class TestColumnAverages:
 
     def test_overflowing_integrand_is_a_domain_error(self):
         with pytest.raises(DegenerateInputError, match="overflows"):
-            ergodic_rate_rician(1e306, 0.0, 10.0, gauss_laguerre(128))
+            ergodic_rate_rician(1e306, 0.0, 10.0, QuadratureRule(128))

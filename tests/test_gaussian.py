@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aiisac.bottleneck import AiBudget
-from aiisac.errors import DegenerateFitError
+from aiisac.errors import DegenerateFitError, DegenerateInputError
 from aiisac.gaussian import (
     ScalarScenario,
     distortion,
@@ -38,6 +38,11 @@ class TestEffectiveSnrs:
 
     def test_zero_budget_limit(self):
         assert effective_snrs(UNIT, AiBudget(0.0)) == (0.0, 0.0)
+
+    def test_overflow_is_a_domain_error(self):
+        sc = ScalarScenario(1e300, 1.0, 1.0, 1e-300, 1e-300, 1.0)
+        with pytest.raises(DegenerateInputError, match="effective SNRs"):
+            effective_snrs(sc, AiBudget(math.inf))
 
 
 class TestRateAndDistortion:

@@ -9,13 +9,7 @@ from aiisac.bottleneck import AiBudget, enforce_mi_numerically
 from aiisac.config import parse_config
 from aiisac.errors import AiIsacError, BracketError, ConvergenceError
 from aiisac.gaussian import ScalarScenario
-from aiisac.numerics import (
-    QuadratureRule,
-    RandomStream,
-    find_root,
-    gauss_laguerre,
-    graded_laguerre,
-)
+from aiisac.numerics import QuadratureRule, RandomStream, find_root
 
 
 class TestGradedLaguerre:
@@ -24,53 +18,40 @@ class TestGradedLaguerre:
                               (128, 11.0, math.sqrt(21.0))])
     def test_moments(self, order, split, scale):
         # Against exp(-x) on (0, inf), x^k integrates to k!.
-        nodes, log_w = graded_laguerre(order, split, scale)
+        nodes, log_w = QuadratureRule(order).graded(split, scale)
         w = np.exp(log_w)
         for k in range(6):
             assert math.isclose(float(w @ nodes**k), math.factorial(k),
                                 rel_tol=1e-12)
 
     def test_nodes_split_in_halves(self):
-        nodes, _ = graded_laguerre(20, 3.0, 1.0)
+        nodes, _ = QuadratureRule(20).graded(3.0, 1.0)
         assert np.all(np.diff(nodes) > 0)
         assert np.sum(nodes < 3.0) == 10 and nodes[10] > 3.0
 
     def test_order_one_is_gauss_laguerre(self):
-        nodes, log_w = graded_laguerre(1, 5.0, 1.0)
-        rule = gauss_laguerre(1)
-        assert np.array_equal(nodes, rule.nodes)
-        assert np.allclose(np.exp(log_w), rule.weights, rtol=1e-15)
+        from scipy.special import roots_laguerre
+
+        nodes, log_w = QuadratureRule(1).graded(5.0, 1.0)
+        want_nodes, want_weights = roots_laguerre(1)
+        assert np.array_equal(nodes, want_nodes)
+        assert np.allclose(np.exp(log_w), want_weights, rtol=1e-15)
 
     def test_bounds(self):
         with pytest.raises(ValueError):
-            graded_laguerre(129, 1.0, 1.0)
+            QuadratureRule(129)
         with pytest.raises(ValueError):
-            graded_laguerre(20, 0.0, 1.0)
+            QuadratureRule(20).graded(0.0, 1.0)
         with pytest.raises(ValueError):
-            graded_laguerre(20, 1.0, math.inf)
+            QuadratureRule(20).graded(1.0, math.inf)
 
 
-class TestGaussLaguerre:
-    def test_weights_sum_to_one(self):
-        rule = gauss_laguerre(20)
-        assert math.isclose(float(np.sum(rule.weights)), 1.0, rel_tol=1e-12)
-
-    @pytest.mark.parametrize("k", [0, 1, 2, 5, 9])
-    def test_moments_exact(self, k):
-        # Gauss-Laguerre integrates x^k e^{-x} exactly to k! for k < 2M.
-        rule = gauss_laguerre(10)
-        got = rule.integrate(lambda x: x**k)
-        assert math.isclose(got, math.factorial(k), rel_tol=1e-10)
-
+class TestQuadratureRule:
     def test_order_bounds(self):
-        with pytest.raises(ValueError):
-            gauss_laguerre(0)
-        with pytest.raises(ValueError):
-            gauss_laguerre(129)
-
-    def test_rule_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureRule(order=2, nodes=np.array([1.0]), weights=np.array([1.0]))
+        for order in (0, 129, True, 20.0):
+            with pytest.raises(ValueError):
+                QuadratureRule(order)
+        assert QuadratureRule(np.int64(128)).order == 128
 
 
 class TestFindRoot:
