@@ -165,15 +165,21 @@ def optimize_alpha(problem: AllocationProblem, alpha0: float) -> AllocationResul
     The latent MI constraint is enforced once by root-finding, since the
     latent noise does not depend on the split.  The trace rows are alpha0 and
     the optimum, each with the MI that noise achieves.  Raises
-    DegenerateInputError when the optimal sensing power is positive but too
-    small a fraction of the total for alpha to resolve."""
+    DegenerateInputError when that MI misses the budget by more than 1e-9
+    bits (N_z = P/(2^C - 1) below the normal float range) or when the
+    optimal sensing power is positive but too small a fraction of the total
+    for alpha to resolve."""
     if not 0.0 <= alpha0 <= 1.0:
         raise ValueError(f"alpha0 must lie in [0,1], got {alpha0}")
     p = problem.total_power
     if problem.budget.is_classical:
         mi = math.inf
     else:
-        mi = achieved_mi(p, enforce_mi_numerically(p, problem.budget.c_ai, tol=1e-12))
+        c = problem.budget.c_ai
+        mi = achieved_mi(p, enforce_mi_numerically(p, c, tol=1e-12))
+        if abs(mi - c) > 1e-9:
+            raise DegenerateInputError(f"latent noise at power {p!r} and {c!r} "
+                                       f"bits underflows: its MI is {mi!r}")
 
     p_s = _optimal_sensing_power(problem)
     alpha = (p - p_s) / p

@@ -22,6 +22,10 @@ RANK_RTOL = 1e-12
 # Largest matrix dimension accepted by the Hermitian validator.
 MAX_DIM = 64
 
+# An eigenvalue below -PSD_RTOL times the largest eigenvalue magnitude makes
+# a Hermitian matrix indefinite.
+PSD_RTOL = 1e-10
+
 
 @dataclass(frozen=True)
 class AiBudget:
@@ -120,6 +124,13 @@ def _as_hermitian(a: np.ndarray, name: str) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
+def _check_psd(evals: np.ndarray, name: str) -> None:
+    """Raise ValueError unless the ascending eigenvalues (last axis) of a
+    Hermitian matrix, or of each in a stack, pass the PSD_RTOL rule."""
+    if (evals[..., 0] < -PSD_RTOL * np.abs(evals).max(axis=-1)).any():
+        raise ValueError(f"{name} is not positive semidefinite")
+
+
 def _logdet(m: np.ndarray, name: str) -> np.ndarray:
     """Natural log-determinants of a positive definite matrix or of a stack
     of them, by Cholesky; raises SingularMatrixError naming m otherwise."""
@@ -138,6 +149,7 @@ def covariance_map(q: np.ndarray, c_ai: float) -> np.ndarray:
     zeta = (2^(C/r) - 1)^-1, and zero on the null space (and everywhere at
     C = inf).  By construction gaussian_mi(Q, R_z) equals C exactly; the
     map is trace-minimal only when the active eigenvalues of Q are equal.
+    At finite C, a Q that is not PSD raises ValueError.
     """
     q = _as_hermitian(q, "Q")
     if c_ai <= 0 or math.isnan(c_ai):
@@ -149,13 +161,15 @@ def proportional_maps(qs: np.ndarray, c_grid: list[float]) -> np.ndarray:
     """covariance_map for every capacity in c_grid and every Hermitian Q in
     the stack qs (J x n x n), as a C x J x n x n stack, from one stacked
     eigh. Active subspaces are sliced per group of Q with equal rank masks,
-    so each R_z is bit for bit the product for its Q alone.
+    so each R_z is bit for bit the product for its Q alone.  A Q that is
+    not PSD raises ValueError unless every capacity is inf.
     """
     out = np.zeros((len(c_grid),) + qs.shape, dtype=complex)
     finite = [i for i, c in enumerate(c_grid) if c != math.inf]
     if not finite:
         return out
     evals, evecs = np.linalg.eigh(qs)
+    _check_psd(evals, "Q")
     if not np.all(evals[:, -1] > 0):
         raise DegenerateInputError("Q has no active subspace (zero matrix)")
     keep = evals > RANK_RTOL * evals[:, -1:]
@@ -175,12 +189,13 @@ def proportional_maps(qs: np.ndarray, c_grid: list[float]) -> np.ndarray:
 def gaussian_mi(q: np.ndarray, r_z: np.ndarray) -> float:
     """log2 det(I + R_z^-1 Q), evaluated on the active subspace of Q.
 
-    R_z must be positive definite there; contributions on the null space
-    of Q do not enter.
+    Q must be PSD and R_z positive definite on the active subspace;
+    contributions on the null space of Q do not enter.
     """
     q = _as_hermitian(q, "Q")
     r_z = _as_hermitian(r_z, "R_z")
     evals, evecs = np.linalg.eigh(q)
+    _check_psd(evals, "Q")
     if evals[-1] <= 0:
         return 0.0
     keep = evals > RANK_RTOL * evals[-1]

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
@@ -38,22 +39,25 @@ EXIT_USAGE = 2
 
 FRONTIER_BUDGETS = (0.5, 2.0, 4.0, 6.0, math.inf)
 
+# Capacities of the mimo-surface rows and of verify's closed-form check.
+HALF_BIT_BUDGETS = tuple(0.5 * i for i in range(1, 17))
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
 
-
-def _write_csv(path: str | None, header_comment: str, columns: list[str],
-               rows: list[list]) -> None:
-    lines = [f"# {header_comment}", ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                              for v in row))
+def _emit(path: str | None, lines: list[str]) -> None:
+    """Write the lines, newline-terminated, to path or to stdout if None."""
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
+def _write_csv(path: str | None, header_comment: str, columns: list[str],
+               rows: Iterable[tuple]) -> None:
+    """One CSV: every cell of the row tuples as %.17g (0 -> "0", inf -> "inf")."""
+    template = ",".join(["%.17g"] * len(columns))
+    _emit(path, [f"# {header_comment}", ",".join(columns),
+                 *(template % row for row in rows)])
 
 
 def _scenario(cfg: RunConfig) -> ScalarScenario:
@@ -67,9 +71,9 @@ def _scenario(cfg: RunConfig) -> ScalarScenario:
     )
 
 
-def _c_grid(cfg: RunConfig) -> list[float]:
-    n = int(round((cfg.c_max - cfg.c_min) / cfg.c_step)) + 1
-    return [cfg.c_min + i * cfg.c_step for i in range(n)]
+def _axis(lo: float, hi: float, step: float) -> list[float]:
+    """lo, lo + step, ... over round((hi - lo) / step) steps."""
+    return [lo + i * step for i in range(int(round((hi - lo) / step)) + 1)]
 
 
 def _header(cfg: RunConfig) -> str:
@@ -80,10 +84,10 @@ def cmd_gaussian_sweep(cfg: RunConfig, out: str | None) -> int:
     rule = QuadratureRule(cfg.quadrature_order)
     g_c, g_s = cfg.mean_snr_c(), cfg.mean_snr_s()
     k, pv = cfg.rician_k, cfg.prior_var
-    c_grid = _c_grid(cfg)
+    c_grid = _axis(cfg.c_min, cfg.c_max, cfg.c_step)
     # c = 0 can only open the grid: no capacity, so rate 0 and the prior
     # variance as distortion.
-    rows = [[c_grid[0], 0.0, 0.0, 0.0, pv, pv, pv]] if c_grid[0] == 0.0 else []
+    rows = [(c_grid[0], 0.0, 0.0, 0.0, pv, pv, pv)] if c_grid[0] == 0.0 else []
     c_pos = c_grid[len(rows):]
     if c_pos:
         # One call per column, over every capacity c > 0 at once.
@@ -98,8 +102,8 @@ def cmd_gaussian_sweep(cfg: RunConfig, out: str | None) -> int:
         ]
         for c, snr_c, r_ray, r_ric, snr_s, d_ray, d_ric in zip(
                 c_pos, *(col.tolist() for col in cols)):
-            rows.append([c, math.log2(1.0 + snr_c), r_ray, r_ric,
-                         pv / (1.0 + snr_s), d_ray, d_ric])
+            rows.append((c, math.log2(1.0 + snr_c), r_ray, r_ric,
+                         pv / (1.0 + snr_s), d_ray, d_ric))
     _write_csv(out, _header(cfg),
                ["c_ai", "rate_awgn", "rate_rayleigh", "rate_rician",
                 "dist_awgn", "dist_rayleigh", "dist_rician"], rows)
@@ -113,11 +117,10 @@ def cmd_frontier(cfg: RunConfig, out: str | None) -> int:
         budget = AiBudget(c)
         front = region.frontier(sc, budget)
         base = region.separated_baseline(sc, budget)
-        label = "inf" if math.isinf(c) else _fmt(c)
-        for row in zip(front.alphas.tolist(), front.rates().tolist(),
-                       front.distortions().tolist(), base.rates().tolist(),
-                       base.distortions().tolist()):
-            rows.append([label, *row])
+        alphas = front.alphas.tolist()
+        rows += zip([c] * len(alphas), alphas, front.rates().tolist(),
+                    front.distortions().tolist(), base.rates().tolist(),
+                    base.distortions().tolist())
     _write_csv(out, _header(cfg),
                ["c_ai", "alpha", "rate", "distortion", "baseline_rate",
                 "baseline_distortion"], rows)
@@ -142,17 +145,15 @@ def mimo_template(cfg: RunConfig) -> MimoScenario:
 def mimo_power_scales(cfg: RunConfig) -> list[float]:
     """Power multipliers for the dB axis, anchored so the 10 dB point is
     the preset's nominal power."""
-    n = int(round((cfg.snr_max_db - cfg.snr_min_db) / cfg.snr_step_db)) + 1
-    return [db_to_linear(cfg.snr_min_db + i * cfg.snr_step_db - 10.0)
-            for i in range(n)]
+    return [db_to_linear(snr - 10.0)
+            for snr in _axis(cfg.snr_min_db, cfg.snr_max_db, cfg.snr_step_db)]
 
 
 def cmd_mimo_surface(cfg: RunConfig, out: str | None) -> int:
-    c_grid = [0.5 * i for i in range(1, 17)]
-    scales = mimo_power_scales(cfg)
-    surface = rate_surface(mimo_template(cfg), c_grid, scales)
-    snr_db = [cfg.snr_min_db + j * cfg.snr_step_db for j in range(len(scales))]
-    rows = [[c, snr, rate] for c, rates in zip(c_grid, surface.tolist())
+    snr_db = _axis(cfg.snr_min_db, cfg.snr_max_db, cfg.snr_step_db)
+    surface = rate_surface(mimo_template(cfg), HALF_BIT_BUDGETS,
+                           mimo_power_scales(cfg))
+    rows = [(c, snr, rate) for c, rates in zip(HALF_BIT_BUDGETS, surface.tolist())
             for snr, rate in zip(snr_db, rates)]
     _write_csv(out, _header(cfg), ["c_ai", "snr_db", "rate"], rows)
     return EXIT_OK
@@ -165,18 +166,16 @@ def _allocation_problem(cfg: RunConfig) -> alloc_mod.AllocationProblem:
         weight=cfg.weight,
         budget=AiBudget(cfg.alloc_c_ai),
         scenario=_scenario(cfg),
-        mode="penalized",
     )
 
 
 def cmd_allocate(cfg: RunConfig, out: str | None) -> int:
     result = alloc_mod.optimize_alpha(_allocation_problem(cfg), cfg.alpha0)
-    rows = [[it, a, j, mi] for it, a, j, mi in result.trace]
-    summary = (f"{_header(cfg)} | alpha_star = {_fmt(result.alpha_star)}, "
-               f"J_star = {_fmt(result.objective)}, "
-               f"kkt_residual = {_fmt(result.kkt_residual)}")
+    summary = (f"{_header(cfg)} | alpha_star = {result.alpha_star:.17g}, "
+               f"J_star = {result.objective:.17g}, "
+               f"kkt_residual = {result.kkt_residual:.17g}")
     _write_csv(out, summary, ["iteration", "alpha", "objective", "achieved_mi"],
-               rows)
+               result.trace)
     return EXIT_OK
 
 
@@ -186,18 +185,17 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, float, float, bool]]:
     sc = _scenario(cfg)
 
     # Closed-form vs numerically-enforced latent noise at a 0.6 power split.
+    alpha = cfg.alpha_verify
+
+    def perf(nz: float) -> tuple[float, float]:
+        gc = sc.gain_c * alpha * sc.power / (sc.noise_c + sc.gain_c * nz)
+        gs = sc.gain_s * (1 - alpha) * sc.power / (sc.noise_s + sc.gain_s * nz)
+        return math.log2(1 + gc), sc.prior_var / (1 + gs)
+
     dev = 0.0
-    for c in [0.5 * i for i in range(1, 17)]:
-        budget = AiBudget(c)
-        nz_cf = equivalent_noise(budget, cfg.power)
+    for c in HALF_BIT_BUDGETS:
+        nz_cf = equivalent_noise(AiBudget(c), cfg.power)
         nz_num = enforce_mi_numerically(cfg.power, c, tol=1e-12)
-        alpha = cfg.alpha_verify
-
-        def perf(nz: float) -> tuple[float, float]:
-            gc = sc.gain_c * alpha * sc.power / (sc.noise_c + sc.gain_c * nz)
-            gs = sc.gain_s * (1 - alpha) * sc.power / (sc.noise_s + sc.gain_s * nz)
-            return math.log2(1 + gc), sc.prior_var / (1 + gs)
-
         r1, d1 = perf(nz_cf)
         r2, d2 = perf(nz_num)
         dev = max(dev, abs(r1 - r2), abs(d1 - d2))
@@ -222,8 +220,7 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, float, float, bool]]:
     checks.append(("rayleigh_anchor_dev", anchor_dev, 1e-6, anchor_dev <= 1e-6))
 
     # Frontier nesting across capacity budgets.
-    budgets = [0.5, 2.0, 4.0, 6.0]
-    fronts = [region.frontier(sc, AiBudget(c)) for c in budgets]
+    fronts = [region.frontier(sc, AiBudget(c)) for c in FRONTIER_BUDGETS[:-1]]
     worst = 0.0
     for lo, hi in zip(fronts, fronts[1:]):
         worst = max(worst, float(np.max(lo.rates() - hi.rates())),
@@ -249,19 +246,11 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, float, float, bool]]:
 
 def cmd_verify(cfg: RunConfig, out: str | None) -> int:
     checks = _verify_checks(cfg)
-    lines = [f"# {_header(cfg)}"]
-    ok = True
-    for name, observed, tol, passed in checks:
-        ok &= passed
-        status = "PASS" if passed else "FAIL"
-        lines.append(f"{status} {name}: observed = {_fmt(observed)}, "
-                     f"tolerance = {_fmt(tol)}")
-    lines.append("all checks passed" if ok else "one or more checks FAILED")
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8", newline="\n")
+    ok = all(passed for *_, passed in checks)
+    _emit(out, [f"# {_header(cfg)}",
+                *(f"{'PASS' if passed else 'FAIL'} {name}: observed = {observed:.17g}, "
+                  f"tolerance = {tol:.17g}" for name, observed, tol, passed in checks),
+                "all checks passed" if ok else "one or more checks FAILED"])
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

@@ -127,19 +127,17 @@ def preset_config(name: str) -> RunConfig:
     raise ConfigError(f"unknown preset {name!r}; choose from {PRESETS}")
 
 
-_INT_FIELDS = {"mimo_nt", "mimo_nr", "quadrature_order", "seed", "mc_samples"}
-_STR_FIELDS = {"preset"}
-
-
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
     """Parse flat key = value text into a RunConfig.
 
     Lines beginning with '#' or ';' are comments; '[section]' headers are
     allowed for grouping and carry no meaning.  Unknown keys are errors.
-    A 'preset' key, if present, is applied first so later keys override it.
+    A 'preset' key, on any line, sets the base that every other key
+    overrides; each other value is read as the type of its RunConfig default.
     """
-    known = {f.name for f in fields(RunConfig)}
-    pairs: list[tuple[str, str, int]] = []
+    types = {f.name: type(f.default) for f in fields(RunConfig)}
+    cfg = base if base is not None else RunConfig()
+    updates = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith(("#", ";")):
@@ -151,20 +149,13 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.split("#", 1)[0].strip()
-        if key not in known:
+        if key not in types:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        pairs.append((key, value, lineno))
-
-    cfg = base if base is not None else RunConfig()
-    for key, value, lineno in pairs:
         if key == "preset":
             cfg = preset_config(value)
-    updates = {}
-    for key, value, lineno in pairs:
-        if key in _STR_FIELDS:
             continue
         try:
-            updates[key] = int(value) if key in _INT_FIELDS else float(value)
+            updates[key] = types[key](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {value!r}") from exc
     try:

@@ -14,12 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bottleneck import (AiBudget, _as_hermitian, _logdet, covariance_map,
-                         proportional_maps)
+from .bottleneck import (AiBudget, _as_hermitian, _check_psd, _logdet,
+                         covariance_map, proportional_maps)
 from .errors import (DegenerateInputError, SingularMatrixError,
                      UnobservableParameterError)
-
-_PSD_TOL = 1e-10
 
 # Most matrix entries (capacities x scales x n^2) in one stacked pass of
 # rate_surface, which bounds its memory on large grids.
@@ -28,11 +26,10 @@ _BLOCK = 1 << 16
 
 def check_psd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Validated Hermitian PSD copy of `a`: finite, and no eigenvalue below
-    -1e-10 times the largest eigenvalue magnitude (the zero matrix passes)."""
+    -PSD_RTOL (1e-10) times the largest eigenvalue magnitude (the zero
+    matrix passes)."""
     m = _as_hermitian(a, name)
-    evals = np.linalg.eigvalsh(m)
-    if float(evals[0]) < -_PSD_TOL * float(np.max(np.abs(evals))):
-        raise ValueError(f"{name} is not positive semidefinite")
+    _check_psd(np.linalg.eigvalsh(m), name)
     return m
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from aiisac.bottleneck import (
+    PSD_RTOL,
     AiBudget,
     achieved_mi,
     covariance_map,
@@ -159,3 +160,15 @@ class TestGaussianMi:
     def test_singular_noise(self):
         with pytest.raises(SingularMatrixError):
             gaussian_mi(np.eye(2), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("fn", [lambda q: covariance_map(q, 2.0),
+                                lambda q: gaussian_mi(q, np.eye(2))],
+                         ids=["covariance_map", "gaussian_mi"])
+def test_psd_rule_of_check_psd(fn):
+    # An indefinite Q used to be answered for its positive eigen-direction
+    # alone (gaussian_mi gave 1.0 bit); an eigenvalue within PSD_RTOL of
+    # zero, relative to the largest, still passes as in mimo.check_psd.
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        fn(np.diag([1.0, -1.0]))
+    fn(np.diag([1.0, -0.5 * PSD_RTOL]))

@@ -51,6 +51,11 @@ class TestConfig:
             parse_config("power = -3\n")
 
 
+_OFF_PRESET_CONFIG = ("mimo_nt = 4\nmimo_nr = 4\nrician_k_db = 12\n"
+                      "quadrature_order = 40\npower = 1\nprior_var = 30\n"
+                      "weight = 0.05\nalloc_c_ai = 2\n")
+
+
 def read_csv(path):
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
@@ -168,7 +173,10 @@ class TestCommands:
     # allocate's as written since it solves the stationarity quadratic in
     # closed form (a start row and an optimum row, not 50 gradient steps),
     # gaussian-sweep's and mimo-surface's as written per grid point, before
-    # each ran as one pass over its whole grid.
+    # each ran as one pass over its whole grid. The "off-preset" rows, on
+    # _OFF_PRESET_CONFIG (4 antennas, K = 12 dB, order 40, a weight and
+    # budget that put the optimal split inside (0, 1)), are as written
+    # while each cell type had its own format, before one %.17g template.
     @pytest.mark.parametrize("command, preset, digest", [
         ("gaussian-sweep", "tableI-dbm",
          "2091301a2f16b044491cfc763958f3a0db3c68cd6ebfa5b0168143bacfb87b5c"),
@@ -186,10 +194,24 @@ class TestCommands:
          "7e1c9fcd16cc00ce078eeb283aa0dc4b529d93d46faa058184dc001c3f06706c"),
         ("allocate", "tableI-normalized",
          "db8eaf7d8e75907ace0ed75aafb8f95f3eecf867182b851314acfc5ae8072c94"),
+        ("gaussian-sweep", "off-preset",
+         "ada8d30e7ae5524b77c578a252bf3c9cff0ac057b0f0c258ae975fbfc89df404"),
+        ("frontier", "off-preset",
+         "89b4efcf3748b60e995f9c5a063684b5040e2d463a2df1c2755f7cbc0ddde1e1"),
+        ("mimo-surface", "off-preset",
+         "69a2ff0f2ae81125226531a6d1708277d641f22bd0d87bef980d09cb3e932c8a"),
+        ("allocate", "off-preset",
+         "0136c728cfd331d5a1e9c77e64251313db2ed4af6e784e52a3121c4d61f07ff6"),
     ])
     def test_csv_bytes_unchanged(self, command, preset, digest, tmp_path):
         out = tmp_path / "out.csv"
-        assert main([command, "--preset", preset, "--out", str(out)]) == 0
+        if preset in PRESETS:
+            source = ["--preset", preset]
+        else:
+            cfg = tmp_path / "off.cfg"
+            cfg.write_text(_OFF_PRESET_CONFIG)
+            source = ["--config", str(cfg)]
+        assert main([command, *source, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("command", ["verify", "gaussian-sweep"])
@@ -227,6 +249,20 @@ class TestCommands:
         out = tmp_path / "report.txt"
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
         assert out.read_text().splitlines()[-1] == "all checks passed"
+
+    @pytest.mark.parametrize("command", ["allocate", "verify"])
+    @pytest.mark.parametrize("c_ai", ["70", "1000"])
+    def test_underflowing_latent_noise_is_an_error(self, command, c_ai,
+                                                   tmp_path, capsys):
+        # N_z = P/(2^C - 1) is subnormal at 70 bits and 0 at 1000: allocate
+        # wrote an achieved MI of 70.0037 and inf, verify printed a FAIL.
+        cfg = tmp_path / "u.cfg"
+        cfg.write_text(f"power = 1e-300\nalloc_c_ai = {c_ai}\n")
+        out = tmp_path / "out.txt"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: latent noise") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_allocate_at_extreme_sensing_gain(self, tmp_path):
         cfg = tmp_path / "g.cfg"
@@ -372,8 +408,12 @@ def test_fuzzed_config_exits_cleanly(fields, command, tmp_path):
     ("allocate", {"alloc_c_ai": 1000.0}, 0),
     ("verify", {"power": 1e-320, "alloc_c_ai": 1e-10}, 0),
     ("frontier", {"power": 1e300, "noise_c": 1e-300}, 1),
+    ("allocate", {"power": 1e-300, "alloc_c_ai": 70.0}, 1),
+    ("verify", {"power": 1e-300, "alloc_c_ai": 1000.0}, 1),
 ])
 def test_known_configs_exit_cleanly(command, fields, code, tmp_path):
     # Configs that ended in an OverflowError traceback (allocate, verify),
-    # or in 201 inf-rate rows and nan cells (frontier) before.
+    # or in 201 inf-rate rows and nan cells (frontier) before. In the last
+    # two, N_z = P/(2^C - 1) lies below the normal range: allocate wrote an
+    # achieved MI of 70.0037 for 70 bits, and verify a FAIL on an MI of inf.
     assert _exit_code_of_clean_run(command, fields, tmp_path) == code
