@@ -149,7 +149,7 @@ def covariance_map(q: np.ndarray, c_ai: float) -> np.ndarray:
     zeta = (2^(C/r) - 1)^-1, and zero on the null space (and everywhere at
     C = inf).  By construction gaussian_mi(Q, R_z) equals C exactly; the
     map is trace-minimal only when the active eigenvalues of Q are equal.
-    At finite C, a Q that is not PSD raises ValueError.
+    A Q that is not PSD raises ValueError, at C = inf too.
     """
     q = _as_hermitian(q, "Q")
     if c_ai <= 0 or math.isnan(c_ai):
@@ -162,14 +162,14 @@ def proportional_maps(qs: np.ndarray, c_grid: list[float]) -> np.ndarray:
     the stack qs (J x n x n), as a C x J x n x n stack, from one stacked
     eigh. Active subspaces are sliced per group of Q with equal rank masks,
     so each R_z is bit for bit the product for its Q alone.  A Q that is
-    not PSD raises ValueError unless every capacity is inf.
+    not PSD raises ValueError, whatever the capacities.
     """
     out = np.zeros((len(c_grid),) + qs.shape, dtype=complex)
+    evals, evecs = np.linalg.eigh(qs)
+    _check_psd(evals, "Q")
     finite = [i for i, c in enumerate(c_grid) if c != math.inf]
     if not finite:
         return out
-    evals, evecs = np.linalg.eigh(qs)
-    _check_psd(evals, "Q")
     if not np.all(evals[:, -1] > 0):
         raise DegenerateInputError("Q has no active subspace (zero matrix)")
     keep = evals > RANK_RTOL * evals[:, -1:]

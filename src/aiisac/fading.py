@@ -15,16 +15,19 @@ for mean SNRs up to 25 dB; the composite rule misses it by 3.8e-5 bits at
 M = 20, 8.5e-8 at M = 40 and 1e-11 at M >= 80.  Every average checks that
 its weights integrate the gain density to one; it warns where they miss by
 a little and raises ConvergenceError where they miss by more than 1e-2.
-An array of kappas is averaged as one column: the rule and the check are
-built once, and each entry is the float a scalar call gives.  A seeded
-Monte-Carlo oracle provides an independent route for validation.  SciPy
-loads inside the functions that use it, never on import.
+An array of kappas is averaged as one column: the weights are built once
+per (order, K) and cached, the check runs on every call, and each entry is
+the float a scalar call gives.  A seeded Monte-Carlo oracle provides an
+independent route for validation.  The Bessel factor exp(-z) I0(z) and the
+scaled exponential integral e^u E1(u) are evaluated here; nothing imports
+SciPy.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +46,37 @@ DENSITY_TOL = 1e-4
 # all; beyond it the rule has not resolved the density, and an average can
 # land outside the range of its integrand (an MMSE above the prior).
 DENSITY_FAIL = 1e-2
+
+# Cephes' Chebyshev coefficients for exp(-z) I0(z) (S. L. Moshier, Cephes
+# Math Library, i0.c), one column per range: z <= 8 in y = z/2 - 2
+# (30 terms), and sqrt(z) exp(-z) I0(z) for z > 8 in y = 32/z - 2 (25 terms,
+# led by five zeros, which leave the Clenshaw sums exactly as they start).
+_I0E_CHEB = np.array([(
+    -4.4153416464793395e-18, 3.3307945188222384e-17, -2.431279846547955e-16,
+    1.715391285555133e-15, -1.1685332877993451e-14, 7.676185498604936e-14,
+    -4.856446783111929e-13, 2.95505266312964e-12, -1.726826291441556e-11,
+    9.675809035373237e-11, -5.189795601635263e-10, 2.6598237246823866e-09,
+    -1.300025009986248e-08, 6.046995022541919e-08, -2.670793853940612e-07,
+    1.1173875391201037e-06, -4.4167383584587505e-06, 1.6448448070728896e-05,
+    -5.754195010082104e-05, 0.00018850288509584165, -0.0005763755745385824,
+    0.0016394756169413357, -0.004324309995050576, 0.010546460394594998,
+    -0.02373741480589947, 0.04930528423967071, -0.09490109704804764,
+    0.17162090152220877, -0.3046826723431984, 0.6767952744094761,
+), (
+    0.0, 0.0, 0.0, 0.0, 0.0,
+    -7.233180487874754e-18, -4.830504485944182e-18, 4.46562142029676e-17,
+    3.461222867697461e-17, -2.8276239805165836e-16, -3.425485619677219e-16,
+    1.7725601330565263e-15, 3.8116806693526224e-15, -9.554846698828307e-15,
+    -4.150569347287222e-14, 1.54008621752141e-14, 3.8527783827421426e-13,
+    7.180124451383666e-13, -1.7941785315068062e-12, -1.3215811840447713e-11,
+    -3.1499165279632416e-11, 1.1889147107846439e-11, 4.94060238822497e-10,
+    3.3962320257083865e-09, 2.266668990498178e-08, 2.0489185894690638e-07,
+    2.8913705208347567e-06, 6.889758346916825e-05, 0.0033691164782556943,
+    0.8044904110141088,
+)]).T
+
+_EULER_GAMMA = 0.5772156649015329
+_EPS = math.ulp(1.0)
 
 
 @dataclass(frozen=True)
@@ -87,32 +121,59 @@ def conditional_snr(x, gamma_bar: float, kappa: float | np.ndarray):
     return float(out) if np.isscalar(x) and np.isscalar(kappa) else out
 
 
+def _i0e(z: np.ndarray) -> np.ndarray:
+    """exp(-z) I0(z) for an array of z >= 0, as Cephes' i0e evaluates it:
+    one Clenshaw recurrence runs both Chebyshev series of _I0E_CHEB over
+    the stacked arguments, and each z takes the series of its range. The
+    operations are Cephes' own, in its order."""
+    y = np.stack((np.minimum(z, 8.0) / 2.0 - 2.0, 32.0 / np.maximum(z, 8.0) - 2.0),
+                 axis=-1)
+    b0 = b1 = b2 = np.zeros_like(y)
+    for c in _I0E_CHEB:
+        b0, b1, b2 = y * b0 - b1 + c, b0, b1
+    half = 0.5 * (b0 - b2)
+    return np.where(z <= 8.0, half[..., 0], half[..., 1] / np.sqrt(np.maximum(z, 8.0)))
+
+
+@lru_cache(maxsize=256)
+def _weights(rule: QuadratureRule, k_factor: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Read-only nodes x and weights w of rule's composite rule for the
+    Rician gain density with K-factor k_factor (K = 0 is Rayleigh), and the
+    miss |sum(w) - 1| of the density's unit mass.
+
+    The rule is split at the mean gain 1 + K, its tail scaled by the gain's
+    standard deviation sqrt(1 + 2K). The density factor e^{-K} I0(2 sqrt(K x))
+    is folded into the log-weights as log(i0e(z)) + z - K, so weights
+    neither under- nor overflow at large K. Cached per (order, K): a
+    gaussian-sweep needs two pairs, a process running many sweeps reuses
+    them, and 256 entries of order 128 hold under 1 MB.
+    """
+    nodes, log_w = rule.graded(1.0 + k_factor, math.sqrt(1.0 + 2.0 * k_factor))
+    if k_factor > 0:
+        z = 2.0 * np.sqrt(k_factor * nodes)
+        log_w = log_w + np.log(_i0e(z)) + z - k_factor
+    w = np.exp(log_w)
+    for arr in (nodes, w):
+        arr.flags.writeable = False
+    return nodes, w, abs(float(np.sum(w)) - 1.0)
+
+
 def _average(values_at, k_factor: float, rule: QuadratureRule):
     """Average of values_at(x) over the Rician gain density with K-factor
-    k_factor (K = 0 is Rayleigh), spending rule.order nodes on the
-    composite rule split at the mean gain 1 + K, its tail scaled by the
-    gain's standard deviation sqrt(1 + 2K).
+    k_factor (K = 0 is Rayleigh), by the weights _weights caches for
+    (rule.order, K).
 
     values_at maps the M nodes to M values (a float is returned) or to
-    rows x M values (one np.dot(w, row) per row is returned). The density
-    factor e^{-K} I0(2 sqrt(K x)) is folded into the log-weights as
-    log(i0e(z)) + z - K, so weights neither under- nor overflow at large
-    K. The same weights must integrate the density to one: a miss of m
-    shifts an average by about m times its values, so the call raises
+    rows x M values (one np.dot(w, row) per row is returned). The weights
+    must integrate the density to one: a miss of m shifts an average by
+    about m times its values, so every call, cached weights or not, raises
     ConvergenceError where m exceeds DENSITY_FAIL, and otherwise issues a
     RuntimeWarning where m * max(1, max |values|) exceeds DENSITY_TOL.
     A value that is not finite raises DegenerateInputError.
     """
-    nodes, log_w = rule.graded(1.0 + k_factor, math.sqrt(1.0 + 2.0 * k_factor))
-    if k_factor > 0:
-        from scipy.special import i0e
-
-        z = 2.0 * np.sqrt(k_factor * nodes)
-        log_w = log_w + np.log(i0e(z)) + z - k_factor
-    w = np.exp(log_w)
+    nodes, w, miss = _weights(rule, k_factor)
     with np.errstate(over="ignore", invalid="ignore"):
         values = values_at(nodes)
-    miss = abs(float(np.sum(w)) - 1.0)
     if not miss <= DENSITY_FAIL:
         raise ConvergenceError(
             f"order-{rule.order} fading rule misses the K = {k_factor:g} gain "
@@ -195,19 +256,46 @@ def rayleigh_rate_exact(gamma_bar: float, kappa: float) -> float:
     vanishes at kappa = 0.
     """
     _check_snr(gamma_bar)
-    from scipy.special import exp1
 
     def term(beta: float) -> float:
-        if beta == 0.0:
-            return 0.0
-        u = 1.0 / beta
-        # e^u E1(u) directly for small u, where e^u does not overflow.
-        if u < 500.0:
-            return math.exp(u) * float(exp1(u))
-        # e^u E1(u) ~ (1 - 1/u + 2/u^2 - ...) / u; u * u overflows where u**2 raises
-        return (1.0 - 1.0 / u + 2.0 / (u * u) - 6.0 / (u * u * u)) / u
+        # u = inf where beta is 0 or subnormal; e^u E1(u) ~ beta is then
+        # below the smallest normal float and is taken as 0.
+        u = 1.0 / beta if beta else math.inf
+        return _exp_e1(u) if u < math.inf else 0.0
 
     return (term(gamma_bar * (1.0 + kappa)) - term(gamma_bar * kappa)) / math.log(2.0)
+
+
+def _exp_e1(u: float) -> float:
+    """e^u E1(u) for finite u > 0, to about 3e-15 relative.
+
+    For u <= 1 by the series E1(u) = -gamma - ln u - sum_k (-u)^k / (k k!)
+    (Abramowitz & Stegun 5.1.11). For u > 1 by the continued fraction of
+    A&S 5.1.22 in its even form, 1/(u+1 - 1/(u+3 - 4/(u+5 - ...))), which
+    is e^u E1(u) itself, so nothing overflows at large u. It is summed by
+    Steed's method, adding each convergent's correction until one moves
+    the sum by at most an ulp (at most 89 steps, near u = 1); the modified
+    Lentz method multiplies the same ~100 steps together instead, and its
+    rounding reached 1e-14 relative.
+    """
+    if u <= 1.0:
+        total, term, k = 0.0, 1.0, 0
+        while True:
+            k += 1
+            term *= -u / k
+            total += term / k
+            if abs(term) / k <= _EPS * abs(total):
+                return math.exp(u) * (-_EULER_GAMMA - math.log(u) - total)
+    b = u + 1.0
+    d = step = total = 1.0 / b
+    n = 0
+    while abs(step) > _EPS * total:
+        n += 1
+        b += 2.0
+        d = 1.0 / (b - n * n * d)
+        step *= b * d - 1.0
+        total += step
+    return total
 
 
 def rician_moment_matched(gamma_bar: float, kappa: float, k_factor: float) -> float:

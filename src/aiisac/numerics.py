@@ -3,9 +3,9 @@ Brent's bracketing root finder, and counter-based deterministic random
 streams.
 
 Everything here is a pure function of its inputs; the pieces of a
-quadrature rule are cached by order and immutable. Brent's method is
-implemented here, so no SciPy module loads for root finding;
-scipy.special loads on the first rule whose nodes are built.
+quadrature rule are cached by order and immutable. Nothing here imports
+SciPy: the Gauss rules come from numpy.polynomial, and Brent's method is
+implemented here.
 """
 from __future__ import annotations
 
@@ -72,11 +72,13 @@ def _graded_parts(order: int) -> tuple[np.ndarray, ...]:
     """Unit pieces of the order-M composite rule: order // 2 Gauss-Legendre
     nodes and log-weights on s in [0, 1], and the remaining Gauss-Laguerre
     nodes and log-weights."""
-    from scipy.special import roots_laguerre, roots_legendre
+    # Imported here, so commands that build no rule skip numpy.polynomial.
+    from numpy.polynomial.laguerre import laggauss
+    from numpy.polynomial.legendre import leggauss
 
     n_head = order // 2
-    s, ws = roots_legendre(n_head) if n_head else (np.empty(0), np.empty(0))
-    t, wt = roots_laguerre(order - n_head)
+    s, ws = leggauss(n_head) if n_head else (np.empty(0), np.empty(0))
+    t, wt = laggauss(order - n_head)
     parts = (0.5 * (s + 1.0), np.log(0.5 * ws), t, np.log(wt))
     for arr in parts:
         arr.flags.writeable = False

@@ -163,12 +163,14 @@ class TestGaussianMi:
 
 
 @pytest.mark.parametrize("fn", [lambda q: covariance_map(q, 2.0),
+                                lambda q: covariance_map(q, math.inf),
                                 lambda q: gaussian_mi(q, np.eye(2))],
-                         ids=["covariance_map", "gaussian_mi"])
+                         ids=["covariance_map", "covariance_map_inf", "gaussian_mi"])
 def test_psd_rule_of_check_psd(fn):
     # An indefinite Q used to be answered for its positive eigen-direction
-    # alone (gaussian_mi gave 1.0 bit); an eigenvalue within PSD_RTOL of
-    # zero, relative to the largest, still passes as in mimo.check_psd.
+    # alone (gaussian_mi gave 1.0 bit), and with the zero matrix at C = inf;
+    # an eigenvalue within PSD_RTOL of zero, relative to the largest, still
+    # passes as in mimo.check_psd.
     with pytest.raises(ValueError, match="not positive semidefinite"):
         fn(np.diag([1.0, -1.0]))
     fn(np.diag([1.0, -0.5 * PSD_RTOL]))

@@ -172,16 +172,18 @@ class TestCommands:
     # as written before frontier and in_region ran over alpha arrays,
     # allocate's as written since it solves the stationarity quadratic in
     # closed form (a start row and an optimum row, not 50 gradient steps),
-    # gaussian-sweep's and mimo-surface's as written per grid point, before
-    # each ran as one pass over its whole grid. The "off-preset" rows, on
+    # mimo-surface's as written per grid point, before it ran as one pass
+    # over its whole grid, gaussian-sweep's as written since its Gauss rules
+    # come from numpy.polynomial (each cell within 4e-15 relative of the
+    # scipy.special rules' output). The other "off-preset" rows, on
     # _OFF_PRESET_CONFIG (4 antennas, K = 12 dB, order 40, a weight and
     # budget that put the optimal split inside (0, 1)), are as written
     # while each cell type had its own format, before one %.17g template.
     @pytest.mark.parametrize("command, preset, digest", [
         ("gaussian-sweep", "tableI-dbm",
-         "2091301a2f16b044491cfc763958f3a0db3c68cd6ebfa5b0168143bacfb87b5c"),
+         "a6ada74991f2b4f36dc8fe406371ba4243f5836135b9b4c684b12c976959e391"),
         ("gaussian-sweep", "tableI-normalized",
-         "8812a1d139cfcba0583f63ac383214d55a2ce3186f4a86ac730e8149c99cc889"),
+         "d0c72c3fd18d47bad3bcf955934fc49df076e522e701773ad9c1077ba3ebfb3d"),
         ("mimo-surface", "tableI-dbm",
          "295bc582d1d23a2859504d09a31bb6628d4dbdb69eb80af7057a56f3db73e145"),
         ("mimo-surface", "tableI-normalized",
@@ -195,7 +197,7 @@ class TestCommands:
         ("allocate", "tableI-normalized",
          "db8eaf7d8e75907ace0ed75aafb8f95f3eecf867182b851314acfc5ae8072c94"),
         ("gaussian-sweep", "off-preset",
-         "ada8d30e7ae5524b77c578a252bf3c9cff0ac057b0f0c258ae975fbfc89df404"),
+         "62a24520e10836e3b3c0a506406466efc8fbba0a5c93806db4397c004e5bf1a9"),
         ("frontier", "off-preset",
          "89b4efcf3748b60e995f9c5a063684b5040e2d463a2df1c2755f7cbc0ddde1e1"),
         ("mimo-surface", "off-preset",

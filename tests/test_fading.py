@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,9 @@ from scipy.special import exp1, i0e
 from aiisac.cli import main
 from aiisac.fading import (
     FadingModel,
+    _exp_e1,
+    _i0e,
+    _weights,
     conditional_snr,
     ergodic_distortion_rayleigh,
     ergodic_distortion_rician,
@@ -53,9 +57,9 @@ class TestRayleigh:
 
     @pytest.mark.parametrize("u", [500.0, 550.0, 640.0, 700.0])
     def test_exact_asymptotic_branch(self, u):
-        # For u = 1 / mean SNR >= 500 the closed form takes its asymptotic
-        # series, truncated after 6/u^3 (relative error about 24/u^4); it
-        # must track e^u E1(u) wherever that product is finite.
+        # At u = 1 / mean SNR >= 500 e^u alone is near overflow; the closed
+        # form must track e^u E1(u) wherever that product is finite, within
+        # the 24/u^4 of its asymptotic series truncated after 6/u^3.
         assert math.isclose(rayleigh_rate_exact(1.0 / u, 0.0) * math.log(2.0),
                             math.exp(u) * exp1(u), rel_tol=25.0 / u**4)
 
@@ -150,6 +154,48 @@ class TestRician:
                     assert approx >= exact - 1e-9
                     worst = max(worst, abs(exact - approx))
         assert worst <= 0.7
+
+
+class TestSpecialFunctions:
+    """The in-package exp(-z) I0(z) and e^u E1(u) against scipy.special."""
+
+    def test_i0e_matches_scipy(self):
+        rng = np.random.default_rng(0)
+        z = np.concatenate(([0.0, 8.0, np.nextafter(8.0, 0.0), np.nextafter(8.0, 9.0),
+                             1e7], rng.uniform(0.0, 16.0, 2000),
+                            10.0 ** rng.uniform(-8.0, 7.0, 2000)))
+        want = i0e(z)
+        assert np.max(np.abs(_i0e(z) - want) / want) <= 2.3e-16
+
+    def test_exp_e1_matches_scipy(self):
+        u = np.concatenate(([1e-10, 1.0, np.nextafter(1.0, 2.0), 700.0],
+                            np.geomspace(1e-10, 700.0, 3001)))
+        got = np.array([_exp_e1(float(x)) for x in u])
+        want = np.exp(u) * exp1(u)
+        assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
+class TestWeightCache:
+    def test_cached_arrays_are_read_only(self):
+        rule, k = QuadratureRule(20), 10 ** 0.6
+        nodes, w, _ = _weights(rule, k)
+        for arr in (nodes, w):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        assert _weights(QuadratureRule(20), k)[1] is w
+
+    def test_checks_run_on_a_cache_hit(self):
+        # K = 20 dB warns at order 20 and K = 40 dB raises; the second call
+        # of each takes the weights from the cache and must do the same.
+        r20 = QuadratureRule(20)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in range(2):
+                ergodic_rate_rician(10.0, 0.0, 100.0, r20)
+                with pytest.raises(ConvergenceError, match="unit mass"):
+                    ergodic_rate_rician(10.0, 0.0, 1e4, r20)
+        assert [type(w.message) for w in caught] == [RuntimeWarning] * 2
+        assert _weights.cache_info().hits >= 2
 
 
 class TestJensenBound:
