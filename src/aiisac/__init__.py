@@ -28,7 +28,6 @@ from .gaussian import (
     ScalarScenario,
     distortion,
     effective_snrs,
-    gen_tradeoff_bound,
     info_to_distortion,
     rate,
     scaling_gap,
@@ -72,7 +71,7 @@ __all__ = [
     "effective_snrs", "enforce_mi_numerically", "equivalent_noise",
     "ergodic_distortion_rayleigh", "ergodic_distortion_rician",
     "ergodic_rate_rayleigh", "ergodic_rate_rician", "fisher_info",
-    "frontier", "gaussian_mi", "gen_tradeoff_bound",
+    "frontier", "gaussian_mi",
     "in_region", "info_to_distortion", "jensen_upper_bound",
     "kappa", "kkt_power_split", "kkt_residual_check",
     "mimo_rate", "monte_carlo_oracle", "objective", "optimize_alpha",

@@ -90,7 +90,7 @@ def enforce_mi_numerically(power: float, target_c_ai: float, tol: float) -> floa
     # Solve in u = ln(N_z) so the bracket spans many decades safely.
     def gap(u: float) -> float:
         try:
-            return math.log2(1.0 + power * math.exp(-u)) - target_c_ai
+            return math.log1p(power * math.exp(-u)) / math.log(2.0) - target_c_ai
         except OverflowError:
             # log2(1 + e^v) with v = ln(P e^-u), which is finite here.
             v = math.log(power) - u

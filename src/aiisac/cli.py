@@ -29,7 +29,7 @@ from .bottleneck import (
 )
 from .config import PRESETS, RunConfig, db_to_linear, parse_config, preset_config
 from .errors import AiIsacError, ConfigError
-from .gaussian import ScalarScenario
+from .gaussian import ScalarScenario, link_snrs
 from .mimo import MimoScenario, rate_surface
 from .numerics import QuadratureRule, RandomStream
 
@@ -188,9 +188,9 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, float, float, bool]]:
     alpha = cfg.alpha_verify
 
     def perf(nz: float) -> tuple[float, float]:
-        gc = sc.gain_c * alpha * sc.power / (sc.noise_c + sc.gain_c * nz)
-        gs = sc.gain_s * (1 - alpha) * sc.power / (sc.noise_s + sc.gain_s * nz)
-        return math.log2(1 + gc), sc.prior_var / (1 + gs)
+        g_c, g_s = link_snrs(sc, nz)
+        return (math.log2(1.0 + alpha * g_c),
+                sc.prior_var / (1.0 + (1.0 - alpha) * g_s))
 
     dev = 0.0
     for c in HALF_BIT_BUDGETS:

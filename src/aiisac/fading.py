@@ -253,15 +253,18 @@ def rayleigh_rate_exact(gamma_bar: float, kappa: float) -> float:
     With beta1 = gamma*(1+kappa) and beta2 = gamma*kappa the average of
     log(1 + x*gamma/(1+x*gamma*kappa)) over a unit-mean exponential gain
     is e^{1/beta1} E1(1/beta1) - e^{1/beta2} E1(1/beta2); the second term
-    vanishes at kappa = 0.
+    vanishes at kappa = 0. Raises DegenerateInputError where beta1
+    overflows.
     """
     _check_snr(gamma_bar)
+    if gamma_bar * (1.0 + kappa) == math.inf:
+        raise DegenerateInputError(f"mean SNR {gamma_bar!r} times 1 + kappa overflows")
 
     def term(beta: float) -> float:
-        # u = inf where beta is 0 or subnormal; e^u E1(u) ~ beta is then
-        # below the smallest normal float and is taken as 0.
+        # 1/beta overflows where beta is 0 or subnormal; e^u E1(u) ~ 1/u is
+        # then beta itself.
         u = 1.0 / beta if beta else math.inf
-        return _exp_e1(u) if u < math.inf else 0.0
+        return _exp_e1(u) if u < math.inf else beta
 
     return (term(gamma_bar * (1.0 + kappa)) - term(gamma_bar * kappa)) / math.log(2.0)
 

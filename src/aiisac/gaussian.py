@@ -52,18 +52,23 @@ class PerfPoint:
             raise ValueError(f"distortion must be positive, got {self.distortion}")
 
 
+def link_snrs(sc: ScalarScenario, nz: float) -> tuple[float, float]:
+    """SNRs gamma_i = |h_i|^2 P / (N_i + |h_i|^2 N_z) of both links at latent
+    noise N_z: the one scalar link model of the package."""
+    return (sc.gain_c * sc.power / (sc.noise_c + sc.gain_c * nz),
+            sc.gain_s * sc.power / (sc.noise_s + sc.gain_s * nz))
+
+
 def effective_snrs(sc: ScalarScenario, budget: AiBudget) -> tuple[float, float]:
-    """Effective SNRs gamma_i = |h_i|^2 P / (N_i + |h_i|^2 N_z) for both links.
+    """link_snrs at the equivalent noise N_z = P / (2^C - 1) of the budget.
 
     The equivalent noise passes through the same channel as the signal, so
-    the bottleneck caps each SNR at 1/kappa. Raises DegenerateInputError
-    where either SNR overflows.
+    the bottleneck caps each SNR at 1/kappa. Zero capacity gives (0, 0).
+    Raises DegenerateInputError where either SNR overflows.
     """
     if budget.c_ai == 0:
         return 0.0, 0.0
-    nz = equivalent_noise(budget, sc.power)
-    g_c = sc.gain_c * sc.power / (sc.noise_c + sc.gain_c * nz)
-    g_s = sc.gain_s * sc.power / (sc.noise_s + sc.gain_s * nz)
+    g_c, g_s = link_snrs(sc, equivalent_noise(budget, sc.power))
     if not (math.isfinite(g_c) and math.isfinite(g_s)):
         raise DegenerateInputError(f"effective SNRs ({g_c}, {g_s}) overflow")
     return g_c, g_s
@@ -91,15 +96,6 @@ def info_to_distortion(info_bits: float, prior_var: float) -> float:
     if prior_var <= 0:
         raise ValueError(f"prior variance must be positive, got {prior_var}")
     return prior_var * 2.0 ** (-info_bits)
-
-
-def gen_tradeoff_bound(mi_data_hypothesis: float, n_tr: int) -> float:
-    """Generalization-error bound sqrt(2 I / n_tr) for an I-bit hypothesis."""
-    if mi_data_hypothesis < 0:
-        raise ValueError("mutual information must be >= 0")
-    if n_tr < 1:
-        raise ValueError(f"training-set size must be >= 1, got {n_tr}")
-    return math.sqrt(2.0 * mi_data_hypothesis / n_tr)
 
 
 def scaling_gap(sc: ScalarScenario, c_grid: list[float]) -> float:

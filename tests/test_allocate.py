@@ -6,7 +6,8 @@ import pytest
 
 from aiisac.allocate import (
     AllocationProblem,
-    _optimal_sensing_power,
+    _sensing_share,
+    _snrs,
     grid_argmax,
     kkt_power_split,
     kkt_residual_check,
@@ -15,8 +16,10 @@ from aiisac.allocate import (
     optimize_alpha,
 )
 from aiisac.bottleneck import AiBudget
+from aiisac.config import PRESETS, preset_config
 from aiisac.errors import DegenerateInputError
 from aiisac.gaussian import ScalarScenario
+from aiisac.region import frontier
 
 TABLE_I = ScalarScenario(power=0.01, gain_c=1.0, gain_s=1.0, noise_c=0.1,
                          noise_s=0.1, prior_var=1.0)
@@ -57,6 +60,25 @@ class TestObjective:
             fd = (objective(prob, a + h) - objective(prob, a - h)) / (2 * h)
             an = objective_gradient(prob, a)
             assert math.isclose(an, fd, rel_tol=1e-6, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("c_ai", [0.5, 4.0, math.inf])
+@pytest.mark.parametrize("mode", ["penalized", "convex"])
+def test_objective_is_the_frontier(preset, c_ai, mode):
+    # Both take their SNRs from gaussian.effective_snrs, so J at each grid
+    # alpha is the frontier's weighted rate and distortion, bit for bit.
+    cfg = preset_config(preset)
+    sc = ScalarScenario(cfg.power, cfg.gain_c, cfg.gain_s, cfg.noise_c,
+                        cfg.noise_s, cfg.prior_var)
+    prob = make_problem(weight=cfg.weight, c_ai=c_ai, mode=mode, scenario=sc,
+                        power=cfg.power)
+    w_r, w_d = (1.0, cfg.weight) if mode == "penalized" else (cfg.weight,
+                                                              1.0 - cfg.weight)
+    front = frontier(sc, AiBudget(c_ai))
+    for a, r, d in zip(front.alphas.tolist(), front.rates().tolist(),
+                       front.distortions().tolist()):
+        assert objective(prob, a) == w_r * r - w_d * d
 
 
 def objective_snr_s(prob):
@@ -106,8 +128,12 @@ class TestOptimizeAlpha:
             assert abs(result.alpha_star - a_grid) <= 2.0 / 2000.0
 
     def test_power_conservation(self):
-        result = optimize_alpha(make_problem(), 0.4)
-        assert math.isclose(result.p_c + result.p_s, 0.01, abs_tol=1e-12)
+        # P_c = alpha P and P_s = (1 - alpha) P add up to P for any alpha in
+        # [0, 1]; the result holds alpha alone.
+        prob = make_problem()
+        result = optimize_alpha(prob, 0.4)
+        assert 0.0 <= result.alpha_star <= 1.0
+        assert result.alpha_star == closed_form_alpha(prob)
 
 
 # A scenario whose interior trade-off is genuine: heavy sensing prior.
@@ -186,9 +212,12 @@ def random_problem(rng):
                         mode=str(rng.choice(["penalized", "convex"])))
 
 
+def sensing_share(prob):
+    return _sensing_share(prob, _snrs(prob))
+
+
 def closed_form_alpha(prob):
-    p = prob.total_power
-    return (p - _optimal_sensing_power(prob)) / p
+    return 1.0 - sensing_share(prob)
 
 
 class TestClosedForm:
@@ -219,10 +248,10 @@ class TestClosedForm:
 
     def test_linear_edge_cases(self):
         # w_d = 0: all power to communication; w_r = 0: all to sensing.
-        assert _optimal_sensing_power(make_problem(weight=0.0)) == 0.0
-        assert _optimal_sensing_power(make_problem(weight=1.0, mode="convex")) == 0.0
+        assert sensing_share(make_problem(weight=0.0)) == 0.0
+        assert sensing_share(make_problem(weight=1.0, mode="convex")) == 0.0
+        assert sensing_share(make_problem(weight=0.0, mode="convex")) == 1.0
         prob = make_problem(weight=0.0, mode="convex")
-        assert _optimal_sensing_power(prob) == prob.total_power
         assert optimize_alpha(prob, 0.5).alpha_star == 0.0
 
     @pytest.mark.parametrize("link, alpha", [("c", 0.0), ("s", 1.0)])
@@ -277,14 +306,27 @@ class TestClosedForm:
         assert result.trace[1][2] >= result.trace[0][2]
 
     def test_unresolvable_split_raises(self):
-        # With no latent noise the optimal sensing power is about 5e-150 of
-        # the total: positive, yet 1 - P_s / P rounds to 1.
+        # With no latent noise the optimal sensing share is about 5e-150:
+        # positive, yet 1 - share rounds to 1.
         sc = ScalarScenario(power=0.01, gain_c=1.0, gain_s=1e300, noise_c=0.1,
                             noise_s=0.1, prior_var=1.0)
         prob = make_problem(c_ai=math.inf, scenario=sc)
-        assert 0.0 < _optimal_sensing_power(prob) < 1e-140
+        assert 0.0 < sensing_share(prob) < 1e-140
         with pytest.raises(DegenerateInputError):
             optimize_alpha(prob, 0.4)
+
+    @pytest.mark.parametrize("gain_c, gain_s, prior_var", [
+        (1.0, 1.0, 1e200), (1e300, 1e-10, 1.0)], ids=["b_squared", "ratio"])
+    def test_overflowing_quadratic_falls_back_to_brent(self, gain_c, gain_s,
+                                                       prior_var):
+        # (k r)^2 or r = g_c / g_s overflows: the closed form gave share 0,
+        # so alpha0 was kept (a prior of 1e200 wants alpha = 0), or nan.
+        sc = ScalarScenario(power=1.0, gain_c=gain_c, gain_s=gain_s,
+                            noise_c=1e-5, noise_s=0.1, prior_var=prior_var)
+        prob = make_problem(c_ai=math.inf, scenario=sc, power=1.0)
+        result = optimize_alpha(prob, 0.4)
+        assert result.alpha_star == kkt_power_split(prob)[0]
+        assert result.alpha_star == grid_argmax(prob, 101)[0]
 
     def test_distortion_slope_does_not_overflow(self):
         # A sensing SNR of 1e299 squares past the float range: the slope of

@@ -84,6 +84,16 @@ class TestEnforceMi:
         assert math.isclose(nz, equivalent_noise(AiBudget(c), power),
                             rel_tol=1e-12)
 
+    @pytest.mark.parametrize("power, c, rel", [(1.0, 1e-8, 1e-14),
+                                               (1e-300, 1e-10, 1e-13)])
+    def test_small_target(self, power, c, rel):
+        # log2(1 + P e^-u) carried the rounding of 1 + x into the root: N_z
+        # was off by 1.4e-8 and 7.6e-7 relative here, with log1p by 2e-16
+        # and 2.7e-14.
+        nz = enforce_mi_numerically(power, c, 1e-12)
+        ref = equivalent_noise(AiBudget(c), power)
+        assert abs(nz - ref) <= rel * ref
+
 
 class TestCovarianceMap:
     def test_identity_two_bits(self):

@@ -171,7 +171,11 @@ class TestCommands:
     # sha256 of CSVs, which rest on libm and IEEE arithmetic only: frontier's
     # as written before frontier and in_region ran over alpha arrays,
     # allocate's as written since it solves the stationarity quadratic in
-    # closed form (a start row and an optimum row, not 50 gradient steps),
+    # closed form (a start row and an optimum row, not 50 gradient steps);
+    # allocate's tableI-normalized and off-preset rows as written since its
+    # SNRs come from gaussian.effective_snrs and enforce_mi_numerically
+    # takes log1p (kkt_residual moved by rounding noise, about 1e-16, and
+    # the off-preset MI column by 2 ulp; alpha_star and J_star unchanged),
     # mimo-surface's as written per grid point, before it ran as one pass
     # over its whole grid, gaussian-sweep's as written since its Gauss rules
     # come from numpy.polynomial (each cell within 4e-15 relative of the
@@ -195,7 +199,7 @@ class TestCommands:
         ("allocate", "tableI-dbm",
          "7e1c9fcd16cc00ce078eeb283aa0dc4b529d93d46faa058184dc001c3f06706c"),
         ("allocate", "tableI-normalized",
-         "db8eaf7d8e75907ace0ed75aafb8f95f3eecf867182b851314acfc5ae8072c94"),
+         "015da08d249f18871ba9f9baf659f6f25591bfa406f4605e1679cf0e0faad22e"),
         ("gaussian-sweep", "off-preset",
          "62a24520e10836e3b3c0a506406466efc8fbba0a5c93806db4397c004e5bf1a9"),
         ("frontier", "off-preset",
@@ -203,7 +207,7 @@ class TestCommands:
         ("mimo-surface", "off-preset",
          "69a2ff0f2ae81125226531a6d1708277d641f22bd0d87bef980d09cb3e932c8a"),
         ("allocate", "off-preset",
-         "0136c728cfd331d5a1e9c77e64251313db2ed4af6e784e52a3121c4d61f07ff6"),
+         "f07d3e394953fa16c747edcfbee014748d43de439bdfb61facbc29b851a55718"),
     ])
     def test_csv_bytes_unchanged(self, command, preset, digest, tmp_path):
         out = tmp_path / "out.csv"
@@ -412,10 +416,15 @@ def test_fuzzed_config_exits_cleanly(fields, command, tmp_path):
     ("frontier", {"power": 1e300, "noise_c": 1e-300}, 1),
     ("allocate", {"power": 1e-300, "alloc_c_ai": 70.0}, 1),
     ("verify", {"power": 1e-300, "alloc_c_ai": 1000.0}, 1),
+    ("allocate", {"gain_c": 1e300, "noise_c": 1e-5, "gain_s": 1e-10,
+                  "alloc_c_ai": math.inf}, 0),
+    ("verify", {"gain_c": 1e300, "noise_c": 1e-5, "gain_s": 1e-10,
+                "alloc_c_ai": math.inf}, 0),
 ])
 def test_known_configs_exit_cleanly(command, fields, code, tmp_path):
     # Configs that ended in an OverflowError traceback (allocate, verify),
     # or in 201 inf-rate rows and nan cells (frontier) before. In the last
     # two, N_z = P/(2^C - 1) lies below the normal range: allocate wrote an
     # achieved MI of 70.0037 for 70 bits, and verify a FAIL on an MI of inf.
+    # In the last two, g_c / g_s overflows: allocate wrote a nan optimum.
     assert _exit_code_of_clean_run(command, fields, tmp_path) == code

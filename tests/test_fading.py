@@ -70,6 +70,20 @@ class TestRayleigh:
         assert math.isclose(rayleigh_rate_exact(g, 0.0), g / math.log(2.0),
                             rel_tol=1e-12)
 
+    @pytest.mark.parametrize("g, kap", [(1e300, 1e300), (1e308, 1.0)])
+    def test_exact_overflow_is_an_error(self, g, kap):
+        # gamma (1 + kappa) overflows: e^u E1(u) at u = 0 hit log(0) and
+        # raised a bare ValueError.
+        with pytest.raises(DegenerateInputError):
+            rayleigh_rate_exact(g, kap)
+
+    def test_exact_at_subnormal_beta(self):
+        # 1 / beta overflows for a subnormal beta; its term is beta, not 0.
+        # Subnormals carry fewer digits, hence the looser tolerance.
+        for kap in (0.0, 1.0):
+            assert math.isclose(rayleigh_rate_exact(1e-310, kap),
+                                1e-310 / math.log(2.0), rel_tol=1e-9)
+
     def test_small_snr_vanishes(self):
         assert ergodic_rate_rayleigh(1e-12, 0.0, RULE) < 1e-10
 

@@ -11,7 +11,6 @@ from aiisac.gaussian import (
     ScalarScenario,
     distortion,
     effective_snrs,
-    gen_tradeoff_bound,
     info_to_distortion,
     rate,
     scaling_gap,
@@ -114,15 +113,3 @@ class TestScalingGap:
         sc = ScalarScenario(1.0, 0.0, 1.0, 0.1, 0.1, 1.0)
         with pytest.raises(DegenerateFitError):
             scaling_gap(sc, [4.0, 5.0, 6.0, 7.0])
-
-
-class TestGenBound:
-    def test_values(self):
-        assert gen_tradeoff_bound(0.0, 10) == 0.0
-        assert math.isclose(gen_tradeoff_bound(2.0, 100), 0.2, rel_tol=1e-15)
-        assert math.isclose(gen_tradeoff_bound(8.0, 2), math.sqrt(8.0),
-                            rel_tol=1e-15)
-
-    def test_monotonicity(self):
-        assert gen_tradeoff_bound(3.0, 50) > gen_tradeoff_bound(2.0, 50)
-        assert gen_tradeoff_bound(3.0, 50) > gen_tradeoff_bound(3.0, 100)
