@@ -28,7 +28,6 @@ from .gaussian import (
     ScalarScenario,
     distortion,
     effective_snrs,
-    info_to_distortion,
     rate,
     scaling_gap,
 )
@@ -36,14 +35,10 @@ from .fading import (
     FadingModel,
     MonteCarloEstimate,
     conditional_snr,
-    ergodic_distortion_rayleigh,
-    ergodic_distortion_rician,
-    ergodic_rate_rayleigh,
-    ergodic_rate_rician,
-    jensen_upper_bound,
+    ergodic_distortion,
+    ergodic_rate,
     monte_carlo_oracle,
     rayleigh_rate_exact,
-    rician_moment_matched,
 )
 from .mimo import MimoScenario, crlb, fisher_info, mimo_rate, rate_surface
 from .numerics import QuadratureRule, RandomStream
@@ -69,13 +64,10 @@ __all__ = [
     "SingularMatrixError", "UnobservableParameterError", "achieved_mi",
     "conditional_snr", "covariance_map", "crlb", "distortion",
     "effective_snrs", "enforce_mi_numerically", "equivalent_noise",
-    "ergodic_distortion_rayleigh", "ergodic_distortion_rician",
-    "ergodic_rate_rayleigh", "ergodic_rate_rician", "fisher_info",
-    "frontier", "gaussian_mi",
-    "in_region", "info_to_distortion", "jensen_upper_bound",
+    "ergodic_distortion", "ergodic_rate", "fisher_info",
+    "frontier", "gaussian_mi", "in_region",
     "kappa", "kkt_power_split", "kkt_residual_check",
     "mimo_rate", "monte_carlo_oracle", "objective", "optimize_alpha",
     "parse_config", "preset_config", "rate", "rate_surface",
-    "rayleigh_rate_exact", "rician_moment_matched", "scaling_gap",
-    "separated_baseline",
+    "rayleigh_rate_exact", "scaling_gap", "separated_baseline",
 ]

@@ -90,8 +90,15 @@ def _stationarity(problem: AllocationProblem, snrs: tuple[float, float],
 
 def _residual(problem: AllocationProblem, snrs: tuple[float, float],
               alpha: float) -> float:
-    """|dJ/dP_c|: the stationarity mismatch per watt of the split."""
-    return abs(_stationarity(problem, snrs, alpha)) / problem.total_power
+    """The projected stationarity mismatch per watt of the split: |dJ/dP_c|
+    inside (0, 1), and at an end only a slope that points back into the
+    split (J rising away from alpha = 0 or falling towards alpha = 1)."""
+    slope = _stationarity(problem, snrs, alpha)
+    if alpha == 1.0:
+        slope = min(slope, 0.0)
+    elif alpha == 0.0:
+        slope = max(slope, 0.0)
+    return abs(slope) / problem.total_power
 
 
 def objective(problem: AllocationProblem, alpha: float) -> float:
@@ -107,7 +114,10 @@ def objective_gradient(problem: AllocationProblem, alpha: float) -> float:
 
 
 def kkt_residual_check(problem: AllocationProblem, p_c: float) -> float:
-    """Absolute stationarity mismatch |w_r dR/dP_c - w_d (-dD/dP_s)|."""
+    """KKT mismatch at P_c: the stationarity mismatch
+    |w_r dR/dP_c - w_d (-dD/dP_s)| for 0 < P_c < P, its positive part
+    max(., 0) at P_c = 0 and its negative part at P_c = P, where a slope
+    pointing out of [0, P] is no violation."""
     if not 0.0 <= p_c <= problem.total_power:
         raise ValueError("P_c must lie in [0, total power]")
     return _residual(problem, _snrs(problem), p_c / problem.total_power)

@@ -92,15 +92,12 @@ def cmd_gaussian_sweep(cfg: RunConfig, out: str | None) -> int:
     if c_pos:
         # One call per column, over every capacity c > 0 at once.
         kaps = np.array([kappa(AiBudget(c)) for c in c_pos])
-        cols = [
-            fading.conditional_snr(1.0, g_c, kaps),
-            fading.ergodic_rate_rayleigh(g_c, kaps, rule),
-            fading.ergodic_rate_rician(g_c, kaps, k, rule),
-            fading.conditional_snr(1.0, g_s, kaps),
-            fading.ergodic_distortion_rayleigh(g_s, kaps, pv, rule),
-            fading.ergodic_distortion_rician(g_s, kaps, k, pv, rule),
-        ]
-        for c, snr_c, r_ray, r_ric, snr_s, d_ray, d_ric in zip(
+        ks = (0.0, k)  # Rayleigh is Rician at K = 0
+        cols = [fading.conditional_snr(1.0, g_c, kaps),
+                fading.conditional_snr(1.0, g_s, kaps),
+                *(fading.ergodic_rate(g_c, kaps, kf, rule) for kf in ks),
+                *(fading.ergodic_distortion(g_s, kaps, kf, pv, rule) for kf in ks)]
+        for c, snr_c, snr_s, r_ray, r_ric, d_ray, d_ric in zip(
                 c_pos, *(col.tolist() for col in cols)):
             rows.append((c, math.log2(1.0 + snr_c), r_ray, r_ric,
                          pv / (1.0 + snr_s), d_ray, d_ric))
@@ -215,7 +212,7 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, float, float, bool]]:
     # Rayleigh quadrature against the exponential-integral closed form.
     rule = QuadratureRule(128)
     g = cfg.mean_snr_c()
-    anchor_dev = abs(fading.ergodic_rate_rayleigh(g, 0.0, rule)
+    anchor_dev = abs(fading.ergodic_rate(g, 0.0, 0.0, rule)
                      - fading.rayleigh_rate_exact(g, 0.0))
     checks.append(("rayleigh_anchor_dev", anchor_dev, 1e-6, anchor_dev <= 1e-6))
 

@@ -1,18 +1,19 @@
 """Ergodic rate and average distortion over fading channels.
 
-The channel power gain x is unit-mean exponential (Rayleigh), non-central
-chi-square with unit scattered power (Rician, mean 1+K), or a point mass
-(AWGN).  Fading averages integrate by the order-M composite rule of the
+ergodic_rate and ergodic_distortion average the rate and the MMSE over the
+channel power gain x: non-central chi-square with unit scattered power and
+K-factor K (Rician, mean 1+K), which at K = 0 is the unit-mean exponential
+(Rayleigh).  Both integrate by the order-M composite rule of the
 QuadratureRule they are given (QuadratureRule.graded):
 M // 2 Gauss-Legendre nodes on [0, a] in the graded variable x = a s^2,
-and the rest Gauss-Laguerre nodes on [a, inf), where a is the model's mean
-gain (1 for Rayleigh, 1 + K for Rician) and the tail is stretched by the
-gain's standard deviation sqrt(1 + 2K).  At K = 0 both rules are the same.
-Plain Gauss-Laguerre cannot resolve log(1 + x snr) near x = 1/snr at high
-mean SNR (the integrand is singular just left of the origin) and missed the
-Rayleigh closed form by 3.3e-2 bits at M = 20 and 2.2e-3 bits at M = 128
-for mean SNRs up to 25 dB; the composite rule misses it by 3.8e-5 bits at
-M = 20, 8.5e-8 at M = 40 and 1e-11 at M >= 80.  Every average checks that
+and the rest Gauss-Laguerre nodes on [a, inf), where a is the mean gain
+1 + K and the tail is stretched by the gain's standard deviation
+sqrt(1 + 2K).  Plain Gauss-Laguerre cannot resolve log(1 + x snr) near
+x = 1/snr at high mean SNR (the integrand is singular just left of the
+origin) and missed the Rayleigh closed form by 3.3e-2 bits at M = 20 and
+2.2e-3 bits at M = 128 for mean SNRs up to 25 dB; the composite rule
+misses it by 3.8e-5 bits at M = 20, 8.5e-8 at M = 40 and 1e-11 at
+M >= 80.  Every average checks that
 its weights integrate the gain density to one; it warns where they miss by
 a little and raises ConvergenceError where they miss by more than 1e-2.
 An array of kappas is averaged as one column: the weights are built once
@@ -81,21 +82,16 @@ _EPS = math.ulp(1.0)
 
 @dataclass(frozen=True)
 class FadingModel:
-    """Channel gain distribution: "awgn", "rayleigh", or "rician".
-
-    AWGN carries a fixed power gain; Rician carries a K-factor with unit
-    scattered power, so its mean gain is 1 + K.
+    """Channel gain distribution for the Monte-Carlo oracle: "rayleigh", or
+    "rician" with a K-factor and unit scattered power, so mean gain 1 + K.
     """
 
     kind: str
-    gain: float = 1.0
     k_factor: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("awgn", "rayleigh", "rician"):
+        if self.kind not in ("rayleigh", "rician"):
             raise ValueError(f"unknown fading kind {self.kind!r}")
-        if self.kind == "awgn" and self.gain < 0:
-            raise ValueError("awgn gain must be >= 0")
         if self.kind == "rician" and self.k_factor < 0:
             raise ValueError("rician K-factor must be >= 0")
 
@@ -169,8 +165,11 @@ def _average(values_at, k_factor: float, rule: QuadratureRule):
     about m times its values, so every call, cached weights or not, raises
     ConvergenceError where m exceeds DENSITY_FAIL, and otherwise issues a
     RuntimeWarning where m * max(1, max |values|) exceeds DENSITY_TOL.
-    A value that is not finite raises DegenerateInputError.
+    A value that is not finite raises DegenerateInputError, and a negative
+    K-factor ValueError.
     """
+    if not k_factor >= 0.0:
+        raise ValueError(f"K-factor must be >= 0, got {k_factor}")
     nodes, w, miss = _weights(rule, k_factor)
     with np.errstate(over="ignore", invalid="ignore"):
         values = values_at(nodes)
@@ -194,57 +193,29 @@ def _average(values_at, k_factor: float, rule: QuadratureRule):
     return np.array([np.dot(w, row) for row in values])
 
 
-def _rate_bits(gamma_bar: float, kappa: float | np.ndarray):
-    kap = np.asarray(kappa, dtype=float)[..., None]
-    return lambda x: np.log1p(conditional_snr(x, gamma_bar, kap)) / math.log(2.0)
-
-
-def _mmse(gamma_bar: float, kappa: float | np.ndarray, prior_var: float):
-    if prior_var <= 0:
-        raise ValueError("prior variance must be positive")
-    kap = np.asarray(kappa, dtype=float)[..., None]
-    return lambda x: prior_var / (1.0 + conditional_snr(x, gamma_bar, kap))
-
-
-def _check_k(k_factor: float) -> None:
-    if k_factor < 0:
-        raise ValueError("rician K-factor must be >= 0")
-
-
-def ergodic_rate_rayleigh(
-    gamma_bar: float, kappa: float | np.ndarray, rule: QuadratureRule
-) -> float | np.ndarray:
-    """Rayleigh ergodic rate, bits per use, by the composite rule of order
-    rule.order split at the mean gain 1."""
-    return _average(_rate_bits(gamma_bar, kappa), 0.0, rule)
-
-
-def ergodic_distortion_rayleigh(
-    gamma_bar: float, kappa: float | np.ndarray, prior_var: float, rule: QuadratureRule
-) -> float | np.ndarray:
-    """Fading-averaged MMSE distortion E[prior_var / (1 + snr(x))] by the
-    composite rule of order rule.order split at the mean gain 1."""
-    return _average(_mmse(gamma_bar, kappa, prior_var), 0.0, rule)
-
-
-def ergodic_rate_rician(
+def ergodic_rate(
     gamma_bar: float, kappa: float | np.ndarray, k_factor: float, rule: QuadratureRule
 ) -> float | np.ndarray:
-    """Rician ergodic rate: the non-central chi-square average, bits per
-    use, by the composite rule of order rule.order split at the mean gain
-    1 + K."""
-    _check_k(k_factor)
-    return _average(_rate_bits(gamma_bar, kappa), k_factor, rule)
+    """Ergodic rate E[log2(1 + snr(x))], bits per use, over the Rician gain
+    with K-factor k_factor (K = 0 is Rayleigh), by the composite rule of
+    order rule.order split at the mean gain 1 + K."""
+    kap = np.asarray(kappa, dtype=float)[..., None]
+    return _average(lambda x: np.log1p(conditional_snr(x, gamma_bar, kap)) / math.log(2.0),
+                    k_factor, rule)
 
 
-def ergodic_distortion_rician(
+def ergodic_distortion(
     gamma_bar: float, kappa: float | np.ndarray, k_factor: float,
     prior_var: float, rule: QuadratureRule,
 ) -> float | np.ndarray:
-    """Rician fading-averaged MMSE distortion by the composite rule of order
-    rule.order split at the mean gain 1 + K."""
-    _check_k(k_factor)
-    return _average(_mmse(gamma_bar, kappa, prior_var), k_factor, rule)
+    """Fading-averaged MMSE distortion E[prior_var / (1 + snr(x))] over the
+    Rician gain with K-factor k_factor (K = 0 is Rayleigh), by the composite
+    rule of order rule.order split at the mean gain 1 + K."""
+    if prior_var <= 0:
+        raise ValueError("prior variance must be positive")
+    kap = np.asarray(kappa, dtype=float)[..., None]
+    return _average(lambda x: prior_var / (1.0 + conditional_snr(x, gamma_bar, kap)),
+                    k_factor, rule)
 
 
 def rayleigh_rate_exact(gamma_bar: float, kappa: float) -> float:
@@ -301,26 +272,6 @@ def _exp_e1(u: float) -> float:
     return total
 
 
-def rician_moment_matched(gamma_bar: float, kappa: float, k_factor: float) -> float:
-    """Moment-matched Rician rate log2(1 + snr at the mean gain 1+K)."""
-    _check_k(k_factor)
-    return math.log2(1.0 + conditional_snr(1.0 + k_factor, gamma_bar, kappa))
-
-
-def jensen_upper_bound(
-    model: FadingModel, gamma_bar: float, kappa: float, rule: QuadratureRule
-) -> float:
-    """Jensen bound log2(1 + E[snr(x)]) for the given gain distribution,
-    with E taken by the composite rule of order rule.order for fading
-    models."""
-    if model.kind == "awgn":
-        mean_snr = conditional_snr(model.gain, gamma_bar, kappa)
-    else:
-        k = model.k_factor if model.kind == "rician" else 0.0
-        mean_snr = _average(lambda x: conditional_snr(x, gamma_bar, kappa), k, rule)
-    return math.log2(1.0 + mean_snr)
-
-
 class MonteCarloEstimate(NamedTuple):
     rate: float
     distortion: float
@@ -329,8 +280,6 @@ class MonteCarloEstimate(NamedTuple):
 
 
 def _sample_gains(model: FadingModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    if model.kind == "awgn":
-        return np.full(n, model.gain)
     if model.kind == "rayleigh":
         return rng.exponential(1.0, size=n)
     mu = math.sqrt(model.k_factor)

@@ -86,18 +86,6 @@ def distortion(sc: ScalarScenario, budget: AiBudget) -> float:
     return sc.prior_var / (1.0 + g_s)
 
 
-def info_to_distortion(info_bits: float, prior_var: float) -> float:
-    """MMSE distortion achievable from a given sensing mutual information.
-
-    The Gaussian rate-distortion relation gives prior_var * 2^(-I).
-    """
-    if info_bits < 0:
-        raise ValueError(f"mutual information must be >= 0, got {info_bits}")
-    if prior_var <= 0:
-        raise ValueError(f"prior variance must be positive, got {prior_var}")
-    return prior_var * 2.0 ** (-info_bits)
-
-
 def scaling_gap(sc: ScalarScenario, c_grid: list[float]) -> float:
     """Fitted slope of log2(R_inf - R(C)) versus C.
 

@@ -33,10 +33,8 @@ from aiisac.config import RunConfig
 from aiisac.fading import (
     FadingModel,
     conditional_snr,
-    ergodic_distortion_rayleigh,
-    ergodic_distortion_rician,
-    ergodic_rate_rayleigh,
-    ergodic_rate_rician,
+    ergodic_distortion,
+    ergodic_rate,
     monte_carlo_oracle,
     rayleigh_rate_exact,
 )
@@ -65,8 +63,8 @@ def test_criterion_01_quadrature_accuracy():
         gamma = 10 ** (g_db / 10)
         for c in (0.5, 1.0, 2.0, 4.0, 8.0):
             kap = kappa(AiBudget(c))
-            dev = abs(ergodic_rate_rayleigh(gamma, kap, r20)
-                      - ergodic_rate_rayleigh(gamma, kap, r80))
+            dev = abs(ergodic_rate(gamma, kap, 0.0, r20)
+                      - ergodic_rate(gamma, kap, 0.0, r80))
             worst = max(worst, dev)
     passed = worst <= 1e-4
     report(1, passed, f"max |M=20 − M=80| = {worst:.3e}, tol 1e-4")
@@ -75,7 +73,7 @@ def test_criterion_01_quadrature_accuracy():
 
 def test_criterion_02_rayleigh_closed_form_anchor():
     """Quadrature matches the exponential-integral closed form at SNR 10."""
-    got = ergodic_rate_rayleigh(10.0, 0.0, RULE)
+    got = ergodic_rate(10.0, 0.0, 0.0, RULE)
     want = rayleigh_rate_exact(10.0, 0.0)
     dev = abs(got - want)
     passed = dev <= 1e-6
@@ -99,11 +97,11 @@ def test_criterion_03_monte_carlo_agreement():
                                          stream.split(idx))
                 idx += 1
                 if model.kind == "rayleigh":
-                    qr = ergodic_rate_rayleigh(gamma, kap, RULE)
-                    qd = ergodic_distortion_rayleigh(gamma, kap, 1.0, RULE)
+                    qr = ergodic_rate(gamma, kap, 0.0, RULE)
+                    qd = ergodic_distortion(gamma, kap, 0.0, 1.0, RULE)
                 else:
-                    qr = ergodic_rate_rician(gamma, kap, k6, RULE)
-                    qd = ergodic_distortion_rician(gamma, kap, k6, 1.0, RULE)
+                    qr = ergodic_rate(gamma, kap, k6, RULE)
+                    qd = ergodic_distortion(gamma, kap, k6, 1.0, RULE)
                 worst_r = max(worst_r, abs(est.rate - qr))
                 worst_d = max(worst_d, abs(est.distortion - qd))
     passed = worst_r <= 3e-3 and worst_d <= 3e-3
@@ -161,11 +159,11 @@ def test_criterion_06_fading_ordering():
     for c in np.arange(0.25, 8.25, 0.25):
         kap = kappa(AiBudget(float(c)))
         r_awgn = math.log2(1 + conditional_snr(1.0, gamma, kap))
-        r_ray = ergodic_rate_rayleigh(gamma, kap, RULE)
-        r_ric = ergodic_rate_rician(gamma, kap, k6, RULE)
+        r_ray = ergodic_rate(gamma, kap, 0.0, RULE)
+        r_ric = ergodic_rate(gamma, kap, k6, RULE)
         d_awgn = 1.0 / (1 + conditional_snr(1.0, gamma, kap))
-        d_ray = ergodic_distortion_rayleigh(gamma, kap, 1.0, RULE)
-        d_ric = ergodic_distortion_rician(gamma, kap, k6, 1.0, RULE)
+        d_ray = ergodic_distortion(gamma, kap, 0.0, 1.0, RULE)
+        d_ric = ergodic_distortion(gamma, kap, k6, 1.0, RULE)
         ok &= r_ric >= r_awgn - 1e-12 >= r_ray - 2e-12
         ok &= r_awgn >= r_ray - 1e-12
         ok &= d_ric <= d_awgn + 1e-12 <= d_ray + 2e-12

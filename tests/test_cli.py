@@ -107,6 +107,21 @@ class TestCommands:
         assert all(b >= a for a, b in zip(objs, objs[1:]))
         assert abs(float(rows[-1][1]) - 1.0) <= 2e-3
 
+    @pytest.mark.parametrize("text, alpha_star", [("", "1"), ("noise_c = 1\n", "0")],
+                             ids=["tableI-dbm", "noise_c_1"])
+    def test_boundary_optimum_has_zero_kkt_residual(self, text, alpha_star,
+                                                    tmp_path):
+        # dJ/dP_c is +10.06 at tableI-dbm's optimum alpha = 1 and -1.02 at
+        # noise_c = 1's optimum alpha = 0: both slopes point out of the
+        # split, so neither is a KKT violation.
+        cfg = tmp_path / "b.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "alloc.csv"
+        assert main(["allocate", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = out.read_text().splitlines()[0]
+        assert f"alpha_star = {alpha_star}," in summary
+        assert summary.endswith("kkt_residual = 0")
+
     def test_verify_passes(self, tmp_path):
         out = tmp_path / "report.txt"
         assert main(["verify", "--out", str(out)]) == 0
@@ -176,6 +191,10 @@ class TestCommands:
     # SNRs come from gaussian.effective_snrs and enforce_mi_numerically
     # takes log1p (kkt_residual moved by rounding noise, about 1e-16, and
     # the off-preset MI column by 2 ulp; alpha_star and J_star unchanged),
+    # allocate's tableI-dbm row as written since kkt_residual is projected
+    # onto the split's bounds (its optimum alpha = 1 read the unconstrained
+    # slope, 10.056268521557097, where it now reads 0; alpha_star and J_star
+    # unchanged),
     # mimo-surface's as written per grid point, before it ran as one pass
     # over its whole grid, gaussian-sweep's as written since its Gauss rules
     # come from numpy.polynomial (each cell within 4e-15 relative of the
@@ -197,7 +216,7 @@ class TestCommands:
         ("frontier", "tableI-normalized",
          "8279fff928c91caaad86532e665231def644d69d66f8fa87145581ad971441bf"),
         ("allocate", "tableI-dbm",
-         "7e1c9fcd16cc00ce078eeb283aa0dc4b529d93d46faa058184dc001c3f06706c"),
+         "769362c11405bbc752273fc68856add5ad001cc86d6466c0984e49bdfc81c8c7"),
         ("allocate", "tableI-normalized",
          "015da08d249f18871ba9f9baf659f6f25591bfa406f4605e1679cf0e0faad22e"),
         ("gaussian-sweep", "off-preset",

@@ -12,20 +12,22 @@ from aiisac.fading import (
     _i0e,
     _weights,
     conditional_snr,
-    ergodic_distortion_rayleigh,
-    ergodic_distortion_rician,
-    ergodic_rate_rayleigh,
-    ergodic_rate_rician,
-    jensen_upper_bound,
+    ergodic_distortion,
+    ergodic_rate,
     monte_carlo_oracle,
     rayleigh_rate_exact,
-    rician_moment_matched,
 )
 from aiisac.errors import ConvergenceError, DegenerateInputError
 from aiisac.numerics import QuadratureRule, RandomStream
 
 RULE = QuadratureRule(128)
 RULE40 = QuadratureRule(40)
+
+
+def _rate_at_mean_gain(gamma, kap, k):
+    """log2(1 + snr) at the mean gain 1 + K: by Jensen, as the rate is
+    concave in the gain, an upper bound on the ergodic rate."""
+    return math.log2(1.0 + conditional_snr(1.0 + k, gamma, kap))
 
 
 class TestConditionalSnr:
@@ -40,18 +42,18 @@ class TestConditionalSnr:
     def test_ceiling_bounds_rate(self):
         kap = 1.0 / 15.0
         for gamma in (0.1, 1.0, 10.0, 100.0):
-            assert ergodic_rate_rayleigh(gamma, kap, RULE) <= math.log2(1 + 1 / kap)
+            assert ergodic_rate(gamma, kap, 0.0, RULE) <= math.log2(1 + 1 / kap)
 
 
 class TestRayleigh:
     def test_exact_anchor(self):
-        got = ergodic_rate_rayleigh(10.0, 0.0, RULE)
+        got = ergodic_rate(10.0, 0.0, 0.0, RULE)
         want = rayleigh_rate_exact(10.0, 0.0)
         assert abs(got - want) <= 1e-6
 
     def test_exact_formula_with_bottleneck(self):
         # Closed form holds for kappa > 0 too; quadrature must track it.
-        got = ergodic_rate_rayleigh(10.0, 1.0 / 15.0, RULE)
+        got = ergodic_rate(10.0, 1.0 / 15.0, 0.0, RULE)
         want = rayleigh_rate_exact(10.0, 1.0 / 15.0)
         assert abs(got - want) <= 1e-6
 
@@ -85,38 +87,42 @@ class TestRayleigh:
                                 1e-310 / math.log(2.0), rel_tol=1e-9)
 
     def test_small_snr_vanishes(self):
-        assert ergodic_rate_rayleigh(1e-12, 0.0, RULE) < 1e-10
+        assert ergodic_rate(1e-12, 0.0, 0.0, RULE) < 1e-10
 
     def test_distortion_limits(self):
-        assert abs(ergodic_distortion_rayleigh(1e-12, 0.0, 1.0, RULE) - 1.0) < 1e-10
-        d1 = ergodic_distortion_rayleigh(1.0, 0.0, 1.0, RULE)
-        d2 = ergodic_distortion_rayleigh(2.0, 0.0, 1.0, RULE)
+        assert abs(ergodic_distortion(1e-12, 0.0, 0.0, 1.0, RULE) - 1.0) < 1e-10
+        d1 = ergodic_distortion(1.0, 0.0, 0.0, 1.0, RULE)
+        d2 = ergodic_distortion(2.0, 0.0, 0.0, 1.0, RULE)
         assert d2 < d1 < 1.0
 
 
 class TestRician:
-    def test_k_zero_reduces_to_rayleigh(self):
-        for gamma, kap in [(10.0, 0.0), (3.0, 1.0 / 15.0)]:
-            assert abs(ergodic_rate_rician(gamma, kap, 0.0, RULE40)
-                       - ergodic_rate_rayleigh(gamma, kap, RULE40)) <= 1e-10
-            assert abs(ergodic_distortion_rician(gamma, kap, 0.0, 1.0, RULE40)
-                       - ergodic_distortion_rayleigh(gamma, kap, 1.0, RULE40)) <= 1e-10
-
     def test_rate_increasing_in_k(self):
-        rates = [ergodic_rate_rician(10.0, 0.0, k, RULE)
+        rates = [ergodic_rate(10.0, 0.0, k, RULE)
                  for k in (0.0, 1.0, 2.0, 4.0, 8.0)]
         assert all(a < b for a, b in zip(rates, rates[1:]))
 
     def test_large_k_no_overflow(self):
-        val = ergodic_rate_rician(10.0, 0.0, 1000.0, RULE)
+        val = ergodic_rate(10.0, 0.0, 1000.0, RULE)
         assert math.isfinite(val)
+
+    @pytest.mark.parametrize("average, match", [
+        (lambda: ergodic_rate(10.0, 0.0, -1e-3, RULE40), "K-factor"),
+        (lambda: ergodic_distortion(10.0, 0.0, -1e-3, 1.0, RULE40), "K-factor"),
+        (lambda: ergodic_distortion(10.0, 0.0, 4.0, 0.0, RULE40), "prior"),
+        (lambda: ergodic_distortion(10.0, 0.0, 0.0, -1.0, RULE40), "prior"),
+    ], ids=["rate_negative_k", "distortion_negative_k", "zero_prior",
+            "negative_prior"])
+    def test_invalid_argument_raises(self, average, match):
+        with pytest.raises(ValueError, match=match):
+            average()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_large_k_near_moment_matched(self):
         # At K = 1000 the gain hardly fades: the average sits just under
         # the moment-matched (Jensen) value, not at 0.
-        val = ergodic_rate_rician(10.0, 0.0, 1000.0, RULE)
-        bound = rician_moment_matched(10.0, 0.0, 1000.0)
+        val = ergodic_rate(10.0, 0.0, 1000.0, RULE)
+        bound = _rate_at_mean_gain(10.0, 0.0, 1000.0)
         assert bound - 2e-3 <= val <= bound
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -130,41 +136,33 @@ class TestRician:
         for g_db in (-5.0, 0.0, 10.0, 20.0, 25.0):
             g = 10 ** (g_db / 10)
             for kap in (0.0, 1.0 / 15.0, 1.0 / 255.0):
-                assert abs(ergodic_rate_rician(g, kap, k, r20)
-                           - ergodic_rate_rician(g, kap, k, RULE)) <= 1e-4
-                assert abs(ergodic_distortion_rician(g, kap, k, 1.0, r20)
-                           - ergodic_distortion_rician(g, kap, k, 1.0, RULE)) <= 1e-4
+                assert abs(ergodic_rate(g, kap, k, r20)
+                           - ergodic_rate(g, kap, k, RULE)) <= 1e-4
+                assert abs(ergodic_distortion(g, kap, k, 1.0, r20)
+                           - ergodic_distortion(g, kap, k, 1.0, RULE)) <= 1e-4
 
     def test_under_resolved_order_warns(self):
         # At K = 20 dB the order-20 weights miss the density's unit mass by
         # about 1e-4, and the rate by about 2e-3 bits.
         with pytest.warns(RuntimeWarning, match=r"order-20 .* K = 100 "):
-            ergodic_rate_rician(10.0, 0.0, 100.0, QuadratureRule(20))
+            ergodic_rate(10.0, 0.0, 100.0, QuadratureRule(20))
 
     def test_unresolved_density_raises(self):
         # At K = 40 dB the order-20 weights miss the unit mass by 0.156.
         with pytest.raises(ConvergenceError, match=r"order-20 .* K = 10000 "):
-            ergodic_distortion_rician(10.0, 0.0, 1e4, 1.0, QuadratureRule(20))
-
-    def test_moment_matched_values(self):
-        assert math.isclose(rician_moment_matched(10.0, 0.0, 0.0),
-                            math.log2(11.0), rel_tol=1e-12)
-        k = 3.981
-        want = math.log2(1 + (1 + k) * 10 / (1 + (1 + k) * 10 / 15))
-        assert math.isclose(rician_moment_matched(10.0, 1.0 / 15.0, k), want,
-                            rel_tol=1e-12)
+            ergodic_distortion(10.0, 0.0, 1e4, 1.0, QuadratureRule(20))
 
     def test_moment_matched_deviation_bounded(self):
-        # The closed-form approximation sits above the exact average
-        # (Jensen) and its worst error on this grid is ~0.66 bits, at the
-        # low-K high-SNR corner where the gain distribution is widest.
+        # The rate at the mean gain sits above the exact average (Jensen)
+        # and its worst error on this grid is ~0.66 bits, at the low-K
+        # high-SNR corner where the gain distribution is widest.
         worst = 0.0
         for k_db in np.linspace(0.0, 10.0, 6):
             for g_db in np.linspace(0.0, 20.0, 6):
                 for kap in (0.0, 1.0 / 15.0):
                     k, g = 10 ** (k_db / 10), 10 ** (g_db / 10)
-                    exact = ergodic_rate_rician(g, kap, k, RULE)
-                    approx = rician_moment_matched(g, kap, k)
+                    exact = ergodic_rate(g, kap, k, RULE)
+                    approx = _rate_at_mean_gain(g, kap, k)
                     assert approx >= exact - 1e-9
                     worst = max(worst, abs(exact - approx))
         assert worst <= 0.7
@@ -205,43 +203,24 @@ class TestWeightCache:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             for _ in range(2):
-                ergodic_rate_rician(10.0, 0.0, 100.0, r20)
+                ergodic_rate(10.0, 0.0, 100.0, r20)
                 with pytest.raises(ConvergenceError, match="unit mass"):
-                    ergodic_rate_rician(10.0, 0.0, 1e4, r20)
+                    ergodic_rate(10.0, 0.0, 1e4, r20)
         assert [type(w.message) for w in caught] == [RuntimeWarning] * 2
         assert _weights.cache_info().hits >= 2
 
 
 class TestJensenBound:
-    def test_point_mass_equality(self):
-        model = FadingModel("awgn", gain=2.0)
-        bound = jensen_upper_bound(model, 5.0, 0.1, RULE)
-        assert math.isclose(bound, math.log2(1 + conditional_snr(2.0, 5.0, 0.1)),
-                            rel_tol=1e-12)
-
-    def test_rayleigh_bound(self):
-        bound = jensen_upper_bound(FadingModel("rayleigh"), 10.0, 0.0, RULE)
-        assert math.isclose(bound, math.log2(11.0), rel_tol=1e-6)
-        assert bound >= ergodic_rate_rayleigh(10.0, 0.0, RULE)
-
     def test_bound_dominates_on_grid(self):
         for gamma in (0.5, 5.0, 50.0):
             for kap in (0.0, 0.2):
-                assert (jensen_upper_bound(FadingModel("rayleigh"), gamma, kap, RULE)
-                        >= ergodic_rate_rayleigh(gamma, kap, RULE) - 1e-12)
-                model = FadingModel("rician", k_factor=4.0)
-                assert (jensen_upper_bound(model, gamma, kap, RULE)
-                        >= ergodic_rate_rician(gamma, kap, 4.0, RULE) - 1e-12)
+                for k in (0.0, 4.0):
+                    assert (_rate_at_mean_gain(gamma, kap, k)
+                            >= ergodic_rate(gamma, kap, k, RULE) - 1e-12)
 
 
 class TestMonteCarlo:
     STREAM = RandomStream(seed=42, stream=0)
-
-    def test_awgn_matches_closed_form(self):
-        est = monte_carlo_oracle(FadingModel("awgn", gain=1.0), 10.0, 0.0, 1.0,
-                                 100, self.STREAM)
-        assert math.isclose(est.rate, math.log2(11.0), rel_tol=1e-12)
-        assert math.isclose(est.distortion, 1.0 / 11.0, rel_tol=1e-12)
 
     def test_determinism(self):
         a = monte_carlo_oracle(FadingModel("rayleigh"), 10.0, 0.0, 1.0, 10_000,
@@ -253,14 +232,14 @@ class TestMonteCarlo:
     def test_rayleigh_agrees_with_quadrature(self):
         est = monte_carlo_oracle(FadingModel("rayleigh"), 10.0, 1.0 / 15.0, 1.0,
                                  1_000_000, self.STREAM)
-        quad = ergodic_rate_rayleigh(10.0, 1.0 / 15.0, RULE)
+        quad = ergodic_rate(10.0, 1.0 / 15.0, 0.0, RULE)
         assert abs(est.rate - quad) <= 4 * est.rate_std_err + 1e-4
 
     def test_rician_agrees_with_quadrature(self):
         k = 10 ** 0.6
         est = monte_carlo_oracle(FadingModel("rician", k_factor=k), 10.0, 0.0,
                                  1.0, 1_000_000, self.STREAM.split(3))
-        quad = ergodic_rate_rician(10.0, 0.0, k, RULE)
+        quad = ergodic_rate(10.0, 0.0, k, RULE)
         assert abs(est.rate - quad) <= 4 * est.rate_std_err + 1e-4
 
     def test_invalid_samples(self):
@@ -300,25 +279,17 @@ class TestColumnAverages:
             for kap in KAPS]
         dist_ref = [_per_point_average(lambda x: 30.0 / (1.0 + _snr(x, g, kap)),
                                        k, order) for kap in KAPS]
-        if k == 0.0:
-            rate_col = ergodic_rate_rayleigh(g, KAPS, rule)
-            dist_col = ergodic_distortion_rayleigh(g, KAPS, 30.0, rule)
-            rate_row = [ergodic_rate_rayleigh(g, kap, rule) for kap in KAPS]
-            dist_row = [ergodic_distortion_rayleigh(g, kap, 30.0, rule)
-                        for kap in KAPS]
-        else:
-            rate_col = ergodic_rate_rician(g, KAPS, k, rule)
-            dist_col = ergodic_distortion_rician(g, KAPS, k, 30.0, rule)
-            rate_row = [ergodic_rate_rician(g, kap, k, rule) for kap in KAPS]
-            dist_row = [ergodic_distortion_rician(g, kap, k, 30.0, rule)
-                        for kap in KAPS]
+        rate_col = ergodic_rate(g, KAPS, k, rule)
+        dist_col = ergodic_distortion(g, KAPS, k, 30.0, rule)
+        rate_row = [ergodic_rate(g, kap, k, rule) for kap in KAPS]
+        dist_row = [ergodic_distortion(g, kap, k, 30.0, rule) for kap in KAPS]
         assert rate_row == rate_ref and dist_row == dist_ref
         assert rate_col.tolist() == rate_ref and dist_col.tolist() == dist_ref
 
     def test_column_warns_once_where_a_point_would(self):
         # At K = 20 dB and order 20 the weights miss the unit mass by 1.3e-4.
         with pytest.warns(RuntimeWarning, match=r"order-20 .* K = 100 ") as rec:
-            ergodic_rate_rician(10.0, KAPS, 100.0, QuadratureRule(20))
+            ergodic_rate(10.0, KAPS, 100.0, QuadratureRule(20))
         assert len(rec) == 1
 
     def test_sweep_under_resolved_order_warns(self, tmp_path):
@@ -331,10 +302,10 @@ class TestColumnAverages:
     @pytest.mark.parametrize("g", [0.0, -1.0, math.inf, math.nan])
     def test_mean_snr_zero_or_not_finite_is_a_domain_error(self, g):
         with pytest.raises(DegenerateInputError, match="mean SNR"):
-            ergodic_rate_rayleigh(g, KAPS, RULE40)
+            ergodic_rate(g, KAPS, 0.0, RULE40)
         with pytest.raises(DegenerateInputError, match="mean SNR"):
             rayleigh_rate_exact(g, 0.0)
 
     def test_overflowing_integrand_is_a_domain_error(self):
         with pytest.raises(DegenerateInputError, match="overflows"):
-            ergodic_rate_rician(1e306, 0.0, 10.0, QuadratureRule(128))
+            ergodic_rate(1e306, 0.0, 10.0, QuadratureRule(128))

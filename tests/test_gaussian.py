@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from aiisac.bottleneck import AiBudget
 from aiisac.errors import DegenerateFitError, DegenerateInputError
@@ -11,7 +9,6 @@ from aiisac.gaussian import (
     ScalarScenario,
     distortion,
     effective_snrs,
-    info_to_distortion,
     rate,
     scaling_gap,
 )
@@ -74,26 +71,9 @@ class TestRateAndDistortion:
         _, g_s = effective_snrs(UNIT, budget)
         assert math.isclose(
             distortion(UNIT, budget),
-            info_to_distortion(math.log2(1.0 + g_s), UNIT.prior_var),
+            UNIT.prior_var * 2.0 ** -math.log2(1.0 + g_s),
             rel_tol=1e-14,
         )
-
-
-class TestInfoToDistortion:
-    def test_values(self):
-        assert info_to_distortion(0.0, 1.0) == 1.0
-        assert info_to_distortion(1.0, 1.0) == 0.5
-        assert math.isclose(info_to_distortion(3.0, 2.0), 0.25, rel_tol=1e-15)
-
-    def test_negative_info_rejected(self):
-        with pytest.raises(ValueError):
-            info_to_distortion(-0.1, 1.0)
-
-    @given(st.floats(min_value=0.0, max_value=60.0),
-           st.floats(min_value=1e-6, max_value=1e6))
-    def test_bounded_by_prior(self, info, prior):
-        d = info_to_distortion(info, prior)
-        assert 0.0 < d <= prior
 
 
 class TestScalingGap:
