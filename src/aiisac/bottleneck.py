@@ -5,10 +5,15 @@ the Gaussian model, like an additive noise of variance N_z = P / (2^C - 1).
 The matrix version maps a transmit covariance Q to the proportional noise
 covariance R_z = zeta * Q on the active subspace of Q, which meets the
 log-det budget exactly but is trace-minimal only for a flat spectrum of Q.
+Both matrix forms are stacked kernels over J x n x n stacks of validated
+matrices, proportional_maps for the map and gaussian_mis for the mutual
+information; covariance_map and gaussian_mi validate one matrix and run
+the kernel on a 1-stack.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,6 +162,22 @@ def covariance_map(q: np.ndarray, c_ai: float) -> np.ndarray:
     return proportional_maps(q[None], [c_ai])[0, 0]
 
 
+def _active_groups(evals: np.ndarray, evecs: np.ndarray
+                   ) -> Iterator[tuple[list[int], np.ndarray, np.ndarray]]:
+    """Split a stacked eigh (J x n ascending eigenvalues, J x n x n
+    eigenvectors) into groups of matrices whose eigenvalues above RANK_RTOL
+    times the largest form the same mask. Yields (members, vals, vecs) per
+    group: member indices, active eigenvalues (M x r) and eigenvectors
+    (M x n x r). A zero matrix has the empty mask (r = 0)."""
+    keep = evals > RANK_RTOL * evals[:, -1:]
+    groups = {}
+    for j, mask in enumerate(keep):
+        groups.setdefault(mask.tobytes(), []).append(j)
+    for members in groups.values():
+        mask = keep[members[0]]
+        yield members, evals[members][:, mask], evecs[members][:, :, mask]
+
+
 def proportional_maps(qs: np.ndarray, c_grid: list[float]) -> np.ndarray:
     """covariance_map for every capacity in c_grid and every Hermitian Q in
     the stack qs (J x n x n), as a C x J x n x n stack, from one stacked
@@ -172,13 +193,7 @@ def proportional_maps(qs: np.ndarray, c_grid: list[float]) -> np.ndarray:
         return out
     if not np.all(evals[:, -1] > 0):
         raise DegenerateInputError("Q has no active subspace (zero matrix)")
-    keep = evals > RANK_RTOL * evals[:, -1:]
-    groups = {}
-    for j, mask in enumerate(keep):
-        groups.setdefault(mask.tobytes(), []).append(j)
-    for members in groups.values():
-        mask = keep[members[0]]
-        vecs, vals = evecs[members][:, :, mask], evals[members][:, mask]
+    for members, vals, vecs in _active_groups(evals, evecs):
         zeta = np.array([kappa(AiBudget(c_grid[i] / vals.shape[1])) for i in finite])
         rz = (vecs * (zeta[:, None, None] * vals)[:, :, None, :]
               ) @ vecs.conj().swapaxes(-1, -2)
@@ -186,22 +201,36 @@ def proportional_maps(qs: np.ndarray, c_grid: list[float]) -> np.ndarray:
     return out
 
 
+def gaussian_mis(qs: np.ndarray, rzs: np.ndarray) -> np.ndarray:
+    """gaussian_mi for every pair of Hermitian Q and R_z in the stacks qs
+    and rzs (J x n x n), as J values in bits, from one stacked eigh and two
+    stacked Cholesky log-dets per group of Q with equal rank masks; each
+    value is bit for bit that of its pair alone.  A Q that is not PSD
+    raises ValueError, and a zero Q gives 0.
+    """
+    out = np.zeros(len(qs))
+    evals, evecs = np.linalg.eigh(qs)
+    _check_psd(evals, "Q")
+    name = "R_z on the active subspace of Q"
+    for members, vals, vecs in _active_groups(evals, evecs):
+        if not vals.shape[1]:
+            continue
+        r_sub = vecs.conj().swapaxes(-1, -2) @ rzs[members] @ vecs
+        r_sub = 0.5 * (r_sub + r_sub.conj().swapaxes(-1, -2))
+        signal = vals[:, None, :] * np.eye(vals.shape[1])
+        out[members] = (_logdet(r_sub + signal, name)
+                        - _logdet(r_sub, name)) / math.log(2.0)
+    return out
+
+
 def gaussian_mi(q: np.ndarray, r_z: np.ndarray) -> float:
     """log2 det(I + R_z^-1 Q), evaluated on the active subspace of Q.
 
-    Q must be PSD and R_z positive definite on the active subspace;
-    contributions on the null space of Q do not enter.
+    Q must be PSD and R_z positive definite on the active subspace, and
+    both of one shape; contributions on the null space of Q do not enter.
     """
     q = _as_hermitian(q, "Q")
     r_z = _as_hermitian(r_z, "R_z")
-    evals, evecs = np.linalg.eigh(q)
-    _check_psd(evals, "Q")
-    if evals[-1] <= 0:
-        return 0.0
-    keep = evals > RANK_RTOL * evals[-1]
-    vecs = evecs[:, keep]
-    r_sub = vecs.conj().T @ r_z @ vecs
-    r_sub = 0.5 * (r_sub + r_sub.conj().T)
-    name = "R_z on the active subspace of Q"
-    nats = _logdet(r_sub + np.diag(evals[keep]), name) - _logdet(r_sub, name)
-    return float(nats) / math.log(2.0)
+    if q.shape != r_z.shape:
+        raise ValueError(f"Q has shape {q.shape} but R_z has shape {r_z.shape}")
+    return float(gaussian_mis(q[None], r_z[None])[0])

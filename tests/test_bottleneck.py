@@ -11,6 +11,7 @@ from aiisac.bottleneck import (
     enforce_mi_numerically,
     equivalent_noise,
     gaussian_mi,
+    gaussian_mis,
     kappa,
 )
 from aiisac.errors import (
@@ -170,6 +171,67 @@ class TestGaussianMi:
     def test_singular_noise(self):
         with pytest.raises(SingularMatrixError):
             gaussian_mi(np.eye(2), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("q, r_z", [(np.eye(2), np.eye(3)),
+                                        (np.eye(3), np.eye(2))])
+    def test_shape_mismatch(self, q, r_z):
+        # Used to leak numpy's matmul core-dimension error.
+        with pytest.raises(ValueError, match=r"Q has shape \(\d, \d\) but "
+                                             r"R_z has shape \(\d, \d\)"):
+            gaussian_mi(q, r_z)
+
+
+def _hermitian(m):
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+
+
+def _mixed_rank_stack(rng, n):
+    """Full-rank, rank-1 v v^H and diag(1, 0, ...) Q's of dimension n, each
+    with a random positive definite R_z."""
+    qs, rzs = [], []
+    for _ in range(3):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        v = rng.normal(size=(n, 1)) + 1j * rng.normal(size=(n, 1))
+        for q in (a @ a.conj().T, v @ v.conj().T,
+                  np.diag([1.0] + [0.0] * (n - 1))):
+            b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            qs.append(q)
+            rzs.append(b @ b.conj().T + 0.1 * np.eye(n))
+    order = rng.permutation(len(qs))
+    return (_hermitian(np.array(qs, dtype=complex)[order]),
+            _hermitian(np.array(rzs)[order]))
+
+
+class TestGaussianMis:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_gaussian_mi_bit_for_bit(self, n):
+        qs, rzs = _mixed_rank_stack(np.random.default_rng(40 + n), n)
+        got = gaussian_mis(qs, rzs)
+        assert got.shape == (len(qs),)
+        assert got.tolist() == [gaussian_mi(q, rz) for q, rz in zip(qs, rzs)]
+
+    def test_zero_q_gives_zero(self):
+        qs, rzs = _mixed_rank_stack(np.random.default_rng(7), 3)
+        qs[4] = 0.0
+        got = gaussian_mis(qs, rzs)
+        assert got[4] == 0.0
+        assert np.all(np.delete(got, 4) > 0.0)
+
+    @pytest.mark.parametrize("where", [0, 5, -1])
+    def test_one_indefinite_q_raises(self, where):
+        qs, rzs = _mixed_rank_stack(np.random.default_rng(8), 2)
+        qs[where] = np.diag([1.0, -1.0])
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            gaussian_mis(qs, rzs)
+
+    def test_singular_on_active_subspace_raises(self):
+        # diag(1, 0) is active on e1 only, where diag(0, 1) vanishes.
+        qs, rzs = _mixed_rank_stack(np.random.default_rng(9), 2)
+        qs[3], rzs[3] = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        with pytest.raises(SingularMatrixError,
+                           match="R_z on the active subspace of Q is not "
+                                 "positive definite"):
+            gaussian_mis(qs, rzs)
 
 
 @pytest.mark.parametrize("fn", [lambda q: covariance_map(q, 2.0),

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from aiisac.allocate import grid_argmax
-from aiisac.cli import _allocation_problem, main
+from aiisac.bottleneck import covariance_map, gaussian_mi
+from aiisac.cli import _allocation_problem, _verify_checks, main
 from aiisac.config import PRESETS, RunConfig, parse_config, preset_config
 from aiisac.errors import ConfigError
+from aiisac.numerics import RandomStream
 
 
 class TestConfig:
@@ -238,6 +241,40 @@ class TestCommands:
             source = ["--config", str(cfg)]
         assert main([command, *source, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    # sha256 of verify's report as written while its covariance-map check
+    # called covariance_map and gaussian_mi once per random Q, before it ran
+    # as stacked passes per matrix size.
+    @pytest.mark.parametrize("preset, digest", [
+        ("tableI-dbm",
+         "0ac978cae86259f1d13bb2b94bd8dacbb548742798ac756347453c633b4cabd4"),
+        ("tableI-normalized",
+         "805bf8726b35c7ca468565abee61e8a5f47b5789d29cf5994a58ef5fe0c5f603"),
+        ("off-preset",
+         "2240eeaab3c1ba339db4f4487f353914668ed0bbbfff70072bf6d9c86b65c737"),
+    ])
+    def test_verify_bytes_unchanged(self, preset, digest, tmp_path):
+        self.test_csv_bytes_unchanged("verify", preset, digest, tmp_path)
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    @pytest.mark.parametrize("seed", [0, 1, 7, 20240817, 2**31 - 1])
+    def test_covariance_check_matches_per_point_loop(self, preset, seed):
+        # The per-point loop verify ran before its stacked passes.
+        rng = RandomStream(seed=seed, stream=7).generator()
+        dev = 0.0
+        for _ in range(20):
+            n = int(rng.integers(1, 5))
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            q = a @ a.conj().T
+            c = float(rng.uniform(0.5, 8.0))
+            dev = max(dev, abs(gaussian_mi(q, covariance_map(q, c)) - c))
+        checks = _verify_checks(replace(preset_config(preset), seed=seed))
+        assert [name for name, *_ in checks] == [
+            "theory_vs_achieved_max_dev", "covariance_map_mi_max_dev",
+            "rayleigh_anchor_dev", "frontier_nesting_violation",
+            "optimizer_alpha_err", "optimizer_mi_max_dev",
+            "objective_max_decrease"]
+        assert checks[1][1] == dev
 
     @pytest.mark.parametrize("command", ["verify", "gaussian-sweep"])
     @pytest.mark.parametrize("text", ["gain_c = 5e-324\nnoise_c = 10\n",
