@@ -108,18 +108,23 @@ def cmd_gaussian_sweep(cfg: RunConfig, out: str | None) -> int:
 
 def cmd_frontier(cfg: RunConfig, out: str | None) -> int:
     sc = _scenario(cfg)
-    rows = []
-    for c in FRONTIER_BUDGETS:
-        budget = AiBudget(c)
-        front = region.frontier(sc, budget)
-        base = region.separated_baseline(sc, budget)
-        alphas = front.alphas.tolist()
-        rows += zip([c] * len(alphas), alphas, front.rates().tolist(),
-                    front.distortions().tolist(), base.rates().tolist(),
-                    base.distortions().tolist())
-    _write_csv(out, _header(cfg),
-               ["c_ai", "alpha", "rate", "distortion", "baseline_rate",
-                "baseline_distortion"], rows)
+    fronts = [region.frontier(sc, AiBudget(c)) for c in FRONTIER_BUDGETS]
+    # Each distinct cell is formatted once: the alpha grid, shared by every
+    # budget, goes into the row template, and each distortion string fills
+    # both the distortion and the (equal) baseline_distortion column.
+    alphas = fronts[0].alphas.tolist()
+    template = "\n".join(f"%s,{a:.17g},%.17g,%s,%.17g,%s" for a in alphas)
+    cells = [None] * (5 * len(alphas))
+    blocks = []
+    for c, front in zip(FRONTIER_BUDGETS, fronts):
+        dists = ["%.17g" % d for d in front.distortions().tolist()]
+        cells[0::5] = ["%.17g" % c] * len(alphas)
+        cells[1::5] = front.rates().tolist()
+        cells[2::5] = cells[4::5] = dists
+        cells[3::5] = region.separated_baseline(front).rates().tolist()
+        blocks.append(template % tuple(cells))
+    _emit(out, [f"# {_header(cfg)}", "c_ai,alpha,rate,distortion,baseline_rate,"
+                "baseline_distortion", *blocks])
     return EXIT_OK
 
 

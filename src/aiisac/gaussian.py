@@ -18,6 +18,7 @@ class ScalarScenario:
     """Single-antenna scenario: transmit power, link gains, noises, prior.
 
     Gains may be zero (blocked link); everything else must be positive.
+    NaN fails every check.
     """
 
     power: float
@@ -28,13 +29,13 @@ class ScalarScenario:
     prior_var: float
 
     def __post_init__(self) -> None:
-        if self.power <= 0:
+        if not self.power > 0:
             raise ValueError(f"power must be positive, got {self.power}")
-        if self.gain_c < 0 or self.gain_s < 0:
+        if not (self.gain_c >= 0 and self.gain_s >= 0):
             raise ValueError("channel gains must be non-negative")
-        if self.noise_c <= 0 or self.noise_s <= 0:
+        if not (self.noise_c > 0 and self.noise_s > 0):
             raise ValueError("noise variances must be positive")
-        if self.prior_var <= 0:
+        if not self.prior_var > 0:
             raise ValueError(f"prior variance must be positive, got {self.prior_var}")
 
 
@@ -46,9 +47,9 @@ class PerfPoint:
     distortion: float
 
     def __post_init__(self) -> None:
-        if self.rate < 0:
+        if not self.rate >= 0:
             raise ValueError(f"rate must be >= 0, got {self.rate}")
-        if self.distortion <= 0:
+        if not self.distortion > 0:
             raise ValueError(f"distortion must be positive, got {self.distortion}")
 
 

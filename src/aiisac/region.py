@@ -3,9 +3,10 @@
 The joint design splits transmit power between a communication component
 (fraction alpha) and a sensing probe; both pass through the same
 capacity-limited latent, whose equivalent noise is set by the total power.
-A time-sharing baseline gives the separated comparison curve.
+A time-sharing baseline, derived from the frontier's arrays, gives the
+separated comparison curve.
 
-Each curve is computed in one pass over a uniform alpha grid and held as
+The frontier is computed in one pass over a uniform alpha grid and held as
 three read-only float64 arrays (alphas, rates, distortions); a membership
 query is one argmax over the grid. Rates are taken with math.log2 element
 by element, so they equal the scalar closed form bit for bit.
@@ -48,7 +49,7 @@ class Frontier:
         bad = ~((self.alphas >= 0.0) & (self.alphas <= 1.0))
         if bad.any():
             raise ValueError(f"alpha must lie in [0,1], got {self.alphas[bad][0]}")
-        if (self._rates < 0).any() or (self._distortions <= 0).any():
+        if (~(self._rates >= 0)).any() or (~(self._distortions > 0)).any():
             raise ValueError("rate must be >= 0 and distortion positive")
         if (np.diff(self.alphas) < 0).any():
             raise ValueError("frontier points must be ordered by alpha")
@@ -68,36 +69,32 @@ class Frontier:
                          self._distortions.tolist()))
 
 
-def _split_grid(sc: ScalarScenario, budget: AiBudget, n_points: int,
-                what: str) -> tuple[np.ndarray, float, np.ndarray]:
-    """Alpha grid, communication SNR, and the sensing distortion
-    prior_var / (1 + (1 - alpha) * g_s) at every grid point."""
-    if n_points < 2:
-        raise ValueError(f"need at least 2 {what} points")
-    g_c, g_s = effective_snrs(sc, budget)
-    alphas = np.linspace(0.0, 1.0, n_points)
-    return alphas, g_c, sc.prior_var / (1.0 + (1.0 - alphas) * g_s)
-
-
 def frontier(sc: ScalarScenario, budget: AiBudget, n_points: int = DEFAULT_GRID) -> Frontier:
     """Joint-design frontier over a uniform alpha grid.
 
     Communication rides on power alpha*P (the sensing probe is known and
-    cancelled at the receiver); sensing uses the remaining (1-alpha)*P.
+    cancelled at the receiver); sensing uses the remaining (1-alpha)*P, so
+    the distortion is prior_var / (1 + (1 - alpha) * g_s).
     """
-    alphas, g_c, dists = _split_grid(sc, budget, n_points, "frontier")
+    if n_points < 2:
+        raise ValueError("need at least 2 frontier points")
+    g_c, g_s = effective_snrs(sc, budget)
+    alphas = np.linspace(0.0, 1.0, n_points)
     rates = np.fromiter(map(math.log2, (1.0 + alphas * g_c).tolist()), float, n_points)
-    return Frontier(budget, alphas, rates, dists)
+    return Frontier(budget, alphas, rates, sc.prior_var / (1.0 + (1.0 - alphas) * g_s))
 
 
-def separated_baseline(
-    sc: ScalarScenario, budget: AiBudget, n_points: int = DEFAULT_GRID
-) -> Frontier:
-    """Time-sharing baseline: fraction tau of the frame is communication-only
-    at full power, the rest sensing-only; rate scales by tau and the sensing
-    SNR by the energy fraction 1 - tau."""
-    taus, g_c, dists = _split_grid(sc, budget, n_points, "baseline")
-    return Frontier(budget, taus, taus * math.log2(1.0 + g_c), dists)
+def separated_baseline(front: Frontier) -> Frontier:
+    """Time-sharing baseline on the frontier's grid: fraction tau of the frame
+    is communication-only at full power, the rest sensing-only; rate scales
+    by tau and the sensing SNR by the energy fraction 1 - tau.
+
+    So the baseline shares the frontier's alphas and distortions arrays, and
+    its rates are tau times the frontier's rate at alpha = 1 (linspace's
+    exact endpoint, so that rate is log2(1 + g_c) to the bit).
+    """
+    return Frontier(front.budget, front.alphas, front.alphas * front.rates()[-1],
+                    front.distortions())
 
 
 class Membership(NamedTuple):

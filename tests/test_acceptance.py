@@ -189,7 +189,7 @@ def test_criterion_07_frontier_nesting_and_baseline():
 
     budget = AiBudget(4.0)
     front = frontier(TABLE_I, budget, 201)
-    base = separated_baseline(TABLE_I, budget, 201)
+    base = separated_baseline(frontier(TABLE_I, budget, 201))
     wins = total = 0
     for bp in base.points[1:-1]:
         ok = front.distortions() <= bp.distortion + 1e-15

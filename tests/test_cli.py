@@ -10,10 +10,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from aiisac.allocate import grid_argmax
-from aiisac.bottleneck import covariance_map, gaussian_mi
+from aiisac.bottleneck import AiBudget, covariance_map, gaussian_mi
 from aiisac.cli import _allocation_problem, _verify_checks, main
 from aiisac.config import PRESETS, RunConfig, parse_config, preset_config
 from aiisac.errors import ConfigError
+from aiisac.gaussian import ScalarScenario, effective_snrs
 from aiisac.numerics import RandomStream
 
 
@@ -255,6 +256,38 @@ class TestCommands:
     ])
     def test_verify_bytes_unchanged(self, preset, digest, tmp_path):
         self.test_csv_bytes_unchanged("verify", preset, digest, tmp_path)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_frontier_matches_per_row_writer(self, seed, tmp_path):
+        # The writer frontier had before it formatted each distinct cell
+        # once: six %.17g cells per row, with the baseline computed from the
+        # scenario (rate tau * log2(1 + g_c), the frontier's distortion).
+        rng = np.random.default_rng(seed)
+        fields = {"power": 10 ** rng.uniform(-6, 6),
+                  **{key: 10 ** rng.uniform(-3, 3)
+                     for key in ("gain_c", "gain_s", "noise_c", "noise_s")},
+                  "prior_var": 10 ** rng.uniform(-3, 150)}
+        text = "".join(f"{key} = {value!r}\n" for key, value in fields.items())
+        path = tmp_path / "f.cfg"
+        path.write_text(text)
+        out = tmp_path / "front.csv"
+        assert main(["frontier", "--config", str(path), "--out", str(out)]) == 0
+
+        cfg = parse_config(text)
+        sc = ScalarScenario(cfg.power, cfg.gain_c, cfg.gain_s, cfg.noise_c,
+                            cfg.noise_s, cfg.prior_var)
+        taus = np.linspace(0.0, 1.0, 201)
+        lines = [f"# preset = {cfg.preset}, seed = {cfg.seed}",
+                 "c_ai,alpha,rate,distortion,baseline_rate,baseline_distortion"]
+        for c in (0.5, 2.0, 4.0, 6.0, math.inf):
+            g_c, g_s = effective_snrs(sc, AiBudget(c))
+            rates = [math.log2(1.0 + a * g_c) for a in taus.tolist()]
+            dists = (cfg.prior_var / (1.0 + (1.0 - taus) * g_s)).tolist()
+            base = (taus * math.log2(1.0 + g_c)).tolist()
+            lines += [",".join(["%.17g"] * 6) % row
+                      for row in zip([c] * 201, taus.tolist(), rates, dists, base, dists)]
+        # Line lists, so that a failure reports the first differing line.
+        assert out.read_text(encoding="utf-8").split("\n") == [*lines, ""]
 
     @pytest.mark.parametrize("preset", PRESETS)
     @pytest.mark.parametrize("seed", [0, 1, 7, 20240817, 2**31 - 1])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from aiisac.bottleneck import AiBudget
 from aiisac.errors import DegenerateFitError, DegenerateInputError
 from aiisac.gaussian import (
+    PerfPoint,
     ScalarScenario,
     distortion,
     effective_snrs,
@@ -17,6 +19,30 @@ UNIT = ScalarScenario(power=1.0, gain_c=1.0, gain_s=1.0, noise_c=0.1,
                       noise_s=0.1, prior_var=1.0)
 TABLE_I = ScalarScenario(power=0.01, gain_c=1.0, gain_s=1.0, noise_c=0.1,
                          noise_s=0.1, prior_var=1.0)
+
+
+class TestDomainChecks:
+    @pytest.mark.parametrize("value", [math.nan, -1.0])
+    @pytest.mark.parametrize("field, message", [
+        ("power", "power must be positive"),
+        ("gain_c", "channel gains must be non-negative"),
+        ("gain_s", "channel gains must be non-negative"),
+        ("noise_c", "noise variances must be positive"),
+        ("noise_s", "noise variances must be positive"),
+        ("prior_var", "prior variance must be positive"),
+    ])
+    def test_scenario_field_rejected(self, field, message, value):
+        with pytest.raises(ValueError, match=message):
+            replace(UNIT, **{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, -1.0])
+    @pytest.mark.parametrize("field, message", [
+        ("rate", "rate must be >= 0"),
+        ("distortion", "distortion must be positive"),
+    ])
+    def test_perf_point_field_rejected(self, field, message, value):
+        with pytest.raises(ValueError, match=message):
+            replace(PerfPoint(1.0, 1.0), **{field: value})
 
 
 class TestEffectiveSnrs:

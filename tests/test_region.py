@@ -69,7 +69,7 @@ class TestFrontier:
         budget = AiBudget(c)
         g_c, g_s = effective_snrs(sc, budget)
         front = frontier(sc, budget)
-        base = separated_baseline(sc, budget)
+        base = separated_baseline(frontier(sc, budget))
         alphas = np.linspace(0.0, 1.0, 201).tolist()
         assert front.alphas.tolist() == alphas == base.alphas.tolist()
         assert front.rates().tolist() == [math.log2(1.0 + a * g_c) for a in alphas]
@@ -90,6 +90,8 @@ class TestFrontier:
         ([0.0, 1.0], [-1e-3, 1.0], [1.0, 1.0], "rate must be >= 0"),
         ([0.0, 1.0], [0.0, 1.0], [1.0, 0.0], "distortion positive"),
         ([0.5, 0.2], [0.0, 1.0], [1.0, 1.0], "ordered by alpha"),
+        ([0.0, 1.0], [0.0, math.nan], [1.0, 1.0], "rate must be >= 0"),
+        ([0.0, 1.0], [0.0, 1.0], [math.nan, 1.0], "distortion positive"),
     ])
     def test_invalid_arrays_rejected(self, alphas, rates, dists, message):
         with pytest.raises(ValueError, match=message):
@@ -98,10 +100,34 @@ class TestFrontier:
 
 
 class TestSeparatedBaseline:
+    @pytest.mark.parametrize("sc", [TABLE_I, TABLE_I_NORMALIZED])
+    @pytest.mark.parametrize("c", [0.0, 0.5, 4.0, math.inf])
+    @pytest.mark.parametrize("n_points", [2, 101, 201, 2001])
+    def test_derived_from_frontier(self, sc, c, n_points):
+        budget = AiBudget(c)
+        front = frontier(sc, budget, n_points)
+        base = separated_baseline(front)
+        assert base.alphas is front.alphas
+        assert base.distortions() is front.distortions()
+        assert base.budget is budget
+        # The time-sharing rate as computed from the scenario, bit for bit.
+        g_c, _ = effective_snrs(sc, budget)
+        taus = np.linspace(0.0, 1.0, n_points)
+        assert base.rates().tolist() == (taus * math.log2(1.0 + g_c)).tolist()
+
+    def test_nan_rate_rejected(self):
+        # 0 * inf at tau = 0: the baseline of a frontier with an infinite
+        # full-power rate would start at NaN.
+        front = Frontier(AiBudget(1.0), np.array([0.0, 1.0]),
+                         np.array([0.0, math.inf]), np.array([1.0, 1.0]))
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ValueError, match="rate must be >= 0"):
+            separated_baseline(front)
+
     def test_endpoints_match_joint(self):
         budget = AiBudget(4.0)
         front = frontier(TABLE_I, budget, 101)
-        base = separated_baseline(TABLE_I, budget, 101)
+        base = separated_baseline(frontier(TABLE_I, budget, 101))
         assert base.points[0].rate == 0.0
         assert math.isclose(base.points[-1].rate, front.points[-1].rate,
                             rel_tol=1e-12)
@@ -111,7 +137,7 @@ class TestSeparatedBaseline:
     def test_joint_dominates_at_matched_distortion(self):
         budget = AiBudget(4.0)
         front = frontier(TABLE_I, budget, 201)
-        base = separated_baseline(TABLE_I, budget, 201)
+        base = separated_baseline(frontier(TABLE_I, budget, 201))
         # At each baseline point, the best joint rate at no-worse distortion
         # must beat the baseline rate; count the wins.
         wins = 0
