@@ -3,18 +3,19 @@
 Splits total power between communication and sensing to maximize a
 scalarized rate/distortion objective of the SNRs gaussian.effective_snrs
 gives at the total power, as region.frontier does, so J at a grid alpha is
-the frontier's weighted point bit for bit.  The optimal split is the root
-of the KKT stationarity quadratic; kkt_power_split finds it by Brent's
-method, as a reference.
+the frontier's weighted point bit for bit.  A problem computes its SNRs
+once.  The optimal split is the root of the KKT stationarity quadratic;
+kkt_power_split finds it by Brent's method, as a reference.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .bottleneck import AiBudget, achieved_mi, enforce_mi_numerically
+from .bottleneck import AiBudget, achieved_mi, equivalent_noise
 from .errors import BracketError, DegenerateInputError
 from .gaussian import ScalarScenario, effective_snrs
 from .numerics import find_root
@@ -40,12 +41,26 @@ class AllocationProblem:
     mode: str = "penalized"
 
     def __post_init__(self) -> None:
-        if self.total_power <= 0 or self.total_time <= 0:
+        if not (self.total_power > 0 and self.total_time > 0):
             raise ValueError("total power and time must be positive")
         if not 0.0 <= self.weight <= 1.0:
             raise ValueError(f"weight must lie in [0,1], got {self.weight}")
         if self.mode not in ("penalized", "convex"):
             raise ValueError(f"unknown objective mode {self.mode!r}")
+
+    @cached_property
+    def snrs(self) -> tuple[float, float]:
+        """(g_c, g_s) of both links at the full power, computed on first use,
+        which raises DegenerateInputError where they overflow."""
+        return effective_snrs(replace(self.scenario, power=self.total_power),
+                              self.budget)
+
+    @property
+    def weights(self) -> tuple[float, float]:
+        """(w_r, w_d): the weights of rate and distortion in J."""
+        if self.mode == "penalized":
+            return 1.0, self.weight
+        return self.weight, 1.0 - self.weight
 
 
 @dataclass(frozen=True)
@@ -56,61 +71,37 @@ class AllocationResult:
     trace: tuple[tuple[int, float, float, float], ...]
 
 
-def _snrs(problem: AllocationProblem) -> tuple[float, float]:
-    """(g_c, g_s): the effective SNRs of both links at the full power."""
-    sc = replace(problem.scenario, power=problem.total_power)
-    return effective_snrs(sc, problem.budget)
-
-
-def _weights(problem: AllocationProblem) -> tuple[float, float]:
-    if problem.mode == "penalized":
-        return 1.0, problem.weight
-    return problem.weight, 1.0 - problem.weight
-
-
-def _objective(problem: AllocationProblem, snrs: tuple[float, float],
-               alpha: float) -> float:
-    """J = w_r log2(1 + alpha g_c) - w_d sigma^2 / (1 + (1 - alpha) g_s)."""
-    w_r, w_d = _weights(problem)
-    g_c, g_s = snrs
+def objective(problem: AllocationProblem, alpha: float) -> float:
+    """J = w_r log2(1 + alpha g_c) - w_d sigma^2 / (1 + (1 - alpha) g_s) at
+    power split alpha (communication fraction)."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0,1], got {alpha}")
+    w_r, w_d = problem.weights
+    g_c, g_s = problem.snrs
     return (w_r * math.log2(1.0 + alpha * g_c)
             - w_d * (problem.scenario.prior_var / (1.0 + (1.0 - alpha) * g_s)))
 
 
-def _stationarity(problem: AllocationProblem, snrs: tuple[float, float],
-                  alpha: float) -> float:
+def objective_gradient(problem: AllocationProblem, alpha: float) -> float:
     """dJ/d(alpha) = w_r g_c / ((1 + alpha g_c) ln2) - w_d sigma^2 g_s / u^2,
     with u = 1 + (1 - alpha) g_s."""
-    w_r, w_d = _weights(problem)
-    g_c, g_s = snrs
+    w_r, w_d = problem.weights
+    g_c, g_s = problem.snrs
     u = 1.0 + (1.0 - alpha) * g_s  # u * u where u ** 2 would raise OverflowError
     return (w_r * g_c / ((1.0 + alpha * g_c) * LN2)
             - w_d * problem.scenario.prior_var * g_s / (u * u))
 
 
-def _residual(problem: AllocationProblem, snrs: tuple[float, float],
-              alpha: float) -> float:
+def _residual(problem: AllocationProblem, alpha: float) -> float:
     """The projected stationarity mismatch per watt of the split: |dJ/dP_c|
     inside (0, 1), and at an end only a slope that points back into the
     split (J rising away from alpha = 0 or falling towards alpha = 1)."""
-    slope = _stationarity(problem, snrs, alpha)
+    slope = objective_gradient(problem, alpha)
     if alpha == 1.0:
         slope = min(slope, 0.0)
     elif alpha == 0.0:
         slope = max(slope, 0.0)
     return abs(slope) / problem.total_power
-
-
-def objective(problem: AllocationProblem, alpha: float) -> float:
-    """Scalarized objective at power split alpha (communication fraction)."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0,1], got {alpha}")
-    return _objective(problem, _snrs(problem), alpha)
-
-
-def objective_gradient(problem: AllocationProblem, alpha: float) -> float:
-    """dJ/d(alpha), analytic."""
-    return _stationarity(problem, _snrs(problem), alpha)
 
 
 def kkt_residual_check(problem: AllocationProblem, p_c: float) -> float:
@@ -120,42 +111,41 @@ def kkt_residual_check(problem: AllocationProblem, p_c: float) -> float:
     pointing out of [0, P] is no violation."""
     if not 0.0 <= p_c <= problem.total_power:
         raise ValueError("P_c must lie in [0, total power]")
-    return _residual(problem, _snrs(problem), p_c / problem.total_power)
+    return _residual(problem, p_c / problem.total_power)
 
 
-def _brent_alpha(problem: AllocationProblem, snrs: tuple[float, float]) -> float:
+def _brent_alpha(problem: AllocationProblem) -> float:
     """Interior stationarity root in alpha by Brent's method, or the better
     end of the split.  Since the rate's marginal value falls and the
     distortion's marginal value rises with the power moved, an interior
     sign change is a maximizer when it exists."""
     try:
-        return find_root(lambda a: _stationarity(problem, snrs, a),
+        return find_root(lambda a: objective_gradient(problem, a),
                          1e-12, 1.0 - 1e-12, tol=1e-14)
     except BracketError:
         # No interior root: J is monotone in the split, rising towards
         # alpha = 1 where the stationarity is positive (J at the two ends
         # can round equal).
-        return 1.0 if _stationarity(problem, snrs, 1e-12) > 0.0 else 0.0
+        return 1.0 if objective_gradient(problem, 1e-12) > 0.0 else 0.0
 
 
 def kkt_power_split(problem: AllocationProblem) -> tuple[float, float, float]:
     """The split by Brent's method, as (P_c, P_s, residual): the numerical
     reference for optimize_alpha's closed form."""
     p = problem.total_power
-    snrs = _snrs(problem)
-    alpha = _brent_alpha(problem, snrs)
+    alpha = _brent_alpha(problem)
     p_c = alpha * p
-    return p_c, p - p_c, _residual(problem, snrs, alpha)
+    return p_c, p - p_c, _residual(problem, alpha)
 
 
-def _sensing_share(problem: AllocationProblem, snrs: tuple[float, float]) -> float:
+def _sensing_share(problem: AllocationProblem) -> float:
     """1 - alpha at the maximum of the objective: with r = g_c / g_s,
     k = w_d sigma^2 ln2 and u = 1 + (1 - alpha) g_s, the positive root of
     the stationarity condition w_r r u^2 + k r u - k (1 + g_c + r) = 0,
     clipped to [0, 1], or Brent's root where its coefficients overflow.
     The objective is concave in the split, so the clip is exact."""
-    w_r, w_d = _weights(problem)
-    g_c, g_s = snrs
+    w_r, w_d = problem.weights
+    g_c, g_s = problem.snrs
     k = w_d * problem.scenario.prior_var * LN2
     if k == 0.0 or g_s == 0.0:
         return 0.0  # sensing power buys no objective
@@ -163,7 +153,7 @@ def _sensing_share(problem: AllocationProblem, snrs: tuple[float, float]) -> flo
     a, b, c = w_r * r, k * r, -k * (1.0 + g_c + r)
     disc = b * b - 4.0 * a * c
     if not disc < math.inf:
-        return 1.0 - _brent_alpha(problem, snrs)
+        return 1.0 - _brent_alpha(problem)
     den = b + math.sqrt(disc)
     u = -2.0 * c / den if den > 0.0 else math.inf
     return min(max((u - 1.0) / g_s, 0.0), 1.0)
@@ -172,42 +162,36 @@ def _sensing_share(problem: AllocationProblem, snrs: tuple[float, float]) -> flo
 def optimize_alpha(problem: AllocationProblem, alpha0: float) -> AllocationResult:
     """The optimal power split, from the closed-form stationarity root.
 
-    The latent noise does not depend on the split, so the link SNRs and the
-    MI constraint are computed once.  The trace rows are alpha0 and the
-    optimum, each with the MI that noise achieves.  Raises
-    DegenerateInputError when that MI misses the budget by more than 1e-9
-    bits (N_z = P/(2^C - 1) below the normal float range) or when the
-    optimal sensing share is positive but too small for alpha to resolve."""
+    The trace rows are alpha0 and the optimum, each with the MI
+    log2(1 + P/N_z) of the latent noise N_z = P/(2^C - 1) the link SNRs
+    use (inf at C = inf).  Raises DegenerateInputError when that MI misses
+    the budget by more than 1e-9 bits (N_z below the normal float range) or
+    when the optimal sensing share is positive but too small for alpha to
+    resolve."""
     if not 0.0 <= alpha0 <= 1.0:
         raise ValueError(f"alpha0 must lie in [0,1], got {alpha0}")
-    p = problem.total_power
-    if problem.budget.is_classical:
-        mi = math.inf
-    else:
-        c = problem.budget.c_ai
-        mi = achieved_mi(p, enforce_mi_numerically(p, c, tol=1e-12))
-        if abs(mi - c) > 1e-9:
-            raise DegenerateInputError(f"latent noise at power {p!r} and {c!r} "
-                                       f"bits underflows: its MI is {mi!r}")
+    p, c = problem.total_power, problem.budget.c_ai
+    mi = achieved_mi(p, equivalent_noise(problem.budget, p))
+    if abs(mi - c) > 1e-9:  # inf - inf at C = inf is nan, which passes
+        raise DegenerateInputError(f"latent noise at power {p!r} and {c!r} "
+                                   f"bits underflows: its MI is {mi!r}")
 
-    snrs = _snrs(problem)
-    share = _sensing_share(problem, snrs)
+    share = _sensing_share(problem)
     alpha = 1.0 - share
     if share > 0.0 and alpha == 1.0:
         raise DegenerateInputError(f"optimal sensing share {share!r} of the power "
                                    f"{p!r} is too small for the split alpha")
-    j0, j = _objective(problem, snrs, alpha0), _objective(problem, snrs, alpha)
+    j0, j = objective(problem, alpha0), objective(problem, alpha)
     if j < j0:  # alpha0 is the optimum to rounding; keep it so J never falls
         alpha, j = alpha0, j0
     return AllocationResult(
-        alpha_star=alpha, objective=j, kkt_residual=_residual(problem, snrs, alpha),
+        alpha_star=alpha, objective=j, kkt_residual=_residual(problem, alpha),
         trace=((0, alpha0, j0, mi), (1, alpha, j, mi)))
 
 
 def grid_argmax(problem: AllocationProblem, n_points: int = 10_001) -> tuple[float, float]:
     """Dense-grid oracle: (best alpha, objective) over a uniform alpha grid."""
-    snrs = _snrs(problem)
     alphas = np.linspace(0.0, 1.0, n_points)
-    vals = [_objective(problem, snrs, a) for a in alphas.tolist()]
+    vals = [objective(problem, a) for a in alphas.tolist()]
     i = int(np.argmax(vals))
     return float(alphas[i]), vals[i]

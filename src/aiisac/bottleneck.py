@@ -65,7 +65,7 @@ def kappa(budget: AiBudget) -> float:
 
 def equivalent_noise(budget: AiBudget, power: float) -> float:
     """Equivalent noise variance N_z = P / (2^C - 1); zero in the classical limit."""
-    if power <= 0:
+    if not power > 0:
         raise ValueError(f"power must be positive, got {power}")
     if budget.is_classical:
         return 0.0
@@ -89,8 +89,8 @@ def enforce_mi_numerically(power: float, target_c_ai: float, tol: float) -> floa
     Cross-validates the closed form: the result agrees with
     equivalent_noise within the root tolerance.
     """
-    if power <= 0 or target_c_ai <= 0 or tol <= 0:
-        raise ValueError("power, target capacity, and tol must be positive")
+    if not all(0 < x < math.inf for x in (power, target_c_ai, tol)):
+        raise ValueError("power, target capacity, and tol must be positive and finite")
 
     # Solve in u = ln(N_z) so the bracket spans many decades safely.
     def gap(u: float) -> float:

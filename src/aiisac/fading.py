@@ -92,7 +92,7 @@ class FadingModel:
     def __post_init__(self) -> None:
         if self.kind not in ("rayleigh", "rician"):
             raise ValueError(f"unknown fading kind {self.kind!r}")
-        if self.kind == "rician" and self.k_factor < 0:
+        if self.kind == "rician" and not self.k_factor >= 0:
             raise ValueError("rician K-factor must be >= 0")
 
 
@@ -110,7 +110,7 @@ def conditional_snr(x, gamma_bar: float, kappa: float | np.ndarray):
     unless the mean SNR gamma is positive and finite.
     """
     _check_snr(gamma_bar)
-    if np.any(np.asarray(kappa) < 0):
+    if not np.all(np.asarray(kappa) >= 0):
         raise ValueError(f"kappa must be >= 0, got {kappa}")
     xg = np.asarray(x, dtype=float) * gamma_bar
     out = xg / (1.0 + xg * kappa)
@@ -211,7 +211,7 @@ def ergodic_distortion(
     """Fading-averaged MMSE distortion E[prior_var / (1 + snr(x))] over the
     Rician gain with K-factor k_factor (K = 0 is Rayleigh), by the composite
     rule of order rule.order split at the mean gain 1 + K."""
-    if prior_var <= 0:
+    if not prior_var > 0:
         raise ValueError("prior variance must be positive")
     kap = np.asarray(kappa, dtype=float)[..., None]
     return _average(lambda x: prior_var / (1.0 + conditional_snr(x, gamma_bar, kap)),
@@ -225,9 +225,11 @@ def rayleigh_rate_exact(gamma_bar: float, kappa: float) -> float:
     log(1 + x*gamma/(1+x*gamma*kappa)) over a unit-mean exponential gain
     is e^{1/beta1} E1(1/beta1) - e^{1/beta2} E1(1/beta2); the second term
     vanishes at kappa = 0. Raises DegenerateInputError where beta1
-    overflows.
+    overflows, and ValueError unless kappa >= 0.
     """
     _check_snr(gamma_bar)
+    if not kappa >= 0:
+        raise ValueError(f"kappa must be >= 0, got {kappa}")
     if gamma_bar * (1.0 + kappa) == math.inf:
         raise DegenerateInputError(f"mean SNR {gamma_bar!r} times 1 + kappa overflows")
 
@@ -314,7 +316,7 @@ def monte_carlo_oracle(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if prior_var <= 0:
+    if not prior_var > 0:
         raise ValueError("prior variance must be positive")
     rng = stream.generator()
     gains = _sample_gains(model, n_samples, rng)

@@ -4,10 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from aiisac import allocate
 from aiisac.allocate import (
     AllocationProblem,
     _sensing_share,
-    _snrs,
     grid_argmax,
     kkt_power_split,
     kkt_residual_check,
@@ -15,10 +15,10 @@ from aiisac.allocate import (
     objective_gradient,
     optimize_alpha,
 )
-from aiisac.bottleneck import AiBudget
+from aiisac.bottleneck import AiBudget, achieved_mi, equivalent_noise
 from aiisac.config import PRESETS, preset_config
 from aiisac.errors import DegenerateInputError
-from aiisac.gaussian import ScalarScenario
+from aiisac.gaussian import ScalarScenario, effective_snrs
 from aiisac.region import frontier
 
 TABLE_I = ScalarScenario(power=0.01, gain_c=1.0, gain_s=1.0, noise_c=0.1,
@@ -213,7 +213,7 @@ def random_problem(rng):
 
 
 def sensing_share(prob):
-    return _sensing_share(prob, _snrs(prob))
+    return _sensing_share(prob)
 
 
 def closed_form_alpha(prob):
@@ -336,3 +336,51 @@ class TestClosedForm:
         prob = make_problem(c_ai=math.inf, scenario=sc)
         assert math.isfinite(kkt_residual_check(prob, 0.0))
         assert math.isfinite(objective_gradient(prob, 0.0))
+
+
+class TestProblem:
+    @pytest.mark.parametrize("field", ["total_power", "total_time"])
+    @pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
+    def test_non_positive_total_rejected(self, field, value):
+        # NaN passed `x <= 0`: a NaN power failed later with "invalid
+        # bracket [nan, nan]", and a NaN time was accepted.
+        with pytest.raises(ValueError, match="total power and time must be positive"):
+            replace(make_problem(), **{field: value})
+
+    def test_snrs_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(sc, budget):
+            calls.append(budget)
+            return effective_snrs(sc, budget)
+
+        monkeypatch.setattr(allocate, "effective_snrs", counted)
+        prob = make_problem(scenario=INTERIOR, power=1.0)
+        optimize_alpha(prob, 0.4)
+        kkt_power_split(prob)
+        kkt_residual_check(prob, 0.5)
+        grid_argmax(prob, 101)
+        objective_gradient(prob, 0.5)
+        assert len(calls) == 1
+        assert prob.snrs == effective_snrs(INTERIOR, AiBudget(4.0))
+
+    def test_overflowing_snrs_raise_on_use(self):
+        # g_c = 1e300 / 1e-300 overflows without latent noise: the problem
+        # constructs, and every use of its SNRs raises.
+        sc = replace(INTERIOR, gain_c=1e300, noise_c=1e-300)
+        prob = make_problem(c_ai=math.inf, scenario=sc, power=1.0)
+        for _ in range(2):
+            with pytest.raises(DegenerateInputError, match="overflow"):
+                prob.snrs
+            with pytest.raises(DegenerateInputError, match="overflow"):
+                optimize_alpha(prob, 0.4)
+
+    @pytest.mark.parametrize("c_ai", [0.5, 4.0, 30.0, math.inf])
+    @pytest.mark.parametrize("power", [1e-3, 1.0, 1e3])
+    def test_trace_mi_is_that_of_the_snrs_noise(self, c_ai, power):
+        # The MI in the trace is that of the closed-form latent noise
+        # N_z = P/(2^C - 1), the noise the link SNRs are computed with.
+        prob = make_problem(c_ai=c_ai, scenario=INTERIOR, power=power)
+        mi = achieved_mi(power, equivalent_noise(prob.budget, power))
+        assert [row[3] for row in optimize_alpha(prob, 0.4).trace] == [mi, mi]
+        assert (mi == math.inf) == (c_ai == math.inf)

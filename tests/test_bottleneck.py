@@ -60,8 +60,24 @@ class TestEquivalentNoise:
         with pytest.raises(ValueError):
             equivalent_noise(AiBudget(1.0), 0.0)
 
+    def test_nan_power_rejected(self):
+        # NaN passed `power <= 0` and came out as a NaN noise variance.
+        with pytest.raises(ValueError, match="power must be positive"):
+            equivalent_noise(AiBudget(2.0), math.nan)
+
 
 class TestEnforceMi:
+    @pytest.mark.parametrize("power, c, tol", [
+        (math.nan, 2.0, 1e-12), (1.0, math.nan, 1e-12), (1.0, 2.0, math.nan),
+        (math.inf, 2.0, 1e-12), (1.0, math.inf, 1e-12), (0.0, 2.0, 1e-12),
+        (1.0, 0.0, 1e-12), (1.0, 2.0, 0.0)])
+    def test_invalid_arguments_rejected(self, power, c, tol):
+        # NaN and inf passed `x <= 0`: the root finder then reported an
+        # invalid bracket or a NaN function value, and a NaN tol was
+        # ignored.
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            enforce_mi_numerically(power, c, tol)
+
     def test_matches_closed_form_simple(self):
         assert math.isclose(enforce_mi_numerically(1.0, 1.0, 1e-12), 1.0,
                             abs_tol=1e-12)

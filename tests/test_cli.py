@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from aiisac import allocate, bottleneck, numerics
 from aiisac.allocate import grid_argmax
 from aiisac.bottleneck import AiBudget, covariance_map, gaussian_mi
 from aiisac.cli import _allocation_problem, _verify_checks, main
@@ -189,15 +190,11 @@ class TestCommands:
 
     # sha256 of CSVs, which rest on libm and IEEE arithmetic only: frontier's
     # as written before frontier and in_region ran over alpha arrays,
-    # allocate's as written since it solves the stationarity quadratic in
-    # closed form (a start row and an optimum row, not 50 gradient steps);
-    # allocate's tableI-normalized and off-preset rows as written since its
-    # SNRs come from gaussian.effective_snrs and enforce_mi_numerically
-    # takes log1p (kkt_residual moved by rounding noise, about 1e-16, and
-    # the off-preset MI column by 2 ulp; alpha_star and J_star unchanged),
-    # allocate's tableI-dbm row as written since kkt_residual is projected
-    # onto the split's bounds (its optimum alpha = 1 read the unconstrained
-    # slope, 10.056268521557097, where it now reads 0; alpha_star and J_star
+    # allocate's as written since its achieved_mi column is the MI of the
+    # closed-form latent noise N_z = P/(2^C - 1) its SNRs use, not of a
+    # root-found one (the column read 3.9999999999999964, 4.0000000000000036
+    # and 1.9999999999999987 on the three configs, now 3.9999999999999996,
+    # 4 and 2; alpha_star, J_star, kkt_residual and the objective column
     # unchanged),
     # mimo-surface's as written per grid point, before it ran as one pass
     # over its whole grid, gaussian-sweep's as written since its Gauss rules
@@ -220,9 +217,9 @@ class TestCommands:
         ("frontier", "tableI-normalized",
          "8279fff928c91caaad86532e665231def644d69d66f8fa87145581ad971441bf"),
         ("allocate", "tableI-dbm",
-         "769362c11405bbc752273fc68856add5ad001cc86d6466c0984e49bdfc81c8c7"),
+         "85b825d117ec113b2809a4f84bd2fe0d74fc6d97d609734b42eb4145391f9606"),
         ("allocate", "tableI-normalized",
-         "015da08d249f18871ba9f9baf659f6f25591bfa406f4605e1679cf0e0faad22e"),
+         "fd9ddbeb1477366d52c4b0719e1907501e8f19eb817ba174e120f4248752c43e"),
         ("gaussian-sweep", "off-preset",
          "62a24520e10836e3b3c0a506406466efc8fbba0a5c93806db4397c004e5bf1a9"),
         ("frontier", "off-preset",
@@ -230,7 +227,7 @@ class TestCommands:
         ("mimo-surface", "off-preset",
          "69a2ff0f2ae81125226531a6d1708277d641f22bd0d87bef980d09cb3e932c8a"),
         ("allocate", "off-preset",
-         "f07d3e394953fa16c747edcfbee014748d43de439bdfb61facbc29b851a55718"),
+         "ba09790f0546b22d70b36bc2dbc8fb1c30d87323b7fc2eaf2d52a36c68b453fa"),
     ])
     def test_csv_bytes_unchanged(self, command, preset, digest, tmp_path):
         out = tmp_path / "out.csv"
@@ -243,19 +240,40 @@ class TestCommands:
         assert main([command, *source, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
-    # sha256 of verify's report as written while its covariance-map check
-    # called covariance_map and gaussian_mi once per random Q, before it ran
-    # as stacked passes per matrix size.
+    # sha256 of verify's report as written since allocate reports the MI of
+    # the closed-form latent noise: only optimizer_mi_max_dev moved, from
+    # 3.6e-15, 3.6e-15 and 1.3e-15 to 4.4e-16, 0 and 0 on the three configs.
     @pytest.mark.parametrize("preset, digest", [
         ("tableI-dbm",
-         "0ac978cae86259f1d13bb2b94bd8dacbb548742798ac756347453c633b4cabd4"),
+         "47284c93a2b3b724a9249395872e6eeb713bbda0b87a316940bac6b5d9a2857e"),
         ("tableI-normalized",
-         "805bf8726b35c7ca468565abee61e8a5f47b5789d29cf5994a58ef5fe0c5f603"),
+         "fadb8c69469e005615ba0a9783c36957b5b4726d32a2eebe1a01757325bd672b"),
         ("off-preset",
-         "2240eeaab3c1ba339db4f4487f353914668ed0bbbfff70072bf6d9c86b65c737"),
+         "de88f961261e28ad68cdeb799d6f05a1ad6d94012fe1718ba5d62dcb0a742d95"),
     ])
     def test_verify_bytes_unchanged(self, preset, digest, tmp_path):
         self.test_csv_bytes_unchanged("verify", preset, digest, tmp_path)
+
+    @pytest.mark.parametrize("command", ["allocate", "frontier", "gaussian-sweep",
+                                         "mimo-surface"])
+    @pytest.mark.parametrize("preset", [*PRESETS, "off-preset"])
+    def test_csv_commands_find_no_roots(self, command, preset, monkeypatch,
+                                        tmp_path):
+        # Root finding is a reference, for verify and the tests: the CSV
+        # commands run on closed forms alone (allocate solved for its latent
+        # noise by Brent's method once per run).
+        def no_root(*args, **kwargs):
+            raise AssertionError("find_root called")
+
+        for mod in (numerics, bottleneck, allocate):
+            monkeypatch.setattr(mod, "find_root", no_root)
+        if preset in PRESETS:
+            source = ["--preset", preset]
+        else:
+            cfg = tmp_path / "off.cfg"
+            cfg.write_text(_OFF_PRESET_CONFIG)
+            source = ["--config", str(cfg)]
+        assert main([command, *source, "--out", str(tmp_path / "out.csv")]) == 0
 
     @pytest.mark.parametrize("seed", range(40))
     def test_frontier_matches_per_row_writer(self, seed, tmp_path):

@@ -268,6 +268,44 @@ def _snr(x, g, kap):
 KAPS = np.array([1.0 / math.expm1(0.25 * i * math.log(2.0)) for i in range(1, 33)])
 
 
+class TestNanRejected:
+    # NaN passed each of these checks (NaN < 0 is False): the oracle
+    # returned NaN estimates, the SNR and the closed form returned NaN, and
+    # a NaN prior failed later as an overflow.
+    STREAM = RandomStream(seed=42, stream=0)
+
+    def test_rician_k_factor(self):
+        with pytest.raises(ValueError, match="K-factor"):
+            FadingModel("rician", k_factor=math.nan)
+
+    @pytest.mark.parametrize("kappa", [math.nan, np.array([0.1, math.nan])])
+    def test_conditional_snr_kappa(self, kappa):
+        with pytest.raises(ValueError, match="kappa"):
+            conditional_snr(1.0, 10.0, kappa)
+
+    @pytest.mark.parametrize("kappa", [math.nan, -0.5])
+    def test_rayleigh_rate_exact_kappa(self, kappa):
+        # -0.5 died with a bare "math domain error".
+        with pytest.raises(ValueError, match="kappa must be >= 0"):
+            rayleigh_rate_exact(10.0, kappa)
+
+    def test_distortion_prior(self):
+        with pytest.raises(ValueError, match="prior variance"):
+            ergodic_distortion(10.0, 0.0, 0.0, math.nan, RULE40)
+
+    @pytest.mark.parametrize("oracle, match", [
+        (lambda s: monte_carlo_oracle(FadingModel("rayleigh"), 10.0, math.nan,
+                                      1.0, 100, s), "kappa"),
+        (lambda s: monte_carlo_oracle(FadingModel("rayleigh"), 10.0, 0.1,
+                                      math.nan, 100, s), "prior variance"),
+        (lambda s: monte_carlo_oracle(FadingModel("rician", math.nan), 10.0,
+                                      0.1, 1.0, 100, s), "K-factor"),
+    ], ids=["kappa", "prior_var", "k_factor"])
+    def test_oracle(self, oracle, match):
+        with pytest.raises(ValueError, match=match):
+            oracle(self.STREAM)
+
+
 class TestColumnAverages:
     @pytest.mark.parametrize("order", [20, 40, 128])
     @pytest.mark.parametrize("g", [0.1, 100.0, 10 ** 2.5])
