@@ -117,11 +117,11 @@ def cmd_frontier(cfg: RunConfig, out: str | None) -> int:
     cells = [None] * (5 * len(alphas))
     blocks = []
     for c, front in zip(FRONTIER_BUDGETS, fronts):
-        dists = ["%.17g" % d for d in front.distortions().tolist()]
+        dists = ["%.17g" % d for d in front.distortions.tolist()]
         cells[0::5] = ["%.17g" % c] * len(alphas)
-        cells[1::5] = front.rates().tolist()
+        cells[1::5] = front.rates.tolist()
         cells[2::5] = cells[4::5] = dists
-        cells[3::5] = region.separated_baseline(front).rates().tolist()
+        cells[3::5] = region.separated_baseline(front).rates.tolist()
         blocks.append(template % tuple(cells))
     _emit(out, [f"# {_header(cfg)}", "c_ai,alpha,rate,distortion,baseline_rate,"
                 "baseline_distortion", *blocks])
@@ -231,8 +231,8 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, float, float, bool]]:
     fronts = [region.frontier(sc, AiBudget(c)) for c in FRONTIER_BUDGETS[:-1]]
     worst = 0.0
     for lo, hi in zip(fronts, fronts[1:]):
-        worst = max(worst, float(np.max(lo.rates() - hi.rates())),
-                    float(np.max(hi.distortions() - lo.distortions())))
+        worst = max(worst, float(np.max(lo.rates - hi.rates)),
+                    float(np.max(hi.distortions - lo.distortions)))
     checks.append(("frontier_nesting_violation", worst, 1e-12, worst <= 1e-12))
 
     # Closed-form optimizer against the Brent KKT split, and constraint satisfaction.

@@ -33,12 +33,32 @@ def check_psd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _link(h: np.ndarray, r: np.ndarray, n: int, h_name: str,
+          r_name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Validated link: a complex copy of the finite 2-D channel h with n
+    columns, and its PSD noise covariance r with one row per channel row."""
+    m = np.atleast_2d(np.asarray(h, complex))
+    if m.ndim != 2 or m.shape[1] != n:
+        raise ValueError(f"{h_name} must be 2-D with {n} columns (Q's dimension), "
+                         f"got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{h_name} has non-finite entries")
+    cov = check_psd(r, r_name)
+    if cov.shape[0] != m.shape[0]:
+        raise ValueError(f"{r_name} has shape {cov.shape} but {h_name} has "
+                         f"{m.shape[0]} rows")
+    return m, cov
+
+
 @dataclass(frozen=True)
 class MimoScenario:
     """Channels, transmit and noise covariances, sensing sensitivity, budget.
 
     dmu is the derivative of the noiseless sensing observation with respect
-    to the scalar parameter of interest.
+    to the scalar parameter of interest. Every field is checked on
+    construction: finite entries, PSD covariances, and shapes that chain
+    (channels have Q's dimension as columns; R_c, R_s and dmu have their
+    channel's row count), each failure a ValueError naming the field.
     """
 
     h_c: np.ndarray
@@ -50,14 +70,18 @@ class MimoScenario:
     budget: AiBudget
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "h_c", np.atleast_2d(np.asarray(self.h_c, complex)))
-        object.__setattr__(self, "h_s", np.atleast_2d(np.asarray(self.h_s, complex)))
-        object.__setattr__(self, "q", check_psd(self.q, "Q"))
-        object.__setattr__(self, "r_c", check_psd(self.r_c, "R_c"))
-        object.__setattr__(self, "r_s", check_psd(self.r_s, "R_s"))
-        object.__setattr__(
-            self, "dmu", np.atleast_1d(np.asarray(self.dmu, complex)).ravel()
-        )
+        q = check_psd(self.q, "Q")
+        h_c, r_c = _link(self.h_c, self.r_c, q.shape[0], "H_c", "R_c")
+        h_s, r_s = _link(self.h_s, self.r_s, q.shape[0], "H_s", "R_s")
+        dmu = np.atleast_1d(np.asarray(self.dmu, complex)).ravel()
+        if dmu.size != h_s.shape[0]:
+            raise ValueError(f"dmu has {dmu.size} entries but H_s has "
+                             f"{h_s.shape[0]} rows")
+        if not np.isfinite(dmu).all():
+            raise ValueError("dmu has non-finite entries")
+        for name, value in (("q", q), ("h_c", h_c), ("r_c", r_c), ("h_s", h_s),
+                            ("r_s", r_s), ("dmu", dmu)):
+            object.__setattr__(self, name, value)
 
 
 def _rates(h_c: np.ndarray, r_c: np.ndarray, qs: np.ndarray,

@@ -6,14 +6,15 @@ capacity-limited latent, whose equivalent noise is set by the total power.
 A time-sharing baseline, derived from the frontier's arrays, gives the
 separated comparison curve.
 
-The frontier is computed in one pass over a uniform alpha grid and held as
-three read-only float64 arrays (alphas, rates, distortions); a membership
-query is one argmax over the grid. Rates are taken with math.log2 element
-by element, so they equal the scalar closed form bit for bit.
+The frontier is one pass over a uniform 201-point alpha grid, held as three
+read-only float64 arrays (alphas, rates, distortions); rates are taken with
+math.log2 element by element, so they equal the scalar closed form bit for
+bit. Membership needs no grid: a bisection over the floats decides it exactly.
 """
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,6 +24,8 @@ from .bottleneck import AiBudget
 from .gaussian import PerfPoint, ScalarScenario, effective_snrs
 
 DEFAULT_GRID = 201
+_ONE_BITS = 0x3FF0000000000000  # 1.0: non-negative doubles sort like their bits
+_BITS, _FLOAT = struct.Struct("<q"), struct.Struct("<d")
 
 
 class FrontierPoint(NamedTuple):
@@ -34,7 +37,7 @@ class FrontierPoint(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class Frontier:
     """Operating points on an ascending alpha grid, as three read-only
-    float64 arrays of equal length: alphas, rates() and distortions().
+    float64 arrays of equal length: alphas, rates and distortions.
 
     Rate is non-decreasing and distortion non-decreasing along the grid:
     shifting power toward communication always costs sensing accuracy.
@@ -42,45 +45,37 @@ class Frontier:
 
     budget: AiBudget
     alphas: np.ndarray
-    _rates: np.ndarray
-    _distortions: np.ndarray
+    rates: np.ndarray
+    distortions: np.ndarray
 
     def __post_init__(self) -> None:
         bad = ~((self.alphas >= 0.0) & (self.alphas <= 1.0))
         if bad.any():
             raise ValueError(f"alpha must lie in [0,1], got {self.alphas[bad][0]}")
-        if (~(self._rates >= 0)).any() or (~(self._distortions > 0)).any():
+        if (~(self.rates >= 0)).any() or (~(self.distortions > 0)).any():
             raise ValueError("rate must be >= 0 and distortion positive")
         if (np.diff(self.alphas) < 0).any():
             raise ValueError("frontier points must be ordered by alpha")
-        for arr in (self.alphas, self._rates, self._distortions):
+        for arr in (self.alphas, self.rates, self.distortions):
             arr.flags.writeable = False
-
-    def rates(self) -> np.ndarray:
-        return self._rates
-
-    def distortions(self) -> np.ndarray:
-        return self._distortions
 
     @property
     def points(self) -> tuple[FrontierPoint, ...]:
         """The grid as (alpha, rate, distortion) points, built on each access."""
-        return tuple(map(FrontierPoint, self.alphas.tolist(), self._rates.tolist(),
-                         self._distortions.tolist()))
+        return tuple(map(FrontierPoint, self.alphas.tolist(), self.rates.tolist(),
+                         self.distortions.tolist()))
 
 
-def frontier(sc: ScalarScenario, budget: AiBudget, n_points: int = DEFAULT_GRID) -> Frontier:
-    """Joint-design frontier over a uniform alpha grid.
+def frontier(sc: ScalarScenario, budget: AiBudget) -> Frontier:
+    """Joint-design frontier over the uniform DEFAULT_GRID alpha grid.
 
     Communication rides on power alpha*P (the sensing probe is known and
     cancelled at the receiver); sensing uses the remaining (1-alpha)*P, so
     the distortion is prior_var / (1 + (1 - alpha) * g_s).
     """
-    if n_points < 2:
-        raise ValueError("need at least 2 frontier points")
     g_c, g_s = effective_snrs(sc, budget)
-    alphas = np.linspace(0.0, 1.0, n_points)
-    rates = np.fromiter(map(math.log2, (1.0 + alphas * g_c).tolist()), float, n_points)
+    alphas = np.linspace(0.0, 1.0, DEFAULT_GRID)
+    rates = np.fromiter(map(math.log2, (1.0 + alphas * g_c).tolist()), float, DEFAULT_GRID)
     return Frontier(budget, alphas, rates, sc.prior_var / (1.0 + (1.0 - alphas) * g_s))
 
 
@@ -93,8 +88,8 @@ def separated_baseline(front: Frontier) -> Frontier:
     its rates are tau times the frontier's rate at alpha = 1 (linspace's
     exact endpoint, so that rate is log2(1 + g_c) to the bit).
     """
-    return Frontier(front.budget, front.alphas, front.alphas * front.rates()[-1],
-                    front.distortions())
+    return Frontier(front.budget, front.alphas, front.alphas * front.rates[-1],
+                    front.distortions)
 
 
 class Membership(NamedTuple):
@@ -104,21 +99,26 @@ class Membership(NamedTuple):
     distortion_slack: float
 
 
-def in_region(
-    sc: ScalarScenario,
-    budget: AiBudget,
-    candidate: PerfPoint,
-    n_points: int = 2001,
-) -> Membership:
-    """Whether some power split achieves the candidate point.
+def in_region(sc: ScalarScenario, budget: AiBudget, candidate: PerfPoint) -> Membership:
+    """Whether some power split achieves the candidate point, decided exactly.
 
-    Returns the best achieving alpha (the first, on a tie) and the slack in
-    each coordinate; inside means non-negative slack in both.
+    Rate and distortion are both non-decreasing in alpha, in float arithmetic
+    too (IEEE rounding is monotone), so the candidate is inside iff the least
+    float alpha in [0, 1] that meets its rate also meets its distortion.
+    That alpha is found by bisection over the bit patterns of [0.0, 1.0]
+    (62 steps, whatever the SNRs); where no split meets the rate, it is 1.
+    Returns that alpha and the slack in each coordinate there; inside means
+    both are non-negative, so alpha is then a witness split.
     """
-    front = frontier(sc, budget, n_points)
-    r_slack = front.rates() - candidate.rate
-    d_slack = candidate.distortion - front.distortions()
-    score = np.minimum(r_slack, d_slack)
-    i = int(np.argmax(score))
-    return Membership(bool(score[i] >= 0.0), float(front.alphas[i]),
-                      float(r_slack[i]), float(d_slack[i]))
+    g_c, g_s = effective_snrs(sc, budget)
+    lo, hi = 0, _ONE_BITS
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if math.log2(1.0 + _FLOAT.unpack(_BITS.pack(mid))[0] * g_c) >= candidate.rate:
+            hi = mid
+        else:
+            lo = mid + 1
+    alpha = _FLOAT.unpack(_BITS.pack(lo))[0]
+    r_slack = math.log2(1.0 + alpha * g_c) - candidate.rate
+    d_slack = candidate.distortion - sc.prior_var / (1.0 + (1.0 - alpha) * g_s)
+    return Membership(r_slack >= 0.0 and d_slack >= 0.0, alpha, r_slack, d_slack)

@@ -26,6 +26,7 @@ from aiisac.bottleneck import (
     enforce_mi_numerically,
     equivalent_noise,
     gaussian_mi,
+    gaussian_mis,
     kappa,
 )
 from aiisac.cli import mimo_power_scales, mimo_template
@@ -130,11 +131,11 @@ def test_criterion_04_covariance_map_equality_and_min_trace():
     c = 3.0
     t_star = float(np.real(np.trace(covariance_map(q, c))))
     grid = np.geomspace(1e-3, 10.0, 150)
-    min_feasible = math.inf
-    for n1 in grid:
-        for n2 in grid:
-            if gaussian_mi(q, np.diag([n1, n2])) <= c:
-                min_feasible = min(min_feasible, n1 + n2)
+    n1, n2 = (a.ravel() for a in np.meshgrid(grid, grid, indexing="ij"))
+    rzs = np.zeros((n1.size, 2, 2), complex)
+    rzs[:, 0, 0], rzs[:, 1, 1] = n1, n2
+    mis = gaussian_mis(np.broadcast_to(q.astype(complex), rzs.shape), rzs)
+    min_feasible = float(np.min((n1 + n2)[mis <= c], initial=math.inf))
     trace_ok = t_star <= min_feasible + (grid[1] - grid[0])
     passed = mi_ok and trace_ok
     report(4, passed,
@@ -175,28 +176,28 @@ def test_criterion_06_fading_ordering():
 def test_criterion_07_frontier_nesting_and_baseline():
     """Frontiers nest in the budget; joint beats time-sharing baseline."""
     budgets = [0.5, 2.0, 4.0, 6.0]
-    fronts = [frontier(TABLE_I, AiBudget(c), 201) for c in budgets]
+    fronts = [frontier(TABLE_I, AiBudget(c)) for c in budgets]
     nested = all(
-        np.all(hi.rates() >= lo.rates() - 1e-12)
-        and np.all(hi.distortions() <= lo.distortions() + 1e-12)
+        np.all(hi.rates >= lo.rates - 1e-12)
+        and np.all(hi.distortions <= lo.distortions + 1e-12)
         for lo, hi in zip(fronts, fronts[1:])
     )
-    f12 = frontier(TABLE_I, AiBudget(12.0), 201)
-    finf = frontier(TABLE_I, AiBudget(math.inf), 201)
-    conv_r = float(np.max(np.abs(f12.rates() - finf.rates())))
-    conv_d = float(np.max(np.abs(f12.distortions() - finf.distortions())))
+    f12 = frontier(TABLE_I, AiBudget(12.0))
+    finf = frontier(TABLE_I, AiBudget(math.inf))
+    conv_r = float(np.max(np.abs(f12.rates - finf.rates)))
+    conv_d = float(np.max(np.abs(f12.distortions - finf.distortions)))
     converged = conv_r <= 1e-3 and conv_d <= 1e-3 * TABLE_I.prior_var
 
     budget = AiBudget(4.0)
-    front = frontier(TABLE_I, budget, 201)
-    base = separated_baseline(frontier(TABLE_I, budget, 201))
+    front = frontier(TABLE_I, budget)
+    base = separated_baseline(frontier(TABLE_I, budget))
     wins = total = 0
     for bp in base.points[1:-1]:
-        ok = front.distortions() <= bp.distortion + 1e-15
+        ok = front.distortions <= bp.distortion + 1e-15
         if not np.any(ok):
             continue
         total += 1
-        wins += float(np.max(front.rates()[ok])) >= bp.rate - 1e-12
+        wins += float(np.max(front.rates[ok])) >= bp.rate - 1e-12
     frac = wins / total
     passed = nested and converged and frac >= 0.95
     report(7, passed,

@@ -76,8 +76,8 @@ def test_objective_is_the_frontier(preset, c_ai, mode):
     w_r, w_d = (1.0, cfg.weight) if mode == "penalized" else (cfg.weight,
                                                               1.0 - cfg.weight)
     front = frontier(sc, AiBudget(c_ai))
-    for a, r, d in zip(front.alphas.tolist(), front.rates().tolist(),
-                       front.distortions().tolist()):
+    for a, r, d in zip(front.alphas.tolist(), front.rates.tolist(),
+                       front.distortions.tolist()):
         assert objective(prob, a) == w_r * r - w_d * d
 
 

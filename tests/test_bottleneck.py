@@ -154,12 +154,12 @@ class TestCovarianceMap:
         rz_star = covariance_map(q, c)
         t_star = float(np.real(np.trace(rz_star)))
         grid = np.geomspace(1e-3, 10.0, 200)
-        for n1 in grid:
-            for n2 in grid:
-                rz = np.diag([n1, n2])
-                mi = gaussian_mi(q, rz)
-                if mi <= c + 1e-12:
-                    assert n1 + n2 >= t_star - 1e-6
+        n1, n2 = (a.ravel() for a in np.meshgrid(grid, grid, indexing="ij"))
+        rzs = np.zeros((n1.size, 2, 2), complex)
+        rzs[:, 0, 0], rzs[:, 1, 1] = n1, n2
+        mis = gaussian_mis(np.broadcast_to(q.astype(complex), rzs.shape), rzs)
+        feasible = mis <= c + 1e-12
+        assert np.all(n1[feasible] + n2[feasible] >= t_star - 1e-6)
 
     def test_proportional_map_not_min_trace_for_skew_spectrum(self):
         # Known limitation: for unequal eigenvalues the per-mode trace

@@ -61,6 +61,35 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_psd(q)
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(h_c=np.array([[1.0, np.nan], [0.0, 1.0]])), "H_c has non-finite"),
+        (dict(h_c=np.ones((2, 3))), r"H_c must be 2-D with 2 columns"),
+        (dict(h_c=np.ones((2, 2, 2))), r"H_c must be 2-D with 2 columns"),
+        (dict(h_c=np.ones((3, 2))), r"R_c has shape \(2, 2\) but H_c has 3 rows"),
+        (dict(h_s=np.array([[np.nan, 0.0], [0.0, 1.0]])), "H_s has non-finite"),
+        (dict(h_s=np.array([[np.inf, 0.0], [0.0, 1.0]])), "H_s has non-finite"),
+        (dict(h_s=np.ones((2, 1))), r"H_s must be 2-D with 2 columns"),
+        (dict(r_c=np.eye(3)), r"R_c has shape \(3, 3\) but H_c has 2 rows"),
+        (dict(r_s=np.eye(3)), r"R_s has shape \(3, 3\) but H_s has 2 rows"),
+        (dict(dmu=np.ones(3)), "dmu has 3 entries but H_s has 2 rows"),
+        (dict(dmu=np.array([1.0, np.nan])), "dmu has non-finite"),
+        (dict(dmu=np.array([np.inf, 1.0])), "dmu has non-finite"),
+    ], ids=["h_c_nan", "h_c_columns", "h_c_3d", "h_c_rows", "h_s_nan", "h_s_inf",
+            "h_s_columns", "r_c_shape", "r_s_shape", "dmu_length", "dmu_nan",
+            "dmu_inf"])
+    def test_inconsistent_fields_rejected(self, fields, message):
+        # Each used to reach mimo_rate or fisher_info and come back as NaN
+        # or as a raw numpy broadcast or gufunc error.
+        base = dict(h_c=np.eye(2), h_s=np.eye(2), q=np.eye(2), r_c=np.eye(2),
+                    r_s=np.eye(2), dmu=np.ones(2), budget=AiBudget(2.0))
+        with pytest.raises(ValueError, match=message):
+            MimoScenario(**{**base, **fields})
+
+    def test_rectangular_channels_accepted(self):
+        sc = make_scenario(np.ones((3, 2)), np.eye(2), np.eye(3), c_ai=2.0,
+                           h_s=np.ones((4, 2)), r_s=np.eye(4), dmu=np.ones(4))
+        assert math.isfinite(mimo_rate(sc)) and math.isfinite(fisher_info(sc))
+
     def test_zero_and_max_dim_accepted(self):
         assert np.array_equal(check_psd(np.zeros((2, 2))), np.zeros((2, 2)))
         assert np.array_equal(check_psd(np.eye(64)), np.eye(64))
