@@ -42,11 +42,11 @@ class AllocationProblem:
 
     def __post_init__(self) -> None:
         if not (self.total_power > 0 and self.total_time > 0):
-            raise ValueError("total power and time must be positive")
+            raise DegenerateInputError("total power and time must be positive")
         if not 0.0 <= self.weight <= 1.0:
-            raise ValueError(f"weight must lie in [0,1], got {self.weight}")
+            raise DegenerateInputError(f"weight must lie in [0,1], got {self.weight}")
         if self.mode not in ("penalized", "convex"):
-            raise ValueError(f"unknown objective mode {self.mode!r}")
+            raise DegenerateInputError(f"unknown objective mode {self.mode!r}")
 
     @cached_property
     def snrs(self) -> tuple[float, float]:

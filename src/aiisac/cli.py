@@ -1,6 +1,7 @@
 """Command-line front end: sweeps and optimizations emitted as CSV.
 
-Subcommands: gaussian-sweep, frontier, mimo-surface, allocate, verify.
+Commands: gaussian-sweep, frontier, mimo-surface, allocate, verify; each
+takes the same options, before or after the command.
 All outputs are deterministic given the config and seed; floats are
 written with 17 significant digits so files round-trip bit-exactly.
 """
@@ -262,25 +263,6 @@ def cmd_verify(cfg: RunConfig, out: str | None) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-@lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once: parse_args does not change it."""
-    parser = argparse.ArgumentParser(
-        prog="aiisac",
-        description="Learning-constrained ISAC performance sweeps (CSV output)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("gaussian-sweep", "frontier", "mimo-surface", "allocate",
-                 "verify"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="path to key = value config")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--quadrature-order", type=int, default=None)
-        p.add_argument("--preset", choices=PRESETS, default=None)
-    return parser
-
-
 _COMMANDS = {
     "gaussian-sweep": cmd_gaussian_sweep,
     "frontier": cmd_frontier,
@@ -290,10 +272,34 @@ _COMMANDS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parse_args does not change it.
+
+    One flat parser: every command takes the same options, which may come
+    before or after it.
+    """
+    parser = argparse.ArgumentParser(
+        prog="aiisac",
+        description="Learning-constrained ISAC performance sweeps (CSV output)",
+    )
+    parser.add_argument("command", choices=tuple(_COMMANDS))
+    parser.add_argument("--config", default=None, help="path to key = value config")
+    parser.add_argument("--out", default=None, help="output path (default stdout)")
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--quadrature-order", type=int, default=None)
+    parser.add_argument("--preset", choices=PRESETS, default=None)
+    return parser
+
+
 def load_config(args: argparse.Namespace) -> RunConfig:
-    cfg = preset_config(args.preset) if args.preset else RunConfig()
+    """One validated RunConfig from --preset and --config; --seed and
+    --quadrature-order, when given, replace their fields."""
+    cfg = preset_config(args.preset) if args.preset else None
     if args.config is not None:
         cfg = parse_config(Path(args.config).read_text(encoding="utf-8"), base=cfg)
+    elif cfg is None:
+        cfg = RunConfig()
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed

@@ -6,13 +6,18 @@ every numerical module downstream sees linear units only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .bottleneck import MAX_DIM
 from .errors import ConfigError
 from .numerics import MAX_QUADRATURE_ORDER
 
-PRESETS = ("tableI-dbm", "tableI-normalized")
+# The fields each preset sets; every other field keeps its RunConfig default.
+_PRESET_FIELDS = {
+    "tableI-dbm": {"preset": "tableI-dbm", "power": 0.01},
+    "tableI-normalized": {"preset": "tableI-normalized", "power": 10.0},
+}
+PRESETS = tuple(_PRESET_FIELDS)
 
 # Most points on the capacity axis of gaussian-sweep or the SNR axis of
 # mimo-surface; both grids are built in full in memory.
@@ -119,12 +124,18 @@ class RunConfig:
         return self.gain_s * self.power / self.noise_s
 
 
+_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
+
+
+def _preset_fields(name: str) -> dict:
+    if name not in _PRESET_FIELDS:
+        raise ConfigError(f"unknown preset {name!r}; choose from {PRESETS}")
+    return _PRESET_FIELDS[name]
+
+
 def preset_config(name: str) -> RunConfig:
-    if name == "tableI-dbm":
-        return RunConfig(preset=name, power=0.01)
-    if name == "tableI-normalized":
-        return RunConfig(preset=name, power=10.0)
-    raise ConfigError(f"unknown preset {name!r}; choose from {PRESETS}")
+    """The named preset, read from the same table as a config's 'preset' key."""
+    return RunConfig(**_preset_fields(name))
 
 
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
@@ -133,10 +144,11 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
     Lines beginning with '#' or ';' are comments; '[section]' headers are
     allowed for grouping and carry no meaning.  Unknown keys are errors.
     A 'preset' key, on any line, sets the base that every other key
-    overrides; each other value is read as the type of its RunConfig default.
+    overrides, in place of base (RunConfig's defaults if None); each other
+    value is read as the type of its RunConfig default.  The merged fields
+    build and validate one RunConfig.
     """
-    types = {f.name: type(f.default) for f in fields(RunConfig)}
-    cfg = base if base is not None else RunConfig()
+    values = vars(base) if base is not None else {}
     updates = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -149,16 +161,16 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.split("#", 1)[0].strip()
-        if key not in types:
+        if key not in _TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key == "preset":
-            cfg = preset_config(value)
+            values = _preset_fields(value)
             continue
         try:
-            updates[key] = types[key](value)
+            updates[key] = _TYPES[key](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {value!r}") from exc
     try:
-        return replace(cfg, **updates)
+        return RunConfig(**{**values, **updates})
     except (ValueError, ConfigError) as exc:
         raise ConfigError(str(exc)) from exc

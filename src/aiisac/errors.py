@@ -19,7 +19,9 @@ class DegenerateBudgetError(AiIsacError):
 
 
 class DegenerateInputError(AiIsacError):
-    """Input matrix or scenario carries no usable signal (e.g. zero covariance)."""
+    """Input carries no usable signal (e.g. zero covariance) or lies outside
+    its domain: a negative power, gain or weight, an unknown fading kind or
+    objective mode, an empty or non-positive grid."""
 
 
 class SingularMatrixError(AiIsacError):

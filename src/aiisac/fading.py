@@ -91,9 +91,9 @@ class FadingModel:
 
     def __post_init__(self) -> None:
         if self.kind not in ("rayleigh", "rician"):
-            raise ValueError(f"unknown fading kind {self.kind!r}")
+            raise DegenerateInputError(f"unknown fading kind {self.kind!r}")
         if self.kind == "rician" and not self.k_factor >= 0:
-            raise ValueError("rician K-factor must be >= 0")
+            raise DegenerateInputError("rician K-factor must be >= 0")
 
 
 def _check_snr(gamma_bar: float) -> None:

@@ -30,13 +30,14 @@ class ScalarScenario:
 
     def __post_init__(self) -> None:
         if not self.power > 0:
-            raise ValueError(f"power must be positive, got {self.power}")
+            raise DegenerateInputError(f"power must be positive, got {self.power}")
         if not (self.gain_c >= 0 and self.gain_s >= 0):
-            raise ValueError("channel gains must be non-negative")
+            raise DegenerateInputError("channel gains must be non-negative")
         if not (self.noise_c > 0 and self.noise_s > 0):
-            raise ValueError("noise variances must be positive")
+            raise DegenerateInputError("noise variances must be positive")
         if not self.prior_var > 0:
-            raise ValueError(f"prior variance must be positive, got {self.prior_var}")
+            raise DegenerateInputError(
+                f"prior variance must be positive, got {self.prior_var}")
 
 
 @dataclass(frozen=True)

@@ -140,9 +140,9 @@ def rate_surface(
     mimo_rate of its own point, bit for bit.
     """
     if not c_grid or not power_scales:
-        raise ValueError("grids must be non-empty")
+        raise DegenerateInputError("grids must be non-empty")
     if not all(math.isfinite(s) and s > 0 for s in power_scales):
-        raise ValueError("power scales must be positive and finite")
+        raise DegenerateInputError("power scales must be positive and finite")
     q = template.q
     step = max(1, _BLOCK // (len(c_grid) * q.size))
     blocks = []

@@ -49,6 +49,10 @@ class Frontier:
     distortions: np.ndarray
 
     def __post_init__(self) -> None:
+        if not (self.alphas.ndim == 1
+                and self.alphas.shape == self.rates.shape == self.distortions.shape):
+            raise ValueError("alphas, rates and distortions must be 1-D arrays "
+                             "of equal length")
         bad = ~((self.alphas >= 0.0) & (self.alphas <= 1.0))
         if bad.any():
             raise ValueError(f"alpha must lie in [0,1], got {self.alphas[bad][0]}")

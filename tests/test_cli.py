@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from aiisac import allocate, bottleneck, numerics
+from aiisac import allocate, bottleneck, cli, numerics
 from aiisac.allocate import grid_argmax
 from aiisac.bottleneck import AiBudget, covariance_map, gaussian_mi
 from aiisac.cli import _allocation_problem, _verify_checks, main
@@ -458,6 +458,71 @@ class TestCachedParser:
                 main(argv)
             assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+
+class TestConfigLoad:
+    """argv to one validated RunConfig: one flat parser, one construction."""
+
+    @staticmethod
+    def _run(monkeypatch, argv: list[str]) -> RunConfig:
+        """The RunConfig main hands to the command, which is stubbed out."""
+        seen = []
+        for name in cli._COMMANDS:
+            monkeypatch.setitem(cli._COMMANDS, name,
+                                lambda cfg, out: seen.append(cfg) or 0)
+        assert main(argv) == 0
+        (cfg,) = seen
+        return cfg
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_config_file_overrides_preset_flag(self, preset, tmp_path,
+                                               monkeypatch):
+        path = tmp_path / "f.cfg"
+        path.write_text("noise_c = 0.2\nweight = 0.5\n")
+        cfg = self._run(monkeypatch, ["allocate", "--preset", preset,
+                                      "--config", str(path)])
+        assert cfg == replace(preset_config(preset), noise_c=0.2, weight=0.5)
+
+    def test_keys_before_the_preset_line_are_kept(self):
+        cfg = parse_config("noise_c = 0.2\npreset = tableI-normalized\nseed = 3\n")
+        assert cfg == replace(preset_config("tableI-normalized"), noise_c=0.2,
+                              seed=3)
+
+    def test_parse_config_overrides_base(self):
+        base = replace(preset_config("tableI-normalized"), weight=0.5, seed=3)
+        cfg = parse_config("noise_s = 0.3\nseed = 9\n", base=base)
+        assert cfg == replace(base, noise_s=0.3, seed=9)
+        assert parse_config("", base=base) == base
+
+    @pytest.mark.parametrize("argv", [
+        ["--preset", "tableI-normalized", "verify"],
+        ["--seed", "5", "verify", "--preset", "tableI-normalized"],
+    ])
+    def test_options_may_precede_the_command(self, argv, monkeypatch):
+        cfg = self._run(monkeypatch, argv)
+        assert cfg.preset == "tableI-normalized" and cfg.power == 10.0
+        assert cfg.seed == (5 if "--seed" in argv else RunConfig().seed)
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert all(name in text for name in cli._COMMANDS)
+
+    @pytest.mark.parametrize("text", ["", "weight = 0.5\n",
+                                      "preset = tableI-normalized\nseed = 3\n"])
+    def test_one_validation_per_config_load(self, text, tmp_path, monkeypatch):
+        # Each RunConfig built runs __post_init__ once: a --config load with
+        # no override flags builds exactly one.
+        calls = []
+        validate = RunConfig.__post_init__
+        monkeypatch.setattr(RunConfig, "__post_init__",
+                            lambda self: calls.append(1) or validate(self))
+        path = tmp_path / "f.cfg"
+        path.write_text(text)
+        self._run(monkeypatch, ["allocate", "--config", str(path)])
+        assert len(calls) == 1
 
 
 # The config keys the five commands read; floats are drawn log-uniform in

@@ -1,8 +1,22 @@
 import json
+import math
 import subprocess
 import sys
+from dataclasses import replace
+
+import numpy as np
+import pytest
 
 import aiisac
+from aiisac import AiBudget, FadingModel, ScalarScenario
+from aiisac.allocate import AllocationProblem
+from aiisac.errors import DegenerateInputError
+from aiisac.mimo import MimoScenario, rate_surface
+
+_SCENARIO = ScalarScenario(power=1.0, gain_c=1.0, gain_s=1.0, noise_c=0.1,
+                           noise_s=0.1, prior_var=1.0)
+_MIMO = MimoScenario(h_c=np.eye(2), h_s=np.eye(2), q=np.eye(2), r_c=np.eye(2),
+                     r_s=np.eye(2), dmu=np.ones(2), budget=AiBudget(math.inf))
 
 
 def test_exports_resolve_once():
@@ -31,3 +45,28 @@ def test_no_subcommand_loads_scipy():
         capture_output=True, text=True, timeout=300, check=True)
     loaded = [json.loads(line) for line in proc.stdout.splitlines()]
     assert loaded == [[command, []] for command in commands]
+
+
+_OUT_OF_DOMAIN = {
+    "fading-kind": lambda: FadingModel("nakagami"),
+    "rician-k": lambda: FadingModel("rician", k_factor=-1.0),
+    "scenario-power": lambda: replace(_SCENARIO, power=0.0),
+    "scenario-gain": lambda: replace(_SCENARIO, gain_s=-1.0),
+    "scenario-noise": lambda: replace(_SCENARIO, noise_c=0.0),
+    "scenario-prior": lambda: replace(_SCENARIO, prior_var=math.nan),
+    "surface-empty-grid": lambda: rate_surface(_MIMO, [], [1.0]),
+    "surface-scale": lambda: rate_surface(_MIMO, [1.0], [0.0]),
+    "allocation-power": lambda: AllocationProblem(0.0, 1.0, 0.3, AiBudget(4.0),
+                                                  _SCENARIO),
+    "allocation-weight": lambda: AllocationProblem(1.0, 1.0, 1.5, AiBudget(4.0),
+                                                   _SCENARIO),
+    "allocation-mode": lambda: AllocationProblem(1.0, 1.0, 0.3, AiBudget(4.0),
+                                                 _SCENARIO, mode="x"),
+}
+
+
+@pytest.mark.parametrize("build", _OUT_OF_DOMAIN.values(), ids=_OUT_OF_DOMAIN)
+def test_out_of_domain_inputs_raise_package_errors(build):
+    # Library callers can catch AiIsacError alone; it is still a ValueError.
+    with pytest.raises(DegenerateInputError):
+        build()

@@ -121,6 +121,8 @@ class TestFrontier:
         ([0.5, 0.2], [0.0, 1.0], [1.0, 1.0], "ordered by alpha"),
         ([0.0, 1.0], [0.0, math.nan], [1.0, 1.0], "rate must be >= 0"),
         ([0.0, 1.0], [0.0, 1.0], [math.nan, 1.0], "distortion positive"),
+        ([0.0, 0.5, 1.0], [0.0], [1.0, 1.0], "equal length"),
+        ([[0.0, 1.0]], [[0.0, 1.0]], [[1.0, 1.0]], "1-D"),
     ])
     def test_invalid_arrays_rejected(self, alphas, rates, dists, message):
         with pytest.raises(ValueError, match=message):
