@@ -71,11 +71,6 @@ def _scenario(cfg: RunConfig) -> ScalarScenario:
     )
 
 
-def _axis(lo: float, hi: float, step: float) -> list[float]:
-    """lo, lo + step, ... over round((hi - lo) / step) steps."""
-    return [lo + i * step for i in range(int(round((hi - lo) / step)) + 1)]
-
-
 def _header(cfg: RunConfig) -> str:
     return f"preset = {cfg.preset}, seed = {cfg.seed}"
 
@@ -84,23 +79,25 @@ def cmd_gaussian_sweep(cfg: RunConfig, out: str | None) -> int:
     rule = QuadratureRule(cfg.quadrature_order)
     g_c, g_s = cfg.mean_snr_c(), cfg.mean_snr_s()
     k, pv = cfg.rician_k, cfg.prior_var
-    c_grid = _axis(cfg.c_min, cfg.c_max, cfg.c_step)
+    c_grid = cfg.capacity_axis()
     # c = 0 can only open the grid: no capacity, so rate 0 and the prior
     # variance as distortion.
     rows = [(c_grid[0], 0.0, 0.0, 0.0, pv, pv, pv)] if c_grid[0] == 0.0 else []
     c_pos = c_grid[len(rows):]
     if c_pos:
-        # One call per column, over every capacity c > 0 at once.
+        # One evaluation per K-factor gives its rate and distortion columns,
+        # over every capacity c > 0 at once; Rayleigh is Rician at K = 0.
         kaps = np.array([kappa(AiBudget(c)) for c in c_pos])
-        ks = (0.0, k)  # Rayleigh is Rician at K = 0
-        cols = [fading.conditional_snr(1.0, g_c, kaps),
-                fading.conditional_snr(1.0, g_s, kaps),
-                *(fading.ergodic_rate(g_c, kaps, kf, rule) for kf in ks),
-                *(fading.ergodic_distortion(g_s, kaps, kf, pv, rule) for kf in ks)]
-        for c, snr_c, snr_s, r_ray, r_ric, d_ray, d_ric in zip(
+        (rate_ray, dist_ray), (rate_ric, dist_ric) = (
+            fading.ergodic_columns(g_c, g_s, kaps, kf, pv, rule) for kf in (0.0, k))
+        # The AWGN SNRs, at unit gain, of the mean SNRs just validated.
+        gains = np.array([[g_c], [g_s]])
+        snr_c, snr_s = gains / (1.0 + gains * kaps)
+        cols = (snr_c, rate_ray, rate_ric, snr_s, dist_ray, dist_ric)
+        for c, s_c, r_ray, r_ric, s_s, d_ray, d_ric in zip(
                 c_pos, *(col.tolist() for col in cols)):
-            rows.append((c, math.log2(1.0 + snr_c), r_ray, r_ric,
-                         pv / (1.0 + snr_s), d_ray, d_ric))
+            rows.append((c, math.log2(1.0 + s_c), r_ray, r_ric,
+                         pv / (1.0 + s_s), d_ray, d_ric))
     _write_csv(out, _header(cfg),
                ["c_ai", "rate_awgn", "rate_rayleigh", "rate_rician",
                 "dist_awgn", "dist_rayleigh", "dist_rician"], rows)
@@ -147,12 +144,11 @@ def mimo_template(cfg: RunConfig) -> MimoScenario:
 def mimo_power_scales(cfg: RunConfig) -> list[float]:
     """Power multipliers for the dB axis, anchored so the 10 dB point is
     the preset's nominal power."""
-    return [db_to_linear(snr - 10.0)
-            for snr in _axis(cfg.snr_min_db, cfg.snr_max_db, cfg.snr_step_db)]
+    return [db_to_linear(snr - 10.0) for snr in cfg.snr_axis_db()]
 
 
 def cmd_mimo_surface(cfg: RunConfig, out: str | None) -> int:
-    snr_db = _axis(cfg.snr_min_db, cfg.snr_max_db, cfg.snr_step_db)
+    snr_db = cfg.snr_axis_db()
     surface = rate_surface(mimo_template(cfg), HALF_BIT_BUDGETS,
                            mimo_power_scales(cfg))
     rows = [(c, snr, rate) for c, rates in zip(HALF_BIT_BUDGETS, surface.tolist())

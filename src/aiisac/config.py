@@ -32,6 +32,17 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
+def _axis_steps(lo: float, hi: float, step: float) -> int:
+    """Steps of the axis lo, lo + step, ...: the most whose last point stays
+    at or below hi, up to 1e-9 of a step of rounding, so that a step such
+    as 0.1 still reaches hi."""
+    return math.floor((hi - lo) / step + 1e-9)
+
+
+def _axis(lo: float, hi: float, step: float) -> list[float]:
+    return [lo + i * step for i in range(_axis_steps(lo, hi, step) + 1)]
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Defaults mirror the standard simulation table.
@@ -97,10 +108,10 @@ class RunConfig:
         for axis, lo, hi, step in (
                 ("capacity", self.c_min, self.c_max, self.c_step),
                 ("SNR", self.snr_min_db, self.snr_max_db, self.snr_step_db)):
-            # round((hi - lo) / step) + 1 points, counted without building
-            # them; the first test keeps round() off a span of inf.
-            span = (hi - lo) / step
-            if span > MAX_GRID_POINTS or round(span) + 1 > MAX_GRID_POINTS:
+            # Counted without building the points; the first test keeps
+            # floor() off a span of inf.
+            if ((hi - lo) / step > MAX_GRID_POINTS
+                    or _axis_steps(lo, hi, step) + 1 > MAX_GRID_POINTS):
                 raise ConfigError(f"{axis} grid has more than {MAX_GRID_POINTS} "
                                   f"points; raise its step")
         db = (self.rician_k_db, self.snr_min_db, self.snr_max_db)
@@ -116,6 +127,14 @@ class RunConfig:
     @property
     def rician_k(self) -> float:
         return db_to_linear(self.rician_k_db)
+
+    def capacity_axis(self) -> list[float]:
+        """c_min, c_min + c_step, ..., up to c_max."""
+        return _axis(self.c_min, self.c_max, self.c_step)
+
+    def snr_axis_db(self) -> list[float]:
+        """snr_min_db, snr_min_db + snr_step_db, ..., up to snr_max_db."""
+        return _axis(self.snr_min_db, self.snr_max_db, self.snr_step_db)
 
     def mean_snr_c(self) -> float:
         return self.gain_c * self.power / self.noise_c

@@ -18,7 +18,10 @@ its weights integrate the gain density to one; it warns where they miss by
 a little and raises ConvergenceError where they miss by more than 1e-2.
 An array of kappas is averaged as one column: the weights are built once
 per (order, K) and cached, the check runs on every call, and each entry is
-the float a scalar call gives.  A seeded Monte-Carlo oracle provides an
+the float a scalar call gives.  ergodic_columns gives a rate column and a
+distortion column in one evaluation per K: the integrands at both mean
+SNRs come from one stacked array, and the inputs and weights are checked
+once for both.  A seeded Monte-Carlo oracle provides an
 independent route for validation.  The Bessel factor exp(-z) I0(z) and the
 scaled exponential integral e^u E1(u) are evaluated here; nothing imports
 SciPy.
@@ -178,11 +181,13 @@ def _average(values_at, k_factor: float, rule: QuadratureRule):
             f"order-{rule.order} fading rule misses the K = {k_factor:g} gain "
             f"density's unit mass by {miss:.2e}, more than {DENSITY_FAIL:g}; "
             f"raise the quadrature order or lower the K-factor")
-    if not np.all(np.isfinite(values)):
+    # NaN and inf carry through the max, so one reduction checks both.
+    peak = float(np.abs(values).max())
+    if not math.isfinite(peak):
         raise DegenerateInputError(
             f"the order-{rule.order} fading average overflows at the rule's "
             f"largest gains; lower the mean SNR")
-    if miss * max(1.0, float(np.max(np.abs(values)))) > DENSITY_TOL:
+    if miss * max(1.0, peak) > DENSITY_TOL:
         warnings.warn(
             f"order-{rule.order} fading rule misses the K = {k_factor:g} gain "
             f"density's unit mass by {miss:.2e}; averages may be off by more "
@@ -216,6 +221,36 @@ def ergodic_distortion(
     kap = np.asarray(kappa, dtype=float)[..., None]
     return _average(lambda x: prior_var / (1.0 + conditional_snr(x, gamma_bar, kap)),
                     k_factor, rule)
+
+
+def ergodic_columns(
+    g_c: float, g_s: float, kappa: float | np.ndarray, k_factor: float,
+    prior_var: float, rule: QuadratureRule,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ergodic rates at mean SNR g_c and average distortions at mean SNR
+    g_s, one entry per kappa, over the Rician gain with K-factor k_factor
+    (K = 0 is Rayleigh): each entry is the float ergodic_rate(g_c, ...) or
+    ergodic_distortion(g_s, ...) gives, with the same errors, but both
+    columns come from one evaluation of the stacked SNRs x * [g_c, g_s]
+    and one check of the inputs and of the weights, which warns at most
+    once."""
+    if not prior_var > 0:
+        raise ValueError("prior variance must be positive")
+    _check_snr(g_c)
+    _check_snr(g_s)
+    kap = np.asarray(kappa, dtype=float)[..., None]
+    if not (kap >= 0).all():
+        raise ValueError(f"kappa must be >= 0, got {kap}")
+    gains = np.array([[g_c], [g_s]])
+
+    def values_at(x):
+        xg = (x * gains)[:, None, :]
+        snr = xg / (1.0 + xg * kap)
+        return np.concatenate((np.log1p(snr[0]) / math.log(2.0),
+                               prior_var / (1.0 + snr[1])))
+
+    both = _average(values_at, k_factor, rule)
+    return both[:len(kap)], both[len(kap):]
 
 
 def rayleigh_rate_exact(gamma_bar: float, kappa: float) -> float:

@@ -13,7 +13,7 @@ from aiisac import allocate, bottleneck, cli, numerics
 from aiisac.allocate import grid_argmax
 from aiisac.bottleneck import AiBudget, covariance_map, gaussian_mi
 from aiisac.cli import _allocation_problem, _verify_checks, main
-from aiisac.config import PRESETS, RunConfig, parse_config, preset_config
+from aiisac.config import MAX_GRID_POINTS, PRESETS, RunConfig, parse_config, preset_config
 from aiisac.errors import ConfigError
 from aiisac.gaussian import ScalarScenario, effective_snrs
 from aiisac.numerics import RandomStream
@@ -55,6 +55,28 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("power = -3\n")
 
+    @pytest.mark.parametrize("c_max, c_step, n", [
+        (8.0, 0.25, 33), (8.0, 3.0, 3), (0.8, 0.1, 9), (0.3, 0.1, 4), (1.0, 1 / 3, 4)])
+    def test_capacity_axis_stops_at_its_max(self, c_max, c_step, n):
+        # round() took a c = 9 step past c_max = 8 at step 3; steps that
+        # land on c_max up to rounding (0.8 / 0.1 = 7.999999999999999)
+        # still reach it.
+        axis = RunConfig(c_max=c_max, c_step=c_step).capacity_axis()
+        assert len(axis) == n
+        assert axis[-1] <= c_max + 1e-9 * c_step
+        assert math.isclose(axis[-1], c_max) or axis[-1] + c_step > c_max
+
+    def test_grid_point_limit_counts_the_built_axis(self):
+        # round() counted 10,001 points for this axis of 10,000 and
+        # rejected it.
+        cfg = RunConfig(c_max=9999.6, c_step=1.0)
+        assert len(cfg.capacity_axis()) == MAX_GRID_POINTS
+        with pytest.raises(ConfigError, match="more than"):
+            RunConfig(c_max=float(MAX_GRID_POINTS), c_step=1.0)
+        with pytest.raises(ConfigError, match="more than"):
+            RunConfig(snr_min_db=0.0, snr_max_db=float(MAX_GRID_POINTS),
+                      snr_step_db=1.0)
+
 
 _OFF_PRESET_CONFIG = ("mimo_nt = 4\nmimo_nr = 4\nrician_k_db = 12\n"
                       "quadrature_order = 40\npower = 1\nprior_var = 30\n"
@@ -81,6 +103,21 @@ class TestCommands:
         for col in (1, 2, 3):
             vals = [float(r[col]) for r in rows]
             assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("command, text, column, points", [
+        ("gaussian-sweep", "c_step = 3\n", 0, ["0", "3", "6"]),
+        ("mimo-surface", "snr_step_db = 8\n", 1, ["-5", "3", "11", "19"]),
+    ])
+    def test_axis_ends_at_or_below_its_max(self, command, text, column, points,
+                                          tmp_path):
+        # Both axes took a last step past their max: a c_ai = 9 row past
+        # c_max = 8, and 27 dB columns past snr_max_db = 25.
+        cfg = tmp_path / "axis.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert sorted({r[column] for r in rows}, key=float) == points
 
     def test_frontier_blocks(self, tmp_path):
         out = tmp_path / "front.csv"

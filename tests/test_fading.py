@@ -1,10 +1,12 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import exp1, i0e
 
+from aiisac import fading
 from aiisac.cli import main
 from aiisac.fading import (
     FadingModel,
@@ -12,6 +14,7 @@ from aiisac.fading import (
     _i0e,
     _weights,
     conditional_snr,
+    ergodic_columns,
     ergodic_distortion,
     ergodic_rate,
     monte_carlo_oracle,
@@ -337,6 +340,34 @@ class TestColumnAverages:
             assert main(["gaussian-sweep", "--config", str(cfg),
                          "--out", str(tmp_path / "s.csv")]) == 0
 
+    def test_sweep_warning_is_attributed_to_the_cli(self, tmp_path):
+        # Only the Rician K warns, once for both of its columns, at the
+        # line of cli.py that asked for them.
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("rician_k_db = 20\nquadrature_order = 20\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["gaussian-sweep", "--config", str(cfg),
+                         "--out", str(tmp_path / "s.csv")]) == 0
+        assert [type(w.message) for w in caught] == [RuntimeWarning]
+        assert Path(caught[0].filename).name == "cli.py"
+
+    def test_sweep_makes_one_fading_evaluation_per_k_factor(self, tmp_path, monkeypatch):
+        calls = {"_average": 0, "conditional_snr": 0}
+
+        def counted(name):
+            original = getattr(fading, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(fading, name, counted(name))
+        assert main(["gaussian-sweep", "--out", str(tmp_path / "s.csv")]) == 0
+        assert calls == {"_average": 2, "conditional_snr": 0}
+
     @pytest.mark.parametrize("g", [0.0, -1.0, math.inf, math.nan])
     def test_mean_snr_zero_or_not_finite_is_a_domain_error(self, g):
         with pytest.raises(DegenerateInputError, match="mean SNR"):
@@ -347,3 +378,74 @@ class TestColumnAverages:
     def test_overflowing_integrand_is_a_domain_error(self):
         with pytest.raises(DegenerateInputError, match="overflows"):
             ergodic_rate(1e306, 0.0, 10.0, QuadratureRule(128))
+
+
+def _error_of(call):
+    """(class, message) of the error call raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+class TestErgodicColumns:
+    # (g_c, g_s) pairs over TestColumnAverages' mean SNRs, each as both.
+    GAINS = [(0.1, 10 ** 2.5), (100.0, 0.1), (10 ** 2.5, 100.0)]
+
+    @pytest.mark.parametrize("order", [20, 40, 128])
+    @pytest.mark.parametrize("g_c, g_s", GAINS)
+    @pytest.mark.parametrize("k", [0.0, 10 ** 0.2, 10 ** 0.6, 10 ** 1.2])
+    def test_bit_identical_to_per_point(self, order, g_c, g_s, k):
+        rule = QuadratureRule(order)
+        rates, dists = ergodic_columns(g_c, g_s, KAPS, k, 30.0, rule)
+        assert rates.tolist() == [ergodic_rate(g_c, kap, k, rule) for kap in KAPS]
+        assert dists.tolist() == [ergodic_distortion(g_s, kap, k, 30.0, rule)
+                                  for kap in KAPS]
+
+    @pytest.mark.parametrize("g", [0.0, -1.0, math.inf, math.nan])
+    def test_mean_snr_error_matches(self, g):
+        assert (_error_of(lambda: ergodic_columns(g, 10.0, KAPS, 0.0, 1.0, RULE40))
+                == _error_of(lambda: ergodic_rate(g, KAPS, 0.0, RULE40)))
+        assert (_error_of(lambda: ergodic_columns(10.0, g, KAPS, 0.0, 1.0, RULE40))
+                == _error_of(lambda: ergodic_distortion(g, KAPS, 0.0, 1.0, RULE40)))
+
+    @pytest.mark.parametrize("columns, per_point", [
+        (lambda: ergodic_columns(10.0, 10.0, -KAPS, 0.0, 1.0, RULE40),
+         lambda: ergodic_rate(10.0, -KAPS, 0.0, RULE40)),
+        (lambda: ergodic_columns(10.0, 10.0, -0.5, 0.0, 1.0, RULE40),
+         lambda: ergodic_rate(10.0, -0.5, 0.0, RULE40)),
+        (lambda: ergodic_columns(10.0, 10.0, KAPS, math.nan, 1.0, RULE40),
+         lambda: ergodic_rate(10.0, KAPS, math.nan, RULE40)),
+        (lambda: ergodic_columns(10.0, 10.0, KAPS, 4.0, 0.0, RULE40),
+         lambda: ergodic_distortion(10.0, KAPS, 4.0, 0.0, RULE40)),
+        (lambda: ergodic_columns(10.0, 10.0, KAPS, 4.0, -1.0, RULE40),
+         lambda: ergodic_distortion(10.0, KAPS, 4.0, -1.0, RULE40)),
+        (lambda: ergodic_columns(1e306, 10.0, KAPS, 10.0, 1.0, RULE),
+         lambda: ergodic_rate(1e306, KAPS, 10.0, RULE)),
+        (lambda: ergodic_columns(10.0, 10.0, KAPS, 1e4, 1.0, QuadratureRule(20)),
+         lambda: ergodic_distortion(10.0, KAPS, 1e4, 1.0, QuadratureRule(20))),
+    ], ids=["negative_kappa", "negative_scalar_kappa", "nan_k_factor", "zero_prior",
+            "negative_prior", "overflow", "unresolved_density"])
+    def test_error_matches_per_point(self, columns, per_point):
+        assert _error_of(columns) == _error_of(per_point)
+
+    @pytest.mark.parametrize("k_db, g, prior_var, rate_warns, dist_warns", [
+        (6.0, 10.0, 1.0, False, False),
+        (18.0, 10.0, 1.0, True, False),
+        (16.0, 0.1, 30.0, False, True),
+        (20.0, 10.0, 1.0, True, True),
+    ], ids=["neither", "rate_only", "distortion_only", "both"])
+    def test_warns_once_where_either_column_would(self, k_db, g, prior_var,
+                                                  rate_warns, dist_warns):
+        k, rule = 10 ** (k_db / 10), QuadratureRule(20)
+
+        def warnings_of(call):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            return [str(w.message) for w in caught]
+
+        rate = warnings_of(lambda: ergodic_rate(g, KAPS, k, rule))
+        dist = warnings_of(lambda: ergodic_distortion(g, KAPS, k, prior_var, rule))
+        assert (bool(rate), bool(dist)) == (rate_warns, dist_warns)
+        both = warnings_of(lambda: ergodic_columns(g, g, KAPS, k, prior_var, rule))
+        assert both == (rate or dist)
