@@ -1,10 +1,13 @@
 """Ergodic rate and average distortion over fading channels.
 
-ergodic_rate and ergodic_distortion average the rate and the MMSE over the
-channel power gain x: non-central chi-square with unit scattered power and
-K-factor K (Rician, mean 1+K), which at K = 0 is the unit-mean exponential
-(Rayleigh).  Both integrate by the order-M composite rule of the
-QuadratureRule they are given (QuadratureRule.graded):
+One kernel gives every fading average: ergodic_rate, ergodic_distortion
+and ergodic_columns are each one call into it.  It averages, over the
+channel power gain x, the rate log2(1 + snr(x)) in bits or the MMSE
+prior_var / (1 + snr(x)) at each mean SNR it is given, for every kappa of
+a column at once.  The gain is non-central chi-square with unit scattered
+power and K-factor K (Rician, mean 1+K), which at K = 0 is the unit-mean
+exponential (Rayleigh).  The kernel integrates by the order-M composite
+rule of the QuadratureRule it is given (QuadratureRule.graded):
 M // 2 Gauss-Legendre nodes on [0, a] in the graded variable x = a s^2,
 and the rest Gauss-Laguerre nodes on [a, inf), where a is the mean gain
 1 + K and the tail is stretched by the gain's standard deviation
@@ -13,18 +16,14 @@ x = 1/snr at high mean SNR (the integrand is singular just left of the
 origin) and missed the Rayleigh closed form by 3.3e-2 bits at M = 20 and
 2.2e-3 bits at M = 128 for mean SNRs up to 25 dB; the composite rule
 misses it by 3.8e-5 bits at M = 20, 8.5e-8 at M = 40 and 1e-11 at
-M >= 80.  Every average checks that
-its weights integrate the gain density to one; it warns where they miss by
-a little and raises ConvergenceError where they miss by more than 1e-2.
-An array of kappas is averaged as one column: the weights are built once
-per (order, K) and cached, the check runs on every call, and each entry is
-the float a scalar call gives.  ergodic_columns gives a rate column and a
-distortion column in one evaluation per K: the integrands at both mean
-SNRs come from one stacked array, and the inputs and weights are checked
-once for both.  A seeded Monte-Carlo oracle provides an
-independent route for validation.  The Bessel factor exp(-z) I0(z) and the
-scaled exponential integral e^u E1(u) are evaluated here; nothing imports
-SciPy.
+M >= 80.  The kernel checks each input once, evaluates the SNRs at every
+node and mean SNR as one array, and warns where its weights miss the gain
+density's unit mass by a little and raises ConvergenceError where they
+miss it by more than 1e-2.  The weights are cached per (order, K); each
+entry of a column is the float a scalar call gives.  A seeded Monte-Carlo
+oracle on the same rate and MMSE transforms is an independent check.  The
+Bessel factor exp(-z) I0(z) and the scaled exponential integral
+e^u E1(u) are evaluated here; nothing imports SciPy.
 """
 from __future__ import annotations
 
@@ -95,14 +94,38 @@ class FadingModel:
     def __post_init__(self) -> None:
         if self.kind not in ("rayleigh", "rician"):
             raise DegenerateInputError(f"unknown fading kind {self.kind!r}")
-        if self.kind == "rician" and not self.k_factor >= 0:
-            raise DegenerateInputError("rician K-factor must be >= 0")
+        _check_k(self.k_factor)
 
 
-def _check_snr(gamma_bar: float) -> None:
-    if not 0.0 < gamma_bar < math.inf:
-        raise DegenerateInputError(
-            f"mean SNR must be positive and finite, got {gamma_bar}")
+def _check_k(k_factor: float) -> None:
+    if not 0.0 <= k_factor < math.inf:
+        raise DegenerateInputError(f"K-factor must be finite and >= 0, got {k_factor}")
+
+
+def _check_positive(value: float, name: str) -> None:
+    """The check of a mean SNR and of a prior variance."""
+    if not 0.0 < value < math.inf:
+        raise DegenerateInputError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_kappa(kappa: float | np.ndarray) -> np.ndarray:
+    kap = np.asarray(kappa, dtype=float)
+    if not (kap >= 0).all():
+        raise DegenerateInputError(f"kappa must be >= 0, got {kappa}")
+    return kap
+
+
+def _snr(xg: np.ndarray, kap: np.ndarray) -> np.ndarray:
+    """Effective SNR at gain times mean SNR xg: xg / (1 + xg*kappa)."""
+    return xg / (1.0 + xg * kap)
+
+
+def _integrand(snr: np.ndarray, prior_var: float | None) -> np.ndarray:
+    """Rate log2(1 + snr) in bits where prior_var is None, else the MMSE
+    prior_var / (1 + snr)."""
+    if prior_var is None:
+        return np.log1p(snr) / math.log(2.0)
+    return prior_var / (1.0 + snr)
 
 
 def conditional_snr(x, gamma_bar: float, kappa: float | np.ndarray):
@@ -110,13 +133,10 @@ def conditional_snr(x, gamma_bar: float, kappa: float | np.ndarray):
 
     Saturates at 1/kappa for kappa > 0.  Accepts scalars or arrays of x and
     kappa, which broadcast against each other.  Raises DegenerateInputError
-    unless the mean SNR gamma is positive and finite.
+    unless the mean SNR gamma is positive and finite and every kappa >= 0.
     """
-    _check_snr(gamma_bar)
-    if not np.all(np.asarray(kappa) >= 0):
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
-    xg = np.asarray(x, dtype=float) * gamma_bar
-    out = xg / (1.0 + xg * kappa)
+    _check_positive(gamma_bar, "mean SNR")
+    out = _snr(np.asarray(x, dtype=float) * gamma_bar, _check_kappa(kappa))
     return float(out) if np.isscalar(x) and np.isscalar(kappa) else out
 
 
@@ -157,32 +177,42 @@ def _weights(rule: QuadratureRule, k_factor: float) -> tuple[np.ndarray, np.ndar
     return nodes, w, abs(float(np.sum(w)) - 1.0)
 
 
-def _average(values_at, k_factor: float, rule: QuadratureRule):
-    """Average of values_at(x) over the Rician gain density with K-factor
-    k_factor (K = 0 is Rayleigh), by the weights _weights caches for
-    (rule.order, K).
+def _average(gammas, priors, kappa: float | np.ndarray, k_factor: float,
+             rule: QuadratureRule) -> list | np.ndarray:
+    """Fading averages at each mean SNR gammas[i]: the rate in bits where
+    priors[i] is None, else the MMSE at prior variance priors[i], over the
+    Rician gain density with K-factor k_factor (K = 0 is Rayleigh), by the
+    weights _weights caches for (rule.order, K).
 
-    values_at maps the M nodes to M values (a float is returned) or to
-    rows x M values (one np.dot(w, row) per row is returned). The weights
-    must integrate the density to one: a miss of m shifts an average by
-    about m times its values, so every call, cached weights or not, raises
-    ConvergenceError where m exceeds DENSITY_FAIL, and otherwise issues a
-    RuntimeWarning where m * max(1, max |values|) exceeds DENSITY_TOL.
-    A value that is not finite raises DegenerateInputError, and a negative
-    K-factor ValueError.
+    Returns per mean SNR a column, an entry per kappa, or a float where
+    kappa is a scalar: one stacked SNR array, one dot with w per row.
+    A miss m of the density's unit mass shifts an average by about m times
+    its values, so every call, cached weights or not, raises
+    ConvergenceError where m exceeds DENSITY_FAIL, and otherwise warns once
+    where m * max(1, max |values|) exceeds DENSITY_TOL. An input outside its
+    domain, a kappa of two or more axes, or a value that is not finite
+    raises DegenerateInputError.
     """
-    if not k_factor >= 0.0:
-        raise ValueError(f"K-factor must be >= 0, got {k_factor}")
+    for g, prior_var in zip(gammas, priors):
+        _check_positive(g, "mean SNR")
+        if prior_var is not None:
+            _check_positive(prior_var, "prior variance")
+    kap = _check_kappa(kappa)
+    if kap.ndim > 1:
+        raise DegenerateInputError(f"kappa must have at most one axis, got {kap.shape}")
+    _check_k(k_factor)
     nodes, w, miss = _weights(rule, k_factor)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = values_at(nodes)
     if not miss <= DENSITY_FAIL:
         raise ConvergenceError(
             f"order-{rule.order} fading rule misses the K = {k_factor:g} gain "
             f"density's unit mass by {miss:.2e}, more than {DENSITY_FAIL:g}; "
             f"raise the quadrature order or lower the K-factor")
+    with np.errstate(over="ignore", invalid="ignore"):
+        snr = _snr(nodes * np.array(gammas, dtype=float)[:, None, None],
+                   kap.reshape(-1, 1))
+        values = np.array([_integrand(s, p) for s, p in zip(snr, priors)])
     # NaN and inf carry through the max, so one reduction checks both.
-    peak = float(np.abs(values).max())
+    peak = float(np.abs(values).max(initial=0.0))
     if not math.isfinite(peak):
         raise DegenerateInputError(
             f"the order-{rule.order} fading average overflows at the rule's "
@@ -193,20 +223,18 @@ def _average(values_at, k_factor: float, rule: QuadratureRule):
             f"density's unit mass by {miss:.2e}; averages may be off by more "
             f"than {DENSITY_TOL:g}, raise the quadrature order",
             RuntimeWarning, stacklevel=3)
-    if values.ndim == 1:
-        return float(np.dot(w, values))
-    return np.array([np.dot(w, row) for row in values])
+    # w.dot is np.dot without its dispatch: the same sum, bit for bit.
+    sums = np.array(list(map(w.dot, values.reshape(-1, len(w)))), dtype=float)
+    return sums.tolist() if kap.ndim == 0 else sums.reshape(len(values), -1)
 
 
 def ergodic_rate(
     gamma_bar: float, kappa: float | np.ndarray, k_factor: float, rule: QuadratureRule
 ) -> float | np.ndarray:
     """Ergodic rate E[log2(1 + snr(x))], bits per use, over the Rician gain
-    with K-factor k_factor (K = 0 is Rayleigh), by the composite rule of
-    order rule.order split at the mean gain 1 + K."""
-    kap = np.asarray(kappa, dtype=float)[..., None]
-    return _average(lambda x: np.log1p(conditional_snr(x, gamma_bar, kap)) / math.log(2.0),
-                    k_factor, rule)
+    with K-factor k_factor (K = 0 is Rayleigh): a float for a scalar kappa,
+    else one entry per kappa."""
+    return _average((gamma_bar,), (None,), kappa, k_factor, rule)[0]
 
 
 def ergodic_distortion(
@@ -214,43 +242,19 @@ def ergodic_distortion(
     prior_var: float, rule: QuadratureRule,
 ) -> float | np.ndarray:
     """Fading-averaged MMSE distortion E[prior_var / (1 + snr(x))] over the
-    Rician gain with K-factor k_factor (K = 0 is Rayleigh), by the composite
-    rule of order rule.order split at the mean gain 1 + K."""
-    if not prior_var > 0:
-        raise ValueError("prior variance must be positive")
-    kap = np.asarray(kappa, dtype=float)[..., None]
-    return _average(lambda x: prior_var / (1.0 + conditional_snr(x, gamma_bar, kap)),
-                    k_factor, rule)
+    Rician gain with K-factor k_factor (K = 0 is Rayleigh): a float for a
+    scalar kappa, else one entry per kappa."""
+    return _average((gamma_bar,), (prior_var,), kappa, k_factor, rule)[0]
 
 
 def ergodic_columns(
     g_c: float, g_s: float, kappa: float | np.ndarray, k_factor: float,
     prior_var: float, rule: QuadratureRule,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ergodic rates at mean SNR g_c and average distortions at mean SNR
-    g_s, one entry per kappa, over the Rician gain with K-factor k_factor
-    (K = 0 is Rayleigh): each entry is the float ergodic_rate(g_c, ...) or
-    ergodic_distortion(g_s, ...) gives, with the same errors, but both
-    columns come from one evaluation of the stacked SNRs x * [g_c, g_s]
-    and one check of the inputs and of the weights, which warns at most
+) -> tuple:
+    """(ergodic_rate(g_c, ...), ergodic_distortion(g_s, ...)), the same
+    floats with the same errors, from one evaluation that warns at most
     once."""
-    if not prior_var > 0:
-        raise ValueError("prior variance must be positive")
-    _check_snr(g_c)
-    _check_snr(g_s)
-    kap = np.asarray(kappa, dtype=float)[..., None]
-    if not (kap >= 0).all():
-        raise ValueError(f"kappa must be >= 0, got {kap}")
-    gains = np.array([[g_c], [g_s]])
-
-    def values_at(x):
-        xg = (x * gains)[:, None, :]
-        snr = xg / (1.0 + xg * kap)
-        return np.concatenate((np.log1p(snr[0]) / math.log(2.0),
-                               prior_var / (1.0 + snr[1])))
-
-    both = _average(values_at, k_factor, rule)
-    return both[:len(kap)], both[len(kap):]
+    return tuple(_average((g_c, g_s), (None, prior_var), kappa, k_factor, rule))
 
 
 def rayleigh_rate_exact(gamma_bar: float, kappa: float) -> float:
@@ -260,11 +264,10 @@ def rayleigh_rate_exact(gamma_bar: float, kappa: float) -> float:
     log(1 + x*gamma/(1+x*gamma*kappa)) over a unit-mean exponential gain
     is e^{1/beta1} E1(1/beta1) - e^{1/beta2} E1(1/beta2); the second term
     vanishes at kappa = 0. Raises DegenerateInputError where beta1
-    overflows, and ValueError unless kappa >= 0.
+    overflows or kappa < 0.
     """
-    _check_snr(gamma_bar)
-    if not kappa >= 0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
+    _check_positive(gamma_bar, "mean SNR")
+    _check_kappa(kappa)
     if gamma_bar * (1.0 + kappa) == math.inf:
         raise DegenerateInputError(f"mean SNR {gamma_bar!r} times 1 + kappa overflows")
 
@@ -350,16 +353,12 @@ def monte_carlo_oracle(
     generator and the reduction order is fixed regardless of chunking.
     """
     if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if not prior_var > 0:
-        raise ValueError("prior variance must be positive")
-    rng = stream.generator()
-    gains = _sample_gains(model, n_samples, rng)
+        raise DegenerateInputError("n_samples must be >= 1")
+    _check_positive(prior_var, "prior variance")
+    gains = _sample_gains(model, n_samples, stream.generator())
     snr = conditional_snr(gains, gamma_bar, kappa)
-    rates = np.log1p(snr) / math.log(2.0)
-    dists = prior_var / (1.0 + snr)
-    r_mean, r_sq = _chunked_mean(rates)
-    d_mean, d_sq = _chunked_mean(dists)
+    r_mean, r_sq = _chunked_mean(_integrand(snr, None))
+    d_mean, d_sq = _chunked_mean(_integrand(snr, prior_var))
     r_se = math.sqrt(max(r_sq - r_mean**2, 0.0) / n_samples)
     d_se = math.sqrt(max(d_sq - d_mean**2, 0.0) / n_samples)
     return MonteCarloEstimate(r_mean, d_mean, r_se, d_se)

@@ -449,3 +449,59 @@ class TestErgodicColumns:
         assert (bool(rate), bool(dist)) == (rate_warns, dist_warns)
         both = warnings_of(lambda: ergodic_columns(g, g, KAPS, k, prior_var, rule))
         assert both == (rate or dist)
+
+
+class TestOneKernelInputs:
+    """Each input is checked once, in the one kernel all three averages call."""
+
+    STREAM = RandomStream(seed=42, stream=0)
+    AVERAGES = {
+        "rate": lambda kap, k, pv: ergodic_rate(10.0, kap, k, RULE40),
+        "distortion": lambda kap, k, pv: ergodic_distortion(10.0, kap, k, pv, RULE40),
+        "columns": lambda kap, k, pv: ergodic_columns(10.0, 10.0, kap, k, pv, RULE40),
+    }
+
+    @pytest.mark.parametrize("average", AVERAGES.values(), ids=AVERAGES)
+    def test_empty_kappa_gives_empty_columns(self, average):
+        # numpy's bare "zero-size array to reduction operation maximum".
+        got = average(np.array([]), 4.0, 1.0)
+        for col in got if isinstance(got, tuple) else (got,):
+            assert col.shape == (0,) and col.dtype == np.float64
+
+    @pytest.mark.parametrize("average", AVERAGES.values(), ids=AVERAGES)
+    def test_two_axis_kappa_is_a_domain_error(self, average):
+        # A bare np.dot shape error before.
+        with pytest.raises(DegenerateInputError, match="kappa"):
+            average(np.full((3, 2), 0.1), 4.0, 1.0)
+
+    @pytest.mark.parametrize("k", [math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("average", AVERAGES.values(), ids=AVERAGES)
+    def test_k_factor_must_be_finite(self, average, k):
+        # inf reached numerics' "split must be positive and finite".
+        with pytest.raises(DegenerateInputError, match="K-factor"):
+            average(KAPS, k, 1.0)
+
+    @pytest.mark.parametrize("kind, k", [("rician", math.inf), ("rayleigh", -1.0),
+                                         ("rayleigh", math.nan)])
+    def test_fading_model_k_factor(self, kind, k):
+        # A Rician inf gave NaN oracle estimates; a Rayleigh -1 was accepted.
+        with pytest.raises(DegenerateInputError, match="K-factor"):
+            FadingModel(kind, k_factor=k)
+
+    @pytest.mark.parametrize("call", [
+        lambda s: ergodic_distortion(10.0, KAPS, 0.0, math.inf, RULE40),
+        lambda s: ergodic_columns(10.0, 10.0, KAPS, 0.0, math.inf, RULE40),
+        lambda s: monte_carlo_oracle(FadingModel("rayleigh"), 10.0, 0.1, math.inf,
+                                     100, s),
+    ], ids=["distortion", "columns", "oracle"])
+    def test_prior_must_be_finite(self, call):
+        # The average blamed an overflow; the oracle returned inf with a NaN
+        # standard error.
+        with pytest.raises(DegenerateInputError, match="prior variance"):
+            call(self.STREAM)
+
+    def test_scalar_kappa_gives_floats(self):
+        rate, dist = ergodic_columns(100.0, 0.1, 1.0 / 15.0, 4.0, 30.0, RULE40)
+        assert type(rate) is float and type(dist) is float
+        assert rate == ergodic_rate(100.0, 1.0 / 15.0, 4.0, RULE40)
+        assert dist == ergodic_distortion(0.1, 1.0 / 15.0, 4.0, 30.0, RULE40)

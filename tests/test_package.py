@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import aiisac
-from aiisac import AiBudget, FadingModel, ScalarScenario
+from aiisac import (AiBudget, FadingModel, QuadratureRule, RandomStream, ScalarScenario,
+                    conditional_snr, ergodic_distortion, ergodic_rate,
+                    monte_carlo_oracle, rayleigh_rate_exact)
 from aiisac.allocate import AllocationProblem
 from aiisac.errors import DegenerateInputError
 from aiisac.mimo import MimoScenario, rate_surface
@@ -17,6 +19,7 @@ _SCENARIO = ScalarScenario(power=1.0, gain_c=1.0, gain_s=1.0, noise_c=0.1,
                            noise_s=0.1, prior_var=1.0)
 _MIMO = MimoScenario(h_c=np.eye(2), h_s=np.eye(2), q=np.eye(2), r_c=np.eye(2),
                      r_s=np.eye(2), dmu=np.ones(2), budget=AiBudget(math.inf))
+_RULE = QuadratureRule(20)
 
 
 def test_exports_resolve_once():
@@ -50,6 +53,17 @@ def test_no_subcommand_loads_scipy():
 _OUT_OF_DOMAIN = {
     "fading-kind": lambda: FadingModel("nakagami"),
     "rician-k": lambda: FadingModel("rician", k_factor=-1.0),
+    "rician-k-inf": lambda: FadingModel("rician", k_factor=math.inf),
+    "rayleigh-k": lambda: FadingModel("rayleigh", k_factor=-1.0),
+    "fading-mean-snr": lambda: ergodic_rate(0.0, 0.1, 0.0, _RULE),
+    "fading-kappa": lambda: ergodic_rate(10.0, -0.1, 0.0, _RULE),
+    "fading-kappa-axes": lambda: ergodic_rate(10.0, np.ones((2, 2)), 0.0, _RULE),
+    "fading-k": lambda: ergodic_distortion(10.0, 0.1, math.inf, 1.0, _RULE),
+    "fading-prior": lambda: ergodic_distortion(10.0, 0.1, 0.0, math.inf, _RULE),
+    "snr-kappa": lambda: conditional_snr(1.0, 10.0, -0.1),
+    "exact-kappa": lambda: rayleigh_rate_exact(10.0, -0.1),
+    "oracle-samples": lambda: monte_carlo_oracle(FadingModel("rayleigh"), 10.0, 0.1,
+                                                 1.0, 0, RandomStream(1)),
     "scenario-power": lambda: replace(_SCENARIO, power=0.0),
     "scenario-gain": lambda: replace(_SCENARIO, gain_s=-1.0),
     "scenario-noise": lambda: replace(_SCENARIO, noise_c=0.0),
