@@ -17,7 +17,7 @@ import numpy as np
 
 from .bottleneck import AiBudget, achieved_mi, equivalent_noise
 from .errors import BracketError, DegenerateInputError
-from .gaussian import ScalarScenario, effective_snrs
+from .gaussian import ScalarScenario, effective_snrs, split_distortion, split_rate
 from .numerics import find_root
 
 LN2 = math.log(2.0)
@@ -72,14 +72,14 @@ class AllocationResult:
 
 
 def objective(problem: AllocationProblem, alpha: float) -> float:
-    """J = w_r log2(1 + alpha g_c) - w_d sigma^2 / (1 + (1 - alpha) g_s) at
-    power split alpha (communication fraction)."""
+    """J = w_r R - w_d D at power split alpha (communication fraction), with
+    R and D gaussian.split_rate and split_distortion of the problem's SNRs."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0,1], got {alpha}")
     w_r, w_d = problem.weights
     g_c, g_s = problem.snrs
-    return (w_r * math.log2(1.0 + alpha * g_c)
-            - w_d * (problem.scenario.prior_var / (1.0 + (1.0 - alpha) * g_s)))
+    return (w_r * split_rate(g_c, alpha)
+            - w_d * split_distortion(g_s, problem.scenario.prior_var, alpha))
 
 
 def objective_gradient(problem: AllocationProblem, alpha: float) -> float:

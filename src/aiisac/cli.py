@@ -29,7 +29,7 @@ from .bottleneck import (
 )
 from .config import PRESETS, RunConfig, db_to_linear, parse_config, preset_config
 from .errors import AiIsacError, ConfigError
-from .gaussian import ScalarScenario, link_snrs
+from .gaussian import ScalarScenario, link_snrs, split_distortion, split_rate
 from .mimo import MimoScenario, rate_surface
 from .numerics import QuadratureRule, RandomStream
 
@@ -61,14 +61,8 @@ def _write_csv(path: str | None, header_comment: str, columns: list[str],
 
 
 def _scenario(cfg: RunConfig) -> ScalarScenario:
-    return ScalarScenario(
-        power=cfg.power,
-        gain_c=cfg.gain_c,
-        gain_s=cfg.gain_s,
-        noise_c=cfg.noise_c,
-        noise_s=cfg.noise_s,
-        prior_var=cfg.prior_var,
-    )
+    return ScalarScenario(cfg.power, cfg.gain_c, cfg.gain_s, cfg.noise_c,
+                          cfg.noise_s, cfg.prior_var)
 
 
 def _header(cfg: RunConfig) -> str:
@@ -77,7 +71,8 @@ def _header(cfg: RunConfig) -> str:
 
 def cmd_gaussian_sweep(cfg: RunConfig, out: str | None) -> int:
     rule = QuadratureRule(cfg.quadrature_order)
-    g_c, g_s = cfg.mean_snr_c(), cfg.mean_snr_s()
+    sc = _scenario(cfg)
+    g_c, g_s = link_snrs(sc, 0.0)  # the mean SNRs, with no latent noise
     k, pv = cfg.rician_k, cfg.prior_var
     c_grid = cfg.capacity_axis()
     # c = 0 can only open the grid: no capacity, so rate 0 and the prior
@@ -90,14 +85,14 @@ def cmd_gaussian_sweep(cfg: RunConfig, out: str | None) -> int:
         kaps = np.array([kappa(AiBudget(c)) for c in c_pos])
         (rate_ray, dist_ray), (rate_ric, dist_ric) = (
             fading.ergodic_columns(g_c, g_s, kaps, kf, pv, rule) for kf in (0.0, k))
-        # The AWGN SNRs, at unit gain, of the mean SNRs just validated.
-        gains = np.array([[g_c], [g_s]])
-        snr_c, snr_s = gains / (1.0 + gains * kaps)
-        cols = (snr_c, rate_ray, rate_ric, snr_s, dist_ray, dist_ric)
-        for c, s_c, r_ray, r_ric, s_s, d_ray, d_ric in zip(
-                c_pos, *(col.tolist() for col in cols)):
-            rows.append((c, math.log2(1.0 + s_c), r_ray, r_ric,
-                         pv / (1.0 + s_s), d_ray, d_ric))
+        cols = (rate_ray, rate_ric, dist_ray, dist_ric)
+        for c, kap, r_ray, r_ric, d_ray, d_ric in zip(
+                c_pos, kaps.tolist(), *(col.tolist() for col in cols)):
+            # The scalar link at the latent noise N_z = P kappa, so the AWGN
+            # cells are gaussian.rate and distortion at c.
+            s_c, s_s = link_snrs(sc, cfg.power * kap)
+            rows.append((c, split_rate(s_c, 1.0), r_ray, r_ric,
+                         split_distortion(s_s, pv, 0.0), d_ray, d_ric))
     _write_csv(out, _header(cfg),
                ["c_ai", "rate_awgn", "rate_rayleigh", "rate_rician",
                 "dist_awgn", "dist_rayleigh", "dist_rician"], rows)
@@ -184,19 +179,14 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, float, float, bool]]:
 
     # Closed-form vs numerically-enforced latent noise at a 0.6 power split.
     alpha = cfg.alpha_verify
-
-    def perf(nz: float) -> tuple[float, float]:
-        g_c, g_s = link_snrs(sc, nz)
-        return (math.log2(1.0 + alpha * g_c),
-                sc.prior_var / (1.0 + (1.0 - alpha) * g_s))
-
     dev = 0.0
     for c in HALF_BIT_BUDGETS:
-        nz_cf = equivalent_noise(AiBudget(c), cfg.power)
-        nz_num = enforce_mi_numerically(cfg.power, c, tol=1e-12)
-        r1, d1 = perf(nz_cf)
-        r2, d2 = perf(nz_num)
-        dev = max(dev, abs(r1 - r2), abs(d1 - d2))
+        (c1, s1), (c2, s2) = (link_snrs(sc, nz) for nz in (
+            equivalent_noise(AiBudget(c), cfg.power),
+            enforce_mi_numerically(cfg.power, c, tol=1e-12)))
+        dev = max(dev, abs(split_rate(c1, alpha) - split_rate(c2, alpha)),
+                  abs(split_distortion(s1, sc.prior_var, alpha)
+                      - split_distortion(s2, sc.prior_var, alpha)))
     checks.append(("theory_vs_achieved_max_dev", dev, 1e-9, dev <= 1e-9))
 
     # Latent-noise covariance mapping hits its budget exactly on 20 random
@@ -219,7 +209,7 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, float, float, bool]]:
 
     # Rayleigh quadrature against the exponential-integral closed form.
     rule = QuadratureRule(128)
-    g = cfg.mean_snr_c()
+    g = link_snrs(sc, 0.0)[0]
     anchor_dev = abs(fading.ergodic_rate(g, 0.0, 0.0, rule)
                      - fading.rayleigh_rate_exact(g, 0.0))
     checks.append(("rayleigh_anchor_dev", anchor_dev, 1e-6, anchor_dev <= 1e-6))
@@ -316,6 +306,9 @@ def main(argv: list[str] | None = None) -> int:
     except AiIsacError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except OSError as exc:  # --out names no writable file
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

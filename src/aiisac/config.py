@@ -137,10 +137,8 @@ class RunConfig:
         return _axis(self.snr_min_db, self.snr_max_db, self.snr_step_db)
 
     def mean_snr_c(self) -> float:
+        """gaussian.link_snrs's communication SNR at no latent noise."""
         return self.gain_c * self.power / self.noise_c
-
-    def mean_snr_s(self) -> float:
-        return self.gain_s * self.power / self.noise_s
 
 
 _TYPES = {f.name: type(f.default) for f in fields(RunConfig)}

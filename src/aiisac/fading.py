@@ -86,6 +86,9 @@ _EPS = math.ulp(1.0)
 class FadingModel:
     """Channel gain distribution for the Monte-Carlo oracle: "rayleigh", or
     "rician" with a K-factor and unit scattered power, so mean gain 1 + K.
+
+    A "rayleigh" model checks its K-factor like a Rician one and then
+    ignores it: FadingModel("rayleigh", k_factor=4.0) draws Rayleigh gains.
     """
 
     kind: str

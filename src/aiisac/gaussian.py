@@ -76,16 +76,27 @@ def effective_snrs(sc: ScalarScenario, budget: AiBudget) -> tuple[float, float]:
     return g_c, g_s
 
 
+def split_rate(g_c: float, alpha: float) -> float:
+    """Rate log2(1 + alpha g_c) in bits at power split alpha (the sensing
+    probe is known and cancelled at the receiver): the one scalar rate."""
+    return math.log2(1.0 + alpha * g_c)
+
+
+def split_distortion(g_s: float | np.ndarray, prior_var: float,
+                     alpha: float | np.ndarray) -> float | np.ndarray:
+    """MMSE prior_var / (1 + (1 - alpha) g_s) at power split alpha, where g_s
+    or alpha may be a float64 array: the one scalar distortion."""
+    return prior_var / (1.0 + (1.0 - alpha) * g_s)
+
+
 def rate(sc: ScalarScenario, budget: AiBudget) -> float:
     """Achievable communication rate log2(1 + effective SNR), bits per use."""
-    g_c, _ = effective_snrs(sc, budget)
-    return math.log2(1.0 + g_c)
+    return split_rate(effective_snrs(sc, budget)[0], 1.0)
 
 
 def distortion(sc: ScalarScenario, budget: AiBudget) -> float:
     """MMSE sensing distortion prior_var / (1 + effective sensing SNR)."""
-    _, g_s = effective_snrs(sc, budget)
-    return sc.prior_var / (1.0 + g_s)
+    return split_distortion(effective_snrs(sc, budget)[1], sc.prior_var, 0.0)
 
 
 def scaling_gap(sc: ScalarScenario, c_grid: list[float]) -> float:

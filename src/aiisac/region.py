@@ -8,7 +8,7 @@ separated comparison curve.
 
 The frontier is one pass over a uniform 201-point alpha grid, held as three
 read-only float64 arrays (alphas, rates, distortions); rates are taken with
-math.log2 element by element, so they equal the scalar closed form bit for
+math.log2 element by element, so they equal gaussian.split_rate bit for
 bit. Membership needs no grid: a bisection over the floats decides it exactly.
 """
 from __future__ import annotations
@@ -21,7 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bottleneck import AiBudget
-from .gaussian import PerfPoint, ScalarScenario, effective_snrs
+from .gaussian import (PerfPoint, ScalarScenario, effective_snrs, split_distortion,
+                       split_rate)
 
 DEFAULT_GRID = 201
 _ONE_BITS = 0x3FF0000000000000  # 1.0: non-negative doubles sort like their bits
@@ -71,16 +72,13 @@ class Frontier:
 
 
 def frontier(sc: ScalarScenario, budget: AiBudget) -> Frontier:
-    """Joint-design frontier over the uniform DEFAULT_GRID alpha grid.
-
-    Communication rides on power alpha*P (the sensing probe is known and
-    cancelled at the receiver); sensing uses the remaining (1-alpha)*P, so
-    the distortion is prior_var / (1 + (1 - alpha) * g_s).
-    """
+    """gaussian.split_rate and split_distortion of the budget's effective
+    SNRs at each split alpha of the uniform DEFAULT_GRID grid."""
     g_c, g_s = effective_snrs(sc, budget)
     alphas = np.linspace(0.0, 1.0, DEFAULT_GRID)
+    # split_rate per element, inlined: a call per element doubles this pass
     rates = np.fromiter(map(math.log2, (1.0 + alphas * g_c).tolist()), float, DEFAULT_GRID)
-    return Frontier(budget, alphas, rates, sc.prior_var / (1.0 + (1.0 - alphas) * g_s))
+    return Frontier(budget, alphas, rates, split_distortion(g_s, sc.prior_var, alphas))
 
 
 def separated_baseline(front: Frontier) -> Frontier:
@@ -118,11 +116,12 @@ def in_region(sc: ScalarScenario, budget: AiBudget, candidate: PerfPoint) -> Mem
     lo, hi = 0, _ONE_BITS
     while lo < hi:
         mid = (lo + hi) // 2
+        # split_rate(g_c, alpha at mid), inlined: a call per step doubles the loop
         if math.log2(1.0 + _FLOAT.unpack(_BITS.pack(mid))[0] * g_c) >= candidate.rate:
             hi = mid
         else:
             lo = mid + 1
     alpha = _FLOAT.unpack(_BITS.pack(lo))[0]
-    r_slack = math.log2(1.0 + alpha * g_c) - candidate.rate
-    d_slack = candidate.distortion - sc.prior_var / (1.0 + (1.0 - alpha) * g_s)
+    r_slack = split_rate(g_c, alpha) - candidate.rate
+    d_slack = candidate.distortion - split_distortion(g_s, sc.prior_var, alpha)
     return Membership(r_slack >= 0.0 and d_slack >= 0.0, alpha, r_slack, d_slack)

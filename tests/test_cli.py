@@ -15,7 +15,7 @@ from aiisac.bottleneck import AiBudget, covariance_map, gaussian_mi
 from aiisac.cli import _allocation_problem, _verify_checks, main
 from aiisac.config import MAX_GRID_POINTS, PRESETS, RunConfig, parse_config, preset_config
 from aiisac.errors import ConfigError
-from aiisac.gaussian import ScalarScenario, effective_snrs
+from aiisac.gaussian import ScalarScenario, distortion, effective_snrs, rate
 from aiisac.numerics import RandomStream
 
 
@@ -234,17 +234,23 @@ class TestCommands:
     # 4 and 2; alpha_star, J_star, kkt_residual and the objective column
     # unchanged),
     # mimo-surface's as written per grid point, before it ran as one pass
-    # over its whole grid, gaussian-sweep's as written since its Gauss rules
-    # come from numpy.polynomial (each cell within 4e-15 relative of the
-    # scipy.special rules' output). The other "off-preset" rows, on
+    # over its whole grid, gaussian-sweep's fading columns as written since
+    # its Gauss rules come from numpy.polynomial (each cell within 4e-15
+    # relative of the scipy.special rules' output) and its AWGN columns as
+    # written since they come from gaussian.link_snrs at N_z = P kappa, as
+    # gaussian.rate and distortion give them, not from the unit-gain SNR
+    # g / (1 + g kappa) of the mean SNR g (only rate_awgn and dist_awgn cells
+    # moved then, in 3 of 33 rows on tableI-dbm, by at most 11 ulps, and in
+    # 13 of 33 on tableI-normalized and 12 of 33 off-preset, by at most 2
+    # ulps). The other "off-preset" rows, on
     # _OFF_PRESET_CONFIG (4 antennas, K = 12 dB, order 40, a weight and
     # budget that put the optimal split inside (0, 1)), are as written
     # while each cell type had its own format, before one %.17g template.
     @pytest.mark.parametrize("command, preset, digest", [
         ("gaussian-sweep", "tableI-dbm",
-         "a6ada74991f2b4f36dc8fe406371ba4243f5836135b9b4c684b12c976959e391"),
+         "a504c5be8cb582f7c4edd18f5e4cdd9fd9c587fa1e0295b7329b1b33b5eec667"),
         ("gaussian-sweep", "tableI-normalized",
-         "d0c72c3fd18d47bad3bcf955934fc49df076e522e701773ad9c1077ba3ebfb3d"),
+         "478ccefe789366c02f5e476bf550d5a39c77ee95f0c47af35581b9daea261040"),
         ("mimo-surface", "tableI-dbm",
          "295bc582d1d23a2859504d09a31bb6628d4dbdb69eb80af7057a56f3db73e145"),
         ("mimo-surface", "tableI-normalized",
@@ -258,7 +264,7 @@ class TestCommands:
         ("allocate", "tableI-normalized",
          "fd9ddbeb1477366d52c4b0719e1907501e8f19eb817ba174e120f4248752c43e"),
         ("gaussian-sweep", "off-preset",
-         "62a24520e10836e3b3c0a506406466efc8fbba0a5c93806db4397c004e5bf1a9"),
+         "7c6e3abde4dbd5f53c53c80f0fa9f9d50344d1ce589285d5008454105c47710f"),
         ("frontier", "off-preset",
          "89b4efcf3748b60e995f9c5a063684b5040e2d463a2df1c2755f7cbc0ddde1e1"),
         ("mimo-surface", "off-preset",
@@ -276,6 +282,41 @@ class TestCommands:
             source = ["--config", str(cfg)]
         assert main([command, *source, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("preset", [*PRESETS, "off-preset"])
+    def test_sweep_awgn_columns_are_the_scalar_link(self, preset, tmp_path):
+        # The AWGN cells once came from an SNR of their own and differed
+        # from frontier's in the last digits (5 cells on tableI-normalized).
+        if preset in PRESETS:
+            source, cfg = ["--preset", preset], preset_config(preset)
+        else:
+            path = tmp_path / "off.cfg"
+            path.write_text(_OFF_PRESET_CONFIG)
+            source, cfg = ["--config", str(path)], parse_config(_OFF_PRESET_CONFIG)
+        sweep, front = tmp_path / "sweep.csv", tmp_path / "front.csv"
+        assert main(["gaussian-sweep", *source, "--out", str(sweep)]) == 0
+        assert main(["frontier", *source, "--out", str(front)]) == 0
+        header, rows = read_csv(sweep)
+        i_rate, i_dist = header.index("rate_awgn"), header.index("dist_awgn")
+        sc = cli._scenario(cfg)
+        for row in rows:
+            budget = AiBudget(float(row[0]))
+            assert float(row[i_rate]) == rate(sc, budget)
+            assert float(row[i_dist]) == distortion(sc, budget)
+        # rate at alpha = 1 and distortion at alpha = 0, as written by frontier
+        ends = {(r[0], r[1]): r for r in read_csv(front)[1] if r[1] in ("0", "1")}
+        awgn = {r[0]: (r[i_rate], r[i_dist]) for r in rows}
+        for c in ("0.5", "2", "4", "6"):
+            assert awgn[c] == (ends[c, "1"][2], ends[c, "0"][3])
+
+    @pytest.mark.parametrize("target", ["missing/dir/out.csv", "."])
+    def test_unwritable_out_path_exit_code(self, target, tmp_path, capsys):
+        out = tmp_path / target
+        assert main(["frontier", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.is_file()
 
     # sha256 of verify's report as written since allocate reports the MI of
     # the closed-form latent noise: only optimizer_mi_max_dev moved, from

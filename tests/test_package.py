@@ -1,8 +1,10 @@
+import ast
 import json
 import math
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,3 +86,34 @@ def test_out_of_domain_inputs_raise_package_errors(build):
     # Library callers can catch AiIsacError alone; it is still a ValueError.
     with pytest.raises(DegenerateInputError):
         build()
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads (from __future__ aside)."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in bound.items()
+                  if name not in read)
+
+
+_MODULES = sorted(p for p in Path(aiisac.__file__).parent.glob("*.py")
+                  if p.name != "__init__.py")  # __init__ imports to re-export
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=[p.stem for p in _MODULES])
+def test_module_reads_every_name_it_imports(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_finder_flags_only_unread_names():
+    source = ("from __future__ import annotations\nimport math\nimport numpy as np\n"
+              "import os.path\nfrom .x import a, b as c\nnp.zeros(a)\n")
+    assert _unused_imports(source) == ["c (line 5)", "math (line 2)", "os (line 4)"]
