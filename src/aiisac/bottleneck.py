@@ -13,7 +13,7 @@ the kernel on a 1-stack.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,18 +47,19 @@ class AiBudget:
         if math.isnan(self.c_ai) or self.c_ai < 0:
             raise ValueError(f"capacity must be >= 0 bits, got {self.c_ai}")
 
-    @property
-    def is_classical(self) -> bool:
-        return math.isinf(self.c_ai)
-
 
 def kappa(budget: AiBudget) -> float:
     """Normalized equivalent noise N_z / P = 1 / (2^C - 1)."""
-    if budget.is_classical:
+    return _kappa(budget.c_ai)
+
+
+def _kappa(c_ai: float) -> float:
+    """kappa of a capacity c_ai already known to be >= 0 (inf included)."""
+    if c_ai == math.inf:
         return 0.0
-    if budget.c_ai == 0:
+    if c_ai == 0:
         raise DegenerateBudgetError("kappa is unbounded at zero capacity")
-    x = budget.c_ai * math.log(2.0)
+    x = c_ai * math.log(2.0)
     # expm1 overflows near x = 709.8; long before, 1/expm1(x) is exp(-x).
     return math.exp(-x) if x >= 709.0 else 1.0 / math.expm1(x)
 
@@ -67,7 +68,7 @@ def equivalent_noise(budget: AiBudget, power: float) -> float:
     """Equivalent noise variance N_z = P / (2^C - 1); zero in the classical limit."""
     if not power > 0:
         raise ValueError(f"power must be positive, got {power}")
-    if budget.is_classical:
+    if budget.c_ai == math.inf:
         return 0.0
     if budget.c_ai == 0:
         raise DegenerateBudgetError(
@@ -178,13 +179,17 @@ def _active_groups(evals: np.ndarray, evecs: np.ndarray
         yield members, evals[members][:, mask], evecs[members][:, :, mask]
 
 
-def proportional_maps(qs: np.ndarray, c_grid: list[float]) -> np.ndarray:
+def proportional_maps(qs: np.ndarray, c_grid: Sequence[float]) -> np.ndarray:
     """covariance_map for every capacity in c_grid and every Hermitian Q in
     the stack qs (J x n x n), as a C x J x n x n stack, from one stacked
     eigh. Active subspaces are sliced per group of Q with equal rank masks,
-    so each R_z is bit for bit the product for its Q alone.  A Q that is
+    so each R_z is bit for bit the product for its Q alone.  A capacity
+    below 0 or NaN raises DegenerateInputError naming it, and a Q that is
     not PSD raises ValueError, whatever the capacities.
     """
+    for c in c_grid:
+        if not c >= 0:
+            raise DegenerateInputError(f"capacity must be >= 0 bits, got {c}")
     out = np.zeros((len(c_grid),) + qs.shape, dtype=complex)
     evals, evecs = np.linalg.eigh(qs)
     _check_psd(evals, "Q")
@@ -194,7 +199,7 @@ def proportional_maps(qs: np.ndarray, c_grid: list[float]) -> np.ndarray:
     if not np.all(evals[:, -1] > 0):
         raise DegenerateInputError("Q has no active subspace (zero matrix)")
     for members, vals, vecs in _active_groups(evals, evecs):
-        zeta = np.array([kappa(AiBudget(c_grid[i] / vals.shape[1])) for i in finite])
+        zeta = np.array([_kappa(c_grid[i] / vals.shape[1]) for i in finite])
         rz = (vecs * (zeta[:, None, None] * vals)[:, :, None, :]
               ) @ vecs.conj().swapaxes(-1, -2)
         out[np.ix_(finite, members)] = 0.5 * (rz + rz.conj().swapaxes(-1, -2))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
@@ -121,34 +121,43 @@ def cmd_frontier(cfg: RunConfig, out: str | None) -> int:
     return EXIT_OK
 
 
+def _mimo_link(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(H_c, R_c, Q) of the rate surface: identity channel, white noise and
+    isotropic transmit covariance of total power cfg.power."""
+    eye = np.eye(cfg.mimo_nt)
+    return eye, cfg.noise_c * eye, (cfg.power / cfg.mimo_nt) * eye
+
+
 def mimo_template(cfg: RunConfig) -> MimoScenario:
-    """Isotropic identity-channel template used by the rate surface."""
-    n = cfg.mimo_nt
-    eye = np.eye(n)
-    return MimoScenario(
-        h_c=eye,
-        h_s=eye,
-        q=(cfg.power / n) * eye,
-        r_c=cfg.noise_c * eye,
-        r_s=cfg.noise_s * eye,
-        dmu=np.ones(n),
-        budget=AiBudget(math.inf),
-    )
+    """The rate surface's link as a scenario, with an identity sensing
+    channel of white noise noise_s."""
+    h_c, r_c, q = _mimo_link(cfg)
+    return MimoScenario(h_c=h_c, h_s=h_c, q=q, r_c=r_c, r_s=cfg.noise_s * h_c,
+                        dmu=np.ones(cfg.mimo_nt), budget=AiBudget(math.inf))
 
 
-def mimo_power_scales(cfg: RunConfig) -> list[float]:
+def mimo_power_scales(snr_db: list[float]) -> list[float]:
     """Power multipliers for the dB axis, anchored so the 10 dB point is
     the preset's nominal power."""
-    return [db_to_linear(snr - 10.0) for snr in cfg.snr_axis_db()]
+    return [db_to_linear(snr - 10.0) for snr in snr_db]
+
+
+def _write_surface(path: str | None, header_comment: str, c_grid: Sequence[float],
+                   snr_db: list[float], surface: np.ndarray) -> None:
+    """_write_csv of the rows (c, snr, rate) of a capacity x SNR surface, with
+    each capacity and SNR cell formatted once into the row template."""
+    snrs = ["%.17g" % snr for snr in snr_db]
+    template = "\n".join(f"{c},{snr},%.17g" for c in ["%.17g" % c for c in c_grid]
+                         for snr in snrs)
+    _emit(path, [f"# {header_comment}", "c_ai,snr_db,rate",
+                 template % tuple(surface.ravel().tolist())])
 
 
 def cmd_mimo_surface(cfg: RunConfig, out: str | None) -> int:
     snr_db = cfg.snr_axis_db()
-    surface = rate_surface(mimo_template(cfg), HALF_BIT_BUDGETS,
-                           mimo_power_scales(cfg))
-    rows = [(c, snr, rate) for c, rates in zip(HALF_BIT_BUDGETS, surface.tolist())
-            for snr, rate in zip(snr_db, rates)]
-    _write_csv(out, _header(cfg), ["c_ai", "snr_db", "rate"], rows)
+    surface = rate_surface(*_mimo_link(cfg), HALF_BIT_BUDGETS,
+                           mimo_power_scales(snr_db))
+    _write_surface(out, _header(cfg), HALF_BIT_BUDGETS, snr_db, surface)
     return EXIT_OK
 
 

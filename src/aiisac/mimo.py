@@ -3,13 +3,15 @@
 The latent-noise covariance follows the proportional mapping R_z = zeta * Q
 from the transmit covariance; rates are log-determinants against the
 effective noise covariance and sensing performance is scalar Fisher
-information / CRLB for a linear Gaussian parameter model.  A rate grid is
-one stacked pass: one eigh of the scaled Q's, then stacked matmuls and one
-Cholesky per covariance stack; mimo_rate is that pass on a 1 x 1 grid.
+information / CRLB for a linear Gaussian parameter model.  rate_surface
+takes the link (H_c, R_c, Q) and checks each matrix once; its grid is one
+stacked pass: one eigh of the scaled Q's (also Q's PSD test), then stacked
+matmuls and Choleskys.  mimo_rate is that pass on one MimoScenario point.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +87,7 @@ class MimoScenario:
 
 
 def _rates(h_c: np.ndarray, r_c: np.ndarray, qs: np.ndarray,
-           c_grid: list[float]) -> np.ndarray:
+           c_grid: Sequence[float]) -> np.ndarray:
     """Rate kernel on already validated matrices, C x J for every capacity
     in c_grid and every Q in the stack qs: stacked matmuls and Choleskys."""
     rz = proportional_maps(qs, c_grid)
@@ -126,24 +128,23 @@ def crlb(sc: MimoScenario) -> float:
     return 1.0 / info
 
 
-def rate_surface(
-    template: MimoScenario,
-    c_grid: list[float],
-    power_scales: list[float],
-) -> np.ndarray:
-    """Rates on the Cartesian grid [capacity x power scale], row-major.
+def rate_surface(h_c: np.ndarray, r_c: np.ndarray, q: np.ndarray,
+                 c_grid: Sequence[float], power_scales: Sequence[float]) -> np.ndarray:
+    """Rates of the link (H_c, R_c) at transmit covariance scale * Q on the
+    grid [capacity x power scale], row-major; any sequences serve as grids.
 
-    Each column scales the template transmit covariance Q so that power
-    sweeps reuse one scenario definition.  A positive finite scale keeps the
-    validated template PSD, so the grid skips re-validation and runs as
-    stacked passes of _rates over blocks of scales; each rate equals
-    mimo_rate of its own point, bit for bit.
+    H_c and R_c are checked as MimoScenario checks them, Q for finite
+    Hermitian entries; Q's PSD test is in proportional_maps, on the stacked
+    eigh of each block of scaled Q's, which also checks the capacities.
+    Each rate equals mimo_rate of its own point bit for bit, and an input
+    with one fault raises what MimoScenario and mimo_rate raise there.
     """
-    if not c_grid or not power_scales:
+    q = _as_hermitian(q, "Q")
+    h_c, r_c = _link(h_c, r_c, q.shape[0], "H_c", "R_c")
+    if not len(c_grid) or not len(power_scales):
         raise DegenerateInputError("grids must be non-empty")
     if not all(math.isfinite(s) and s > 0 for s in power_scales):
         raise DegenerateInputError("power scales must be positive and finite")
-    q = template.q
     step = max(1, _BLOCK // (len(c_grid) * q.size))
     blocks = []
     for lo in range(0, len(power_scales), step):
@@ -151,5 +152,5 @@ def rate_surface(
             qs = q * np.asarray(power_scales[lo:lo + step])[:, None, None]
         if not np.all(np.isfinite(qs)):
             raise DegenerateInputError("Q overflows at the largest power scales")
-        blocks.append(_rates(template.h_c, template.r_c, qs, c_grid))
+        blocks.append(_rates(h_c, r_c, qs, c_grid))
     return np.concatenate(blocks, axis=1)

@@ -210,8 +210,9 @@ def test_criterion_08_mimo_surface():
     """Rate surface monotone, scalar-consistent, and saturating by 6 bits."""
     cfg = RunConfig()
     c_grid = [0.5 * i for i in range(1, 17)]
-    scales = mimo_power_scales(cfg)
-    surf = rate_surface(mimo_template(cfg), c_grid, scales)
+    scales = mimo_power_scales(cfg.snr_axis_db())
+    template = mimo_template(cfg)
+    surf = rate_surface(template.h_c, template.r_c, template.q, c_grid, scales)
     monotone = (np.all(np.diff(surf, axis=0) >= -1e-12)
                 and np.all(np.diff(surf, axis=1) >= -1e-12))
 

@@ -13,6 +13,7 @@ from aiisac.bottleneck import (
     gaussian_mi,
     gaussian_mis,
     kappa,
+    proportional_maps,
 )
 from aiisac.errors import (
     DegenerateBudgetError,
@@ -45,6 +46,16 @@ class TestKappa:
         for c in (1000.0, 1022.0, 1023.0):
             assert math.isclose(kappa(AiBudget(c)), 2.0**-c, rel_tol=1e-12)
         assert kappa(AiBudget(2000.0)) == 0.0
+
+    @pytest.mark.parametrize("c", [0.25, 3.3, 30.0, 1023.0, 1100.0, math.inf])
+    def test_proportional_maps_zeta_is_kappa(self, c):
+        # R_z of Q = I_r is zeta(C/r) I_r, so it shows the zeta the map
+        # uses; C ln2 >= 709 at 1023 and 1100 takes kappa's exp(-x) branch.
+        for r in (1, 2):
+            rz = proportional_maps(np.eye(r)[None], [c])[0, 0]
+            zeta = kappa(AiBudget(c / r))
+            assert [v.hex() for v in np.diag(rz).real.tolist()] == [zeta.hex()] * r
+            assert np.all(rz.imag == 0.0) and np.all(rz[~np.eye(r, dtype=bool)] == 0.0)
 
 
 class TestEquivalentNoise:

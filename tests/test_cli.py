@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from aiisac import allocate, bottleneck, cli, numerics
+from aiisac import allocate, bottleneck, cli, mimo, numerics
 from aiisac.allocate import grid_argmax
 from aiisac.bottleneck import AiBudget, covariance_map, gaussian_mi
 from aiisac.cli import _allocation_problem, _verify_checks, main
@@ -536,6 +537,60 @@ class TestCachedParser:
                 main(argv)
             assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+
+def _counting(fn, name, counts):
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+class TestMimoSurfacePath:
+    """mimo-surface checks and formats each input once."""
+
+    @pytest.mark.parametrize("text", [
+        "", "mimo_nt = 64\nmimo_nr = 64\nsnr_step_db = 10\n"], ids=["one_block", "blocks"])
+    def test_one_psd_decomposition_per_matrix(self, text, tmp_path, monkeypatch):
+        # One eigvalsh (R_c), one stacked eigh (the scaled Q's, also Q's
+        # PSD test) and two stacked Choleskys per block, and no
+        # MimoScenario with its sensing fields.
+        cfg_path = tmp_path / "surface.cfg"
+        cfg_path.write_text(text)
+        cfg = parse_config(text)
+        per_block = max(1, mimo._BLOCK // (len(cli.HALF_BIT_BUDGETS) * cfg.mimo_nt ** 2))
+        blocks = -(-len(cfg.snr_axis_db()) // per_block)
+        counts = Counter()
+        for name in ("eigvalsh", "eigh", "cholesky"):
+            monkeypatch.setattr(np.linalg, name,
+                                _counting(getattr(np.linalg, name), name, counts))
+        monkeypatch.setattr(mimo.MimoScenario, "__post_init__",
+                            _counting(mimo.MimoScenario.__post_init__, "MimoScenario",
+                                      counts))
+        assert main(["mimo-surface", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        assert counts == {"eigvalsh": 1, "eigh": blocks, "cholesky": 2 * blocks}
+
+    @pytest.mark.parametrize("fields", [
+        dict(snr_min_db=-7.3, snr_step_db=0.1, snr_max_db=-3.0),
+        dict(snr_min_db=-7.3, snr_step_db=0.7, snr_max_db=11.0),
+        dict(snr_min_db=-7.3, snr_max_db=-7.3),
+        dict(snr_min_db=0.0, snr_step_db=2.0, snr_max_db=1.0),
+    ], ids=["step_0.1", "step_0.7", "one_point_negative", "one_point_zero"])
+    @pytest.mark.parametrize("c_grid", [cli.HALF_BIT_BUDGETS, (0.1, 1 / 3, 7.7, math.inf)],
+                             ids=["half_bits", "fractional"])
+    def test_surface_writer_matches_write_csv(self, fields, c_grid, tmp_path):
+        # The pinned digests cover only whole-dB axes and half-bit capacities.
+        snr_db = RunConfig(**fields).snr_axis_db()
+        rng = np.random.default_rng(len(snr_db))
+        surface = 10.0 ** rng.uniform(-300.0, 300.0, size=(len(c_grid), len(snr_db)))
+        surface[0, 0] = 0.0
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        cli._write_surface(str(a), "h", c_grid, snr_db, surface)
+        cli._write_csv(str(b), "h", ["c_ai", "snr_db", "rate"],
+                       [(c, snr, rate) for c, rates in zip(c_grid, surface.tolist())
+                        for snr, rate in zip(snr_db, rates)])
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestConfigLoad:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -183,7 +184,7 @@ class TestRateSurface:
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         sc = make_scenario(h, a @ a.conj().T, 0.2 * np.eye(3))
         c_grid, scales = [0.5, 2.0, 4.0, math.inf], [0.1, 1.0, 3.7]
-        surf = rate_surface(sc, c_grid, scales)
+        surf = rate_surface(sc.h_c, sc.r_c, sc.q, c_grid, scales)
         for i, c in enumerate(c_grid):
             for j, scale in enumerate(scales):
                 ref = mimo_rate(make_scenario(h, sc.q * scale, sc.r_c, c_ai=c,
@@ -192,20 +193,21 @@ class TestRateSurface:
 
     def test_monotone_both_axes(self):
         sc = make_scenario(np.eye(2), 0.005 * np.eye(2), 0.1 * np.eye(2))
-        surf = rate_surface(sc, [1.0, 2.0, 4.0, 8.0], [0.5, 1.0, 2.0, 4.0])
+        surf = rate_surface(sc.h_c, sc.r_c, sc.q, [1.0, 2.0, 4.0, 8.0],
+                            [0.5, 1.0, 2.0, 4.0])
         assert np.all(np.diff(surf, axis=0) >= -1e-12)
         assert np.all(np.diff(surf, axis=1) >= -1e-12)
 
     def test_empty_grid_rejected(self):
         sc = make_scenario(np.eye(2), np.eye(2), 0.1 * np.eye(2))
         with pytest.raises(ValueError):
-            rate_surface(sc, [], [1.0])
+            rate_surface(sc.h_c, sc.r_c, sc.q, [], [1.0])
 
     @pytest.mark.parametrize("scale", [-1.0, 0.0, math.nan, math.inf])
     def test_bad_scale_rejected(self, scale):
         sc = make_scenario(np.eye(2), np.eye(2), 0.1 * np.eye(2))
         with pytest.raises(ValueError, match="power scales"):
-            rate_surface(sc, [1.0], [1.0, scale])
+            rate_surface(sc.h_c, sc.r_c, sc.q, [1.0], [1.0, scale])
 
 
 def _per_point_rate(sc, c, scale):
@@ -258,7 +260,8 @@ class TestStackedSurface:
         sc = _random_template(rng, nt, rank)
         scales = list(10.0 ** rng.uniform(-3.0, 3.0, size=7)) + [1e-3, 1e3]
         ref = [[_per_point_rate(sc, c, s) for s in scales] for c in self.C_GRID]
-        assert np.array_equal(rate_surface(sc, self.C_GRID, scales), ref)
+        assert np.array_equal(rate_surface(sc.h_c, sc.r_c, sc.q, self.C_GRID, scales),
+                              ref)
         budget_sc = make_scenario(sc.h_c, sc.q, sc.r_c, c_ai=0.5)
         assert mimo_rate(budget_sc) == _per_point_rate(sc, 0.5, 1.0)
 
@@ -269,7 +272,7 @@ class TestStackedSurface:
         c_grid = [0.5 * i for i in range(1, 17)]
         scales = [10.0 ** ((snr - 10.0) / 10.0) for snr in range(-5, 26)]
         ref = [[_per_point_rate(sc, c, s) for s in scales] for c in c_grid]
-        assert np.array_equal(rate_surface(sc, c_grid, scales), ref)
+        assert np.array_equal(rate_surface(sc.h_c, sc.r_c, sc.q, c_grid, scales), ref)
 
     def test_blocks_of_scales_agree(self):
         # 64 x 64 matrices at 16 capacities hold more than one block of
@@ -277,21 +280,59 @@ class TestStackedSurface:
         rng = np.random.default_rng(4)
         sc = _random_template(rng, 64, 40)
         c_grid = [0.5 * i for i in range(1, 17)]
-        surf = rate_surface(sc, c_grid, [0.5, 2.0])
-        assert np.array_equal(surf[:, 1], rate_surface(sc, c_grid, [2.0])[:, 0])
+        surf = rate_surface(sc.h_c, sc.r_c, sc.q, c_grid, [0.5, 2.0])
+        assert np.array_equal(surf[:, 1],
+                              rate_surface(sc.h_c, sc.r_c, sc.q, c_grid, [2.0])[:, 0])
 
     def test_rank_zero_q_rejected_unless_classical(self):
         sc = make_scenario(np.eye(2), np.zeros((2, 2)), 0.1 * np.eye(2))
-        assert np.array_equal(rate_surface(sc, [math.inf], [1.0]), [[0.0]])
+        assert np.array_equal(rate_surface(sc.h_c, sc.r_c, sc.q, [math.inf], [1.0]),
+                              [[0.0]])
         with pytest.raises(DegenerateInputError):
-            rate_surface(sc, [1.0, math.inf], [1.0])
+            rate_surface(sc.h_c, sc.r_c, sc.q, [1.0, math.inf], [1.0])
 
     def test_singular_noise_rejected(self):
         sc = make_scenario(np.eye(2), np.eye(2), np.zeros((2, 2)))
         with pytest.raises(SingularMatrixError):
-            rate_surface(sc, [1.0, math.inf], [1.0, 2.0])
+            rate_surface(sc.h_c, sc.r_c, sc.q, [1.0, math.inf], [1.0, 2.0])
 
     def test_overflowing_scale_is_a_domain_error(self):
         sc = make_scenario(np.eye(2), 1e300 * np.eye(2), np.eye(2))
         with pytest.raises(DegenerateInputError, match="overflows"):
-            rate_surface(sc, [1.0], [1.0, 1e10])
+            rate_surface(sc.h_c, sc.r_c, sc.q, [1.0], [1.0, 1e10])
+
+
+class TestLinkSurface:
+    """rate_surface takes the link (H_c, R_c, Q) and checks each input once."""
+
+    @pytest.mark.parametrize("h_c, r_c, q, c_ai", [
+        (np.eye(2), np.eye(2), TestValidation.NON_HERMITIAN, 1.0),
+        (np.eye(2), np.eye(2), -0.01 * np.eye(2), 1.0),
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), np.eye(2), np.eye(2), 1.0),
+        (np.eye(2), np.eye(3), np.eye(2), 1.0),
+        (np.eye(2), np.zeros((2, 2)), np.eye(2), math.inf),
+        (np.eye(2), np.eye(2), np.zeros((2, 2)), 1.0),
+    ], ids=["q_non_hermitian", "q_not_psd", "h_c_nan", "r_c_shape", "r_c_singular",
+            "q_zero"])
+    def test_errors_match_the_scenario_path(self, h_c, r_c, q, c_ai):
+        with pytest.raises(ValueError) as ref:
+            mimo_rate(make_scenario(h_c, q, r_c, c_ai=c_ai))
+        with pytest.raises(ValueError) as got:
+            rate_surface(h_c, r_c, q, [c_ai], [1.0])
+        assert (type(got.value), str(got.value)) == (type(ref.value), str(ref.value))
+
+    @pytest.mark.parametrize("c", [-1.0, math.nan, -math.inf])
+    def test_bad_capacity_named_as_given(self, c):
+        # At rank 2 the per-mode value c / 2 was named, in a plain ValueError.
+        with pytest.raises(DegenerateInputError,
+                           match=re.escape(f"capacity must be >= 0 bits, got {c}")):
+            rate_surface(np.eye(2), np.eye(2), np.eye(2), [1.0, c], [1.0])
+
+    def test_array_grids(self):
+        sc = make_scenario(np.eye(2), np.diag([2.0, 1.0]), 0.1 * np.eye(2))
+        c_grid, scales = [0.5, 2.0, math.inf], [0.5, 1.0, 3.0]
+        ref = rate_surface(sc.h_c, sc.r_c, sc.q, c_grid, scales)
+        got = rate_surface(sc.h_c, sc.r_c, sc.q, np.array(c_grid), np.array(scales))
+        assert np.array_equal(got, ref)
+        with pytest.raises(DegenerateInputError, match="non-empty"):
+            rate_surface(sc.h_c, sc.r_c, sc.q, np.array([]), np.array(scales))

@@ -70,8 +70,11 @@ _OUT_OF_DOMAIN = {
     "scenario-gain": lambda: replace(_SCENARIO, gain_s=-1.0),
     "scenario-noise": lambda: replace(_SCENARIO, noise_c=0.0),
     "scenario-prior": lambda: replace(_SCENARIO, prior_var=math.nan),
-    "surface-empty-grid": lambda: rate_surface(_MIMO, [], [1.0]),
-    "surface-scale": lambda: rate_surface(_MIMO, [1.0], [0.0]),
+    "surface-empty-grid": lambda: rate_surface(_MIMO.h_c, _MIMO.r_c, _MIMO.q,
+                                               [], [1.0]),
+    "surface-scale": lambda: rate_surface(_MIMO.h_c, _MIMO.r_c, _MIMO.q, [1.0], [0.0]),
+    "surface-capacity": lambda: rate_surface(_MIMO.h_c, _MIMO.r_c, _MIMO.q,
+                                             [-1.0], [1.0]),
     "allocation-power": lambda: AllocationProblem(0.0, 1.0, 0.3, AiBudget(4.0),
                                                   _SCENARIO),
     "allocation-weight": lambda: AllocationProblem(1.0, 1.0, 1.5, AiBudget(4.0),
