@@ -17,11 +17,8 @@ from .errors import (
     BracketError,
     ConfigError,
     ConvergenceError,
-    DegenerateBudgetError,
-    DegenerateFitError,
     DegenerateInputError,
     SingularMatrixError,
-    UnobservableParameterError,
 )
 from .gaussian import (
     PerfPoint,
@@ -57,11 +54,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AiBudget", "AiIsacError", "AllocationProblem", "AllocationResult",
-    "BracketError", "ConfigError", "ConvergenceError", "DegenerateBudgetError",
-    "DegenerateFitError", "DegenerateInputError", "FadingModel", "Frontier",
-    "FrontierPoint", "MimoScenario", "MonteCarloEstimate", "PerfPoint",
-    "QuadratureRule", "RandomStream", "RunConfig", "ScalarScenario",
-    "SingularMatrixError", "UnobservableParameterError", "achieved_mi",
+    "BracketError", "ConfigError", "ConvergenceError", "DegenerateInputError",
+    "FadingModel", "Frontier", "FrontierPoint", "MimoScenario",
+    "MonteCarloEstimate", "PerfPoint", "QuadratureRule", "RandomStream",
+    "RunConfig", "ScalarScenario", "SingularMatrixError", "achieved_mi",
     "conditional_snr", "covariance_map", "crlb", "distortion",
     "effective_snrs", "enforce_mi_numerically", "equivalent_noise",
     "ergodic_distortion", "ergodic_rate", "fisher_info",

@@ -75,7 +75,7 @@ def objective(problem: AllocationProblem, alpha: float) -> float:
     """J = w_r R - w_d D at power split alpha (communication fraction), with
     R and D gaussian.split_rate and split_distortion of the problem's SNRs."""
     if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0,1], got {alpha}")
+        raise DegenerateInputError(f"alpha must lie in [0,1], got {alpha}")
     w_r, w_d = problem.weights
     g_c, g_s = problem.snrs
     return (w_r * split_rate(g_c, alpha)
@@ -110,7 +110,7 @@ def kkt_residual_check(problem: AllocationProblem, p_c: float) -> float:
     max(., 0) at P_c = 0 and its negative part at P_c = P, where a slope
     pointing out of [0, P] is no violation."""
     if not 0.0 <= p_c <= problem.total_power:
-        raise ValueError("P_c must lie in [0, total power]")
+        raise DegenerateInputError("P_c must lie in [0, total power]")
     return _residual(problem, p_c / problem.total_power)
 
 
@@ -169,7 +169,7 @@ def optimize_alpha(problem: AllocationProblem, alpha0: float) -> AllocationResul
     when the optimal sensing share is positive but too small for alpha to
     resolve."""
     if not 0.0 <= alpha0 <= 1.0:
-        raise ValueError(f"alpha0 must lie in [0,1], got {alpha0}")
+        raise DegenerateInputError(f"alpha0 must lie in [0,1], got {alpha0}")
     p, c = problem.total_power, problem.budget.c_ai
     mi = achieved_mi(p, equivalent_noise(problem.budget, p))
     if abs(mi - c) > 1e-9:  # inf - inf at C = inf is nan, which passes

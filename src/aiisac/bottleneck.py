@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBudgetError, DegenerateInputError, SingularMatrixError
+from .errors import ConvergenceError, DegenerateInputError, SingularMatrixError
 from .numerics import find_root
 
 # Eigenvalues below this fraction of the largest are treated as null space.
@@ -45,7 +45,7 @@ class AiBudget:
 
     def __post_init__(self) -> None:
         if math.isnan(self.c_ai) or self.c_ai < 0:
-            raise ValueError(f"capacity must be >= 0 bits, got {self.c_ai}")
+            raise DegenerateInputError(f"capacity must be >= 0 bits, got {self.c_ai}")
 
 
 def kappa(budget: AiBudget) -> float:
@@ -58,23 +58,22 @@ def _kappa(c_ai: float) -> float:
     if c_ai == math.inf:
         return 0.0
     if c_ai == 0:
-        raise DegenerateBudgetError("kappa is unbounded at zero capacity")
+        raise DegenerateInputError("kappa is unbounded at zero capacity")
     x = c_ai * math.log(2.0)
     # expm1 overflows near x = 709.8; long before, 1/expm1(x) is exp(-x).
     return math.exp(-x) if x >= 709.0 else 1.0 / math.expm1(x)
 
 
 def equivalent_noise(budget: AiBudget, power: float) -> float:
-    """Equivalent noise variance N_z = P / (2^C - 1); zero in the classical limit."""
+    """Equivalent noise variance N_z = P kappa = P / (2^C - 1); zero in the
+    classical limit. Raises DegenerateInputError where N_z overflows."""
     if not power > 0:
-        raise ValueError(f"power must be positive, got {power}")
-    if budget.c_ai == math.inf:
-        return 0.0
-    if budget.c_ai == 0:
-        raise DegenerateBudgetError(
-            "N_z is unbounded at zero capacity; use the limit forms"
-        )
-    return power * kappa(budget)
+        raise DegenerateInputError(f"power must be positive, got {power}")
+    nz = power * kappa(budget)
+    if not nz < math.inf:
+        raise DegenerateInputError(f"N_z = P / (2^C - 1) overflows at power "
+                                   f"{power!r} and {budget.c_ai!r} bits")
+    return nz
 
 
 def achieved_mi(power: float, noise_var: float) -> float:
@@ -88,10 +87,12 @@ def enforce_mi_numerically(power: float, target_c_ai: float, tol: float) -> floa
     """Noise variance found by root-finding on log2(1 + P/N_z) = C.
 
     Cross-validates the closed form: the result agrees with
-    equivalent_noise within the root tolerance.
+    equivalent_noise within the root tolerance.  Raises ConvergenceError
+    where the root misses tol and DegenerateInputError where N_z overflows.
     """
     if not all(0 < x < math.inf for x in (power, target_c_ai, tol)):
-        raise ValueError("power, target capacity, and tol must be positive and finite")
+        raise DegenerateInputError(
+            "power, target capacity, and tol must be positive and finite")
 
     # Solve in u = ln(N_z) so the bracket spans many decades safely.
     def gap(u: float) -> float:
@@ -106,44 +107,59 @@ def enforce_mi_numerically(power: float, target_c_ai: float, tol: float) -> floa
     lo = math.log(power) - (target_c_ai + 60.0) * math.log(2.0)
     hi = math.log(power) + 60.0 * math.log(2.0)
     u = find_root(gap, lo, hi, tol=1e-14)
-    nz = math.exp(u)
     if abs(gap(u)) > tol:
-        raise ArithmeticError(
+        raise ConvergenceError(
             f"MI enforcement did not reach tolerance: residual {gap(u)}"
         )
-    return nz
+    try:
+        return math.exp(u)
+    except OverflowError:
+        raise DegenerateInputError(f"N_z = P / (2^C - 1) overflows at power "
+                                   f"{power!r} and {target_c_ai!r} bits") from None
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M^H) / 2 of a matrix or of each in a stack, halved before the
+    sum so that no finite entry overflows."""
+    h = 0.5 * m
+    return h + h.conj().swapaxes(-1, -2)
 
 
 def _as_hermitian(a: np.ndarray, name: str) -> np.ndarray:
     """Complex Hermitian part of a finite square matrix of dimension <= MAX_DIM;
-    raises ValueError unless it is Hermitian within 1e-12 * max|A|."""
+    raises DegenerateInputError unless it is Hermitian within 1e-12 * max|A|."""
     m = np.atleast_2d(np.asarray(a, dtype=complex))
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
+        raise DegenerateInputError(f"{name} must be square, got shape {m.shape}")
     if m.shape[0] > MAX_DIM:
-        raise ValueError(f"{name} exceeds the supported dimension {MAX_DIM}")
+        raise DegenerateInputError(f"{name} exceeds the supported dimension {MAX_DIM}")
     if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} has non-finite entries")
+        raise DegenerateInputError(f"{name} has non-finite entries")
     scale = float(np.max(np.abs(m)))
     if float(np.max(np.abs(m - m.conj().T))) > 1e-12 * scale:
-        raise ValueError(f"{name} is not Hermitian within tolerance")
-    return 0.5 * (m + m.conj().T)
+        raise DegenerateInputError(f"{name} is not Hermitian within tolerance")
+    return _hermitian_part(m)
 
 
 def _check_psd(evals: np.ndarray, name: str) -> None:
-    """Raise ValueError unless the ascending eigenvalues (last axis) of a
-    Hermitian matrix, or of each in a stack, pass the PSD_RTOL rule."""
+    """Raise DegenerateInputError unless the ascending eigenvalues (last axis)
+    of a Hermitian matrix, or of each in a stack, pass the PSD_RTOL rule."""
     if (evals[..., 0] < -PSD_RTOL * np.abs(evals).max(axis=-1)).any():
-        raise ValueError(f"{name} is not positive semidefinite")
+        raise DegenerateInputError(f"{name} is not positive semidefinite")
+
+
+def _cholesky(m: np.ndarray, name: str) -> np.ndarray:
+    """Lower Cholesky factor of a positive definite matrix or of each in a
+    stack; raises SingularMatrixError naming m otherwise."""
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"{name} is not positive definite") from exc
 
 
 def _logdet(m: np.ndarray, name: str) -> np.ndarray:
-    """Natural log-determinants of a positive definite matrix or of a stack
-    of them, by Cholesky; raises SingularMatrixError naming m otherwise."""
-    try:
-        chol = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"{name} is not positive definite") from exc
+    """Natural log-determinants, by _cholesky, of a matrix or of each in a stack."""
+    chol = _cholesky(m, name)
     return 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1))),
                         axis=-1)
 
@@ -155,12 +171,10 @@ def covariance_map(q: np.ndarray, c_ai: float) -> np.ndarray:
     zeta = (2^(C/r) - 1)^-1, and zero on the null space (and everywhere at
     C = inf).  By construction gaussian_mi(Q, R_z) equals C exactly; the
     map is trace-minimal only when the active eigenvalues of Q are equal.
-    A Q that is not PSD raises ValueError, at C = inf too.
+    A Q that is not PSD raises DegenerateInputError, at C = inf too, and so
+    does a capacity of zero, below zero or NaN.
     """
-    q = _as_hermitian(q, "Q")
-    if c_ai <= 0 or math.isnan(c_ai):
-        raise DegenerateBudgetError(f"capacity must be positive, got {c_ai}")
-    return proportional_maps(q[None], [c_ai])[0, 0]
+    return proportional_maps(_as_hermitian(q, "Q")[None], [c_ai])[0, 0]
 
 
 def _active_groups(evals: np.ndarray, evecs: np.ndarray
@@ -184,8 +198,8 @@ def proportional_maps(qs: np.ndarray, c_grid: Sequence[float]) -> np.ndarray:
     the stack qs (J x n x n), as a C x J x n x n stack, from one stacked
     eigh. Active subspaces are sliced per group of Q with equal rank masks,
     so each R_z is bit for bit the product for its Q alone.  A capacity
-    below 0 or NaN raises DegenerateInputError naming it, and a Q that is
-    not PSD raises ValueError, whatever the capacities.
+    below 0 or NaN raises DegenerateInputError naming it, and so does a Q
+    that is not PSD, whatever the capacities.
     """
     for c in c_grid:
         if not c >= 0:
@@ -202,7 +216,7 @@ def proportional_maps(qs: np.ndarray, c_grid: Sequence[float]) -> np.ndarray:
         zeta = np.array([_kappa(c_grid[i] / vals.shape[1]) for i in finite])
         rz = (vecs * (zeta[:, None, None] * vals)[:, :, None, :]
               ) @ vecs.conj().swapaxes(-1, -2)
-        out[np.ix_(finite, members)] = 0.5 * (rz + rz.conj().swapaxes(-1, -2))
+        out[np.ix_(finite, members)] = _hermitian_part(rz)
     return out
 
 
@@ -211,7 +225,7 @@ def gaussian_mis(qs: np.ndarray, rzs: np.ndarray) -> np.ndarray:
     and rzs (J x n x n), as J values in bits, from one stacked eigh and two
     stacked Cholesky log-dets per group of Q with equal rank masks; each
     value is bit for bit that of its pair alone.  A Q that is not PSD
-    raises ValueError, and a zero Q gives 0.
+    raises DegenerateInputError, and a zero Q gives 0.
     """
     out = np.zeros(len(qs))
     evals, evecs = np.linalg.eigh(qs)
@@ -220,8 +234,7 @@ def gaussian_mis(qs: np.ndarray, rzs: np.ndarray) -> np.ndarray:
     for members, vals, vecs in _active_groups(evals, evecs):
         if not vals.shape[1]:
             continue
-        r_sub = vecs.conj().swapaxes(-1, -2) @ rzs[members] @ vecs
-        r_sub = 0.5 * (r_sub + r_sub.conj().swapaxes(-1, -2))
+        r_sub = _hermitian_part(vecs.conj().swapaxes(-1, -2) @ rzs[members] @ vecs)
         signal = vals[:, None, :] * np.eye(vals.shape[1])
         out[members] = (_logdet(r_sub + signal, name)
                         - _logdet(r_sub, name)) / math.log(2.0)
@@ -237,5 +250,5 @@ def gaussian_mi(q: np.ndarray, r_z: np.ndarray) -> float:
     q = _as_hermitian(q, "Q")
     r_z = _as_hermitian(r_z, "R_z")
     if q.shape != r_z.shape:
-        raise ValueError(f"Q has shape {q.shape} but R_z has shape {r_z.shape}")
+        raise DegenerateInputError(f"Q has shape {q.shape} but R_z has shape {r_z.shape}")
     return float(gaussian_mis(q[None], r_z[None])[0])

@@ -74,7 +74,6 @@ class RunConfig:
     snr_step_db: float = 1.0
     mimo_nt: int = 2
     mimo_nr: int = 2
-    alpha_verify: float = 0.6
     weight: float = 0.3
     alpha0: float = 0.4
     alloc_c_ai: float = 4.0
@@ -119,7 +118,7 @@ class RunConfig:
             raise ConfigError(f"dB values must lie in [-{MAX_DB:g}, {MAX_DB:g}]")
         if not (1 <= self.mimo_nt <= MAX_DIM and 1 <= self.mimo_nr <= MAX_DIM):
             raise ConfigError(f"mimo_nt and mimo_nr must lie in [1, {MAX_DIM}]")
-        for name in ("weight", "alpha0", "alpha_verify"):
+        for name in ("weight", "alpha0"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], "
                                   f"got {getattr(self, name)}")

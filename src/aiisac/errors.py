@@ -10,30 +10,18 @@ class BracketError(AiIsacError):
 
 
 class ConvergenceError(AiIsacError):
-    """Iterative solver met a NaN or hit its iteration cap, or a quadrature
-    rule missed its density's unit mass by too much to average with."""
-
-
-class DegenerateBudgetError(AiIsacError):
-    """Capacity budget of zero bits; the equivalent noise is unbounded."""
+    """Iterative solver met a NaN, hit its iteration cap or missed its tolerance,
+    or a quadrature rule missed its density's unit mass by too much."""
 
 
 class DegenerateInputError(AiIsacError):
-    """Input carries no usable signal (e.g. zero covariance) or lies outside
-    its domain: a negative power, gain or weight, an unknown fading kind or
-    objective mode, an empty or non-positive grid."""
+    """Argument outside its domain (a zero or negative capacity, a matrix that
+    is not Hermitian PSD, an unsorted grid, zero Fisher information) or whose
+    result overflows. Like every AiIsacError, it is still a ValueError."""
 
 
 class SingularMatrixError(AiIsacError):
     """A covariance that must be positive definite is numerically singular."""
-
-
-class UnobservableParameterError(AiIsacError):
-    """Fisher information is zero; the CRLB is unbounded."""
-
-
-class DegenerateFitError(AiIsacError):
-    """Scaling-law fit requested on a gap sequence that is not strictly positive."""
 
 
 class ConfigError(AiIsacError):

@@ -171,10 +171,12 @@ def _weights(rule: QuadratureRule, k_factor: float) -> tuple[np.ndarray, np.ndar
     them, and 256 entries of order 128 hold under 1 MB.
     """
     nodes, log_w = rule.graded(1.0 + k_factor, math.sqrt(1.0 + 2.0 * k_factor))
-    if k_factor > 0:
-        z = 2.0 * np.sqrt(k_factor * nodes)
-        log_w = log_w + np.log(_i0e(z)) + z - k_factor
-    w = np.exp(log_w)
+    # A K so large that the weights overflow gives a miss that is not finite.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if k_factor > 0:
+            z = 2.0 * np.sqrt(k_factor * nodes)
+            log_w = log_w + np.log(_i0e(z)) + z - k_factor
+        w = np.exp(log_w)
     for arr in (nodes, w):
         arr.flags.writeable = False
     return nodes, w, abs(float(np.sum(w)) - 1.0)
@@ -206,9 +208,11 @@ def _average(gammas, priors, kappa: float | np.ndarray, k_factor: float,
     _check_k(k_factor)
     nodes, w, miss = _weights(rule, k_factor)
     if not miss <= DENSITY_FAIL:
+        by = (f"{miss:.2e}, more than {DENSITY_FAIL:g}" if math.isfinite(miss)
+              else "an amount that is not finite")
         raise ConvergenceError(
             f"order-{rule.order} fading rule misses the K = {k_factor:g} gain "
-            f"density's unit mass by {miss:.2e}, more than {DENSITY_FAIL:g}; "
+            f"density's unit mass by {by}; "
             f"raise the quadrature order or lower the K-factor")
     with np.errstate(over="ignore", invalid="ignore"):
         snr = _snr(nodes * np.array(gammas, dtype=float)[:, None, None],

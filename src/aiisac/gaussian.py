@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bottleneck import AiBudget, equivalent_noise
-from .errors import DegenerateFitError, DegenerateInputError
+from .errors import DegenerateInputError
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,9 @@ class PerfPoint:
 
     def __post_init__(self) -> None:
         if not self.rate >= 0:
-            raise ValueError(f"rate must be >= 0, got {self.rate}")
+            raise DegenerateInputError(f"rate must be >= 0, got {self.rate}")
         if not self.distortion > 0:
-            raise ValueError(f"distortion must be positive, got {self.distortion}")
+            raise DegenerateInputError(f"distortion must be positive, got {self.distortion}")
 
 
 def link_snrs(sc: ScalarScenario, nz: float) -> tuple[float, float]:
@@ -106,13 +106,13 @@ def scaling_gap(sc: ScalarScenario, c_grid: list[float]) -> float:
     """
     grid = [float(c) for c in c_grid]
     if len(grid) < 4:
-        raise ValueError("need at least 4 capacity grid points for the fit")
+        raise DegenerateInputError("need at least 4 capacity grid points for the fit")
     if any(math.isinf(c) for c in grid):
-        raise ValueError("infinite capacity is not admissible in the fit grid")
+        raise DegenerateInputError("infinite capacity is not admissible in the fit grid")
     r_inf = rate(sc, AiBudget(math.inf))
     gaps = [r_inf - rate(sc, AiBudget(c)) for c in grid]
     if any(g <= 0 for g in gaps):
-        raise DegenerateFitError(
+        raise DegenerateInputError(
             "rate gap must be positive at every grid point for a log fit"
         )
     slope = np.polyfit(np.asarray(grid), np.log2(np.asarray(gaps)), 1)[0]

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bottleneck import (AiBudget, _as_hermitian, _check_psd, _logdet,
-                         covariance_map, proportional_maps)
-from .errors import (DegenerateInputError, SingularMatrixError,
-                     UnobservableParameterError)
+from .bottleneck import (AiBudget, _as_hermitian, _check_psd, _cholesky,
+                         _hermitian_part, _logdet, proportional_maps)
+from .errors import DegenerateInputError
 
 # Most matrix entries (capacities x scales x n^2) in one stacked pass of
 # rate_surface, which bounds its memory on large grids.
@@ -41,14 +40,14 @@ def _link(h: np.ndarray, r: np.ndarray, n: int, h_name: str,
     columns, and its PSD noise covariance r with one row per channel row."""
     m = np.atleast_2d(np.asarray(h, complex))
     if m.ndim != 2 or m.shape[1] != n:
-        raise ValueError(f"{h_name} must be 2-D with {n} columns (Q's dimension), "
-                         f"got shape {m.shape}")
+        raise DegenerateInputError(f"{h_name} must be 2-D with {n} columns "
+                                   f"(Q's dimension), got shape {m.shape}")
     if not np.isfinite(m).all():
-        raise ValueError(f"{h_name} has non-finite entries")
+        raise DegenerateInputError(f"{h_name} has non-finite entries")
     cov = check_psd(r, r_name)
     if cov.shape[0] != m.shape[0]:
-        raise ValueError(f"{r_name} has shape {cov.shape} but {h_name} has "
-                         f"{m.shape[0]} rows")
+        raise DegenerateInputError(f"{r_name} has shape {cov.shape} but {h_name} "
+                                   f"has {m.shape[0]} rows")
     return m, cov
 
 
@@ -60,7 +59,7 @@ class MimoScenario:
     to the scalar parameter of interest. Every field is checked on
     construction: finite entries, PSD covariances, and shapes that chain
     (channels have Q's dimension as columns; R_c, R_s and dmu have their
-    channel's row count), each failure a ValueError naming the field.
+    channel's row count), each failure a DegenerateInputError naming the field.
     """
 
     h_c: np.ndarray
@@ -77,10 +76,10 @@ class MimoScenario:
         h_s, r_s = _link(self.h_s, self.r_s, q.shape[0], "H_s", "R_s")
         dmu = np.atleast_1d(np.asarray(self.dmu, complex)).ravel()
         if dmu.size != h_s.shape[0]:
-            raise ValueError(f"dmu has {dmu.size} entries but H_s has "
-                             f"{h_s.shape[0]} rows")
+            raise DegenerateInputError(f"dmu has {dmu.size} entries but H_s has "
+                                       f"{h_s.shape[0]} rows")
         if not np.isfinite(dmu).all():
-            raise ValueError("dmu has non-finite entries")
+            raise DegenerateInputError("dmu has non-finite entries")
         for name, value in (("q", q), ("h_c", h_c), ("r_c", r_c), ("h_s", h_s),
                             ("r_s", r_s), ("dmu", dmu)):
             object.__setattr__(self, name, value)
@@ -89,13 +88,15 @@ class MimoScenario:
 def _rates(h_c: np.ndarray, r_c: np.ndarray, qs: np.ndarray,
            c_grid: Sequence[float]) -> np.ndarray:
     """Rate kernel on already validated matrices, C x J for every capacity
-    in c_grid and every Q in the stack qs: stacked matmuls and Choleskys."""
-    rz = proportional_maps(qs, c_grid)
+    in c_grid and every Q in the stack qs: stacked matmuls and Choleskys.
+    Raises DegenerateInputError where an effective covariance overflows."""
     h_h = h_c.conj().T
-    signal = h_c @ qs @ h_h
-    noise = r_c + h_c @ rz @ h_h
-    noise = 0.5 * (noise + noise.conj().swapaxes(-1, -2))
-    total = noise + 0.5 * (signal + signal.conj().swapaxes(-1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        noise = _hermitian_part(r_c + h_c @ proportional_maps(qs, c_grid) @ h_h)
+        total = noise + _hermitian_part(h_c @ qs @ h_h)
+    # NaN and inf in the noise carry into the total, so one pass checks both.
+    if not np.isfinite(total).all():
+        raise DegenerateInputError("the effective covariance overflows")
     val = _logdet(total, "effective covariance") - _logdet(
         noise, "effective noise covariance"
     )
@@ -109,14 +110,9 @@ def mimo_rate(sc: MimoScenario) -> float:
 
 def fisher_info(sc: MimoScenario) -> float:
     """Fisher information dmu^H (R_s + H_s R_z H_s^H)^{-1} dmu, real >= 0."""
-    rz = covariance_map(sc.q, sc.budget.c_ai)
-    cov = sc.r_s + sc.h_s @ rz @ sc.h_s.conj().T
-    cov = 0.5 * (cov + cov.conj().T)
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("effective sensing covariance is singular") from exc
-    y = np.linalg.solve(chol, sc.dmu)
+    rz = proportional_maps(sc.q[None], [sc.budget.c_ai])[0, 0]
+    cov = _hermitian_part(sc.r_s + sc.h_s @ rz @ sc.h_s.conj().T)
+    y = np.linalg.solve(_cholesky(cov, "effective sensing covariance"), sc.dmu)
     return float(np.real(np.vdot(y, y)))
 
 
@@ -124,7 +120,7 @@ def crlb(sc: MimoScenario) -> float:
     """Cramér-Rao bound 1 / fisher_info; raises if the parameter is unobservable."""
     info = fisher_info(sc)
     if info <= 0.0:
-        raise UnobservableParameterError("Fisher information is zero")
+        raise DegenerateInputError("Fisher information is zero")
     return 1.0 / info
 
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BracketError, ConvergenceError
+from .errors import BracketError, ConvergenceError, DegenerateInputError
 
 MAX_QUADRATURE_ORDER = 128
 
@@ -24,17 +24,17 @@ MAX_QUADRATURE_ORDER = 128
 @dataclass(frozen=True)
 class QuadratureRule:
     """Order M of the composite rule that fading averages integrate by, an
-    integer in [1, MAX_QUADRATURE_ORDER] (else ValueError); graded() builds
-    its nodes and weights."""
+    integer in [1, MAX_QUADRATURE_ORDER] (else DegenerateInputError); graded()
+    builds its nodes and weights."""
 
     order: int
 
     def __post_init__(self) -> None:
         order = self.order
         if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
-            raise ValueError(f"quadrature order must be an integer, got {order!r}")
+            raise DegenerateInputError(f"quadrature order must be an integer, got {order!r}")
         if order < 1 or order > MAX_QUADRATURE_ORDER:
-            raise ValueError(
+            raise DegenerateInputError(
                 f"quadrature order must be in [1, {MAX_QUADRATURE_ORDER}], got {order}"
             )
 
@@ -50,11 +50,12 @@ class QuadratureRule:
         its one Gauss-Laguerre node is not shifted. The weights are returned
         as logarithms so that a density factor can be folded in without
         under- or overflow. The unit pieces are cached per order; raises
-        ValueError for a split or scale that is not positive and finite.
+        DegenerateInputError for a split or scale that is not positive and
+        finite.
         """
         for name, value in (("split", split), ("scale", scale)):
             if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+                raise DegenerateInputError(f"{name} must be positive and finite, got {value}")
         s, log_ws, t, log_wt = _graded_parts(int(self.order))
         if s.size == 0:
             return t, log_wt
@@ -112,9 +113,9 @@ def find_root(f, lo: float, hi: float, tol: float) -> float:
     lo = float(lo)
     hi = float(hi)
     if not lo < hi:
-        raise ValueError(f"invalid bracket [{lo}, {hi}]")
+        raise DegenerateInputError(f"invalid bracket [{lo}, {hi}]")
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise DegenerateInputError("tol must be positive")
     xpre, xcur = lo, hi
     fpre, fcur = _value(f, xpre), _value(f, xcur)
     if fpre == 0.0:

@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bottleneck import AiBudget
+from .errors import DegenerateInputError
 from .gaussian import (PerfPoint, ScalarScenario, effective_snrs, split_distortion,
                        split_rate)
 
@@ -52,15 +53,15 @@ class Frontier:
     def __post_init__(self) -> None:
         if not (self.alphas.ndim == 1
                 and self.alphas.shape == self.rates.shape == self.distortions.shape):
-            raise ValueError("alphas, rates and distortions must be 1-D arrays "
-                             "of equal length")
+            raise DegenerateInputError("alphas, rates and distortions must be "
+                                       "1-D arrays of equal length")
         bad = ~((self.alphas >= 0.0) & (self.alphas <= 1.0))
         if bad.any():
-            raise ValueError(f"alpha must lie in [0,1], got {self.alphas[bad][0]}")
+            raise DegenerateInputError(f"alpha must lie in [0,1], got {self.alphas[bad][0]}")
         if (~(self.rates >= 0)).any() or (~(self.distortions > 0)).any():
-            raise ValueError("rate must be >= 0 and distortion positive")
+            raise DegenerateInputError("rate must be >= 0 and distortion positive")
         if (np.diff(self.alphas) < 0).any():
-            raise ValueError("frontier points must be ordered by alpha")
+            raise DegenerateInputError("frontier points must be ordered by alpha")
         for arr in (self.alphas, self.rates, self.distortions):
             arr.flags.writeable = False
 

@@ -6,6 +6,7 @@ import pytest
 from aiisac.bottleneck import (
     PSD_RTOL,
     AiBudget,
+    _hermitian_part,
     achieved_mi,
     covariance_map,
     enforce_mi_numerically,
@@ -15,11 +16,7 @@ from aiisac.bottleneck import (
     kappa,
     proportional_maps,
 )
-from aiisac.errors import (
-    DegenerateBudgetError,
-    DegenerateInputError,
-    SingularMatrixError,
-)
+from aiisac.errors import DegenerateInputError, SingularMatrixError
 
 
 class TestKappa:
@@ -29,7 +26,8 @@ class TestKappa:
         assert math.isclose(kappa(AiBudget(3.0)), 1.0 / 7.0, rel_tol=1e-15)
 
     def test_zero_budget_rejected(self):
-        with pytest.raises(DegenerateBudgetError):
+        with pytest.raises(DegenerateInputError,
+                           match="kappa is unbounded at zero capacity"):
             kappa(AiBudget(0.0))
 
     def test_strictly_decreasing(self):
@@ -66,10 +64,15 @@ class TestEquivalentNoise:
                             rel_tol=1e-12)
 
     def test_errors(self):
-        with pytest.raises(DegenerateBudgetError):
+        with pytest.raises(DegenerateInputError, match="unbounded at zero capacity"):
             equivalent_noise(AiBudget(0.0), 1.0)
         with pytest.raises(ValueError):
             equivalent_noise(AiBudget(1.0), 0.0)
+
+    def test_overflow_rejected(self):
+        # N_z = inf came back as a value, and gave an SNR of 0.
+        with pytest.raises(DegenerateInputError, match="N_z = P / .* overflows"):
+            equivalent_noise(AiBudget(0.5), 1e308)
 
     def test_nan_power_rejected(self):
         # NaN passed `power <= 0` and came out as a NaN noise variance.
@@ -88,6 +91,11 @@ class TestEnforceMi:
         # ignored.
         with pytest.raises(ValueError, match="must be positive and finite"):
             enforce_mi_numerically(power, c, tol)
+
+    def test_overflow_rejected(self):
+        # exp(u) of the root raised a raw OverflowError.
+        with pytest.raises(DegenerateInputError, match="N_z = P / .* overflows"):
+            enforce_mi_numerically(1e308, 0.5, 1e-12)
 
     def test_matches_closed_form_simple(self):
         assert math.isclose(enforce_mi_numerically(1.0, 1.0, 1e-12), 1.0,
@@ -273,3 +281,19 @@ def test_psd_rule_of_check_psd(fn):
     with pytest.raises(ValueError, match="not positive semidefinite"):
         fn(np.diag([1.0, -1.0]))
     fn(np.diag([1.0, -0.5 * PSD_RTOL]))
+
+
+class TestHermitianPart:
+    def test_same_bits_as_the_sum_halved(self):
+        # Halving first is exact in the normal range, so the stacked form
+        # equals (M + M^H) / 2 bit for bit there.
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+        for scale in (1e-300, 1.0, 1e300):
+            a = scale * m
+            assert np.array_equal(_hermitian_part(a), 0.5 * (a + a.conj().swapaxes(-1, -2)))
+
+    def test_largest_finite_entries_do_not_overflow(self):
+        # 0.5 * (M + M^H) gave inf + nanj entries (and two warnings) here.
+        m = np.array([[1e308, 1e308 + 1e308j], [1e308 - 1e308j, 1.7e308]])
+        assert np.array_equal(_hermitian_part(m), m)

@@ -196,7 +196,7 @@ class TestCommands:
         ("allocate", "alloc_c_ai = 0"),
         ("allocate", "weight = 2"),
         ("allocate", "alpha0 = -1"),
-        ("verify", "alpha_verify = 1.5"),
+        ("verify", "alpha_verify = 0.6"),  # a deleted key is unknown
         ("gaussian-sweep", "c_step = 1e-9"),
         ("gaussian-sweep", "c_step = 5e-324"),
         ("mimo-surface", "snr_step_db = 1e-7"),
@@ -669,8 +669,7 @@ _FUZZ_KEYS = {
         "power", "noise_c", "noise_s", "gain_c", "gain_s", "prior_var",
         "c_min", "c_max", "c_step", "rician_k_db", "snr_min_db",
         "snr_max_db", "snr_step_db")},
-    **{key: st.floats(-0.25, 1.25) for key in (
-        "weight", "alpha0", "alpha_verify")},
+    **{key: st.floats(-0.25, 1.25) for key in ("weight", "alpha0")},
     "alloc_c_ai": st.one_of(_FUZZ_FLOAT, st.just(math.inf)),
     "preset": st.sampled_from(PRESETS),
     "mimo_nt": st.integers(0, 9),
@@ -725,6 +724,11 @@ def test_fuzzed_config_exits_cleanly(fields, command, tmp_path):
                   "alloc_c_ai": math.inf}, 0),
     ("verify", {"gain_c": 1e300, "noise_c": 1e-5, "gain_s": 1e-10,
                 "alloc_c_ai": math.inf}, 0),
+    ("verify", {"power": 1e308}, 1),
+    ("mimo-surface", {"noise_c": 1e308}, 0),
+    ("mimo-surface", {"power": 1e307}, 1),
+    ("gaussian-sweep", {"rician_k_db": 2000.0}, 1),
+    ("frontier", {"prior_var": 1e-300, "noise_s": 1e-300}, 1),
 ])
 def test_known_configs_exit_cleanly(command, fields, code, tmp_path):
     # Configs that ended in an OverflowError traceback (allocate, verify),
@@ -732,4 +736,9 @@ def test_known_configs_exit_cleanly(command, fields, code, tmp_path):
     # two, N_z = P/(2^C - 1) lies below the normal range: allocate wrote an
     # achieved MI of 70.0037 for 70 bits, and verify a FAIL on an MI of inf.
     # In the last two, g_c / g_s overflows: allocate wrote a nan optimum.
+    # Then: N_z overflows (verify at 1e308 W); the Hermitian part of
+    # R_c = 1e308 I overflowed into 496 nan rows; zeta Q and R_c + H R_z H^H
+    # overflow into nan and inf rates at 1e307 W; the K = 2000 dB weights
+    # printed numpy warnings; and the distortion underflows to 0, a plain
+    # ValueError traceback from Frontier.
     assert _exit_code_of_clean_run(command, fields, tmp_path) == code

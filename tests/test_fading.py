@@ -155,6 +155,12 @@ class TestRician:
         with pytest.raises(ConvergenceError, match=r"order-20 .* K = 10000 "):
             ergodic_distortion(10.0, 0.0, 1e4, 1.0, QuadratureRule(20))
 
+    def test_overflowing_weights_raise_without_warnings(self):
+        # At K = 2000 dB the weights overflowed with three numpy warnings
+        # and the miss read "nan"; pytest turns any RuntimeWarning into an error.
+        with pytest.raises(ConvergenceError, match="by an amount that is not finite"):
+            ergodic_rate(10.0, 0.0, 1e200, QuadratureRule(20))
+
     def test_moment_matched_deviation_bounded(self):
         # The rate at the mean gain sits above the exact average (Jensen)
         # and its worst error on this grid is ~0.66 bits, at the low-K

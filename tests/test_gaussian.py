@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from aiisac.bottleneck import AiBudget
-from aiisac.errors import DegenerateFitError, DegenerateInputError
+from aiisac.errors import DegenerateInputError
 from aiisac.gaussian import (
     PerfPoint,
     ScalarScenario,
@@ -117,5 +117,5 @@ class TestScalingGap:
 
     def test_degenerate_gap(self):
         sc = ScalarScenario(1.0, 0.0, 1.0, 0.1, 0.1, 1.0)
-        with pytest.raises(DegenerateFitError):
+        with pytest.raises(DegenerateInputError, match="rate gap must be positive"):
             scaling_gap(sc, [4.0, 5.0, 6.0, 7.0])

@@ -8,7 +8,6 @@ from aiisac.bottleneck import AiBudget, covariance_map
 from aiisac.errors import (
     DegenerateInputError,
     SingularMatrixError,
-    UnobservableParameterError,
 )
 from aiisac.gaussian import ScalarScenario
 from aiisac.gaussian import rate as scalar_rate
@@ -153,7 +152,7 @@ class TestFisherAndCrlb:
         sc = make_scenario(np.eye(2), np.eye(2), 0.1 * np.eye(2),
                            dmu=np.zeros(2))
         assert fisher_info(sc) == 0.0
-        with pytest.raises(UnobservableParameterError):
+        with pytest.raises(DegenerateInputError, match="Fisher information is zero"):
             crlb(sc)
 
     def test_scalar_classical(self):
@@ -300,6 +299,21 @@ class TestStackedSurface:
         sc = make_scenario(np.eye(2), 1e300 * np.eye(2), np.eye(2))
         with pytest.raises(DegenerateInputError, match="overflows"):
             rate_surface(sc.h_c, sc.r_c, sc.q, [1.0], [1.0, 1e10])
+
+    @pytest.mark.parametrize("r_c, q", [(np.eye(2), 1e308 * np.eye(2)),
+                                        (1.7e308 * np.eye(2), 1e307 * np.eye(2))],
+                             ids=["zeta_q", "r_c_plus_h_r_z_h"])
+    def test_overflowing_noise_covariance_is_a_domain_error(self, r_c, q):
+        # zeta Q, or R_c + H R_z H^H, overflowed into nan and inf rates.
+        with pytest.raises(DegenerateInputError,
+                           match="the effective covariance overflows"):
+            rate_surface(np.eye(2), r_c, q, [1.0], [1.0])
+
+    def test_largest_finite_noise_gives_finite_rates(self):
+        # (R + R^H)/2 of R_c = 1e308 I overflowed: every rate was nan.
+        rates = rate_surface(np.eye(2), 1e308 * np.eye(2), np.eye(2),
+                             [0.5, 8.0, math.inf], [1.0, 31.0])
+        assert np.all(np.isfinite(rates)) and np.all(rates >= 0.0)
 
 
 class TestLinkSurface:

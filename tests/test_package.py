@@ -10,12 +10,15 @@ import numpy as np
 import pytest
 
 import aiisac
-from aiisac import (AiBudget, FadingModel, QuadratureRule, RandomStream, ScalarScenario,
-                    conditional_snr, ergodic_distortion, ergodic_rate,
-                    monte_carlo_oracle, rayleigh_rate_exact)
+from aiisac import (AiBudget, FadingModel, Frontier, PerfPoint, QuadratureRule,
+                    RandomStream, ScalarScenario, conditional_snr, crlb,
+                    ergodic_distortion, ergodic_rate, kappa, monte_carlo_oracle,
+                    objective, rayleigh_rate_exact, scaling_gap)
+from aiisac import errors
 from aiisac.allocate import AllocationProblem
 from aiisac.errors import DegenerateInputError
-from aiisac.mimo import MimoScenario, rate_surface
+from aiisac.mimo import MimoScenario, check_psd, rate_surface
+from aiisac.numerics import find_root
 
 _SCENARIO = ScalarScenario(power=1.0, gain_c=1.0, gain_s=1.0, noise_c=0.1,
                            noise_s=0.1, prior_var=1.0)
@@ -81,6 +84,19 @@ _OUT_OF_DOMAIN = {
                                                    _SCENARIO),
     "allocation-mode": lambda: AllocationProblem(1.0, 1.0, 0.3, AiBudget(4.0),
                                                  _SCENARIO, mode="x"),
+    "budget-negative": lambda: AiBudget(-1.0),
+    "budget-zero-kappa": lambda: kappa(AiBudget(0.0)),
+    "psd-non-hermitian": lambda: check_psd(np.array([[1.0, 1.0], [0.0, 1.0]])),
+    "mimo-dmu-nan": lambda: replace(_MIMO, dmu=np.array([1.0, math.nan])),
+    "crlb-unobservable": lambda: crlb(replace(_MIMO, dmu=np.zeros(2))),
+    "quadrature-order": lambda: QuadratureRule(0),
+    "root-bracket": lambda: find_root(lambda x: x, 1.0, -1.0, tol=1e-12),
+    "perf-point-rate": lambda: PerfPoint(-1.0, 1.0),
+    "frontier-unsorted": lambda: Frontier(AiBudget(1.0), np.array([0.5, 0.0]),
+                                          np.ones(2), np.ones(2)),
+    "objective-alpha": lambda: objective(AllocationProblem(
+        1.0, 1.0, 0.3, AiBudget(4.0), _SCENARIO), 1.5),
+    "scaling-gap-points": lambda: scaling_gap(_SCENARIO, [1.0, 2.0, 3.0]),
 }
 
 
@@ -120,3 +136,38 @@ def test_unused_import_finder_flags_only_unread_names():
     source = ("from __future__ import annotations\nimport math\nimport numpy as np\n"
               "import os.path\nfrom .x import a, b as c\nnp.zeros(a)\n")
     assert _unused_imports(source) == ["c (line 5)", "math (line 2)", "os (line 4)"]
+
+
+def _raised_names(source: str) -> list[str]:
+    """The class name of every raise statement that names one: `raise X`,
+    `raise X(...)` and `raise m.X(...)` give X; a bare `raise` gives none."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names.append(exc.attr if isinstance(exc, ast.Attribute) else exc.id)
+    return names
+
+
+_ERROR_CLASSES = sorted(name for name, obj in vars(errors).items()
+                        if isinstance(obj, type) and obj.__module__ == errors.__name__)
+
+
+def test_errors_define_six_classes():
+    assert _ERROR_CLASSES == ["AiIsacError", "BracketError", "ConfigError",
+                              "ConvergenceError", "DegenerateInputError",
+                              "SingularMatrixError"]
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=[p.stem for p in _MODULES])
+def test_every_raise_names_a_package_error(path):
+    # Out-of-domain input is a DegenerateInputError, never a bare ValueError,
+    # so library callers can catch AiIsacError alone.
+    names = _raised_names(path.read_text(encoding="utf-8"))
+    assert [name for name in names if name not in _ERROR_CLASSES] == []
+
+
+def test_raise_finder_names_each_raised_class():
+    source = ("try:\n    raise ValueError('x')\nexcept ValueError:\n    raise\n"
+              "raise errors.ConfigError\nraise KeyError from None\n")
+    assert sorted(_raised_names(source)) == ["ConfigError", "KeyError", "ValueError"]
