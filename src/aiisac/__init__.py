@@ -30,7 +30,6 @@ from .gaussian import (
 )
 from .fading import (
     FadingModel,
-    MonteCarloEstimate,
     conditional_snr,
     ergodic_distortion,
     ergodic_rate,
@@ -39,10 +38,9 @@ from .fading import (
 )
 from .mimo import MimoScenario, crlb, fisher_info, mimo_rate, rate_surface
 from .numerics import QuadratureRule, RandomStream
-from .region import Frontier, FrontierPoint, frontier, in_region, separated_baseline
+from .region import Frontier, frontier, in_region, separated_baseline
 from .allocate import (
     AllocationProblem,
-    AllocationResult,
     kkt_power_split,
     kkt_residual_check,
     objective,
@@ -53,17 +51,15 @@ from .config import RunConfig, parse_config, preset_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "AiBudget", "AiIsacError", "AllocationProblem", "AllocationResult",
-    "BracketError", "ConfigError", "ConvergenceError", "DegenerateInputError",
-    "FadingModel", "Frontier", "FrontierPoint", "MimoScenario",
-    "MonteCarloEstimate", "PerfPoint", "QuadratureRule", "RandomStream",
+    "AiBudget", "AiIsacError", "AllocationProblem", "BracketError",
+    "ConfigError", "ConvergenceError", "DegenerateInputError", "FadingModel",
+    "Frontier", "MimoScenario", "PerfPoint", "QuadratureRule", "RandomStream",
     "RunConfig", "ScalarScenario", "SingularMatrixError", "achieved_mi",
-    "conditional_snr", "covariance_map", "crlb", "distortion",
-    "effective_snrs", "enforce_mi_numerically", "equivalent_noise",
-    "ergodic_distortion", "ergodic_rate", "fisher_info",
-    "frontier", "gaussian_mi", "in_region",
-    "kappa", "kkt_power_split", "kkt_residual_check",
-    "mimo_rate", "monte_carlo_oracle", "objective", "optimize_alpha",
-    "parse_config", "preset_config", "rate", "rate_surface",
-    "rayleigh_rate_exact", "scaling_gap", "separated_baseline",
+    "conditional_snr", "covariance_map", "crlb", "distortion", "effective_snrs",
+    "enforce_mi_numerically", "equivalent_noise", "ergodic_distortion",
+    "ergodic_rate", "fisher_info", "frontier", "gaussian_mi", "in_region",
+    "kappa", "kkt_power_split", "kkt_residual_check", "mimo_rate",
+    "monte_carlo_oracle", "objective", "optimize_alpha", "parse_config",
+    "preset_config", "rate", "rate_surface", "rayleigh_rate_exact",
+    "scaling_gap", "separated_baseline",
 ]

@@ -13,7 +13,7 @@ the kernel on a 1-stack.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,10 +135,10 @@ def _as_hermitian(a: np.ndarray, name: str) -> np.ndarray:
         raise DegenerateInputError(f"{name} exceeds the supported dimension {MAX_DIM}")
     if not np.all(np.isfinite(m)):
         raise DegenerateInputError(f"{name} has non-finite entries")
-    scale = float(np.max(np.abs(m)))
-    if float(np.max(np.abs(m - m.conj().T))) > 1e-12 * scale:
+    h = 0.5 * m  # halved first, as in _hermitian_part, so no finite entry overflows
+    if float(np.max(np.abs(h - h.conj().T))) > 1e-12 * float(np.max(np.abs(h))):
         raise DegenerateInputError(f"{name} is not Hermitian within tolerance")
-    return _hermitian_part(m)
+    return h + h.conj().T
 
 
 def _check_psd(evals: np.ndarray, name: str) -> None:
@@ -172,47 +172,53 @@ def covariance_map(q: np.ndarray, c_ai: float) -> np.ndarray:
     C = inf).  By construction gaussian_mi(Q, R_z) equals C exactly; the
     map is trace-minimal only when the active eigenvalues of Q are equal.
     A Q that is not PSD raises DegenerateInputError, at C = inf too, and so
-    does a capacity of zero, below zero or NaN.
+    do a capacity of zero, below zero or NaN and an R_z that overflows.
     """
-    return proportional_maps(_as_hermitian(q, "Q")[None], [c_ai])[0, 0]
+    q = _as_hermitian(q, "Q")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rz = proportional_maps(q[None], [c_ai])[0, 0]
+    if not np.isfinite(rz).all():
+        raise DegenerateInputError("R_z = zeta * Q overflows")
+    return rz
 
 
-def _active_groups(evals: np.ndarray, evecs: np.ndarray
-                   ) -> Iterator[tuple[list[int], np.ndarray, np.ndarray]]:
-    """Split a stacked eigh (J x n ascending eigenvalues, J x n x n
-    eigenvectors) into groups of matrices whose eigenvalues above RANK_RTOL
-    times the largest form the same mask. Yields (members, vals, vecs) per
-    group: member indices, active eigenvalues (M x r) and eigenvectors
-    (M x n x r). A zero matrix has the empty mask (r = 0)."""
-    keep = evals > RANK_RTOL * evals[:, -1:]
-    groups = {}
-    for j, mask in enumerate(keep):
-        groups.setdefault(mask.tobytes(), []).append(j)
-    for members in groups.values():
-        mask = keep[members[0]]
-        yield members, evals[members][:, mask], evecs[members][:, :, mask]
+def _active_groups(qs: np.ndarray
+                   ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """One stacked eigh of the Hermitian stack qs (J x n x n), its PSD test,
+    and its matrices grouped by rank r: the count of eigenvalues above
+    RANK_RTOL times the largest, which are the last r as eigh sorts them.
+    Returns (members, vals, vecs) per rank, ascending: member indices,
+    active eigenvalues (M x r) and eigenvectors (M x n x r)."""
+    evals, evecs = np.linalg.eigh(qs)
+    _check_psd(evals, "Q")
+    ranks = np.count_nonzero(evals > RANK_RTOL * evals[:, -1:], axis=1)
+    groups = []
+    for r in sorted(set(ranks.tolist())):
+        members, cols = np.flatnonzero(ranks == r), np.arange(-r, 0)
+        groups.append((members, evals[members][:, cols], evecs[members][:, :, cols]))
+    return groups
 
 
 def proportional_maps(qs: np.ndarray, c_grid: Sequence[float]) -> np.ndarray:
     """covariance_map for every capacity in c_grid and every Hermitian Q in
     the stack qs (J x n x n), as a C x J x n x n stack, from one stacked
-    eigh. Active subspaces are sliced per group of Q with equal rank masks,
-    so each R_z is bit for bit the product for its Q alone.  A capacity
-    below 0 or NaN raises DegenerateInputError naming it, and so does a Q
-    that is not PSD, whatever the capacities.
+    eigh. Active subspaces are sliced per group of Q of equal rank, so each
+    R_z is bit for bit the product for its Q alone.  A capacity below 0 or
+    NaN raises DegenerateInputError naming it, and so does a Q that is not
+    PSD, whatever the capacities.
     """
     for c in c_grid:
         if not c >= 0:
             raise DegenerateInputError(f"capacity must be >= 0 bits, got {c}")
     out = np.zeros((len(c_grid),) + qs.shape, dtype=complex)
-    evals, evecs = np.linalg.eigh(qs)
-    _check_psd(evals, "Q")
+    groups = _active_groups(qs)
     finite = [i for i, c in enumerate(c_grid) if c != math.inf]
     if not finite:
         return out
-    if not np.all(evals[:, -1] > 0):
-        raise DegenerateInputError("Q has no active subspace (zero matrix)")
-    for members, vals, vecs in _active_groups(evals, evecs):
+    for members, vals, vecs in groups:
+        # Ranks ascend, so a zero Q fails before any map is built.
+        if not vals.shape[1]:
+            raise DegenerateInputError("Q has no active subspace (zero matrix)")
         zeta = np.array([_kappa(c_grid[i] / vals.shape[1]) for i in finite])
         rz = (vecs * (zeta[:, None, None] * vals)[:, :, None, :]
               ) @ vecs.conj().swapaxes(-1, -2)
@@ -223,15 +229,13 @@ def proportional_maps(qs: np.ndarray, c_grid: Sequence[float]) -> np.ndarray:
 def gaussian_mis(qs: np.ndarray, rzs: np.ndarray) -> np.ndarray:
     """gaussian_mi for every pair of Hermitian Q and R_z in the stacks qs
     and rzs (J x n x n), as J values in bits, from one stacked eigh and two
-    stacked Cholesky log-dets per group of Q with equal rank masks; each
-    value is bit for bit that of its pair alone.  A Q that is not PSD
-    raises DegenerateInputError, and a zero Q gives 0.
+    stacked Cholesky log-dets per group of Q of equal rank; each value is
+    bit for bit that of its pair alone.  A Q that is not PSD raises
+    DegenerateInputError, and a zero Q gives 0.
     """
     out = np.zeros(len(qs))
-    evals, evecs = np.linalg.eigh(qs)
-    _check_psd(evals, "Q")
     name = "R_z on the active subspace of Q"
-    for members, vals, vecs in _active_groups(evals, evecs):
+    for members, vals, vecs in _active_groups(qs):
         if not vals.shape[1]:
             continue
         r_sub = _hermitian_part(vecs.conj().swapaxes(-1, -2) @ rzs[members] @ vecs)

@@ -102,7 +102,10 @@ def distortion(sc: ScalarScenario, budget: AiBudget) -> float:
 def scaling_gap(sc: ScalarScenario, c_grid: list[float]) -> float:
     """Fitted slope of log2(R_inf - R(C)) versus C.
 
-    A slope near -1 confirms the rate penalty decays like 2^(-C).
+    The rate penalty decays like 2^(-C), a slope near -1, only past the
+    knee C = log2(1 + gamma), gamma the classical communication SNR; a grid
+    below it reads shallower. C = 4..8 gives -1.02 at gamma = 0.1 but -0.65
+    at gamma = 100 (knee 6.66 bits), where C = 14..18 gives -0.999.
     """
     grid = [float(c) for c in c_grid]
     if len(grid) < 4:

@@ -6,7 +6,8 @@ effective noise covariance and sensing performance is scalar Fisher
 information / CRLB for a linear Gaussian parameter model.  rate_surface
 takes the link (H_c, R_c, Q) and checks each matrix once; its grid is one
 stacked pass: one eigh of the scaled Q's (also Q's PSD test), then stacked
-matmuls and Choleskys.  mimo_rate is that pass on one MimoScenario point.
+matmuls and Choleskys.  mimo_rate is rate_surface at one MimoScenario
+point.
 """
 from __future__ import annotations
 
@@ -85,33 +86,20 @@ class MimoScenario:
             object.__setattr__(self, name, value)
 
 
-def _rates(h_c: np.ndarray, r_c: np.ndarray, qs: np.ndarray,
-           c_grid: Sequence[float]) -> np.ndarray:
-    """Rate kernel on already validated matrices, C x J for every capacity
-    in c_grid and every Q in the stack qs: stacked matmuls and Choleskys.
-    Raises DegenerateInputError where an effective covariance overflows."""
-    h_h = h_c.conj().T
-    with np.errstate(over="ignore", invalid="ignore"):
-        noise = _hermitian_part(r_c + h_c @ proportional_maps(qs, c_grid) @ h_h)
-        total = noise + _hermitian_part(h_c @ qs @ h_h)
-    # NaN and inf in the noise carry into the total, so one pass checks both.
-    if not np.isfinite(total).all():
-        raise DegenerateInputError("the effective covariance overflows")
-    val = _logdet(total, "effective covariance") - _logdet(
-        noise, "effective noise covariance"
-    )
-    return val / math.log(2.0)
-
-
 def mimo_rate(sc: MimoScenario) -> float:
-    """log2 det(I + H_c Q H_c^H (R_c + H_c R_z H_c^H)^{-1}), bits per use."""
-    return float(_rates(sc.h_c, sc.r_c, sc.q[None], [sc.budget.c_ai])[0, 0])
+    """log2 det(I + H_c Q H_c^H (R_c + H_c R_z H_c^H)^{-1}), bits per use:
+    rate_surface at the scenario's one point."""
+    return float(rate_surface(sc.h_c, sc.r_c, sc.q, [sc.budget.c_ai], [1.0])[0, 0])
 
 
 def fisher_info(sc: MimoScenario) -> float:
-    """Fisher information dmu^H (R_s + H_s R_z H_s^H)^{-1} dmu, real >= 0."""
-    rz = proportional_maps(sc.q[None], [sc.budget.c_ai])[0, 0]
-    cov = _hermitian_part(sc.r_s + sc.h_s @ rz @ sc.h_s.conj().T)
+    """Fisher information dmu^H (R_s + H_s R_z H_s^H)^{-1} dmu, real >= 0;
+    raises DegenerateInputError where that covariance overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rz = proportional_maps(sc.q[None], [sc.budget.c_ai])[0, 0]
+        cov = _hermitian_part(sc.r_s + sc.h_s @ rz @ sc.h_s.conj().T)
+    if not np.isfinite(cov).all():
+        raise DegenerateInputError("the effective sensing covariance overflows")
     y = np.linalg.solve(_cholesky(cov, "effective sensing covariance"), sc.dmu)
     return float(np.real(np.vdot(y, y)))
 
@@ -132,8 +120,8 @@ def rate_surface(h_c: np.ndarray, r_c: np.ndarray, q: np.ndarray,
     H_c and R_c are checked as MimoScenario checks them, Q for finite
     Hermitian entries; Q's PSD test is in proportional_maps, on the stacked
     eigh of each block of scaled Q's, which also checks the capacities.
-    Each rate equals mimo_rate of its own point bit for bit, and an input
-    with one fault raises what MimoScenario and mimo_rate raise there.
+    Each block is stacked matmuls and Choleskys; an effective covariance
+    that overflows raises DegenerateInputError.
     """
     q = _as_hermitian(q, "Q")
     h_c, r_c = _link(h_c, r_c, q.shape[0], "H_c", "R_c")
@@ -141,12 +129,19 @@ def rate_surface(h_c: np.ndarray, r_c: np.ndarray, q: np.ndarray,
         raise DegenerateInputError("grids must be non-empty")
     if not all(math.isfinite(s) and s > 0 for s in power_scales):
         raise DegenerateInputError("power scales must be positive and finite")
-    step = max(1, _BLOCK // (len(c_grid) * q.size))
+    step, h_h = max(1, _BLOCK // (len(c_grid) * q.size)), h_c.conj().T
     blocks = []
     for lo in range(0, len(power_scales), step):
         with np.errstate(over="ignore"):
             qs = q * np.asarray(power_scales[lo:lo + step])[:, None, None]
         if not np.all(np.isfinite(qs)):
             raise DegenerateInputError("Q overflows at the largest power scales")
-        blocks.append(_rates(h_c, r_c, qs, c_grid))
-    return np.concatenate(blocks, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            noise = _hermitian_part(r_c + h_c @ proportional_maps(qs, c_grid) @ h_h)
+            total = noise + _hermitian_part(h_c @ qs @ h_h)
+        # NaN and inf in the noise carry into the total, so one pass checks both.
+        if not np.isfinite(total).all():
+            raise DegenerateInputError("the effective covariance overflows")
+        blocks.append(_logdet(total, "effective covariance")
+                      - _logdet(noise, "effective noise covariance"))
+    return np.concatenate(blocks, axis=1) / math.log(2.0)

@@ -6,6 +6,7 @@ import pytest
 from aiisac.bottleneck import (
     PSD_RTOL,
     AiBudget,
+    _as_hermitian,
     _hermitian_part,
     achieved_mi,
     covariance_map,
@@ -153,6 +154,27 @@ class TestCovarianceMap:
         with pytest.raises(DegenerateInputError):
             covariance_map(np.zeros((2, 2)), 1.0)
 
+    def test_overflow_rejected(self):
+        # zeta = 2.41 here, so zeta * Q overflowed into an all-NaN R_z.
+        with pytest.raises(DegenerateInputError, match="R_z = zeta \\* Q overflows"):
+            covariance_map(1e308 * np.eye(2), 1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_proportional_maps_equal_covariance_map_bit_for_bit(self, n):
+        # One call maps full-rank and rank-1 Q's interleaved, so it slices
+        # several rank groups; a zero Q has a map at C = inf only.
+        qs, _ = _mixed_rank_stack(np.random.default_rng(60 + n), n)
+        c_grid = [0.5, 3.0, math.inf]
+        got = proportional_maps(qs, c_grid)
+        assert got.shape == (len(c_grid),) + qs.shape
+        for i, c in enumerate(c_grid):
+            for j, q in enumerate(qs):
+                assert got[i, j].tobytes() == covariance_map(q, c).tobytes()
+        qs[4] = 0.0
+        got = proportional_maps(qs, [math.inf])
+        assert got.tobytes() == np.zeros_like(got).tobytes()
+        assert covariance_map(qs[4], math.inf).tobytes() == got[0, 4].tobytes()
+
     def test_budget_always_met(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
@@ -297,3 +319,13 @@ class TestHermitianPart:
         # 0.5 * (M + M^H) gave inf + nanj entries (and two warnings) here.
         m = np.array([[1e308, 1e308 + 1e308j], [1e308 - 1e308j, 1.7e308]])
         assert np.array_equal(_hermitian_part(m), m)
+
+    @pytest.mark.parametrize("a", [[[0.0, 1e308], [-1e308, 0.0]],
+                                   [[0.0, 1.7e308 + 1.7e308j],
+                                    [-1.7e308 - 1.7e308j, 0.0]]],
+                             ids=["real", "complex"])
+    def test_largest_non_hermitian_entries_rejected(self, a):
+        # M - M^H overflowed (a warning before the error); in the complex
+        # case max|M| overflowed too, and the matrix passed as Hermitian.
+        with pytest.raises(DegenerateInputError, match="A is not Hermitian"):
+            _as_hermitian(a, "A")

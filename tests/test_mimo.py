@@ -174,6 +174,16 @@ class TestFisherAndCrlb:
                      for c in (0.5, 2.0, 8.0, math.inf)]
             assert all(a <= b + 1e-12 for a, b in zip(infos, infos[1:]))
 
+    def test_overflowing_sensing_covariance_is_a_domain_error(self):
+        # R_s + H_s R_z H_s^H overflowed: fisher_info returned 0.0 after
+        # overflow warnings, and crlb called the parameter unobservable.
+        sc = make_scenario(np.eye(2), 1e307 * np.eye(2), np.eye(2), c_ai=1.0,
+                           r_s=1.7e308 * np.eye(2))
+        for fn in (fisher_info, crlb):
+            with pytest.raises(DegenerateInputError,
+                               match="the effective sensing covariance overflows"):
+                fn(sc)
+
 
 class TestRateSurface:
     def test_single_point(self):

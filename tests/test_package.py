@@ -138,6 +138,81 @@ def test_unused_import_finder_flags_only_unread_names():
     assert _unused_imports(source) == ["c (line 5)", "math (line 2)", "os (line 4)"]
 
 
+# Exports that no other package module reads, each with the test file that
+# needs it as an oracle or as its subject.
+ORACLES = {
+    "FadingModel": "test_acceptance.py",
+    "Frontier": "test_region.py",
+    "conditional_snr": "test_acceptance.py",
+    "covariance_map": "test_acceptance.py",
+    "crlb": "test_mimo.py",
+    "distortion": "test_acceptance.py",
+    "ergodic_distortion": "test_acceptance.py",
+    "fisher_info": "test_mimo.py",
+    "gaussian_mi": "test_acceptance.py",
+    "in_region": "test_region.py",
+    "kkt_residual_check": "test_acceptance.py",
+    "mimo_rate": "test_acceptance.py",
+    "monte_carlo_oracle": "test_acceptance.py",
+    "objective": "test_acceptance.py",
+    "rate": "test_acceptance.py",
+    "scaling_gap": "test_acceptance.py",
+}
+
+
+def _reads(source: str) -> set[tuple[str, str]]:
+    """(module, name) pairs a package module imports by name (`from .m
+    import name`) or reads as an attribute of an imported module (`m.name`,
+    also under an alias)."""
+    tree = ast.parse(source)
+    modules, out = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                else:
+                    out.add((node.module, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            out.add((modules[node.value.id], node.attr))
+    return out
+
+
+def _names_read(source: str) -> set[str]:
+    """Every name a test file imports, reads or reads as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_export_is_read_or_an_oracle():
+    # A public name is read by another package module, or a test needs it.
+    read = set().union(*(_reads(p.read_text(encoding="utf-8")) for p in _MODULES))
+    unread = sorted(name for name in aiisac.__all__
+                    if (getattr(aiisac, name).__module__.rsplit(".", 1)[1], name)
+                    not in read)
+    assert unread == sorted(ORACLES)
+    tests = Path(__file__).parent
+    assert [name for name, test in ORACLES.items()
+            if name not in _names_read((tests / test).read_text(encoding="utf-8"))] == []
+
+
+def test_read_finder_resolves_module_aliases():
+    source = ("from . import allocate as alloc_mod\nfrom . import fading\n"
+              "from .bottleneck import kappa as k\nalloc_mod.objective(fading.rate)\n"
+              "x.frontier\n")
+    assert _reads(source) == {("allocate", "objective"), ("bottleneck", "kappa"),
+                              ("fading", "rate")}
+
+
 def _raised_names(source: str) -> list[str]:
     """The class name of every raise statement that names one: `raise X`,
     `raise X(...)` and `raise m.X(...)` give X; a bare `raise` gives none."""
