@@ -143,14 +143,19 @@ def _as_hermitian(a: np.ndarray, name: str) -> np.ndarray:
 
 def _check_psd(evals: np.ndarray, name: str) -> None:
     """Raise DegenerateInputError unless the ascending eigenvalues (last axis)
-    of a Hermitian matrix, or of each in a stack, pass the PSD_RTOL rule."""
+    of a Hermitian matrix, or of each in a stack, are finite and pass PSD_RTOL."""
+    if not np.isfinite(evals).all():
+        raise DegenerateInputError(f"the eigenvalues of {name} overflow")
     if (evals[..., 0] < -PSD_RTOL * np.abs(evals).max(axis=-1)).any():
         raise DegenerateInputError(f"{name} is not positive semidefinite")
 
 
 def _cholesky(m: np.ndarray, name: str) -> np.ndarray:
     """Lower Cholesky factor of a positive definite matrix or of each in a
-    stack; raises SingularMatrixError naming m otherwise."""
+    stack; raises, naming m, DegenerateInputError where m is not finite (an
+    overflow) and SingularMatrixError where it is not positive definite."""
+    if not np.isfinite(m).all():
+        raise DegenerateInputError(f"the {name} overflows")
     try:
         return np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
@@ -188,7 +193,10 @@ def _active_groups(qs: np.ndarray
     and its matrices grouped by rank r: the count of eigenvalues above
     RANK_RTOL times the largest, which are the last r as eigh sorts them.
     Returns (members, vals, vecs) per rank, ascending: member indices,
-    active eigenvalues (M x r) and eigenvectors (M x n x r)."""
+    active eigenvalues (M x r) and eigenvectors (M x n x r).  A Q or an
+    eigenvalue that is not finite raises DegenerateInputError (an overflow)."""
+    if not np.isfinite(qs).all():
+        raise DegenerateInputError("Q overflows")
     evals, evecs = np.linalg.eigh(qs)
     _check_psd(evals, "Q")
     ranks = np.count_nonzero(evals > RANK_RTOL * evals[:, -1:], axis=1)
@@ -230,18 +238,18 @@ def gaussian_mis(qs: np.ndarray, rzs: np.ndarray) -> np.ndarray:
     """gaussian_mi for every pair of Hermitian Q and R_z in the stacks qs
     and rzs (J x n x n), as J values in bits, from one stacked eigh and two
     stacked Cholesky log-dets per group of Q of equal rank; each value is
-    bit for bit that of its pair alone.  A Q that is not PSD raises
-    DegenerateInputError, and a zero Q gives 0.
+    bit for bit that of its pair alone.  A Q that is not PSD, or an overflow,
+    raises DegenerateInputError, and a zero Q gives 0.
     """
     out = np.zeros(len(qs))
     name = "R_z on the active subspace of Q"
     for members, vals, vecs in _active_groups(qs):
         if not vals.shape[1]:
             continue
-        r_sub = _hermitian_part(vecs.conj().swapaxes(-1, -2) @ rzs[members] @ vecs)
-        signal = vals[:, None, :] * np.eye(vals.shape[1])
-        out[members] = (_logdet(r_sub + signal, name)
-                        - _logdet(r_sub, name)) / math.log(2.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r_sub = _hermitian_part(vecs.conj().swapaxes(-1, -2) @ rzs[members] @ vecs)
+            total = r_sub + vals[:, None, :] * np.eye(vals.shape[1])
+        out[members] = (_logdet(total, name) - _logdet(r_sub, name)) / math.log(2.0)
     return out
 
 
@@ -250,6 +258,7 @@ def gaussian_mi(q: np.ndarray, r_z: np.ndarray) -> float:
 
     Q must be PSD and R_z positive definite on the active subspace, and
     both of one shape; contributions on the null space of Q do not enter.
+    An overflow raises DegenerateInputError, as in gaussian_mis.
     """
     q = _as_hermitian(q, "Q")
     r_z = _as_hermitian(r_z, "R_z")

@@ -134,12 +134,15 @@ def _integrand(snr: np.ndarray, prior_var: float | None) -> np.ndarray:
 def conditional_snr(x, gamma_bar: float, kappa: float | np.ndarray):
     """Effective SNR x*gamma / (1 + x*gamma*kappa) at channel gain x.
 
-    Saturates at 1/kappa for kappa > 0.  Accepts scalars or arrays of x and
-    kappa, which broadcast against each other.  Raises DegenerateInputError
-    unless the mean SNR gamma is positive and finite and every kappa >= 0.
+    Saturates at 1/kappa for kappa > 0; x and kappa, scalars or arrays,
+    broadcast.  Raises DegenerateInputError unless every gain x is finite
+    and >= 0, the mean SNR gamma positive and finite and every kappa >= 0.
     """
     _check_positive(gamma_bar, "mean SNR")
-    out = _snr(np.asarray(x, dtype=float) * gamma_bar, _check_kappa(kappa))
+    xs = np.asarray(x, dtype=float)
+    if not ((xs >= 0.0) & (xs < math.inf)).all():
+        raise DegenerateInputError(f"channel gain must be finite and >= 0, got {x}")
+    out = _snr(xs * gamma_bar, _check_kappa(kappa))
     return float(out) if np.isscalar(x) and np.isscalar(kappa) else out
 
 
@@ -359,11 +362,13 @@ def monte_carlo_oracle(
     Deterministic for a fixed stream: gains come from a counter-based
     generator and the reduction order is fixed regardless of chunking.
     """
-    if n_samples < 1:
-        raise DegenerateInputError("n_samples must be >= 1")
+    if (not isinstance(n_samples, (int, np.integer)) or isinstance(n_samples, bool)
+            or n_samples < 1):
+        raise DegenerateInputError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    _check_positive(gamma_bar, "mean SNR")
     _check_positive(prior_var, "prior variance")
     gains = _sample_gains(model, n_samples, stream.generator())
-    snr = conditional_snr(gains, gamma_bar, kappa)
+    snr = _snr(gains * gamma_bar, _check_kappa(kappa))
     r_mean, r_sq = _chunked_mean(_integrand(snr, None))
     d_mean, d_sq = _chunked_mean(_integrand(snr, prior_var))
     r_se = math.sqrt(max(r_sq - r_mean**2, 0.0) / n_samples)

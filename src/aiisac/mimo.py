@@ -94,14 +94,15 @@ def mimo_rate(sc: MimoScenario) -> float:
 
 def fisher_info(sc: MimoScenario) -> float:
     """Fisher information dmu^H (R_s + H_s R_z H_s^H)^{-1} dmu, real >= 0;
-    raises DegenerateInputError where that covariance overflows."""
+    raises DegenerateInputError where it or that covariance overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         rz = proportional_maps(sc.q[None], [sc.budget.c_ai])[0, 0]
         cov = _hermitian_part(sc.r_s + sc.h_s @ rz @ sc.h_s.conj().T)
-    if not np.isfinite(cov).all():
-        raise DegenerateInputError("the effective sensing covariance overflows")
     y = np.linalg.solve(_cholesky(cov, "effective sensing covariance"), sc.dmu)
-    return float(np.real(np.vdot(y, y)))
+    info = float(np.real(np.vdot(y, y)))
+    if not info < math.inf:
+        raise DegenerateInputError("the Fisher information overflows")
+    return info
 
 
 def crlb(sc: MimoScenario) -> float:
@@ -118,10 +119,10 @@ def rate_surface(h_c: np.ndarray, r_c: np.ndarray, q: np.ndarray,
     grid [capacity x power scale], row-major; any sequences serve as grids.
 
     H_c and R_c are checked as MimoScenario checks them, Q for finite
-    Hermitian entries; Q's PSD test is in proportional_maps, on the stacked
-    eigh of each block of scaled Q's, which also checks the capacities.
-    Each block is stacked matmuls and Choleskys; an effective covariance
-    that overflows raises DegenerateInputError.
+    Hermitian entries.  Each block of scaled Q's is one stacked eigh in
+    proportional_maps, which tests them for PSD and overflow and checks the
+    capacities, then stacked matmuls and Choleskys, which reject an
+    effective covariance that overflows (all DegenerateInputError).
     """
     q = _as_hermitian(q, "Q")
     h_c, r_c = _link(h_c, r_c, q.shape[0], "H_c", "R_c")
@@ -132,16 +133,10 @@ def rate_surface(h_c: np.ndarray, r_c: np.ndarray, q: np.ndarray,
     step, h_h = max(1, _BLOCK // (len(c_grid) * q.size)), h_c.conj().T
     blocks = []
     for lo in range(0, len(power_scales), step):
-        with np.errstate(over="ignore"):
-            qs = q * np.asarray(power_scales[lo:lo + step])[:, None, None]
-        if not np.all(np.isfinite(qs)):
-            raise DegenerateInputError("Q overflows at the largest power scales")
         with np.errstate(over="ignore", invalid="ignore"):
+            qs = q * np.asarray(power_scales[lo:lo + step])[:, None, None]
             noise = _hermitian_part(r_c + h_c @ proportional_maps(qs, c_grid) @ h_h)
             total = noise + _hermitian_part(h_c @ qs @ h_h)
-        # NaN and inf in the noise carry into the total, so one pass checks both.
-        if not np.isfinite(total).all():
-            raise DegenerateInputError("the effective covariance overflows")
         blocks.append(_logdet(total, "effective covariance")
                       - _logdet(noise, "effective noise covariance"))
     return np.concatenate(blocks, axis=1) / math.log(2.0)

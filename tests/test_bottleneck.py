@@ -159,6 +159,13 @@ class TestCovarianceMap:
         with pytest.raises(DegenerateInputError, match="R_z = zeta \\* Q overflows"):
             covariance_map(1e308 * np.eye(2), 1.0)
 
+    def test_overflowing_eigenvalue_rejected(self):
+        # Q = a [[1, 1/2], [1/2, 1]] is full rank, but its eigenvalue 1.5a
+        # overflowed, so every rank was 0 and Q was called a zero matrix.
+        a = 1.7e308
+        with pytest.raises(DegenerateInputError, match="overflow"):
+            covariance_map(np.array([[a, a / 2], [a / 2, a]]), 1.0)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_proportional_maps_equal_covariance_map_bit_for_bit(self, n):
         # One call maps full-rank and rank-1 Q's interleaved, so it slices

@@ -319,6 +319,14 @@ class TestStackedSurface:
                            match="the effective covariance overflows"):
             rate_surface(np.eye(2), r_c, q, [1.0], [1.0])
 
+    def test_overflowing_eigenvalue_is_a_domain_error(self):
+        # The full-rank Q's eigenvalue 1.5a overflowed and Q was reported as
+        # a zero matrix.
+        a = 1.7e308
+        with pytest.raises(DegenerateInputError, match="overflow"):
+            rate_surface(np.eye(2), np.eye(2), np.array([[a, a / 2], [a / 2, a]]),
+                         [1.0], [1.0])
+
     def test_largest_finite_noise_gives_finite_rates(self):
         # (R + R^H)/2 of R_c = 1e308 I overflowed: every rate was nan.
         rates = rate_surface(np.eye(2), 1e308 * np.eye(2), np.eye(2),

@@ -12,8 +12,9 @@ import pytest
 import aiisac
 from aiisac import (AiBudget, FadingModel, Frontier, PerfPoint, QuadratureRule,
                     RandomStream, ScalarScenario, conditional_snr, crlb,
-                    ergodic_distortion, ergodic_rate, kappa, monte_carlo_oracle,
-                    objective, rayleigh_rate_exact, scaling_gap)
+                    ergodic_distortion, ergodic_rate, fisher_info, gaussian_mi,
+                    kappa, monte_carlo_oracle, objective, rayleigh_rate_exact,
+                    scaling_gap)
 from aiisac import errors
 from aiisac.allocate import AllocationProblem
 from aiisac.errors import DegenerateInputError
@@ -25,6 +26,13 @@ _SCENARIO = ScalarScenario(power=1.0, gain_c=1.0, gain_s=1.0, noise_c=0.1,
 _MIMO = MimoScenario(h_c=np.eye(2), h_s=np.eye(2), q=np.eye(2), r_c=np.eye(2),
                      r_s=np.eye(2), dmu=np.ones(2), budget=AiBudget(math.inf))
 _RULE = QuadratureRule(20)
+# Entries of this size overflow a sum of two of them or an eigenvalue.
+_BIG = 1.7e308
+
+
+def _whitened_overflow(r_s: float) -> MimoScenario:
+    """A scenario whose Fisher information dmu^H R_s^-1 dmu overflows."""
+    return replace(_MIMO, r_s=r_s * np.eye(2), dmu=1e300 * np.ones(2))
 
 
 def test_exports_resolve_once():
@@ -66,9 +74,14 @@ _OUT_OF_DOMAIN = {
     "fading-k": lambda: ergodic_distortion(10.0, 0.1, math.inf, 1.0, _RULE),
     "fading-prior": lambda: ergodic_distortion(10.0, 0.1, 0.0, math.inf, _RULE),
     "snr-kappa": lambda: conditional_snr(1.0, 10.0, -0.1),
+    "snr-gain-negative": lambda: conditional_snr(-1.0, 10.0, 0.1),
+    "snr-gain-inf": lambda: conditional_snr(math.inf, 10.0, 0.1),
+    "snr-gain-nan": lambda: conditional_snr(np.array([1.0, math.nan]), 10.0, 0.1),
     "exact-kappa": lambda: rayleigh_rate_exact(10.0, -0.1),
     "oracle-samples": lambda: monte_carlo_oracle(FadingModel("rayleigh"), 10.0, 0.1,
                                                  1.0, 0, RandomStream(1)),
+    "oracle-samples-float": lambda: monte_carlo_oracle(FadingModel("rayleigh"), 10.0,
+                                                       0.1, 1.0, 10.5, RandomStream(1)),
     "scenario-power": lambda: replace(_SCENARIO, power=0.0),
     "scenario-gain": lambda: replace(_SCENARIO, gain_s=-1.0),
     "scenario-noise": lambda: replace(_SCENARIO, noise_c=0.0),
@@ -87,6 +100,15 @@ _OUT_OF_DOMAIN = {
     "budget-negative": lambda: AiBudget(-1.0),
     "budget-zero-kappa": lambda: kappa(AiBudget(0.0)),
     "psd-non-hermitian": lambda: check_psd(np.array([[1.0, 1.0], [0.0, 1.0]])),
+    "psd-eigen-overflow": lambda: check_psd(np.array(
+        [[_BIG, _BIG * (1 + 1j)], [_BIG * (1 - 1j), _BIG]])),
+    "mi-sum-overflow": lambda: gaussian_mi(_BIG * np.eye(2), _BIG * np.eye(2)),
+    "mi-eigen-overflow": lambda: gaussian_mi(
+        np.array([[_BIG, _BIG / 2], [_BIG / 2, _BIG]]), np.eye(2)),
+    "fisher-overflow": lambda: fisher_info(_whitened_overflow(1e-300)),
+    "fisher-subnormal-overflow": lambda: fisher_info(_whitened_overflow(1e-320)),
+    "crlb-overflow": lambda: crlb(_whitened_overflow(1e-300)),
+    "crlb-subnormal-overflow": lambda: crlb(_whitened_overflow(1e-320)),
     "mimo-dmu-nan": lambda: replace(_MIMO, dmu=np.array([1.0, math.nan])),
     "crlb-unobservable": lambda: crlb(replace(_MIMO, dmu=np.zeros(2))),
     "quadrature-order": lambda: QuadratureRule(0),
@@ -246,3 +268,49 @@ def test_raise_finder_names_each_raised_class():
     source = ("try:\n    raise ValueError('x')\nexcept ValueError:\n    raise\n"
               "raise errors.ConfigError\nraise KeyError from None\n")
     assert sorted(_raised_names(source)) == ["ConfigError", "KeyError", "ValueError"]
+
+
+def _linalg_sites(source: str) -> list[tuple[str, str]]:
+    """(routine, scope) of each numpy.linalg routine a module reads, as
+    `np.linalg.f` or `numpy.linalg.f`, or imports from numpy.linalg; the
+    scope is the dotted name of the enclosing def or class, or "<module>"."""
+    sites = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, child.name if scope == "<module>" else f"{scope}.{child.name}")
+                continue
+            if (isinstance(child, ast.Attribute) and isinstance(child.value, ast.Attribute)
+                    and child.value.attr == "linalg"):
+                sites.append((child.attr, scope))
+            elif isinstance(child, ast.ImportFrom) and child.module == "numpy.linalg":
+                sites.extend((alias.name, scope) for alias in child.names)
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+# The one call site of each factorization: overflow and PSD rules live there.
+_FACTORIZATIONS = {"cholesky": "bottleneck._cholesky",
+                   "eigh": "bottleneck._active_groups",
+                   "eigvalsh": "mimo.check_psd"}
+
+
+def test_each_factorization_has_one_call_site():
+    sites = sorted((name, f"{path.stem}.{scope}") for path in _MODULES
+                   for name, scope in _linalg_sites(path.read_text(encoding="utf-8"))
+                   if name in _FACTORIZATIONS)
+    assert sites == sorted(_FACTORIZATIONS.items())
+
+
+def test_linalg_finder_names_each_site_and_scope():
+    source = ("import numpy as np\nfrom numpy.linalg import eigh\n"
+              "def f(m):\n    return numpy.linalg.cholesky(m)\n"
+              "class A:\n    def g(self, m):\n        np.linalg.eigvalsh(m)\n"
+              "        raise np.linalg.LinAlgError\n"
+              "x = np.linalg.solve\n")
+    assert sorted(_linalg_sites(source)) == [
+        ("LinAlgError", "A.g"), ("cholesky", "f"), ("eigh", "<module>"),
+        ("eigvalsh", "A.g"), ("solve", "<module>")]
