@@ -143,21 +143,23 @@ def _as_hermitian(a: np.ndarray, name: str) -> np.ndarray:
 
 def _check_psd(evals: np.ndarray, name: str) -> None:
     """Raise DegenerateInputError unless the ascending eigenvalues (last axis)
-    of a Hermitian matrix, or of each in a stack, are finite and pass PSD_RTOL."""
-    if not np.isfinite(evals).all():
-        raise DegenerateInputError(f"the eigenvalues of {name} overflow")
+    of a Hermitian matrix, or of each in a stack, pass the PSD_RTOL rule."""
     if (evals[..., 0] < -PSD_RTOL * np.abs(evals).max(axis=-1)).any():
         raise DegenerateInputError(f"{name} is not positive semidefinite")
 
 
+def _finite(m, what: str):
+    """m, or DegenerateInputError ("{what} overflows") where it is not finite."""
+    if not np.isfinite(m).all():
+        raise DegenerateInputError(f"{what} overflows")
+    return m
+
+
 def _cholesky(m: np.ndarray, name: str) -> np.ndarray:
     """Lower Cholesky factor of a positive definite matrix or of each in a
-    stack; raises, naming m, DegenerateInputError where m is not finite (an
-    overflow) and SingularMatrixError where it is not positive definite."""
-    if not np.isfinite(m).all():
-        raise DegenerateInputError(f"the {name} overflows")
+    stack; raises _finite's overflow error, else SingularMatrixError, naming m."""
     try:
-        return np.linalg.cholesky(m)
+        return np.linalg.cholesky(_finite(m, f"the {name}"))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"{name} is not positive definite") from exc
 
@@ -182,9 +184,7 @@ def covariance_map(q: np.ndarray, c_ai: float) -> np.ndarray:
     q = _as_hermitian(q, "Q")
     with np.errstate(over="ignore", invalid="ignore"):
         rz = proportional_maps(q[None], [c_ai])[0, 0]
-    if not np.isfinite(rz).all():
-        raise DegenerateInputError("R_z = zeta * Q overflows")
-    return rz
+    return _finite(rz, "R_z = zeta * Q")
 
 
 def _active_groups(qs: np.ndarray
@@ -195,10 +195,8 @@ def _active_groups(qs: np.ndarray
     Returns (members, vals, vecs) per rank, ascending: member indices,
     active eigenvalues (M x r) and eigenvectors (M x n x r).  A Q or an
     eigenvalue that is not finite raises DegenerateInputError (an overflow)."""
-    if not np.isfinite(qs).all():
-        raise DegenerateInputError("Q overflows")
-    evals, evecs = np.linalg.eigh(qs)
-    _check_psd(evals, "Q")
+    evals, evecs = np.linalg.eigh(_finite(qs, "Q"))
+    _check_psd(_finite(evals, "an eigenvalue of Q"), "Q")
     ranks = np.count_nonzero(evals > RANK_RTOL * evals[:, -1:], axis=1)
     groups = []
     for r in sorted(set(ranks.tolist())):
@@ -242,14 +240,16 @@ def gaussian_mis(qs: np.ndarray, rzs: np.ndarray) -> np.ndarray:
     raises DegenerateInputError, and a zero Q gives 0.
     """
     out = np.zeros(len(qs))
-    name = "R_z on the active subspace of Q"
+    sub = "on the active subspace of Q"
     for members, vals, vecs in _active_groups(qs):
         if not vals.shape[1]:
             continue
         with np.errstate(over="ignore", invalid="ignore"):
             r_sub = _hermitian_part(vecs.conj().swapaxes(-1, -2) @ rzs[members] @ vecs)
             total = r_sub + vals[:, None, :] * np.eye(vals.shape[1])
-        out[members] = (_logdet(total, name) - _logdet(r_sub, name)) / math.log(2.0)
+        # R_z first: where it is not positive definite, the error names it.
+        noise = _logdet(r_sub, f"R_z {sub}")
+        out[members] = (_logdet(total, f"R_z + Q {sub}") - noise) / math.log(2.0)
     return out
 
 

@@ -140,7 +140,7 @@ def conditional_snr(x, gamma_bar: float, kappa: float | np.ndarray):
     """
     _check_positive(gamma_bar, "mean SNR")
     xs = np.asarray(x, dtype=float)
-    if not ((xs >= 0.0) & (xs < math.inf)).all():
+    if xs.size and not (xs.min() >= 0.0 and xs.max() < math.inf):
         raise DegenerateInputError(f"channel gain must be finite and >= 0, got {x}")
     out = _snr(xs * gamma_bar, _check_kappa(kappa))
     return float(out) if np.isscalar(x) and np.isscalar(kappa) else out
@@ -365,10 +365,9 @@ def monte_carlo_oracle(
     if (not isinstance(n_samples, (int, np.integer)) or isinstance(n_samples, bool)
             or n_samples < 1):
         raise DegenerateInputError(f"n_samples must be an integer >= 1, got {n_samples!r}")
-    _check_positive(gamma_bar, "mean SNR")
     _check_positive(prior_var, "prior variance")
     gains = _sample_gains(model, n_samples, stream.generator())
-    snr = _snr(gains * gamma_bar, _check_kappa(kappa))
+    snr = conditional_snr(gains, gamma_bar, kappa)
     r_mean, r_sq = _chunked_mean(_integrand(snr, None))
     d_mean, d_sq = _chunked_mean(_integrand(snr, prior_var))
     r_se = math.sqrt(max(r_sq - r_mean**2, 0.0) / n_samples)

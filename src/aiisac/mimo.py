@@ -3,11 +3,8 @@
 The latent-noise covariance follows the proportional mapping R_z = zeta * Q
 from the transmit covariance; rates are log-determinants against the
 effective noise covariance and sensing performance is scalar Fisher
-information / CRLB for a linear Gaussian parameter model.  rate_surface
-takes the link (H_c, R_c, Q) and checks each matrix once; its grid is one
-stacked pass: one eigh of the scaled Q's (also Q's PSD test), then stacked
-matmuls and Choleskys.  mimo_rate is rate_surface at one MimoScenario
-point.
+information / CRLB for a linear Gaussian parameter model.  This module
+checks its inputs; overflow of what it computes is decided in bottleneck.
 """
 from __future__ import annotations
 
@@ -17,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bottleneck import (AiBudget, _as_hermitian, _check_psd, _cholesky,
+from .bottleneck import (AiBudget, _as_hermitian, _check_psd, _cholesky, _finite,
                          _hermitian_part, _logdet, proportional_maps)
 from .errors import DegenerateInputError
 
@@ -29,9 +26,11 @@ _BLOCK = 1 << 16
 def check_psd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Validated Hermitian PSD copy of `a`: finite, and no eigenvalue below
     -PSD_RTOL (1e-10) times the largest eigenvalue magnitude (the zero
-    matrix passes)."""
+    matrix passes).  The rule is scale-free, so the eigenvalues tested are
+    those of `a` over its largest real or imaginary part, where above 1."""
     m = _as_hermitian(a, name)
-    _check_psd(np.linalg.eigvalsh(m), name)
+    scale = max(abs(m.real).max(), abs(m.imag).max(), 1.0)
+    _check_psd(np.linalg.eigvalsh(m / scale), name)
     return m
 
 
@@ -99,10 +98,7 @@ def fisher_info(sc: MimoScenario) -> float:
         rz = proportional_maps(sc.q[None], [sc.budget.c_ai])[0, 0]
         cov = _hermitian_part(sc.r_s + sc.h_s @ rz @ sc.h_s.conj().T)
     y = np.linalg.solve(_cholesky(cov, "effective sensing covariance"), sc.dmu)
-    info = float(np.real(np.vdot(y, y)))
-    if not info < math.inf:
-        raise DegenerateInputError("the Fisher information overflows")
-    return info
+    return _finite(float(np.real(np.vdot(y, y))), "the Fisher information")
 
 
 def crlb(sc: MimoScenario) -> float:

@@ -244,6 +244,13 @@ class TestGaussianMi:
                                              r"R_z has shape \(\d, \d\)"):
             gaussian_mi(q, r_z)
 
+    def test_overflow_names_the_sum(self):
+        # R_z = a I is finite; only R_z + Q on Q's active subspace overflows.
+        a = 1.7e308
+        with pytest.raises(DegenerateInputError,
+                           match="R_z \\+ Q on the active subspace of Q overflows"):
+            gaussian_mi(a * np.eye(2), a * np.eye(2))
+
 
 def _hermitian(m):
     return 0.5 * (m + m.conj().swapaxes(-1, -2))

@@ -333,6 +333,17 @@ class TestStackedSurface:
                              [0.5, 8.0, math.inf], [1.0, 31.0])
         assert np.all(np.isfinite(rates)) and np.all(rates >= 0.0)
 
+    def test_finite_noise_with_overflowing_eigenvalue_gives_finite_rates(self):
+        # R = a [[1, 1/2], [1/2, 1]] is finite and positive definite, but its
+        # eigenvalue 1.5a overflows, so a PSD test on R's own eigenvalues
+        # would refuse it.
+        r = 1.7e308 * np.array([[1.0, 0.5], [0.5, 1.0]])
+        assert np.array_equal(check_psd(r), r)
+        rates = rate_surface(np.eye(2), r, np.eye(2), [1.0, math.inf], [1.0])
+        assert np.all(np.isfinite(rates)) and np.all(rates >= 0.0)
+        sc = make_scenario(np.eye(2), np.eye(2), r, c_ai=1.0, r_s=r)
+        assert np.isfinite(fisher_info(sc)) and np.isfinite(mimo_rate(sc))
+
 
 class TestLinkSurface:
     """rate_surface takes the link (H_c, R_c, Q) and checks each input once."""
