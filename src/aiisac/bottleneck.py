@@ -126,13 +126,13 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 
 
 def _as_hermitian(a: np.ndarray, name: str) -> np.ndarray:
-    """Complex Hermitian part of a finite square matrix of dimension <= MAX_DIM;
+    """Complex Hermitian part of a finite square matrix of dimension 1 to MAX_DIM;
     raises DegenerateInputError unless it is Hermitian within 1e-12 * max|A|."""
     m = np.atleast_2d(np.asarray(a, dtype=complex))
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DegenerateInputError(f"{name} must be square, got shape {m.shape}")
-    if m.shape[0] > MAX_DIM:
-        raise DegenerateInputError(f"{name} exceeds the supported dimension {MAX_DIM}")
+    if not 1 <= m.shape[0] <= MAX_DIM:
+        raise DegenerateInputError(f"{name} must have dimension 1 to {MAX_DIM}, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise DegenerateInputError(f"{name} has non-finite entries")
     h = 0.5 * m  # halved first, as in _hermitian_part, so no finite entry overflows

@@ -1,19 +1,20 @@
 """Command-line front end: sweeps and optimizations emitted as CSV.
 
 Commands: gaussian-sweep, frontier, mimo-surface, allocate, verify; each
-takes the same options, before or after the command.
-All outputs are deterministic given the config and seed; floats are
-written with 17 significant digits so files round-trip bit-exactly.
+takes the same options, before or after the command, as --opt value or
+--opt=value, abbreviated to any unique prefix; the last of a repeated
+option wins. --config reads a key = value file, --out names the output
+file (default stdout). All outputs are deterministic given the config and
+seed; floats are written with 17 significant digits so files round-trip
+bit-exactly.
 """
 from __future__ import annotations
 
-import argparse
+import getopt
 import math
 import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import replace
-from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -50,7 +51,8 @@ def _emit(path: str | None, lines: list[str]) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8", newline="\n")
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
+            f.write(text)
 
 
 def _write_csv(path: str | None, header_comment: str, columns: list[str],
@@ -268,51 +270,56 @@ _COMMANDS = {
 }
 
 
-@lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once: parse_args does not change it.
-
-    One flat parser: every command takes the same options, which may come
-    before or after it.
-    """
-    parser = argparse.ArgumentParser(
-        prog="aiisac",
-        description="Learning-constrained ISAC performance sweeps (CSV output)",
-    )
-    parser.add_argument("command", choices=tuple(_COMMANDS))
-    parser.add_argument("--config", default=None, help="path to key = value config")
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--quadrature-order", type=int, default=None)
-    parser.add_argument("--preset", choices=PRESETS, default=None)
-    return parser
+# What each long option's value is read as (--preset: its RunConfig).
+_OPTIONS = {"config": str, "out": str, "seed": int, "quadrature-order": int,
+            "preset": preset_config}
+_USAGE = ("usage: aiisac [-h] [--config PATH] [--out PATH] [--seed INT]\n"
+          f"  [--quadrature-order INT] [--preset {{{','.join(PRESETS)}}}]\n  {{{','.join(_COMMANDS)}}}")
 
 
-def load_config(args: argparse.Namespace) -> RunConfig:
-    """One validated RunConfig from --preset and --config; --seed and
-    --quadrature-order, when given, replace their fields."""
-    cfg = preset_config(args.preset) if args.preset else None
-    if args.config is not None:
-        cfg = parse_config(Path(args.config).read_text(encoding="utf-8"), base=cfg)
+def _parse_argv(argv: list[str]) -> tuple[str, dict]:
+    """The command and the options of argv, by getopt (no argparse cost),
+    keyed by option name with "_" for "-"; -h/--help prints the usage and
+    the module docstring and exits EXIT_OK. A usage error raises
+    getopt.GetoptError or ValueError."""
+    flags, args = getopt.gnu_getopt(argv, "h", [*(f"{o}=" for o in _OPTIONS), "help"])
+    options = {}
+    for flag, value in flags:
+        if flag in ("-h", "--help"):
+            print(f"{_USAGE}\n\n{__doc__ or ''}", end="")
+            sys.exit(EXIT_OK)
+        options[flag[2:].replace("-", "_")] = _OPTIONS[flag[2:]](value)
+    if len(args) != 1 or args[0] not in _COMMANDS:
+        raise ConfigError(f"expected one command of {', '.join(_COMMANDS)}, got {args}")
+    return args[0], options
+
+
+def load_config(options: dict) -> RunConfig:
+    """One validated RunConfig from the preset and config options; seed and
+    quadrature_order, when given, replace their fields."""
+    cfg = options.get("preset")
+    if "config" in options:
+        with open(options["config"], encoding="utf-8") as f:
+            cfg = parse_config(f.read(), base=cfg)
     elif cfg is None:
         cfg = RunConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.quadrature_order is not None:
-        overrides["quadrature_order"] = args.quadrature_order
+    overrides = {k: options[k] for k in ("seed", "quadrature_order") if k in options}
     return replace(cfg, **overrides) if overrides else cfg
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args)
+        command, options = _parse_argv(sys.argv[1:] if argv is None else argv)
+    except (getopt.GetoptError, ValueError) as exc:
+        print(f"{_USAGE}\naiisac: error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_USAGE)
+    try:
+        cfg = load_config(options)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _COMMANDS[args.command](cfg, args.out)
+        return _COMMANDS[command](cfg, options.get("out"))
     except AiIsacError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED

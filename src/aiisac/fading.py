@@ -113,8 +113,8 @@ def _check_positive(value: float, name: str) -> None:
 
 def _check_kappa(kappa: float | np.ndarray) -> np.ndarray:
     kap = np.asarray(kappa, dtype=float)
-    if not (kap >= 0).all():
-        raise DegenerateInputError(f"kappa must be >= 0, got {kappa}")
+    if not ((kap >= 0) & (kap < math.inf)).all():
+        raise DegenerateInputError(f"kappa must be >= 0 and finite, got {kappa}")
     return kap
 
 
@@ -135,13 +135,14 @@ def conditional_snr(x, gamma_bar: float, kappa: float | np.ndarray):
     """Effective SNR x*gamma / (1 + x*gamma*kappa) at channel gain x.
 
     Saturates at 1/kappa for kappa > 0; x and kappa, scalars or arrays,
-    broadcast.  Raises DegenerateInputError unless every gain x is finite
-    and >= 0, the mean SNR gamma positive and finite and every kappa >= 0.
+    broadcast.  Raises DegenerateInputError unless every gain x is >= 0
+    and x*gamma finite, the mean SNR gamma positive and finite and every
+    kappa finite and >= 0.
     """
     _check_positive(gamma_bar, "mean SNR")
     xs = np.asarray(x, dtype=float)
-    if xs.size and not (xs.min() >= 0.0 and xs.max() < math.inf):
-        raise DegenerateInputError(f"channel gain must be finite and >= 0, got {x}")
+    if xs.size and not (xs.min() >= 0.0 and float(xs.max()) * float(gamma_bar) < math.inf):
+        raise DegenerateInputError(f"channel gain x must be >= 0 and x * mean SNR finite, got {x}")
     out = _snr(xs * gamma_bar, _check_kappa(kappa))
     return float(out) if np.isscalar(x) and np.isscalar(kappa) else out
 

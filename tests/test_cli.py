@@ -1,7 +1,10 @@
+import argparse
 import contextlib
 import hashlib
 import io
 import math
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -511,8 +514,8 @@ class TestCommands:
 
 
 class TestCachedParser:
-    """main builds its argument parser once; no call may see the flags of
-    an earlier one."""
+    """main keeps no parser state between calls; no call may see the flags
+    of an earlier one."""
 
     def test_seed_does_not_leak(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -593,27 +596,52 @@ class TestMimoSurfacePath:
         assert a.read_bytes() == b.read_bytes()
 
 
+def _argparse_reference(argv: list[str]) -> tuple[str, RunConfig, str | None]:
+    """(command, RunConfig, --out) of argv as the argparse front end read
+    them: one flat parser, --preset as the base of --config, then --seed
+    and --quadrature-order."""
+    parser = argparse.ArgumentParser(prog="aiisac")
+    parser.add_argument("command", choices=tuple(cli._COMMANDS))
+    parser.add_argument("--config")
+    parser.add_argument("--out")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--quadrature-order", type=int)
+    parser.add_argument("--preset", choices=PRESETS)
+    args = parser.parse_args(argv)
+    cfg = preset_config(args.preset) if args.preset else None
+    if args.config is not None:
+        with open(args.config, encoding="utf-8") as f:
+            cfg = parse_config(f.read(), base=cfg)
+    flags = {k: v for k in ("seed", "quadrature_order")
+             if (v := getattr(args, k)) is not None}
+    cfg = replace(cfg or RunConfig(), **flags)
+    return args.command, cfg, args.out
+
+
 class TestConfigLoad:
-    """argv to one validated RunConfig: one flat parser, one construction."""
+    """argv to one validated RunConfig: one flat parser, one construction.
+    The getopt front end accepts every form the argparse one did, with the
+    same result, and rejects the same argvs with a usage error."""
 
     @staticmethod
-    def _run(monkeypatch, argv: list[str]) -> RunConfig:
-        """The RunConfig main hands to the command, which is stubbed out."""
+    def _run(monkeypatch, argv: list[str]) -> tuple[str, RunConfig, str | None]:
+        """The (command, RunConfig, --out) main hands to the command, which
+        is stubbed out."""
         seen = []
         for name in cli._COMMANDS:
-            monkeypatch.setitem(cli._COMMANDS, name,
-                                lambda cfg, out: seen.append(cfg) or 0)
+            monkeypatch.setitem(cli._COMMANDS, name, lambda cfg, out, name=name:
+                                seen.append((name, cfg, out)) or 0)
         assert main(argv) == 0
-        (cfg,) = seen
-        return cfg
+        (call,) = seen
+        return call
 
     @pytest.mark.parametrize("preset", PRESETS)
     def test_config_file_overrides_preset_flag(self, preset, tmp_path,
                                                monkeypatch):
         path = tmp_path / "f.cfg"
         path.write_text("noise_c = 0.2\nweight = 0.5\n")
-        cfg = self._run(monkeypatch, ["allocate", "--preset", preset,
-                                      "--config", str(path)])
+        _, cfg, _ = self._run(monkeypatch, ["allocate", "--preset", preset,
+                                            "--config", str(path)])
         assert cfg == replace(preset_config(preset), noise_c=0.2, weight=0.5)
 
     def test_keys_before_the_preset_line_are_kept(self):
@@ -632,16 +660,19 @@ class TestConfigLoad:
         ["--seed", "5", "verify", "--preset", "tableI-normalized"],
     ])
     def test_options_may_precede_the_command(self, argv, monkeypatch):
-        cfg = self._run(monkeypatch, argv)
+        _, cfg, _ = self._run(monkeypatch, argv)
         assert cfg.preset == "tableI-normalized" and cfg.power == 10.0
         assert cfg.seed == (5 if "--seed" in argv else RunConfig().seed)
 
     def test_help_lists_every_command(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--help"])
-        assert exc.value.code == 0
-        text = capsys.readouterr().out
-        assert all(name in text for name in cli._COMMANDS)
+        for argv in (["--help"], ["allocate", "-h"], ["--he", "verify"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            out, err = capsys.readouterr()
+            assert err == "" and all(word in out for word in [
+                *cli._COMMANDS, *PRESETS, "-h", "--config", "--out", "--seed",
+                "--quadrature-order", "--preset"])
 
     @pytest.mark.parametrize("text", ["", "weight = 0.5\n",
                                       "preset = tableI-normalized\nseed = 3\n"])
@@ -656,6 +687,58 @@ class TestConfigLoad:
         path.write_text(text)
         self._run(monkeypatch, ["allocate", "--config", str(path)])
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["allocate", "--config=@"],
+        ["allocate", "--conf", "@"],
+        ["allocate", "--seed", "1", "--seed", "2"],
+        ["allocate", "--preset", "tableI-dbm", "--preset=tableI-normalized"],
+        ["--out=a.csv", "frontier", "--out", "b.csv"],
+        ["--quad", "40", "gaussian-sweep", "--s=7", "--o", "x.csv"],
+        ["--preset", "tableI-normalized", "--config", "@", "verify", "--out",
+         "o.csv", "--seed", "5"],
+        ["mimo-surface", "--seed", "-5", "--quadrature-order=64"],
+    ])
+    def test_accepted_forms_match_argparse(self, argv, tmp_path, monkeypatch):
+        path = tmp_path / "f.cfg"
+        path.write_text("noise_c = 0.2\nseed = 3\n")
+        argv = [a.replace("@", str(path)) for a in argv]
+        assert self._run(monkeypatch, argv) == _argparse_reference(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["allocate", "--bogus"],
+        ["allocate", "--seed"],
+        ["allocate", "--seed", "x"],
+        ["allocate", "--quadrature-order", "1.5"],
+        ["allocate", "--preset", "bogus"],
+        [],
+        ["bogus"],
+        ["allocate", "verify"],
+    ])
+    def test_usage_errors_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as ref:
+            _argparse_reference(argv)
+        assert ref.value.code == 2
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage:") and "Traceback" not in err
+
+    def test_entry_point_reads_sys_argv(self, tmp_path, monkeypatch):
+        # pyproject.toml's aiisac script calls main() with no argv.
+        out = tmp_path / "f.csv"
+        monkeypatch.setattr(sys, "argv", ["aiisac", "frontier", "--out", str(out)])
+        assert main() == 0
+        assert out.read_text().startswith("# preset = tableI-dbm")
+
+    def test_import_loads_no_argparse(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, aiisac.cli; print('argparse' in sys.modules)"],
+            capture_output=True, text=True, timeout=120, check=True)
+        assert proc.stdout == "False\n"
 
 
 # The config keys the five commands read; floats are drawn log-uniform in

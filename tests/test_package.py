@@ -70,6 +70,7 @@ _OUT_OF_DOMAIN = {
     "rayleigh-k": lambda: FadingModel("rayleigh", k_factor=-1.0),
     "fading-mean-snr": lambda: ergodic_rate(0.0, 0.1, 0.0, _RULE),
     "fading-kappa": lambda: ergodic_rate(10.0, -0.1, 0.0, _RULE),
+    "fading-kappa-inf": lambda: ergodic_rate(10.0, math.inf, 0.0, _RULE),
     "fading-kappa-axes": lambda: ergodic_rate(10.0, np.ones((2, 2)), 0.0, _RULE),
     "fading-k": lambda: ergodic_distortion(10.0, 0.1, math.inf, 1.0, _RULE),
     "fading-prior": lambda: ergodic_distortion(10.0, 0.1, 0.0, math.inf, _RULE),
@@ -77,6 +78,8 @@ _OUT_OF_DOMAIN = {
     "snr-gain-negative": lambda: conditional_snr(-1.0, 10.0, 0.1),
     "snr-gain-inf": lambda: conditional_snr(math.inf, 10.0, 0.1),
     "snr-gain-nan": lambda: conditional_snr(np.array([1.0, math.nan]), 10.0, 0.1),
+    "snr-product-overflow": lambda: conditional_snr(1e300, 1e300, 0.0),
+    "snr-kappa-inf": lambda: conditional_snr(0.0, 10.0, math.inf),
     "exact-kappa": lambda: rayleigh_rate_exact(10.0, -0.1),
     "oracle-samples": lambda: monte_carlo_oracle(FadingModel("rayleigh"), 10.0, 0.1,
                                                  1.0, 0, RandomStream(1)),
@@ -99,6 +102,7 @@ _OUT_OF_DOMAIN = {
                                                  _SCENARIO, mode="x"),
     "budget-negative": lambda: AiBudget(-1.0),
     "budget-zero-kappa": lambda: kappa(AiBudget(0.0)),
+    "psd-empty": lambda: check_psd(np.zeros((0, 0))),
     "psd-non-hermitian": lambda: check_psd(np.array([[1.0, 1.0], [0.0, 1.0]])),
     "psd-eigen-overflow": lambda: check_psd(np.array(
         [[_BIG, _BIG * (1 + 1j)], [_BIG * (1 - 1j), _BIG]])),
