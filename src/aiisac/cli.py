@@ -23,15 +23,16 @@ from . import fading, region
 from .bottleneck import (
     AiBudget,
     _hermitian_part,
+    _kappa,
     enforce_mi_numerically,
-    equivalent_noise,
     gaussian_mis,
     kappa,
     proportional_maps,
 )
 from .config import PRESETS, RunConfig, db_to_linear, parse_config, preset_config
 from .errors import AiIsacError, ConfigError
-from .gaussian import ScalarScenario, link_snrs, split_distortion, split_rate
+from .gaussian import (ScalarScenario, latent_snrs, link_snrs, split_distortion,
+                       split_rate)
 from .mimo import MimoScenario, rate_surface
 from .numerics import QuadratureRule, RandomStream
 
@@ -83,17 +84,17 @@ def cmd_gaussian_sweep(cfg: RunConfig, out: str | None) -> int:
     rows = [(c_grid[0], 0.0, 0.0, 0.0, pv, pv, pv)] if c_grid[0] == 0.0 else []
     c_pos = c_grid[len(rows):]
     if c_pos:
-        # One evaluation per K-factor gives its rate and distortion columns,
-        # over every capacity c > 0 at once; Rayleigh is Rician at K = 0.
-        kaps = np.array([kappa(AiBudget(c)) for c in c_pos])
-        (rate_ray, dist_ray), (rate_ric, dist_ric) = (
-            fading.ergodic_columns(g_c, g_s, kaps, kf, pv, rule) for kf in (0.0, k))
+        # One evaluation gives the rate and distortion columns of both
+        # K-factors, Rayleigh (K = 0) and Rician, over every capacity c > 0.
+        kaps = np.array([_kappa(c) for c in c_pos])
+        (rate_ray, dist_ray), (rate_ric, dist_ric) = fading.ergodic_columns(
+            g_c, g_s, kaps, (0.0, k), pv, rule)
         cols = (rate_ray, rate_ric, dist_ray, dist_ric)
         for c, kap, r_ray, r_ric, d_ray, d_ric in zip(
                 c_pos, kaps.tolist(), *(col.tolist() for col in cols)):
             # The scalar link at the latent noise N_z = P kappa, so the AWGN
             # cells are gaussian.rate and distortion at c.
-            s_c, s_s = link_snrs(sc, cfg.power * kap)
+            s_c, s_s = latent_snrs(sc, kap)
             rows.append((c, split_rate(s_c, 1.0), r_ray, r_ric,
                          split_distortion(s_s, pv, 0.0), d_ray, d_ric))
     _write_csv(out, _header(cfg),
@@ -193,9 +194,8 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, float, float, bool]]:
     alpha = 0.6
     dev = 0.0
     for c in HALF_BIT_BUDGETS:
-        (c1, s1), (c2, s2) = (link_snrs(sc, nz) for nz in (
-            equivalent_noise(AiBudget(c), cfg.power),
-            enforce_mi_numerically(cfg.power, c, tol=1e-12)))
+        (c1, s1), (c2, s2) = (latent_snrs(sc, kappa(AiBudget(c))), link_snrs(
+            sc, enforce_mi_numerically(cfg.power, c, tol=1e-12)))
         dev = max(dev, abs(split_rate(c1, alpha) - split_rate(c2, alpha)),
                   abs(split_distortion(s1, sc.prior_var, alpha)
                       - split_distortion(s2, sc.prior_var, alpha)))
@@ -299,8 +299,10 @@ def load_config(options: dict) -> RunConfig:
     quadrature_order, when given, replace their fields."""
     cfg = options.get("preset")
     if "config" in options:
-        with open(options["config"], encoding="utf-8") as f:
-            cfg = parse_config(f.read(), base=cfg)
+        # Read as bytes and decoded once: no text layer. parse_config splits
+        # lines at \r\n, \r and \n alike, as a text-mode read would.
+        with open(options["config"], "rb") as f:
+            cfg = parse_config(f.read().decode("utf-8"), base=cfg)
     elif cfg is None:
         cfg = RunConfig()
     overrides = {k: options[k] for k in ("seed", "quadrature_order") if k in options}

@@ -1,12 +1,13 @@
 """Ergodic rate and average distortion over fading channels.
 
-One kernel gives every fading average: ergodic_rate, ergodic_distortion
-and ergodic_columns are each one call into it.  It averages, over the
-channel power gain x, the rate log2(1 + snr(x)) in bits or the MMSE
-prior_var / (1 + snr(x)) at each mean SNR it is given, for every kappa of
-a column at once.  The gain is non-central chi-square with unit scattered
-power and K-factor K (Rician, mean 1+K), which at K = 0 is the unit-mean
-exponential (Rayleigh).  The kernel integrates by the order-M composite
+One kernel gives every fading average: ergodic_columns is one call into
+it for every K-factor it is given, and ergodic_rate and ergodic_distortion
+are its one-K cases.  It averages, over the channel power gain x, the rate
+log2(1 + snr(x)) in bits or the MMSE prior_var / (1 + snr(x)) at each mean
+SNR it is given, for every kappa of a column and every K-factor at once.
+The gain is non-central chi-square with unit scattered power and K-factor
+K (Rician, mean 1+K), which at K = 0 is the unit-mean exponential
+(Rayleigh).  The kernel integrates by the order-M composite
 rule of the QuadratureRule it is given (QuadratureRule.graded):
 M // 2 Gauss-Legendre nodes on [0, a] in the graded variable x = a s^2,
 and the rest Gauss-Laguerre nodes on [a, inf), where a is the mean gain
@@ -17,13 +18,14 @@ origin) and missed the Rayleigh closed form by 3.3e-2 bits at M = 20 and
 2.2e-3 bits at M = 128 for mean SNRs up to 25 dB; the composite rule
 misses it by 3.8e-5 bits at M = 20, 8.5e-8 at M = 40 and 1e-11 at
 M >= 80.  The kernel checks each input once, evaluates the SNRs at every
-node and mean SNR as one array, and warns where its weights miss the gain
-density's unit mass by a little and raises ConvergenceError where they
-miss it by more than 1e-2.  The weights are cached per (order, K); each
-entry of a column is the float a scalar call gives.  A seeded Monte-Carlo
-oracle on the same rate and MMSE transforms is an independent check.  The
-Bessel factor exp(-z) I0(z) and the scaled exponential integral
-e^u E1(u) are evaluated here; nothing imports SciPy.
+K-factor, node and mean SNR as one array, and warns where its weights miss
+the gain density's unit mass by a little and raises ConvergenceError where
+they miss it by more than 1e-2.  The weights are cached per (order, K);
+each entry of a column is the float a scalar one-K call gives.  Where
+x*gamma*kappa overflows, the SNR is taken in a form that saturates at
+1/kappa.  A seeded Monte-Carlo oracle on the same rate and MMSE transforms
+is an independent check.  The Bessel factor exp(-z) I0(z) and the scaled
+exponential integral e^u E1(u) are evaluated here; nothing imports SciPy.
 """
 from __future__ import annotations
 
@@ -111,39 +113,58 @@ def _check_positive(value: float, name: str) -> None:
         raise DegenerateInputError(f"{name} must be positive and finite, got {value}")
 
 
-def _check_kappa(kappa: float | np.ndarray) -> np.ndarray:
+def _check_kappa(kappa: float | np.ndarray) -> tuple[np.ndarray, float]:
+    """kappa as a float array and its largest entry (0 where it is empty);
+    raises unless every kappa is finite and >= 0."""
     kap = np.asarray(kappa, dtype=float)
-    if not ((kap >= 0) & (kap < math.inf)).all():
+    top = float(kap.max(initial=0.0))
+    # NaN carries through both reductions and fails both tests.
+    if not (kap.min(initial=0.0) >= 0.0 and top < math.inf):
         raise DegenerateInputError(f"kappa must be >= 0 and finite, got {kappa}")
-    return kap
+    return kap, top
 
 
-def _snr(xg: np.ndarray, kap: np.ndarray) -> np.ndarray:
-    """Effective SNR at gain times mean SNR xg: xg / (1 + xg*kappa)."""
-    return xg / (1.0 + xg * kap)
+def _snr(xg: np.ndarray, kap: np.ndarray, bound: float) -> np.ndarray:
+    """Effective SNR at gain times mean SNR xg: xg / (1 + xg*kappa), where
+    bound, an upper bound on every product xg*kappa, is finite. Otherwise
+    the entries whose product overflows but whose xg is finite take the
+    same SNR as 1 / (1/xg + kappa), which saturates at 1/kappa; an infinite
+    xg gives NaN either way."""
+    if bound < math.inf:
+        return xg / (1.0 + xg * kap)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        prod = xg * kap
+        return np.where((prod == math.inf) & (xg < math.inf), 1.0 / (1.0 / xg + kap),
+                        xg / (1.0 + prod))
 
 
-def _integrand(snr: np.ndarray, prior_var: float | None) -> np.ndarray:
+def _integrand(snr: np.ndarray, prior_var: float | None,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Rate log2(1 + snr) in bits where prior_var is None, else the MMSE
-    prior_var / (1 + snr)."""
+    prior_var / (1 + snr); written into out (which may be snr) if given."""
     if prior_var is None:
-        return np.log1p(snr) / math.log(2.0)
-    return prior_var / (1.0 + snr)
+        out = np.log1p(snr, out=out)
+        out /= math.log(2.0)
+        return out
+    out = np.add(snr, 1.0, out=out)
+    return np.divide(prior_var, out, out=out)
 
 
 def conditional_snr(x, gamma_bar: float, kappa: float | np.ndarray):
     """Effective SNR x*gamma / (1 + x*gamma*kappa) at channel gain x.
 
-    Saturates at 1/kappa for kappa > 0; x and kappa, scalars or arrays,
-    broadcast.  Raises DegenerateInputError unless every gain x is >= 0
-    and x*gamma finite, the mean SNR gamma positive and finite and every
-    kappa finite and >= 0.
+    Saturates at 1/kappa for kappa > 0, also where x*gamma*kappa overflows;
+    x and kappa, scalars or arrays, broadcast.  Raises DegenerateInputError
+    unless every gain x is >= 0 and x*gamma finite, the mean SNR gamma
+    positive and finite and every kappa finite and >= 0.
     """
     _check_positive(gamma_bar, "mean SNR")
     xs = np.asarray(x, dtype=float)
-    if xs.size and not (xs.min() >= 0.0 and float(xs.max()) * float(gamma_bar) < math.inf):
+    top = float(xs.max(initial=0.0)) * float(gamma_bar)
+    if not (xs.min(initial=0.0) >= 0.0 and top < math.inf):
         raise DegenerateInputError(f"channel gain x must be >= 0 and x * mean SNR finite, got {x}")
-    out = _snr(xs * gamma_bar, _check_kappa(kappa))
+    kap, kap_top = _check_kappa(kappa)
+    out = _snr(xs * gamma_bar, kap, top * kap_top)
     return float(out) if np.isscalar(x) and np.isscalar(kappa) else out
 
 
@@ -165,14 +186,16 @@ def _i0e(z: np.ndarray) -> np.ndarray:
 def _weights(rule: QuadratureRule, k_factor: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Read-only nodes x and weights w of rule's composite rule for the
     Rician gain density with K-factor k_factor (K = 0 is Rayleigh), and the
-    miss |sum(w) - 1| of the density's unit mass.
+    miss |sum(w) - 1| of the density's unit mass. The nodes ascend, so the
+    last is the largest.
 
     The rule is split at the mean gain 1 + K, its tail scaled by the gain's
     standard deviation sqrt(1 + 2K). The density factor e^{-K} I0(2 sqrt(K x))
     is folded into the log-weights as log(i0e(z)) + z - K, so weights
     neither under- nor overflow at large K. Cached per (order, K): a
-    gaussian-sweep needs two pairs, a process running many sweeps reuses
-    them, and 256 entries of order 128 hold under 1 MB.
+    gaussian-sweep's one evaluation reads two entries (K = 0 and its Rician
+    K), a process running many sweeps reuses them, and 256 entries of
+    order 128 hold under 1 MB.
     """
     nodes, log_w = rule.graded(1.0 + k_factor, math.sqrt(1.0 + 2.0 * k_factor))
     # A K so large that the weights overflow gives a miss that is not finite.
@@ -186,57 +209,75 @@ def _weights(rule: QuadratureRule, k_factor: float) -> tuple[np.ndarray, np.ndar
     return nodes, w, abs(float(np.sum(w)) - 1.0)
 
 
-def _average(gammas, priors, kappa: float | np.ndarray, k_factor: float,
-             rule: QuadratureRule) -> list | np.ndarray:
-    """Fading averages at each mean SNR gammas[i]: the rate in bits where
-    priors[i] is None, else the MMSE at prior variance priors[i], over the
-    Rician gain density with K-factor k_factor (K = 0 is Rayleigh), by the
-    weights _weights caches for (rule.order, K).
+def _average(gammas, priors, kappa: float | np.ndarray, k_factors,
+             rule: QuadratureRule) -> list:
+    """Fading averages for each K-factor of k_factors (K = 0 is Rayleigh)
+    at each mean SNR gammas[i]: the rate in bits where priors[i] is None,
+    else the MMSE at prior variance priors[i], by the weights _weights
+    caches for (rule.order, K).
 
-    Returns per mean SNR a column, an entry per kappa, or a float where
-    kappa is a scalar: one stacked SNR array, one dot with w per row.
-    A miss m of the density's unit mass shifts an average by about m times
-    its values, so every call, cached weights or not, raises
-    ConvergenceError where m exceeds DENSITY_FAIL, and otherwise warns once
-    where m * max(1, max |values|) exceeds DENSITY_TOL. An input outside its
+    Returns per K-factor, per mean SNR a column, an entry per kappa, or a
+    float where kappa is a scalar: one stacked SNR array over K-factors,
+    mean SNRs, kappas and nodes, one dot with its K's w per row, so each
+    entry is the float a one-K call gives. A miss m of the density's unit
+    mass shifts an average by about m times its values, so every call,
+    cached weights or not, raises ConvergenceError where m exceeds
+    DENSITY_FAIL, and otherwise warns once per K where
+    m * max(1, max |values|) exceeds DENSITY_TOL. An input outside its
     domain, a kappa of two or more axes, or a value that is not finite
-    raises DegenerateInputError.
+    raises DegenerateInputError. Every K is checked, and its unit mass
+    tested, before any K's values are tested for overflow or warned of.
     """
     for g, prior_var in zip(gammas, priors):
         _check_positive(g, "mean SNR")
         if prior_var is not None:
             _check_positive(prior_var, "prior variance")
-    kap = _check_kappa(kappa)
+    kap, kap_top = _check_kappa(kappa)
     if kap.ndim > 1:
         raise DegenerateInputError(f"kappa must have at most one axis, got {kap.shape}")
-    _check_k(k_factor)
-    nodes, w, miss = _weights(rule, k_factor)
-    if not miss <= DENSITY_FAIL:
-        by = (f"{miss:.2e}, more than {DENSITY_FAIL:g}" if math.isfinite(miss)
-              else "an amount that is not finite")
-        raise ConvergenceError(
-            f"order-{rule.order} fading rule misses the K = {k_factor:g} gain "
-            f"density's unit mass by {by}; "
-            f"raise the quadrature order or lower the K-factor")
+    rules = []  # (K, nodes, w, miss) per K-factor
+    for k_factor in k_factors:
+        _check_k(k_factor)
+        nodes, w, miss = _weights(rule, k_factor)
+        if not miss <= DENSITY_FAIL:
+            by = (f"{miss:.2e}, more than {DENSITY_FAIL:g}" if math.isfinite(miss)
+                  else "an amount that is not finite")
+            raise ConvergenceError(
+                f"order-{rule.order} fading rule misses the K = {k_factor:g} gain "
+                f"density's unit mass by {by}; "
+                f"raise the quadrature order or lower the K-factor")
+        rules.append((k_factor, nodes, w, miss))
+    if not rules:
+        return []
+    nodes = np.array([r[1] for r in rules])
+    gams = np.array(gammas, dtype=float)
+    # The largest node times the largest mean SNR and kappa bounds every
+    # product x*gamma*kappa, as rounding is monotone.
+    bound = max(float(r[1][-1]) for r in rules) * float(max(gammas)) * kap_top
     with np.errstate(over="ignore", invalid="ignore"):
-        snr = _snr(nodes * np.array(gammas, dtype=float)[:, None, None],
-                   kap.reshape(-1, 1))
-        values = np.array([_integrand(s, p) for s, p in zip(snr, priors)])
-    # NaN and inf carry through the max, so one reduction checks both.
-    peak = float(np.abs(values).max(initial=0.0))
-    if not math.isfinite(peak):
-        raise DegenerateInputError(
-            f"the order-{rule.order} fading average overflows at the rule's "
-            f"largest gains; lower the mean SNR")
-    if miss * max(1.0, peak) > DENSITY_TOL:
-        warnings.warn(
-            f"order-{rule.order} fading rule misses the K = {k_factor:g} gain "
-            f"density's unit mass by {miss:.2e}; averages may be off by more "
-            f"than {DENSITY_TOL:g}, raise the quadrature order",
-            RuntimeWarning, stacklevel=3)
-    # w.dot is np.dot without its dispatch: the same sum, bit for bit.
-    sums = np.array(list(map(w.dot, values.reshape(-1, len(w)))), dtype=float)
-    return sums.tolist() if kap.ndim == 0 else sums.reshape(len(values), -1)
+        snr = _snr(nodes[:, None, None, :] * gams[:, None, None],
+                   kap.reshape(-1, 1), bound)
+        for j, prior_var in enumerate(priors):
+            _integrand(snr[:, j], prior_var, snr[:, j])
+    # Every value is >= 0 or NaN, and NaN and inf carry through the max, so
+    # one reduction per K-factor checks both.
+    peaks = snr.reshape(len(rules), -1).max(axis=1, initial=0.0).tolist()
+    out = []
+    for (k_factor, _, w, miss), peak, values in zip(rules, peaks, snr):
+        if not math.isfinite(peak):
+            raise DegenerateInputError(
+                f"the order-{rule.order} fading average overflows at the rule's "
+                f"largest gains; lower the mean SNR")
+        if miss * max(1.0, peak) > DENSITY_TOL:
+            warnings.warn(
+                f"order-{rule.order} fading rule misses the K = {k_factor:g} gain "
+                f"density's unit mass by {miss:.2e}; averages may be off by more "
+                f"than {DENSITY_TOL:g}, raise the quadrature order",
+                RuntimeWarning, stacklevel=3)
+        # w.dot is np.dot without its dispatch: the same sum, bit for bit.
+        sums = np.array(list(map(w.dot, values.reshape(-1, len(w)))), dtype=float)
+        out.append(sums.tolist() if kap.ndim == 0 else sums.reshape(len(gammas), -1))
+    return out
 
 
 def ergodic_rate(
@@ -245,7 +286,7 @@ def ergodic_rate(
     """Ergodic rate E[log2(1 + snr(x))], bits per use, over the Rician gain
     with K-factor k_factor (K = 0 is Rayleigh): a float for a scalar kappa,
     else one entry per kappa."""
-    return _average((gamma_bar,), (None,), kappa, k_factor, rule)[0]
+    return _average((gamma_bar,), (None,), kappa, (k_factor,), rule)[0][0]
 
 
 def ergodic_distortion(
@@ -255,17 +296,19 @@ def ergodic_distortion(
     """Fading-averaged MMSE distortion E[prior_var / (1 + snr(x))] over the
     Rician gain with K-factor k_factor (K = 0 is Rayleigh): a float for a
     scalar kappa, else one entry per kappa."""
-    return _average((gamma_bar,), (prior_var,), kappa, k_factor, rule)[0]
+    return _average((gamma_bar,), (prior_var,), kappa, (k_factor,), rule)[0][0]
 
 
 def ergodic_columns(
-    g_c: float, g_s: float, kappa: float | np.ndarray, k_factor: float,
+    g_c: float, g_s: float, kappa: float | np.ndarray, k_factors,
     prior_var: float, rule: QuadratureRule,
-) -> tuple:
-    """(ergodic_rate(g_c, ...), ergodic_distortion(g_s, ...)), the same
-    floats with the same errors, from one evaluation that warns at most
-    once."""
-    return tuple(_average((g_c, g_s), (None, prior_var), kappa, k_factor, rule))
+) -> list[tuple]:
+    """One pair (ergodic_rate(g_c, kappa, K, rule), ergodic_distortion(g_s,
+    kappa, K, prior_var, rule)) per K-factor K of the sequence k_factors, in
+    order: the same floats, from one evaluation that warns at most once
+    per K-factor."""
+    return [tuple(pair) for pair in
+            _average((g_c, g_s), (None, prior_var), kappa, k_factors, rule)]
 
 
 def rayleigh_rate_exact(gamma_bar: float, kappa: float) -> float:

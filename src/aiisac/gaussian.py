@@ -61,6 +61,19 @@ def link_snrs(sc: ScalarScenario, nz: float) -> tuple[float, float]:
             sc.gain_s * sc.power / (sc.noise_s + sc.gain_s * nz))
 
 
+def latent_snrs(sc: ScalarScenario, kap: float) -> tuple[float, float]:
+    """link_snrs at the latent noise N_z = P kappa of a finite kappa. Where
+    P kappa overflows, each SNR is written 1 / (N_i / (|h_i|^2 P) + kappa),
+    the same SNR, which saturates at 1/kappa (0 on a blocked link)."""
+    nz = sc.power * kap
+    if nz < math.inf:
+        return link_snrs(sc, nz)
+    # P and kappa are each above 1 where their product overflows, so g P > 0
+    # for g > 0 and each denominator exceeds 1.
+    return tuple(1.0 / (n / (g * sc.power) + kap) if g else 0.0
+                 for g, n in ((sc.gain_c, sc.noise_c), (sc.gain_s, sc.noise_s)))
+
+
 def effective_snrs(sc: ScalarScenario, budget: AiBudget) -> tuple[float, float]:
     """link_snrs at the equivalent noise N_z = P / (2^C - 1) of the budget.
 

@@ -491,6 +491,23 @@ class TestCommands:
         assert len(rows) == 8001
         assert all(math.isfinite(float(v)) for row in rows for v in row)
 
+    def test_sweep_saturates_where_the_latent_noise_overflows(self, tmp_path):
+        # At 1e300 W and 1e-10 bits, N_z = P kappa and x gamma kappa overflowed:
+        # rate_awgn read 0, rate_rayleigh 1.09e-12 and rate_rician 8.1e-15
+        # where 1e290 W gives about 1e-10 in all three.
+        rows = {}
+        for power in ("1e300", "1e290"):
+            cfg = tmp_path / f"p{power}.cfg"
+            cfg.write_text(f"power = {power}\nnoise_c = 1\nnoise_s = 1\n"
+                           "c_min = 1e-10\nc_max = 1e-10\n")
+            out = tmp_path / f"p{power}.csv"
+            assert main(["gaussian-sweep", "--config", str(cfg), "--out", str(out)]) == 0
+            header, rows[power] = read_csv(out)
+        (big,), (less,) = rows["1e300"], rows["1e290"]
+        for name, got, want in zip(header, big, less):
+            assert math.isclose(float(got), float(want), rel_tol=1e-12), name
+        assert all(math.isclose(float(v), 1e-10, rel_tol=1e-5) for v in big[1:4])
+
     def test_classical_limit_budget_accepted(self, tmp_path):
         cfg = tmp_path / "classical.cfg"
         cfg.write_text("alloc_c_ai = inf\n")
@@ -733,6 +750,25 @@ class TestConfigLoad:
         assert main() == 0
         assert out.read_text().startswith("# preset = tableI-dbm")
 
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_line_ends_parse_alike(self, newline, tmp_path, monkeypatch):
+        lines = [b"# a comment", b"[link]", b"noise_c = 0.2", b"", b"seed = 3  # x"]
+        paths = {}
+        for name, sep in (("lf", b"\n"), ("other", newline)):
+            paths[name] = tmp_path / f"{name}.cfg"
+            paths[name].write_bytes(sep.join(lines) + sep)
+        lf, other = (self._run(monkeypatch, ["allocate", "--config", str(paths[n])])
+                     for n in ("lf", "other"))
+        assert other == lf and lf[1] == replace(RunConfig(), noise_c=0.2, seed=3)
+
+    def test_invalid_utf8_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"noise_c = 0.2\nseed = \xff\n")
+        assert main(["allocate", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_import_loads_no_argparse(self):
         proc = subprocess.run(
             [sys.executable, "-c",
@@ -812,6 +848,8 @@ def test_fuzzed_config_exits_cleanly(fields, command, tmp_path):
     ("mimo-surface", {"power": 1e307}, 1),
     ("gaussian-sweep", {"rician_k_db": 2000.0}, 1),
     ("frontier", {"prior_var": 1e-300, "noise_s": 1e-300}, 1),
+    ("gaussian-sweep", {"power": 1e300, "noise_c": 1.0, "noise_s": 1.0,
+                        "c_min": 1e-10, "c_max": 1e-10}, 0),
 ])
 def test_known_configs_exit_cleanly(command, fields, code, tmp_path):
     # Configs that ended in an OverflowError traceback (allocate, verify),
@@ -822,6 +860,7 @@ def test_known_configs_exit_cleanly(command, fields, code, tmp_path):
     # Then: N_z overflows (verify at 1e308 W); the Hermitian part of
     # R_c = 1e308 I overflowed into 496 nan rows; zeta Q and R_c + H R_z H^H
     # overflow into nan and inf rates at 1e307 W; the K = 2000 dB weights
-    # printed numpy warnings; and the distortion underflows to 0, a plain
-    # ValueError traceback from Frontier.
+    # printed numpy warnings; the distortion underflows to 0, a plain
+    # ValueError traceback from Frontier; and N_z = P kappa and x gamma kappa
+    # overflow at 1e300 W and 1e-10 bits, where the sweep wrote SNRs of 0.
     assert _exit_code_of_clean_run(command, fields, tmp_path) == code

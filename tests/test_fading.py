@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import exp1, i0e
 
 from aiisac import fading
@@ -41,6 +43,23 @@ class TestConditionalSnr:
     def test_saturation(self):
         assert conditional_snr(1e12, 1.0, 0.5) < 2.0
         assert math.isclose(conditional_snr(1e12, 1.0, 0.5), 2.0, rel_tol=1e-6)
+
+    def test_saturates_where_the_product_overflows(self):
+        # x gamma kappa = 1e310 overflowed: a numpy RuntimeWarning (an error
+        # under the suite's filter) and an SNR of 0 where it is 1/kappa.
+        assert math.isclose(conditional_snr(1e300, 1.0, 1e10), 1e-10, rel_tol=1e-15)
+        got = conditional_snr(np.array([0.0, 2.0, 1e297, 1e300]), 1.0, 1e10)
+        assert got[:3].tolist() == [_snr(x, 1.0, 1e10) for x in (0.0, 2.0, 1e297)]
+        assert math.isclose(got[3], 1e-10, rel_tol=1e-15)
+
+    def test_average_saturates_where_the_product_overflows(self):
+        # The fading columns of a sweep at 1e300 W and 1e-10 bits read 1e-12
+        # and 8e-15 bits where 1e290 W gives about 1e-10.
+        kap = 1.0 / math.expm1(1e-10 * math.log(2.0))
+        for k in (0.0, 10 ** 0.6):
+            for average in (lambda g: ergodic_rate(g, kap, k, RULE),
+                            lambda g: ergodic_distortion(g, kap, k, 1.0, RULE)):
+                assert math.isclose(average(1e300), average(1e290), rel_tol=1e-12)
 
     def test_ceiling_bounds_rate(self):
         kap = 1.0 / 15.0
@@ -372,7 +391,8 @@ class TestColumnAverages:
         for name in calls:
             monkeypatch.setattr(fading, name, counted(name))
         assert main(["gaussian-sweep", "--out", str(tmp_path / "s.csv")]) == 0
-        assert calls == {"_average": 2, "conditional_snr": 0}
+        # One evaluation for both K-factors, Rayleigh and Rician.
+        assert calls == {"_average": 1, "conditional_snr": 0}
 
     @pytest.mark.parametrize("g", [0.0, -1.0, math.inf, math.nan])
     def test_mean_snr_zero_or_not_finite_is_a_domain_error(self, g):
@@ -402,32 +422,32 @@ class TestErgodicColumns:
     @pytest.mark.parametrize("k", [0.0, 10 ** 0.2, 10 ** 0.6, 10 ** 1.2])
     def test_bit_identical_to_per_point(self, order, g_c, g_s, k):
         rule = QuadratureRule(order)
-        rates, dists = ergodic_columns(g_c, g_s, KAPS, k, 30.0, rule)
+        [(rates, dists)] = ergodic_columns(g_c, g_s, KAPS, (k,), 30.0, rule)
         assert rates.tolist() == [ergodic_rate(g_c, kap, k, rule) for kap in KAPS]
         assert dists.tolist() == [ergodic_distortion(g_s, kap, k, 30.0, rule)
                                   for kap in KAPS]
 
     @pytest.mark.parametrize("g", [0.0, -1.0, math.inf, math.nan])
     def test_mean_snr_error_matches(self, g):
-        assert (_error_of(lambda: ergodic_columns(g, 10.0, KAPS, 0.0, 1.0, RULE40))
+        assert (_error_of(lambda: ergodic_columns(g, 10.0, KAPS, (0.0,), 1.0, RULE40))
                 == _error_of(lambda: ergodic_rate(g, KAPS, 0.0, RULE40)))
-        assert (_error_of(lambda: ergodic_columns(10.0, g, KAPS, 0.0, 1.0, RULE40))
+        assert (_error_of(lambda: ergodic_columns(10.0, g, KAPS, (0.0,), 1.0, RULE40))
                 == _error_of(lambda: ergodic_distortion(g, KAPS, 0.0, 1.0, RULE40)))
 
     @pytest.mark.parametrize("columns, per_point", [
-        (lambda: ergodic_columns(10.0, 10.0, -KAPS, 0.0, 1.0, RULE40),
+        (lambda: ergodic_columns(10.0, 10.0, -KAPS, (0.0,), 1.0, RULE40),
          lambda: ergodic_rate(10.0, -KAPS, 0.0, RULE40)),
-        (lambda: ergodic_columns(10.0, 10.0, -0.5, 0.0, 1.0, RULE40),
+        (lambda: ergodic_columns(10.0, 10.0, -0.5, (0.0,), 1.0, RULE40),
          lambda: ergodic_rate(10.0, -0.5, 0.0, RULE40)),
-        (lambda: ergodic_columns(10.0, 10.0, KAPS, math.nan, 1.0, RULE40),
+        (lambda: ergodic_columns(10.0, 10.0, KAPS, (math.nan,), 1.0, RULE40),
          lambda: ergodic_rate(10.0, KAPS, math.nan, RULE40)),
-        (lambda: ergodic_columns(10.0, 10.0, KAPS, 4.0, 0.0, RULE40),
+        (lambda: ergodic_columns(10.0, 10.0, KAPS, (4.0,), 0.0, RULE40),
          lambda: ergodic_distortion(10.0, KAPS, 4.0, 0.0, RULE40)),
-        (lambda: ergodic_columns(10.0, 10.0, KAPS, 4.0, -1.0, RULE40),
+        (lambda: ergodic_columns(10.0, 10.0, KAPS, (4.0,), -1.0, RULE40),
          lambda: ergodic_distortion(10.0, KAPS, 4.0, -1.0, RULE40)),
-        (lambda: ergodic_columns(1e306, 10.0, KAPS, 10.0, 1.0, RULE),
+        (lambda: ergodic_columns(1e306, 10.0, KAPS, (10.0,), 1.0, RULE),
          lambda: ergodic_rate(1e306, KAPS, 10.0, RULE)),
-        (lambda: ergodic_columns(10.0, 10.0, KAPS, 1e4, 1.0, QuadratureRule(20)),
+        (lambda: ergodic_columns(10.0, 10.0, KAPS, (1e4,), 1.0, QuadratureRule(20)),
          lambda: ergodic_distortion(10.0, KAPS, 1e4, 1.0, QuadratureRule(20))),
     ], ids=["negative_kappa", "negative_scalar_kappa", "nan_k_factor", "zero_prior",
             "negative_prior", "overflow", "unresolved_density"])
@@ -453,7 +473,7 @@ class TestErgodicColumns:
         rate = warnings_of(lambda: ergodic_rate(g, KAPS, k, rule))
         dist = warnings_of(lambda: ergodic_distortion(g, KAPS, k, prior_var, rule))
         assert (bool(rate), bool(dist)) == (rate_warns, dist_warns)
-        both = warnings_of(lambda: ergodic_columns(g, g, KAPS, k, prior_var, rule))
+        both = warnings_of(lambda: ergodic_columns(g, g, KAPS, (k,), prior_var, rule))
         assert both == (rate or dist)
 
 
@@ -464,7 +484,8 @@ class TestOneKernelInputs:
     AVERAGES = {
         "rate": lambda kap, k, pv: ergodic_rate(10.0, kap, k, RULE40),
         "distortion": lambda kap, k, pv: ergodic_distortion(10.0, kap, k, pv, RULE40),
-        "columns": lambda kap, k, pv: ergodic_columns(10.0, 10.0, kap, k, pv, RULE40),
+        "columns": lambda kap, k, pv: ergodic_columns(10.0, 10.0, kap, (k,), pv,
+                                                      RULE40)[0],
     }
 
     @pytest.mark.parametrize("average", AVERAGES.values(), ids=AVERAGES)
@@ -496,7 +517,7 @@ class TestOneKernelInputs:
 
     @pytest.mark.parametrize("call", [
         lambda s: ergodic_distortion(10.0, KAPS, 0.0, math.inf, RULE40),
-        lambda s: ergodic_columns(10.0, 10.0, KAPS, 0.0, math.inf, RULE40),
+        lambda s: ergodic_columns(10.0, 10.0, KAPS, (0.0,), math.inf, RULE40),
         lambda s: monte_carlo_oracle(FadingModel("rayleigh"), 10.0, 0.1, math.inf,
                                      100, s),
     ], ids=["distortion", "columns", "oracle"])
@@ -507,7 +528,110 @@ class TestOneKernelInputs:
             call(self.STREAM)
 
     def test_scalar_kappa_gives_floats(self):
-        rate, dist = ergodic_columns(100.0, 0.1, 1.0 / 15.0, 4.0, 30.0, RULE40)
+        [(rate, dist)] = ergodic_columns(100.0, 0.1, 1.0 / 15.0, (4.0,), 30.0, RULE40)
         assert type(rate) is float and type(dist) is float
         assert rate == ergodic_rate(100.0, 1.0 / 15.0, 4.0, RULE40)
         assert dist == ergodic_distortion(0.1, 1.0 / 15.0, 4.0, 30.0, RULE40)
+
+
+def _outcome(call):
+    """(result or (error class, message), warning messages) of call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call()
+        except (ConvergenceError, DegenerateInputError) as exc:
+            result = (type(exc), str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+class TestManyKFactors:
+    """One ergodic_columns call over several K-factors: every K-row is the
+    one-K call's floats, errors and warnings."""
+
+    KS = (0.0, 10 ** 0.2, 10 ** 0.6, 10 ** 1.2)
+
+    @pytest.mark.parametrize("order", [20, 40, 128])
+    @pytest.mark.parametrize("g_c, g_s", TestErgodicColumns.GAINS)
+    def test_each_k_row_is_the_one_k_call(self, order, g_c, g_s):
+        rule = QuadratureRule(order)
+        pairs = ergodic_columns(g_c, g_s, KAPS, self.KS, 30.0, rule)
+        assert len(pairs) == len(self.KS)
+        for k, (rates, dists) in zip(self.KS, pairs):
+            assert rates.tolist() == ergodic_rate(g_c, KAPS, k, rule).tolist()
+            assert dists.tolist() == ergodic_distortion(g_s, KAPS, k, 30.0, rule).tolist()
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(order=st.integers(1, 128),
+           ks=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=4),
+           g_c=st.floats(1e-3, 1e6), g_s=st.floats(1e-3, 1e6),
+           prior_var=st.floats(1e-3, 1e3),
+           kaps=st.lists(st.floats(0.0, 1e3), max_size=5))
+    def test_each_k_row_is_the_one_k_call_property(self, order, ks, g_c, g_s,
+                                                   prior_var, kaps):
+        # The one-K calls raise only the unit-mass error here: no mean SNR
+        # overflows. Every unit-mass test comes before any warning, so the
+        # many-K call raises the first K's error and warns of nothing, or
+        # returns every row and warns as the one-K calls do, in K order.
+        rule, kap = QuadratureRule(order), np.array(kaps)
+        many, many_warned = _outcome(lambda: ergodic_columns(g_c, g_s, kap, ks,
+                                                             prior_var, rule))
+        ones = [_outcome(lambda k=k: ergodic_columns(g_c, g_s, kap, (k,), prior_var,
+                                                     rule)[0]) for k in ks]
+        errors = [result for result, _ in ones if isinstance(result[0], type)]
+        if errors:
+            assert (many, many_warned) == (errors[0], [])
+            return
+        assert many_warned == [m for _, warned in ones for m in warned]
+        for (rates, dists), ((one_rates, one_dists), _) in zip(many, ones, strict=True):
+            assert rates.shape == dists.shape == kap.shape
+            assert rates.tolist() == one_rates.tolist()
+            assert dists.tolist() == one_dists.tolist()
+
+    def test_no_k_factor_gives_no_columns(self):
+        assert ergodic_columns(10.0, 10.0, KAPS, (), 1.0, RULE40) == []
+
+    @pytest.mark.parametrize("ks, error, match", [
+        ((-1.0, 1e4), DegenerateInputError, "K-factor"),
+        ((1e4, -1.0), ConvergenceError, "K = 10000 "),
+        ((100.0, math.nan), DegenerateInputError, "K-factor"),
+    ], ids=["k_check_first", "unit_mass_of_an_earlier_k", "k_check_before_warning"])
+    def test_each_k_is_checked_in_order_before_any_warning(self, ks, error, match):
+        # Order 20 warns at K = 100 and misses K = 1e4's unit mass by 0.156.
+        result, warned = _outcome(lambda: ergodic_columns(
+            10.0, 10.0, KAPS, ks, 1.0, QuadratureRule(20)))
+        assert result[0] is error and match in result[1] and warned == []
+
+    def test_unit_mass_of_every_k_before_any_overflow(self):
+        # At 1e306 the K = 10 values overflow; the K = 1e4 rule misses its
+        # unit mass, and every unit-mass test runs first.
+        result, warned = _outcome(lambda: ergodic_columns(
+            1e306, 10.0, KAPS, (10.0, 1e4), 1.0, QuadratureRule(20)))
+        assert result[0] is ConvergenceError and warned == []
+
+    def test_overflow_and_warning_per_k_in_order(self):
+        # At order 20 the largest node is 525 at K = 100, which warns, and
+        # 800 at K = 200: at a mean SNR of 3e305 only K = 200 overflows.
+        rule, g = QuadratureRule(20), 3e305
+        result, warned = _outcome(lambda: ergodic_columns(
+            g, 1.0, 0.0, (100.0, 200.0), 1.0, rule))
+        assert result[0] is DegenerateInputError and "overflows" in result[1]
+        assert len(warned) == 1 and "K = 100 " in warned[0]
+        result, warned = _outcome(lambda: ergodic_columns(
+            g, 1.0, 0.0, (200.0, 100.0), 1.0, rule))
+        assert result[0] is DegenerateInputError and warned == []
+
+    def test_one_warning_per_k_that_warns(self):
+        rule = QuadratureRule(20)
+        pairs, warned = _outcome(lambda: ergodic_columns(
+            10.0, 10.0, KAPS, (100.0, 10.0, 200.0), 1.0, rule))
+        assert len(pairs) == 3
+        assert ["K = 100 " in warned[0], "K = 200 " in warned[1]] == [True, True]
+        assert len(warned) == 2
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 20, 57, 128])
+    @pytest.mark.parametrize("k", [0.0, 10 ** 0.6, 100.0, 1e4])
+    def test_nodes_ascend(self, order, k):
+        # _average bounds every product x gamma kappa by the last node.
+        nodes = _weights(QuadratureRule(order), k)[0]
+        assert np.all(np.diff(nodes) > 0) and nodes[-1] == nodes.max()

@@ -4,13 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aiisac.bottleneck import AiBudget
+from aiisac.bottleneck import AiBudget, kappa
 from aiisac.errors import DegenerateInputError
 from aiisac.gaussian import (
     PerfPoint,
     ScalarScenario,
     distortion,
     effective_snrs,
+    latent_snrs,
+    link_snrs,
     rate,
     scaling_gap,
 )
@@ -65,6 +67,29 @@ class TestEffectiveSnrs:
         sc = ScalarScenario(1e300, 1.0, 1.0, 1e-300, 1e-300, 1.0)
         with pytest.raises(DegenerateInputError, match="effective SNRs"):
             effective_snrs(sc, AiBudget(math.inf))
+
+
+class TestLatentSnrs:
+    # kappa at 1e-10 bits, where P kappa overflows from P = 1.3e298 on.
+    KAP = kappa(AiBudget(1e-10))
+
+    @pytest.mark.parametrize("c", [0.25, 1.0, 8.0, 70.0])
+    def test_is_the_link_at_the_equivalent_noise(self, c):
+        for sc in (UNIT, TABLE_I):
+            assert latent_snrs(sc, kappa(AiBudget(c))) == effective_snrs(sc, AiBudget(c))
+
+    def test_saturates_where_the_latent_noise_overflows(self):
+        # N_z = P kappa overflowed to inf, and both SNRs read 0.
+        big, less = (ScalarScenario(p, 1.0, 2.0, 1.0, 1.0, 1.0) for p in (1e300, 1e290))
+        assert link_snrs(big, big.power * self.KAP) == (0.0, 0.0)
+        for got, want in zip(latent_snrs(big, self.KAP), latent_snrs(less, self.KAP)):
+            assert math.isclose(got, want, rel_tol=1e-12)
+            assert math.isclose(got, 1.0 / self.KAP, rel_tol=1e-12)
+
+    def test_blocked_and_huge_gains_past_the_overflow(self):
+        # A gain times kappa that overflows still saturates at 1/kappa.
+        sc = ScalarScenario(1e300, 0.0, 1e300, 1.0, 1.0, 1.0)
+        assert latent_snrs(sc, self.KAP) == (0.0, 1.0 / self.KAP)
 
 
 class TestRateAndDistortion:
