@@ -2,10 +2,10 @@
 
 Splits total power between communication and sensing to maximize a
 scalarized rate/distortion objective of the SNRs gaussian.effective_snrs
-gives at the total power, as region.frontier does, so J at a grid alpha is
-the frontier's weighted point bit for bit.  A problem computes its SNRs
-once.  The optimal split is the root of the KKT stationarity quadratic;
-kkt_power_split finds it by Brent's method, as a reference.
+gives at the total power (from kappa, saturated where N_z overflows), as
+region.frontier does, so J at a grid alpha is the frontier's weighted point
+bit for bit.  The optimal split is the root of the KKT stationarity
+quadratic; kkt_power_split finds it by Brent's method, as a reference.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bottleneck import AiBudget, achieved_mi, equivalent_noise
+from .bottleneck import AiBudget, achieved_mi, kappa
 from .errors import BracketError, DegenerateInputError
 from .gaussian import ScalarScenario, effective_snrs, split_distortion, split_rate
 from .numerics import find_root
@@ -41,8 +41,8 @@ class AllocationProblem:
     mode: str = "penalized"
 
     def __post_init__(self) -> None:
-        if not (self.total_power > 0 and self.total_time > 0):
-            raise DegenerateInputError("total power and time must be positive")
+        if not (0 < self.total_power < math.inf and self.total_time > 0):
+            raise DegenerateInputError("total power and time must be positive, the power finite")
         if not 0.0 <= self.weight <= 1.0:
             raise DegenerateInputError(f"weight must lie in [0,1], got {self.weight}")
         if self.mode not in ("penalized", "convex"):
@@ -162,16 +162,17 @@ def _sensing_share(problem: AllocationProblem) -> float:
 def optimize_alpha(problem: AllocationProblem, alpha0: float) -> AllocationResult:
     """The optimal power split, from the closed-form stationarity root.
 
-    The trace rows are alpha0 and the optimum, each with the MI
-    log2(1 + P/N_z) of the latent noise N_z = P/(2^C - 1) the link SNRs
-    use (inf at C = inf).  Raises DegenerateInputError when that MI misses
-    the budget by more than 1e-9 bits (N_z below the normal float range) or
-    when the optimal sensing share is positive but too small for alpha to
-    resolve."""
+    The trace rows are alpha0 and the optimum, each with the MI of the
+    latent noise at the link SNRs' kappa: log2(1 + P/N_z), N_z = P kappa, or
+    log2(1 + 1/kappa) where P kappa overflows (inf at C = inf).  Raises
+    DegenerateInputError when that MI misses the budget by more than 1e-9
+    bits (N_z below the normal float range) or when the optimal sensing
+    share is positive but too small for alpha to resolve."""
     if not 0.0 <= alpha0 <= 1.0:
         raise DegenerateInputError(f"alpha0 must lie in [0,1], got {alpha0}")
     p, c = problem.total_power, problem.budget.c_ai
-    mi = achieved_mi(p, equivalent_noise(problem.budget, p))
+    kap = kappa(problem.budget)
+    mi = achieved_mi(p, p * kap) if p * kap < math.inf else achieved_mi(1.0, kap)
     if abs(mi - c) > 1e-9:  # inf - inf at C = inf is nan, which passes
         raise DegenerateInputError(f"latent noise at power {p!r} and {c!r} "
                                    f"bits underflows: its MI is {mi!r}")

@@ -66,7 +66,8 @@ def _kappa(c_ai: float) -> float:
 
 def equivalent_noise(budget: AiBudget, power: float) -> float:
     """Equivalent noise variance N_z = P kappa = P / (2^C - 1); zero in the
-    classical limit. Raises DegenerateInputError where N_z overflows."""
+    classical limit. Raises DegenerateInputError where N_z overflows. The
+    reference form for tests; the package's SNR paths take kappa instead."""
     if not power > 0:
         raise DegenerateInputError(f"power must be positive, got {power}")
     nz = power * kappa(budget)

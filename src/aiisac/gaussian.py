@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bottleneck import AiBudget, equivalent_noise
+from .bottleneck import AiBudget, kappa
 from .errors import DegenerateInputError
 
 
@@ -18,7 +18,7 @@ class ScalarScenario:
     """Single-antenna scenario: transmit power, link gains, noises, prior.
 
     Gains may be zero (blocked link); everything else must be positive.
-    NaN fails every check.
+    Every field must be finite; NaN and inf fail every check.
     """
 
     power: float
@@ -29,15 +29,15 @@ class ScalarScenario:
     prior_var: float
 
     def __post_init__(self) -> None:
-        if not self.power > 0:
-            raise DegenerateInputError(f"power must be positive, got {self.power}")
-        if not (self.gain_c >= 0 and self.gain_s >= 0):
-            raise DegenerateInputError("channel gains must be non-negative")
-        if not (self.noise_c > 0 and self.noise_s > 0):
-            raise DegenerateInputError("noise variances must be positive")
-        if not self.prior_var > 0:
+        if not 0 < self.power < math.inf:
+            raise DegenerateInputError(f"power must be positive and finite, got {self.power}")
+        if not (0 <= self.gain_c < math.inf and 0 <= self.gain_s < math.inf):
+            raise DegenerateInputError("channel gains must be non-negative and finite")
+        if not (0 < self.noise_c < math.inf and 0 < self.noise_s < math.inf):
+            raise DegenerateInputError("noise variances must be positive and finite")
+        if not 0 < self.prior_var < math.inf:
             raise DegenerateInputError(
-                f"prior variance must be positive, got {self.prior_var}")
+                f"prior variance must be positive and finite, got {self.prior_var}")
 
 
 @dataclass(frozen=True)
@@ -75,15 +75,13 @@ def latent_snrs(sc: ScalarScenario, kap: float) -> tuple[float, float]:
 
 
 def effective_snrs(sc: ScalarScenario, budget: AiBudget) -> tuple[float, float]:
-    """link_snrs at the equivalent noise N_z = P / (2^C - 1) of the budget.
-
-    The equivalent noise passes through the same channel as the signal, so
-    the bottleneck caps each SNR at 1/kappa. Zero capacity gives (0, 0).
-    Raises DegenerateInputError where either SNR overflows.
-    """
+    """latent_snrs at kappa = 1/(2^C - 1) of the budget, the one scalar SNR
+    path: the latent noise passes through the channel with the signal, so
+    each SNR saturates at 1/kappa, also where P kappa overflows. Zero capacity
+    gives (0, 0); an SNR that is not finite raises DegenerateInputError."""
     if budget.c_ai == 0:
         return 0.0, 0.0
-    g_c, g_s = link_snrs(sc, equivalent_noise(budget, sc.power))
+    g_c, g_s = latent_snrs(sc, kappa(budget))
     if not (math.isfinite(g_c) and math.isfinite(g_s)):
         raise DegenerateInputError(f"effective SNRs ({g_c}, {g_s}) overflow")
     return g_c, g_s

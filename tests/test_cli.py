@@ -85,6 +85,13 @@ class TestConfig:
 _OFF_PRESET_CONFIG = ("mimo_nt = 4\nmimo_nr = 4\nrician_k_db = 12\n"
                       "quadrature_order = 40\npower = 1\nprior_var = 30\n"
                       "weight = 0.05\nalloc_c_ai = 2\n")
+# At 1e300 W and unit noises, N_z = P kappa overflows at 1e-10 bits: allocate
+# and verify exited 1 on this config where gaussian-sweep saturated.
+_FOUND = {"power": 1e300, "noise_c": 1.0, "noise_s": 1.0, "alloc_c_ai": 1e-10}
+
+
+def _config_text(fields: dict) -> str:
+    return "".join(f"{k} = {v}\n" for k, v in fields.items())
 
 
 def read_csv(path):
@@ -287,16 +294,20 @@ class TestCommands:
         assert main([command, *source, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("preset", [*PRESETS, "off-preset"])
+    @pytest.mark.parametrize("preset", [*PRESETS, "off-preset", "found"])
     def test_sweep_awgn_columns_are_the_scalar_link(self, preset, tmp_path):
         # The AWGN cells once came from an SNR of their own and differed
         # from frontier's in the last digits (5 cells on tableI-normalized).
+        # On the found config, with the capacity axis at 1e-10 bits, rate()
+        # and distortion() raised where N_z = P kappa overflows.
         if preset in PRESETS:
             source, cfg = ["--preset", preset], preset_config(preset)
         else:
+            text = (_OFF_PRESET_CONFIG if preset == "off-preset" else
+                    _config_text({**_FOUND, "c_min": 1e-10, "c_max": 1e-10}))
             path = tmp_path / "off.cfg"
-            path.write_text(_OFF_PRESET_CONFIG)
-            source, cfg = ["--config", str(path)], parse_config(_OFF_PRESET_CONFIG)
+            path.write_text(text)
+            source, cfg = ["--config", str(path)], parse_config(text)
         sweep, front = tmp_path / "sweep.csv", tmp_path / "front.csv"
         assert main(["gaussian-sweep", *source, "--out", str(sweep)]) == 0
         assert main(["frontier", *source, "--out", str(front)]) == 0
@@ -310,7 +321,8 @@ class TestCommands:
         # rate at alpha = 1 and distortion at alpha = 0, as written by frontier
         ends = {(r[0], r[1]): r for r in read_csv(front)[1] if r[1] in ("0", "1")}
         awgn = {r[0]: (r[i_rate], r[i_dist]) for r in rows}
-        for c in ("0.5", "2", "4", "6"):
+        # The found config's axis holds none of frontier's budgets.
+        for c in ("0.5", "2", "4", "6") if preset != "found" else ():
             assert awgn[c] == (ends[c, "1"][2], ends[c, "0"][3])
 
     @pytest.mark.parametrize("target", ["missing/dir/out.csv", "."])
@@ -507,6 +519,40 @@ class TestCommands:
         for name, got, want in zip(header, big, less):
             assert math.isclose(float(got), float(want), rel_tol=1e-12), name
         assert all(math.isclose(float(v), 1e-10, rel_tol=1e-5) for v in big[1:4])
+
+    @pytest.mark.parametrize("c_ai", [1e-10, 5e-9])
+    def test_allocate_and_verify_saturate_where_the_latent_noise_overflows(
+            self, c_ai, tmp_path):
+        # N_z = P kappa overflows at 1e300 W: both exited 1 with "N_z = P /
+        # (2^C - 1) overflows". The SNRs saturate at 1/kappa by 1e290 W.
+        def config(power):
+            path = tmp_path / f"p{power:g}.cfg"
+            path.write_text(_config_text({**_FOUND, "power": power, "alloc_c_ai": c_ai}))
+            return str(path)
+
+        outs = {power: tmp_path / f"p{power:g}.csv" for power in (1e300, 1e290)}
+        for power, out in outs.items():
+            assert main(["allocate", "--config", config(power), "--out", str(out)]) == 0
+        assert outs[1e300].read_bytes() == outs[1e290].read_bytes()
+        report = tmp_path / "report.txt"
+        assert main(["verify", "--config", config(1e300), "--out", str(report)]) == 0
+        assert report.read_text().splitlines()[-1] == "all checks passed"
+
+    def test_frontier_saturates_where_the_latent_noise_overflows(self, tmp_path):
+        # N_z = P kappa overflows at 1e308 W and 0.5 bits, where frontier
+        # exited 1; at 7e307 W it is finite.
+        rows = {}
+        for power in ("1e308", "7e307"):
+            cfg = tmp_path / f"p{power}.cfg"
+            cfg.write_text(f"power = {power}\nnoise_c = 1\nnoise_s = 1\n")
+            out = tmp_path / f"p{power}.csv"
+            assert main(["frontier", "--config", str(cfg), "--out", str(out)]) == 0
+            rows[power] = [r for r in read_csv(out)[1] if r[0] != "inf"]
+        assert len(rows["1e308"]) == len(rows["7e307"]) == 4 * 201
+        for big, less in zip(rows["1e308"], rows["7e307"]):
+            assert big[:2] == less[:2]
+            for got, want in zip(big[2:], less[2:]):
+                assert math.isclose(float(got), float(want), rel_tol=1e-12)
 
     def test_classical_limit_budget_accepted(self, tmp_path):
         cfg = tmp_path / "classical.cfg"
@@ -807,7 +853,7 @@ def _exit_code_of_clean_run(command, fields, tmp_path):
     error (2): never a traceback, never a nan cell, and on an error no
     output and one line on stderr; a failed check prints verify's report."""
     cfg = tmp_path / "fuzz.cfg"
-    cfg.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
+    cfg.write_text(_config_text(fields))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main([command, "--config", str(cfg)])
@@ -850,6 +896,9 @@ def test_fuzzed_config_exits_cleanly(fields, command, tmp_path):
     ("frontier", {"prior_var": 1e-300, "noise_s": 1e-300}, 1),
     ("gaussian-sweep", {"power": 1e300, "noise_c": 1.0, "noise_s": 1.0,
                         "c_min": 1e-10, "c_max": 1e-10}, 0),
+    ("allocate", _FOUND, 0),
+    ("verify", _FOUND, 0),
+    ("frontier", {"power": 1e308, "noise_c": 1.0, "noise_s": 1.0}, 0),
 ])
 def test_known_configs_exit_cleanly(command, fields, code, tmp_path):
     # Configs that ended in an OverflowError traceback (allocate, verify),
@@ -862,5 +911,7 @@ def test_known_configs_exit_cleanly(command, fields, code, tmp_path):
     # overflow into nan and inf rates at 1e307 W; the K = 2000 dB weights
     # printed numpy warnings; the distortion underflows to 0, a plain
     # ValueError traceback from Frontier; and N_z = P kappa and x gamma kappa
-    # overflow at 1e300 W and 1e-10 bits, where the sweep wrote SNRs of 0.
+    # overflow at 1e300 W and 1e-10 bits, where the sweep wrote SNRs of 0;
+    # and N_z = P kappa overflows at 1e300 W and 1e-10 bits (allocate and
+    # verify) and at 1e308 W and 0.5 bits (frontier), which exited 1.
     assert _exit_code_of_clean_run(command, fields, tmp_path) == code

@@ -3,8 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aiisac.bottleneck import AiBudget, kappa
+from aiisac.bottleneck import AiBudget, equivalent_noise, kappa
 from aiisac.errors import DegenerateInputError
 from aiisac.gaussian import (
     PerfPoint,
@@ -69,14 +71,50 @@ class TestEffectiveSnrs:
             effective_snrs(sc, AiBudget(math.inf))
 
 
+def _decades(lo: float, hi: float):
+    """Floats 10^e for e uniform in [lo, hi]."""
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def _power_and_capacity(draw):
+    """(P, C) over the whole range, or, half the time, in the corner where
+    P kappa overflows: a power past 1e296 W and a capacity below 1e-9 bits."""
+    if draw(st.booleans()):
+        return draw(_decades(296.0, 308.0)), draw(_decades(-12.0, -9.0))
+    return (draw(_decades(-300.0, 308.0)),
+            draw(st.one_of(_decades(-12.0, 3.0), st.just(math.inf))))
+
+
+_GAIN = st.one_of(st.just(0.0), _decades(-300.0, 300.0))
+_NOISE = _decades(-300.0, 300.0)
+
+
 class TestLatentSnrs:
     # kappa at 1e-10 bits, where P kappa overflows from P = 1.3e298 on.
     KAP = kappa(AiBudget(1e-10))
 
-    @pytest.mark.parametrize("c", [0.25, 1.0, 8.0, 70.0])
-    def test_is_the_link_at_the_equivalent_noise(self, c):
-        for sc in (UNIT, TABLE_I):
-            assert latent_snrs(sc, kappa(AiBudget(c))) == effective_snrs(sc, AiBudget(c))
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(pc=_power_and_capacity(), gains=st.tuples(_GAIN, _GAIN),
+           noises=st.tuples(_NOISE, _NOISE))
+    def test_effective_snrs_are_the_link_or_its_saturation(self, pc, gains, noises):
+        power, c = pc
+        sc = ScalarScenario(power, *gains, *noises, 1.0)
+        budget = AiBudget(c)
+        kap = kappa(budget)
+        if power * kap < math.inf:
+            # The SNRs at the closed-form N_z, bit for bit, or an error
+            # where they are not finite.
+            want = link_snrs(sc, equivalent_noise(budget, power))
+            if all(map(math.isfinite, want)):
+                assert effective_snrs(sc, budget) == want
+            else:
+                with pytest.raises(DegenerateInputError, match="effective SNRs"):
+                    effective_snrs(sc, budget)
+            return
+        for got, g, n in zip(effective_snrs(sc, budget), gains, noises):
+            want = 1.0 / (n / (g * power) + kap) if g else 0.0
+            assert math.isclose(got, want, rel_tol=1e-12)
 
     def test_saturates_where_the_latent_noise_overflows(self):
         # N_z = P kappa overflowed to inf, and both SNRs read 0.

@@ -89,6 +89,10 @@ _OUT_OF_DOMAIN = {
     "scenario-gain": lambda: replace(_SCENARIO, gain_s=-1.0),
     "scenario-noise": lambda: replace(_SCENARIO, noise_c=0.0),
     "scenario-prior": lambda: replace(_SCENARIO, prior_var=math.nan),
+    "scenario-power-inf": lambda: replace(_SCENARIO, power=math.inf),
+    "scenario-gain-inf": lambda: replace(_SCENARIO, gain_c=math.inf),
+    "scenario-noise-inf": lambda: replace(_SCENARIO, noise_s=math.inf),
+    "scenario-prior-inf": lambda: replace(_SCENARIO, prior_var=math.inf),
     "surface-empty-grid": lambda: rate_surface(_MIMO.h_c, _MIMO.r_c, _MIMO.q,
                                                [], [1.0]),
     "surface-scale": lambda: rate_surface(_MIMO.h_c, _MIMO.r_c, _MIMO.q, [1.0], [0.0]),
@@ -96,6 +100,8 @@ _OUT_OF_DOMAIN = {
                                              [-1.0], [1.0]),
     "allocation-power": lambda: AllocationProblem(0.0, 1.0, 0.3, AiBudget(4.0),
                                                   _SCENARIO),
+    "allocation-power-inf": lambda: AllocationProblem(math.inf, 1.0, 0.3, AiBudget(4.0),
+                                                      _SCENARIO),
     "allocation-weight": lambda: AllocationProblem(1.0, 1.0, 1.5, AiBudget(4.0),
                                                    _SCENARIO),
     "allocation-mode": lambda: AllocationProblem(1.0, 1.0, 0.3, AiBudget(4.0),
@@ -173,6 +179,7 @@ ORACLES = {
     "covariance_map": "test_acceptance.py",
     "crlb": "test_mimo.py",
     "distortion": "test_acceptance.py",
+    "equivalent_noise": "test_acceptance.py",
     "ergodic_distortion": "test_acceptance.py",
     "fisher_info": "test_mimo.py",
     "gaussian_mi": "test_acceptance.py",
