@@ -5,7 +5,8 @@ scalarized rate/distortion objective of the SNRs gaussian.effective_snrs
 gives at the total power (from kappa, saturated where N_z overflows), as
 region.frontier does, so J at a grid alpha is the frontier's weighted point
 bit for bit.  The optimal split is the root of the KKT stationarity
-quadratic; kkt_power_split finds it by Brent's method, as a reference.
+quadratic, in closed form or, where its coefficients overflow, by Brent's
+method; kkt_power_split, the reference, always takes Brent's root.
 """
 from __future__ import annotations
 

@@ -337,13 +337,16 @@ class TestCommands:
     # sha256 of verify's report as written since allocate reports the MI of
     # the closed-form latent noise: only optimizer_mi_max_dev moved, from
     # 3.6e-15, 3.6e-15 and 1.3e-15 to 4.4e-16, 0 and 0 on the three configs.
+    # Since verify measures distortions in units of sigma^2, only the
+    # off-preset (sigma^2 = 30) theory_vs_achieved_max_dev moved, from
+    # 7.1e-15 to 1.3e-15; at sigma^2 = 1 the report is byte-identical.
     @pytest.mark.parametrize("preset, digest", [
         ("tableI-dbm",
          "47284c93a2b3b724a9249395872e6eeb713bbda0b87a316940bac6b5d9a2857e"),
         ("tableI-normalized",
          "fadb8c69469e005615ba0a9783c36957b5b4726d32a2eebe1a01757325bd672b"),
         ("off-preset",
-         "de88f961261e28ad68cdeb799d6f05a1ad6d94012fe1718ba5d62dcb0a742d95"),
+         "a3d759b1b7de87dfbdf4aadd3359070a40665b8ec9c8c7f173eefed1b86ab1b9"),
     ])
     def test_verify_bytes_unchanged(self, preset, digest, tmp_path):
         self.test_csv_bytes_unchanged("verify", preset, digest, tmp_path)
@@ -847,6 +850,23 @@ _fuzz_config = st.lists(st.sampled_from(sorted(_FUZZ_KEYS)), min_size=1,
     lambda keys: st.fixed_dictionaries({k: _FUZZ_KEYS[k] for k in keys}))
 
 
+def _check_verdicts(report, rc):
+    """Every line of a verify report reads PASS exactly where its observed
+    value is at most its tolerance, and the exit code and last line say
+    whether all did."""
+    lines = report.splitlines()
+    verdicts = []
+    for line in lines[1:-1]:
+        verdict, rest = line.split(" ", 1)
+        observed, tol = (float(f.split(" = ")[1]) for f in rest.split(": ", 1)[1].split(", "))
+        assert verdict == ("PASS" if observed <= tol else "FAIL"), line
+        verdicts.append(verdict)
+    assert len(verdicts) == 7
+    ok = set(verdicts) == {"PASS"}
+    assert rc == (0 if ok else 1)
+    assert lines[-1] == ("all checks passed" if ok else "one or more checks FAILED")
+
+
 def _exit_code_of_clean_run(command, fields, tmp_path):
     """Exit code of command on the config fields, after checking that it
     ends in an output (0), a domain error or failed check (1) or a config
@@ -860,8 +880,8 @@ def _exit_code_of_clean_run(command, fields, tmp_path):
     assert rc in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert "nan" not in out.getvalue()
-    if rc == 1 and command == "verify" and err.getvalue() == "":
-        assert out.getvalue().endswith("one or more checks FAILED\n")
+    if command == "verify" and err.getvalue() == "":
+        _check_verdicts(out.getvalue(), rc)
     elif rc != 0:
         assert out.getvalue() == "" and err.getvalue().count("\n") == 1
     return rc
@@ -893,7 +913,7 @@ def test_fuzzed_config_exits_cleanly(fields, command, tmp_path):
     ("mimo-surface", {"noise_c": 1e308}, 0),
     ("mimo-surface", {"power": 1e307}, 1),
     ("gaussian-sweep", {"rician_k_db": 2000.0}, 1),
-    ("frontier", {"prior_var": 1e-300, "noise_s": 1e-300}, 1),
+    ("frontier", {"prior_var": 1e-300, "noise_s": 1e-300}, 0),
     ("gaussian-sweep", {"power": 1e300, "noise_c": 1.0, "noise_s": 1.0,
                         "c_min": 1e-10, "c_max": 1e-10}, 0),
     ("allocate", _FOUND, 0),
@@ -910,8 +930,24 @@ def test_known_configs_exit_cleanly(command, fields, code, tmp_path):
     # R_c = 1e308 I overflowed into 496 nan rows; zeta Q and R_c + H R_z H^H
     # overflow into nan and inf rates at 1e307 W; the K = 2000 dB weights
     # printed numpy warnings; the distortion underflows to 0, a plain
-    # ValueError traceback from Frontier; and N_z = P kappa and x gamma kappa
+    # ValueError traceback from Frontier, then rejected with exit 1 though
+    # gaussian.distortion returns the same 0; and N_z = P kappa and x gamma kappa
     # overflow at 1e300 W and 1e-10 bits, where the sweep wrote SNRs of 0;
     # and N_z = P kappa overflows at 1e300 W and 1e-10 bits (allocate and
     # verify) and at 1e308 W and 0.5 bits (frontier), which exited 1.
     assert _exit_code_of_clean_run(command, fields, tmp_path) == code
+
+
+# gaussian-sweep's order-20 rule warns that an average may be off by more
+# than 1e-4 in absolute units, which a large prior variance exceeds even on
+# a rounding-level miss of the unit mass; the warning is not an error.
+@pytest.mark.filterwarnings("ignore:order-20 fading rule misses:RuntimeWarning")
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("prior_var", [1e7, 1e10, 1e300, 5e-324])
+def test_commands_agree_on_extreme_prior_var(preset, prior_var, tmp_path):
+    # verify measured distortions in absolute units against 1e-9 and failed
+    # on tableI-normalized at the first three; at 5e-324 the distortion
+    # rounds to 0, which frontier and verify rejected.
+    fields = {"preset": preset, "prior_var": prior_var}
+    for command in _COMMAND_NAMES:
+        assert _exit_code_of_clean_run(command, fields, tmp_path) == 0

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from aiisac.bottleneck import AiBudget
-from aiisac.gaussian import PerfPoint, ScalarScenario, effective_snrs
+from aiisac.gaussian import PerfPoint, ScalarScenario, distortion, effective_snrs
 from aiisac import region
 from aiisac.region import (DEFAULT_GRID, Frontier, frontier, in_region,
                            separated_baseline)
@@ -114,13 +115,21 @@ class TestFrontier:
             with pytest.raises(ValueError):
                 arr[0] = 0.5
 
+    def test_zero_distortions_accepted(self):
+        # At the least subnormal prior variance the distortion rounds to 0
+        # where the sensing SNR is at least 1, as gaussian.distortion does.
+        sc = replace(TABLE_I_NORMALIZED, prior_var=5e-324)
+        front = frontier(sc, AiBudget(4.0))
+        assert front.distortions[0] == distortion(sc, AiBudget(4.0)) == 0.0
+        assert front.distortions[-1] == 5e-324
+
     @pytest.mark.parametrize("alphas, rates, dists, message", [
         ([0.0, 1.5], [0.0, 1.0], [1.0, 1.0], r"alpha must lie in \[0,1\], got 1.5"),
-        ([0.0, 1.0], [-1e-3, 1.0], [1.0, 1.0], "rate must be >= 0"),
-        ([0.0, 1.0], [0.0, 1.0], [1.0, 0.0], "distortion positive"),
+        ([0.0, 1.0], [-1e-3, 1.0], [1.0, 1.0], "rate and distortion must be >= 0"),
+        ([0.0, 1.0], [0.0, 1.0], [1.0, -1e-3], "rate and distortion must be >= 0"),
         ([0.5, 0.2], [0.0, 1.0], [1.0, 1.0], "ordered by alpha"),
-        ([0.0, 1.0], [0.0, math.nan], [1.0, 1.0], "rate must be >= 0"),
-        ([0.0, 1.0], [0.0, 1.0], [math.nan, 1.0], "distortion positive"),
+        ([0.0, 1.0], [0.0, math.nan], [1.0, 1.0], "rate and distortion must be >= 0"),
+        ([0.0, 1.0], [0.0, 1.0], [math.nan, 1.0], "rate and distortion must be >= 0"),
         ([0.0, 0.5, 1.0], [0.0], [1.0, 1.0], "equal length"),
         ([[0.0, 1.0]], [[0.0, 1.0]], [[1.0, 1.0]], "1-D"),
     ])
@@ -155,7 +164,7 @@ class TestSeparatedBaseline:
         front = Frontier(AiBudget(1.0), np.array([0.0, 1.0]),
                          np.array([0.0, math.inf]), np.array([1.0, 1.0]))
         with np.errstate(invalid="ignore"), pytest.raises(
-                ValueError, match="rate must be >= 0"):
+                ValueError, match="rate and distortion must be >= 0"):
             separated_baseline(front)
 
     def test_endpoints_match_joint(self):
