@@ -210,13 +210,12 @@ def proportional_maps(qs: np.ndarray, c_grid: Sequence[float]) -> np.ndarray:
     """covariance_map for every capacity in c_grid and every Hermitian Q in
     the stack qs (J x n x n), as a C x J x n x n stack, from one stacked
     eigh. Active subspaces are sliced per group of Q of equal rank, so each
-    R_z is bit for bit the product for its Q alone.  A capacity below 0 or
-    NaN raises DegenerateInputError naming it, and so does a Q that is not
-    PSD, whatever the capacities.
+    R_z is bit for bit the product for its Q alone.  Each capacity is
+    checked as an AiBudget, so one below 0 or NaN raises DegenerateInputError
+    naming it, and so does a Q that is not PSD, whatever the capacities.
     """
     for c in c_grid:
-        if not c >= 0:
-            raise DegenerateInputError(f"capacity must be >= 0 bits, got {c}")
+        AiBudget(c)
     out = np.zeros((len(c_grid),) + qs.shape, dtype=complex)
     groups = _active_groups(qs)
     finite = [i for i, c in enumerate(c_grid) if c != math.inf]

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check that a
+value is positive and finite."""
+
+import math
 
 
 class AiIsacError(ValueError):
@@ -26,3 +29,9 @@ class SingularMatrixError(AiIsacError):
 
 class ConfigError(AiIsacError):
     """Malformed or inconsistent run configuration."""
+
+
+def _check_positive(value: float, name: str) -> None:
+    """Raise DegenerateInputError unless value is positive and finite."""
+    if not 0.0 < value < math.inf:
+        raise DegenerateInputError(f"{name} must be positive and finite, got {value}")

@@ -37,10 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateInputError
+from .errors import ConvergenceError, DegenerateInputError, _check_positive
 from .numerics import QuadratureRule, RandomStream
-
-_MC_CHUNK = 1 << 20
 
 # Largest error in a fading average, from weights that miss the gain
 # density's unit mass, accepted without a warning: the 1e-4 accuracy
@@ -105,12 +103,6 @@ class FadingModel:
 def _check_k(k_factor: float) -> None:
     if not 0.0 <= k_factor < math.inf:
         raise DegenerateInputError(f"K-factor must be finite and >= 0, got {k_factor}")
-
-
-def _check_positive(value: float, name: str) -> None:
-    """The check of a mean SNR and of a prior variance."""
-    if not 0.0 < value < math.inf:
-        raise DegenerateInputError(f"{name} must be positive and finite, got {value}")
 
 
 def _check_kappa(kappa: float | np.ndarray) -> tuple[np.ndarray, float]:
@@ -382,17 +374,6 @@ def _sample_gains(model: FadingModel, n: int, rng: np.random.Generator) -> np.nd
     return re * re + im * im
 
 
-def _chunked_mean(values: np.ndarray) -> tuple[float, float]:
-    """Deterministic mean and mean-of-squares via fixed-order chunked sums."""
-    n = values.size
-    sums, sq_sums = [], []
-    for start in range(0, n, _MC_CHUNK):
-        chunk = values[start : start + _MC_CHUNK]
-        sums.append(float(np.sum(chunk)))
-        sq_sums.append(float(np.sum(chunk * chunk)))
-    return math.fsum(sums) / n, math.fsum(sq_sums) / n
-
-
 def monte_carlo_oracle(
     model: FadingModel,
     gamma_bar: float,
@@ -404,7 +385,8 @@ def monte_carlo_oracle(
     """Sample-average rate and distortion over the fading distribution.
 
     Deterministic for a fixed stream: gains come from a counter-based
-    generator and the reduction order is fixed regardless of chunking.
+    generator, and numpy's pairwise sums reduce them in a fixed order. The
+    standard errors are numpy's standard deviations over sqrt(n_samples).
     """
     if (not isinstance(n_samples, (int, np.integer)) or isinstance(n_samples, bool)
             or n_samples < 1):
@@ -412,8 +394,8 @@ def monte_carlo_oracle(
     _check_positive(prior_var, "prior variance")
     gains = _sample_gains(model, n_samples, stream.generator())
     snr = conditional_snr(gains, gamma_bar, kappa)
-    r_mean, r_sq = _chunked_mean(_integrand(snr, None))
-    d_mean, d_sq = _chunked_mean(_integrand(snr, prior_var))
-    r_se = math.sqrt(max(r_sq - r_mean**2, 0.0) / n_samples)
-    d_se = math.sqrt(max(d_sq - d_mean**2, 0.0) / n_samples)
-    return MonteCarloEstimate(r_mean, d_mean, r_se, d_se)
+    root_n = math.sqrt(n_samples)
+    vals = _integrand(snr, None)
+    r_mean, r_se = float(vals.mean()), float(vals.std()) / root_n
+    vals = _integrand(snr, prior_var, out=vals)
+    return MonteCarloEstimate(r_mean, float(vals.mean()), r_se, float(vals.std()) / root_n)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bottleneck import AiBudget, kappa
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, _check_positive
 
 
 @dataclass(frozen=True)
@@ -29,29 +29,24 @@ class ScalarScenario:
     prior_var: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.power < math.inf:
-            raise DegenerateInputError(f"power must be positive and finite, got {self.power}")
+        _check_positive(self.power, "power")
         if not (0 <= self.gain_c < math.inf and 0 <= self.gain_s < math.inf):
             raise DegenerateInputError("channel gains must be non-negative and finite")
         if not (0 < self.noise_c < math.inf and 0 < self.noise_s < math.inf):
             raise DegenerateInputError("noise variances must be positive and finite")
-        if not 0 < self.prior_var < math.inf:
-            raise DegenerateInputError(
-                f"prior variance must be positive and finite, got {self.prior_var}")
+        _check_positive(self.prior_var, "prior variance")
 
 
 @dataclass(frozen=True)
 class PerfPoint:
-    """A (rate, distortion) operating point."""
+    """A (rate, distortion) operating point, both >= 0 as on a Frontier."""
 
     rate: float
     distortion: float
 
     def __post_init__(self) -> None:
-        if not self.rate >= 0:
-            raise DegenerateInputError(f"rate must be >= 0, got {self.rate}")
-        if not self.distortion > 0:
-            raise DegenerateInputError(f"distortion must be positive, got {self.distortion}")
+        if not (self.rate >= 0 and self.distortion >= 0):
+            raise DegenerateInputError("rate and distortion must be >= 0")
 
 
 def link_snrs(sc: ScalarScenario, nz: float) -> tuple[float, float]:
@@ -117,12 +112,12 @@ def scaling_gap(sc: ScalarScenario, c_grid: list[float]) -> float:
     knee C = log2(1 + gamma), gamma the classical communication SNR; a grid
     below it reads shallower. C = 4..8 gives -1.02 at gamma = 0.1 but -0.65
     at gamma = 100 (knee 6.66 bits), where C = 14..18 gives -0.999.
+    A grid point without a positive gap, C = inf among them, raises
+    DegenerateInputError.
     """
     grid = [float(c) for c in c_grid]
     if len(grid) < 4:
         raise DegenerateInputError("need at least 4 capacity grid points for the fit")
-    if any(math.isinf(c) for c in grid):
-        raise DegenerateInputError("infinite capacity is not admissible in the fit grid")
     r_inf = rate(sc, AiBudget(math.inf))
     gaps = [r_inf - rate(sc, AiBudget(c)) for c in grid]
     if any(g <= 0 for g in gaps):

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BracketError, ConvergenceError, DegenerateInputError
+from .errors import BracketError, ConvergenceError, DegenerateInputError, _check_positive
 
 MAX_QUADRATURE_ORDER = 128
 
@@ -53,9 +53,8 @@ class QuadratureRule:
         DegenerateInputError for a split or scale that is not positive and
         finite.
         """
-        for name, value in (("split", split), ("scale", scale)):
-            if not (math.isfinite(value) and value > 0):
-                raise DegenerateInputError(f"{name} must be positive and finite, got {value}")
+        _check_positive(split, "split")
+        _check_positive(scale, "scale")
         s, log_ws, t, log_wt = _graded_parts(int(self.order))
         if s.size == 0:
             return t, log_wt

@@ -39,10 +39,10 @@ class TestDomainChecks:
         with pytest.raises(ValueError, match=message):
             replace(UNIT, **{field: value})
 
-    @pytest.mark.parametrize("value", [math.nan, -1.0])
+    @pytest.mark.parametrize("value", [math.nan, -1.0, -5e-324, -math.inf])
     @pytest.mark.parametrize("field, message", [
-        ("rate", "rate must be >= 0"),
-        ("distortion", "distortion must be positive"),
+        ("rate", "rate and distortion must be >= 0"),
+        ("distortion", "rate and distortion must be >= 0"),
     ])
     def test_perf_point_field_rejected(self, field, message, value):
         with pytest.raises(ValueError, match=message):

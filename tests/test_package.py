@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from collections.abc import Iterator
 from dataclasses import replace
 from pathlib import Path
 
@@ -281,25 +282,32 @@ def test_raise_finder_names_each_raised_class():
     assert sorted(_raised_names(source)) == ["ConfigError", "KeyError", "ValueError"]
 
 
-def _linalg_sites(source: str) -> list[tuple[str, str]]:
-    """(routine, scope) of each numpy.linalg routine a module reads, as
-    `np.linalg.f` or `numpy.linalg.f`, or imports from numpy.linalg; the
-    scope is the dotted name of the enclosing def or class, or "<module>"."""
-    sites = []
+def _scoped_nodes(source: str) -> Iterator[tuple[ast.AST, str]]:
+    """Each node of a module with its scope: the dotted name of the
+    enclosing def or class, or "<module>"."""
 
-    def visit(node: ast.AST, scope: str) -> None:
+    def visit(node: ast.AST, scope: str) -> Iterator[tuple[ast.AST, str]]:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, child.name if scope == "<module>" else f"{scope}.{child.name}")
+                yield from visit(child, child.name if scope == "<module>"
+                                 else f"{scope}.{child.name}")
                 continue
-            if (isinstance(child, ast.Attribute) and isinstance(child.value, ast.Attribute)
-                    and child.value.attr == "linalg"):
-                sites.append((child.attr, scope))
-            elif isinstance(child, ast.ImportFrom) and child.module == "numpy.linalg":
-                sites.extend((alias.name, scope) for alias in child.names)
-            visit(child, scope)
+            yield child, scope
+            yield from visit(child, scope)
 
-    visit(ast.parse(source), "<module>")
+    return visit(ast.parse(source), "<module>")
+
+
+def _linalg_sites(source: str) -> list[tuple[str, str]]:
+    """(routine, scope) of each numpy.linalg routine a module reads, as
+    `np.linalg.f` or `numpy.linalg.f`, or imports from numpy.linalg."""
+    sites = []
+    for node, scope in _scoped_nodes(source):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "linalg"):
+            sites.append((node.attr, scope))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            sites.extend((alias.name, scope) for alias in node.names)
     return sites
 
 
@@ -325,3 +333,40 @@ def test_linalg_finder_names_each_site_and_scope():
     assert sorted(_linalg_sites(source)) == [
         ("LinAlgError", "A.g"), ("cholesky", "f"), ("eigh", "<module>"),
         ("eigvalsh", "A.g"), ("solve", "<module>")]
+
+
+def _raise_messages(source: str) -> list[tuple[str, str]]:
+    """(text, scope) of each raise whose error is built from a string or an
+    f-string; an f-string's replacement fields read {}."""
+    messages = []
+    for node, scope in _scoped_nodes(source):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and node.exc.args):
+            continue
+        arg = node.exc.args[0]
+        if isinstance(arg, ast.JoinedStr):
+            messages.append(("".join(v.value if isinstance(v, ast.Constant) else "{}"
+                                     for v in arg.values), scope))
+        elif isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+            messages.append((arg.value, scope))
+    return messages
+
+
+# The one raise site of each input rule that several modules apply.
+_SHARED_RULES = {"must be positive and finite, got": "errors._check_positive",
+                 "capacity must be >= 0 bits": "bottleneck.AiBudget.__post_init__"}
+
+
+def test_each_shared_rule_has_one_raise_site():
+    sites = sorted((rule, f"{path.stem}.{scope}") for path in _MODULES
+                   for text, scope in _raise_messages(path.read_text(encoding="utf-8"))
+                   for rule in _SHARED_RULES if rule in text)
+    assert sites == sorted(_SHARED_RULES.items())
+
+
+def test_raise_message_finder_reads_strings_and_fstrings():
+    source = ("def f(x):\n    raise E(f'{x} must be >= 0, got {x!r}')\n"
+              "class A:\n    def g(self):\n        raise E('plain' ' text')\n"
+              "raise E\nraise E(name)\nraise E()\n")
+    assert sorted(_raise_messages(source)) == [
+        ("plain text", "A.g"), ("{} must be >= 0, got {}", "f")]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from aiisac.bottleneck import AiBudget
+from aiisac.errors import DegenerateInputError
 from aiisac.gaussian import PerfPoint, ScalarScenario, distortion, effective_snrs
 from aiisac import region
 from aiisac.region import (DEFAULT_GRID, Frontier, frontier, in_region,
@@ -196,6 +197,26 @@ class TestSeparatedBaseline:
         assert wins / total >= 0.95
 
 
+class TestOperatingPointRule:
+    @pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, math.inf, math.nan, -1.0])
+    @pytest.mark.parametrize("field", ["rate", "distortion"])
+    def test_perf_point_and_frontier_agree(self, field, value):
+        # One rule for an operating point, whether a PerfPoint or a Frontier's.
+        point = {"rate": 1.0, "distortion": 1.0, field: value}
+        verdicts = []
+        for build in (lambda: PerfPoint(**point),
+                      lambda: Frontier(AiBudget(1.0), np.zeros(1),
+                                       np.array([point["rate"]]),
+                                       np.array([point["distortion"]]))):
+            try:
+                build()
+                verdicts.append("accepted")
+            except DegenerateInputError as exc:
+                verdicts.append(str(exc))
+        expected = "accepted" if value >= 0 else "rate and distortion must be >= 0"
+        assert verdicts == [expected, expected]
+
+
 class TestInRegion:
     def test_origin_always_inside(self):
         verdict = in_region(TABLE_I, AiBudget(1.0),
@@ -307,6 +328,15 @@ class TestInRegion:
         got = in_region(TABLE_I, budget, PerfPoint(1e-9, 1.0))
         assert got == (False, 1.0, -1e-9, 0.0)
         assert not in_region(TABLE_I, budget, PerfPoint(0.0, 0.999)).inside
+
+    def test_frontier_zero_point_inside(self):
+        # At the least subnormal prior variance, frontier writes (0, 0) at
+        # alpha = 0; in_region takes that point and finds it on the boundary.
+        sc = replace(TABLE_I_NORMALIZED, prior_var=5e-324)
+        budget = AiBudget(4.0)
+        first = frontier(sc, budget).points[0]
+        assert (first.alpha, first.rate, first.distortion) == (0.0, 0.0, 0.0)
+        assert in_region(sc, budget, PerfPoint(0.0, 0.0)) == (True, 0.0, 0.0, 0.0)
 
     def test_zero_rate(self):
         # R = 0 is met at alpha = 0, where the distortion is least.
