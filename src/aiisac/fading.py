@@ -385,8 +385,9 @@ def monte_carlo_oracle(
     """Sample-average rate and distortion over the fading distribution.
 
     Deterministic for a fixed stream: gains come from a counter-based
-    generator, and numpy's pairwise sums reduce them in a fixed order. The
-    standard errors are numpy's standard deviations over sqrt(n_samples).
+    generator, and numpy's pairwise sums reduce them in a fixed order. Each
+    standard error is the standard deviation over sqrt(n_samples), taken
+    from deviations squared in place in the one integrand buffer.
     """
     if (not isinstance(n_samples, (int, np.integer)) or isinstance(n_samples, bool)
             or n_samples < 1):
@@ -394,8 +395,15 @@ def monte_carlo_oracle(
     _check_positive(prior_var, "prior variance")
     gains = _sample_gains(model, n_samples, stream.generator())
     snr = conditional_snr(gains, gamma_bar, kappa)
-    root_n = math.sqrt(n_samples)
     vals = _integrand(snr, None)
-    r_mean, r_se = float(vals.mean()), float(vals.std()) / root_n
-    vals = _integrand(snr, prior_var, out=vals)
-    return MonteCarloEstimate(r_mean, float(vals.mean()), r_se, float(vals.std()) / root_n)
+    r_mean, r_se = _mean_and_std_err(vals)
+    d_mean, d_se = _mean_and_std_err(_integrand(snr, prior_var, out=vals))
+    return MonteCarloEstimate(r_mean, d_mean, r_se, d_se)
+
+
+def _mean_and_std_err(vals: np.ndarray) -> tuple[float, float]:
+    """Mean of vals and its standard error; overwrites vals with the squared
+    deviations, so no second array of len(vals) is made."""
+    mean = float(vals.mean())
+    vals -= mean
+    return mean, math.sqrt(float(np.square(vals, out=vals).mean()) / vals.size)

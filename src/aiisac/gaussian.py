@@ -46,7 +46,8 @@ class PerfPoint:
 
     def __post_init__(self) -> None:
         if not (self.rate >= 0 and self.distortion >= 0):
-            raise DegenerateInputError("rate and distortion must be >= 0")
+            raise DegenerateInputError("rate and distortion must be >= 0, "
+                                       f"got ({self.rate}, {self.distortion})")
 
 
 def link_snrs(sc: ScalarScenario, nz: float) -> tuple[float, float]:

@@ -58,8 +58,8 @@ class Frontier:
         bad = ~((self.alphas >= 0.0) & (self.alphas <= 1.0))
         if bad.any():
             raise DegenerateInputError(f"alpha must lie in [0,1], got {self.alphas[bad][0]}")
-        if (~(self.rates >= 0)).any() or (~(self.distortions >= 0)).any():
-            raise DegenerateInputError("rate and distortion must be >= 0")
+        # PerfPoint's rule, at the least rate and distortion (NaN carries through).
+        PerfPoint(float(self.rates.min(initial=0.0)), float(self.distortions.min(initial=0.0)))
         if (np.diff(self.alphas) < 0).any():
             raise DegenerateInputError("frontier points must be ordered by alpha")
         for arr in (self.alphas, self.rates, self.distortions):

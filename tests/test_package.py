@@ -354,7 +354,8 @@ def _raise_messages(source: str) -> list[tuple[str, str]]:
 
 # The one raise site of each input rule that several modules apply.
 _SHARED_RULES = {"must be positive and finite, got": "errors._check_positive",
-                 "capacity must be >= 0 bits": "bottleneck.AiBudget.__post_init__"}
+                 "capacity must be >= 0 bits": "bottleneck.AiBudget.__post_init__",
+                 "rate and distortion must be >= 0": "gaussian.PerfPoint.__post_init__"}
 
 
 def test_each_shared_rule_has_one_raise_site():

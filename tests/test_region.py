@@ -201,7 +201,7 @@ class TestOperatingPointRule:
     @pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, math.inf, math.nan, -1.0])
     @pytest.mark.parametrize("field", ["rate", "distortion"])
     def test_perf_point_and_frontier_agree(self, field, value):
-        # One rule for an operating point, whether a PerfPoint or a Frontier's.
+        # A one-point Frontier applies PerfPoint's rule: the same pairs pass.
         point = {"rate": 1.0, "distortion": 1.0, field: value}
         verdicts = []
         for build in (lambda: PerfPoint(**point),
@@ -212,9 +212,19 @@ class TestOperatingPointRule:
                 build()
                 verdicts.append("accepted")
             except DegenerateInputError as exc:
-                verdicts.append(str(exc))
+                verdicts.append(str(exc).split(", got")[0])
         expected = "accepted" if value >= 0 else "rate and distortion must be >= 0"
         assert verdicts == [expected, expected]
+
+    def test_message_names_the_values(self):
+        with pytest.raises(DegenerateInputError) as exc:
+            PerfPoint(1.0, -0.5)
+        assert str(exc.value) == "rate and distortion must be >= 0, got (1.0, -0.5)"
+        # A Frontier reports its least rate and least distortion, each capped at 0.
+        with pytest.raises(DegenerateInputError) as exc:
+            Frontier(AiBudget(1.0), np.array([0.0, 1.0]), np.array([2.0, -3.0]),
+                     np.array([1.0, 0.5]))
+        assert str(exc.value) == "rate and distortion must be >= 0, got (-3.0, 0.0)"
 
 
 class TestInRegion:
