@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .bottleneck import AiBudget, achieved_mi, kappa
-from .errors import BracketError, DegenerateInputError
+from .errors import BracketError, DegenerateInputError, _check_positive, _check_unit
 from .gaussian import ScalarScenario, effective_snrs, split_distortion, split_rate
 from .numerics import find_root
 
@@ -42,10 +42,9 @@ class AllocationProblem:
     mode: str = "penalized"
 
     def __post_init__(self) -> None:
-        if not (0 < self.total_power < math.inf and self.total_time > 0):
-            raise DegenerateInputError("total power and time must be positive, the power finite")
-        if not 0.0 <= self.weight <= 1.0:
-            raise DegenerateInputError(f"weight must lie in [0,1], got {self.weight}")
+        _check_positive(self.total_power, "total power")
+        _check_positive(self.total_time, "total time")
+        _check_unit(self.weight, "weight")
         if self.mode not in ("penalized", "convex"):
             raise DegenerateInputError(f"unknown objective mode {self.mode!r}")
 
@@ -75,8 +74,7 @@ class AllocationResult:
 def objective(problem: AllocationProblem, alpha: float) -> float:
     """J = w_r R - w_d D at power split alpha (communication fraction), with
     R and D gaussian.split_rate and split_distortion of the problem's SNRs."""
-    if not 0.0 <= alpha <= 1.0:
-        raise DegenerateInputError(f"alpha must lie in [0,1], got {alpha}")
+    _check_unit(alpha, "alpha")
     w_r, w_d = problem.weights
     g_c, g_s = problem.snrs
     return (w_r * split_rate(g_c, alpha)
@@ -117,17 +115,16 @@ def kkt_residual_check(problem: AllocationProblem, p_c: float) -> float:
 
 def _brent_alpha(problem: AllocationProblem) -> float:
     """Interior stationarity root in alpha by Brent's method, or the better
-    end of the split.  Since the rate's marginal value falls and the
-    distortion's marginal value rises with the power moved, an interior
-    sign change is a maximizer when it exists."""
+    end of the split, 1 on a tie as in _sensing_share.  The rate's marginal
+    value falls and the distortion's rises with the power moved, so an
+    interior sign change is a maximizer when it exists."""
+    if objective_gradient(problem, 1.0 - 1e-12) >= 0.0:
+        return 1.0
     try:
         return find_root(lambda a: objective_gradient(problem, a),
                          1e-12, 1.0 - 1e-12, tol=1e-14)
     except BracketError:
-        # No interior root: J is monotone in the split, rising towards
-        # alpha = 1 where the stationarity is positive (J at the two ends
-        # can round equal).
-        return 1.0 if objective_gradient(problem, 1e-12) > 0.0 else 0.0
+        return 0.0  # J falls across the whole split
 
 
 def kkt_power_split(problem: AllocationProblem) -> tuple[float, float, float]:
@@ -169,8 +166,7 @@ def optimize_alpha(problem: AllocationProblem, alpha0: float) -> AllocationResul
     DegenerateInputError when that MI misses the budget by more than 1e-9
     bits (N_z below the normal float range) or when the optimal sensing
     share is positive but too small for alpha to resolve."""
-    if not 0.0 <= alpha0 <= 1.0:
-        raise DegenerateInputError(f"alpha0 must lie in [0,1], got {alpha0}")
+    _check_unit(alpha0, "alpha0")
     p, c = problem.total_power, problem.budget.c_ai
     kap = kappa(problem.budget)
     mi = achieved_mi(p, p * kap) if p * kap < math.inf else achieved_mi(1.0, kap)

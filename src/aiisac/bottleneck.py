@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateInputError, SingularMatrixError
+from .errors import ConvergenceError, DegenerateInputError, SingularMatrixError, _check_positive
 from .numerics import find_root
 
 # Eigenvalues below this fraction of the largest are treated as null space.
@@ -68,8 +68,7 @@ def equivalent_noise(budget: AiBudget, power: float) -> float:
     """Equivalent noise variance N_z = P kappa = P / (2^C - 1); zero in the
     classical limit. Raises DegenerateInputError where N_z overflows. The
     reference form for tests; the package's SNR paths take kappa instead."""
-    if not power > 0:
-        raise DegenerateInputError(f"power must be positive, got {power}")
+    _check_positive(power, "power")
     nz = power * kappa(budget)
     if not nz < math.inf:
         raise DegenerateInputError(f"N_z = P / (2^C - 1) overflows at power "
@@ -91,9 +90,8 @@ def enforce_mi_numerically(power: float, target_c_ai: float, tol: float) -> floa
     equivalent_noise within the root tolerance.  Raises ConvergenceError
     where the root misses tol and DegenerateInputError where N_z overflows.
     """
-    if not all(0 < x < math.inf for x in (power, target_c_ai, tol)):
-        raise DegenerateInputError(
-            "power, target capacity, and tol must be positive and finite")
+    for value, name in ((power, "power"), (target_c_ai, "target capacity"), (tol, "tol")):
+        _check_positive(value, name)
 
     # Solve in u = ln(N_z) so the bracket spans many decades safely.
     def gap(u: float) -> float:
@@ -139,14 +137,7 @@ def _as_hermitian(a: np.ndarray, name: str) -> np.ndarray:
     h = 0.5 * m  # halved first, as in _hermitian_part, so no finite entry overflows
     if float(np.max(np.abs(h - h.conj().T))) > 1e-12 * float(np.max(np.abs(h))):
         raise DegenerateInputError(f"{name} is not Hermitian within tolerance")
-    return h + h.conj().T
-
-
-def _check_psd(evals: np.ndarray, name: str) -> None:
-    """Raise DegenerateInputError unless the ascending eigenvalues (last axis)
-    of a Hermitian matrix, or of each in a stack, pass the PSD_RTOL rule."""
-    if (evals[..., 0] < -PSD_RTOL * np.abs(evals).max(axis=-1)).any():
-        raise DegenerateInputError(f"{name} is not positive semidefinite")
+    return _hermitian_part(m)
 
 
 def _finite(m, what: str):
@@ -154,6 +145,17 @@ def _finite(m, what: str):
     if not np.isfinite(m).all():
         raise DegenerateInputError(f"{what} overflows")
     return m
+
+
+def _check_psd(ms: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The one PSD test: (ascending eigenvalues, eigenvectors) of the Hermitian
+    stack ms (J x n x n), from one eigh. DegenerateInputError where ms or an
+    eigenvalue overflows, or one is below -PSD_RTOL times its matrix's largest."""
+    evals, evecs = np.linalg.eigh(_finite(ms, name))
+    _finite(evals, f"an eigenvalue of {name}")
+    if (evals[:, 0] < -PSD_RTOL * np.abs(evals).max(axis=-1)).any():
+        raise DegenerateInputError(f"{name} is not positive semidefinite")
+    return evals, evecs
 
 
 def _cholesky(m: np.ndarray, name: str) -> np.ndarray:
@@ -190,14 +192,10 @@ def covariance_map(q: np.ndarray, c_ai: float) -> np.ndarray:
 
 def _active_groups(qs: np.ndarray
                    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """One stacked eigh of the Hermitian stack qs (J x n x n), its PSD test,
-    and its matrices grouped by rank r: the count of eigenvalues above
-    RANK_RTOL times the largest, which are the last r as eigh sorts them.
-    Returns (members, vals, vecs) per rank, ascending: member indices,
-    active eigenvalues (M x r) and eigenvectors (M x n x r).  A Q or an
-    eigenvalue that is not finite raises DegenerateInputError (an overflow)."""
-    evals, evecs = np.linalg.eigh(_finite(qs, "Q"))
-    _check_psd(_finite(evals, "an eigenvalue of Q"), "Q")
+    """The Hermitian stack qs (J x n x n), PSD by _check_psd, grouped by rank r:
+    the count of eigenvalues above RANK_RTOL times the largest, the last r. Per
+    rank, ascending: member indices, active eigenvalues (M x r), vectors (M x n x r)."""
+    evals, evecs = _check_psd(qs, "Q")
     ranks = np.count_nonzero(evals > RANK_RTOL * evals[:, -1:], axis=1)
     groups = []
     for r in sorted(set(ranks.tolist())):

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the one check that a
-value is positive and finite."""
+"""Exception types shared across the package, and the one check of each
+scalar range rule: positive and finite, >= 0 and finite, and [0, 1]."""
 
 import math
 
@@ -35,3 +35,15 @@ def _check_positive(value: float, name: str) -> None:
     """Raise DegenerateInputError unless value is positive and finite."""
     if not 0.0 < value < math.inf:
         raise DegenerateInputError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_nonnegative(value: float, name: str) -> None:
+    """Raise DegenerateInputError unless value is >= 0 and finite."""
+    if not 0.0 <= value < math.inf:
+        raise DegenerateInputError(f"{name} must be >= 0 and finite, got {value}")
+
+
+def _check_unit(value: float, name: str) -> None:
+    """Raise DegenerateInputError unless value lies in [0, 1]."""
+    if not 0.0 <= value <= 1.0:
+        raise DegenerateInputError(f"{name} must lie in [0,1], got {value}")

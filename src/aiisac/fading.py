@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateInputError, _check_positive
+from .errors import ConvergenceError, DegenerateInputError, _check_nonnegative, _check_positive
 from .numerics import QuadratureRule, RandomStream
 
 # Largest error in a fading average, from weights that miss the gain
@@ -97,12 +97,7 @@ class FadingModel:
     def __post_init__(self) -> None:
         if self.kind not in ("rayleigh", "rician"):
             raise DegenerateInputError(f"unknown fading kind {self.kind!r}")
-        _check_k(self.k_factor)
-
-
-def _check_k(k_factor: float) -> None:
-    if not 0.0 <= k_factor < math.inf:
-        raise DegenerateInputError(f"K-factor must be finite and >= 0, got {k_factor}")
+        _check_nonnegative(self.k_factor, "K-factor")
 
 
 def _check_kappa(kappa: float | np.ndarray) -> tuple[np.ndarray, float]:
@@ -110,9 +105,8 @@ def _check_kappa(kappa: float | np.ndarray) -> tuple[np.ndarray, float]:
     raises unless every kappa is finite and >= 0."""
     kap = np.asarray(kappa, dtype=float)
     top = float(kap.max(initial=0.0))
-    # NaN carries through both reductions and fails both tests.
-    if not (kap.min(initial=0.0) >= 0.0 and top < math.inf):
-        raise DegenerateInputError(f"kappa must be >= 0 and finite, got {kappa}")
+    for end in (kap.min(initial=0.0), top):  # NaN carries through the min
+        _check_nonnegative(float(end), "kappa")
     return kap, top
 
 
@@ -214,11 +208,11 @@ def _average(gammas, priors, kappa: float | np.ndarray, k_factors,
     entry is the float a one-K call gives. A miss m of the density's unit
     mass shifts an average by about m times its values, so every call,
     cached weights or not, raises ConvergenceError where m exceeds
-    DENSITY_FAIL, and otherwise warns once per K where
-    m * max(1, max |values|) exceeds DENSITY_TOL. An input outside its
-    domain, a kappa of two or more axes, or a value that is not finite
-    raises DegenerateInputError. Every K is checked, and its unit mass
-    tested, before any K's values are tested for overflow or warned of.
+    DENSITY_FAIL, and otherwise warns once per K where m * max(1, peak)
+    exceeds DENSITY_TOL, peak being its largest rate in bits or MMSE over the
+    prior. An input outside its domain, a kappa of two or more axes, or a
+    value that is not finite raises DegenerateInputError. Every K is checked,
+    and its unit mass tested, before any K's values are tested or warned of.
     """
     for g, prior_var in zip(gammas, priors):
         _check_positive(g, "mean SNR")
@@ -229,7 +223,7 @@ def _average(gammas, priors, kappa: float | np.ndarray, k_factors,
         raise DegenerateInputError(f"kappa must have at most one axis, got {kap.shape}")
     rules = []  # (K, nodes, w, miss) per K-factor
     for k_factor in k_factors:
-        _check_k(k_factor)
+        _check_nonnegative(k_factor, "K-factor")
         nodes, w, miss = _weights(rule, k_factor)
         if not miss <= DENSITY_FAIL:
             by = (f"{miss:.2e}, more than {DENSITY_FAIL:g}" if math.isfinite(miss)
@@ -252,15 +246,16 @@ def _average(gammas, priors, kappa: float | np.ndarray, k_factors,
         for j, prior_var in enumerate(priors):
             _integrand(snr[:, j], prior_var, snr[:, j])
     # Every value is >= 0 or NaN, and NaN and inf carry through the max, so
-    # one reduction per K-factor checks both.
-    peaks = snr.reshape(len(rules), -1).max(axis=1, initial=0.0).tolist()
+    # one reduction per K-factor and mean SNR checks both; an MMSE's peak is
+    # read over its prior.
+    peaks = snr.reshape(len(rules), len(gammas), -1).max(axis=2, initial=0.0).tolist()
     out = []
     for (k_factor, _, w, miss), peak, values in zip(rules, peaks, snr):
-        if not math.isfinite(peak):
+        if not all(map(math.isfinite, peak)):
             raise DegenerateInputError(
                 f"the order-{rule.order} fading average overflows at the rule's "
                 f"largest gains; lower the mean SNR")
-        if miss * max(1.0, peak) > DENSITY_TOL:
+        if miss * max(1.0, *(v / (p or 1.0) for v, p in zip(peak, priors))) > DENSITY_TOL:
             warnings.warn(
                 f"order-{rule.order} fading rule misses the K = {k_factor:g} gain "
                 f"density's unit mass by {miss:.2e}; averages may be off by more "

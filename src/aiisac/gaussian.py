@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bottleneck import AiBudget, kappa
-from .errors import DegenerateInputError, _check_positive
+from .errors import DegenerateInputError, _check_nonnegative, _check_positive
 
 
 @dataclass(frozen=True)
@@ -30,10 +30,10 @@ class ScalarScenario:
 
     def __post_init__(self) -> None:
         _check_positive(self.power, "power")
-        if not (0 <= self.gain_c < math.inf and 0 <= self.gain_s < math.inf):
-            raise DegenerateInputError("channel gains must be non-negative and finite")
-        if not (0 < self.noise_c < math.inf and 0 < self.noise_s < math.inf):
-            raise DegenerateInputError("noise variances must be positive and finite")
+        _check_nonnegative(self.gain_c, "communication gain")
+        _check_nonnegative(self.gain_s, "sensing gain")
+        _check_positive(self.noise_c, "communication noise variance")
+        _check_positive(self.noise_s, "sensing noise variance")
         _check_positive(self.prior_var, "prior variance")
 
 
@@ -58,16 +58,20 @@ def link_snrs(sc: ScalarScenario, nz: float) -> tuple[float, float]:
 
 
 def latent_snrs(sc: ScalarScenario, kap: float) -> tuple[float, float]:
-    """link_snrs at the latent noise N_z = P kappa of a finite kappa. Where
-    P kappa overflows, each SNR is written 1 / (N_i / (|h_i|^2 P) + kappa),
-    the same SNR, which saturates at 1/kappa (0 on a blocked link)."""
+    """link_snrs at the latent noise N_z = P kappa of a kappa >= 0; per link,
+    where kappa > 0 and g P or N + g N_z overflows (the link form reads 0, inf
+    or NaN), the same SNR as 1 / (N / (g P) + kappa), which saturates at 1/kappa."""
     nz = sc.power * kap
-    if nz < math.inf:
-        return link_snrs(sc, nz)
-    # P and kappa are each above 1 where their product overflows, so g P > 0
-    # for g > 0 and each denominator exceeds 1.
-    return tuple(1.0 / (n / (g * sc.power) + kap) if g else 0.0
-                 for g, n in ((sc.gain_c, sc.noise_c), (sc.gain_s, sc.noise_s)))
+    g_c, g_s = snrs = link_snrs(sc, nz)
+    if (0.0 < g_c < math.inf and 0.0 < g_s < math.inf) or not kap:
+        return snrs
+    out = []
+    for s, g, n in zip(snrs, (sc.gain_c, sc.gain_s), (sc.noise_c, sc.noise_s)):
+        gp = g * sc.power
+        if not (gp < math.inf and n + g * nz < math.inf):
+            s = 1.0 / (n / gp + kap) if gp else 0.0  # g P is 0 at g = 0 or kappa = inf
+        out.append(s)
+    return tuple(out)
 
 
 def effective_snrs(sc: ScalarScenario, budget: AiBudget) -> tuple[float, float]:

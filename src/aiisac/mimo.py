@@ -16,7 +16,7 @@ import numpy as np
 
 from .bottleneck import (AiBudget, _as_hermitian, _check_psd, _cholesky, _finite,
                          _hermitian_part, _logdet, proportional_maps)
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, _check_positive
 
 # Most matrix entries (capacities x scales x n^2) in one stacked pass of
 # rate_surface, which bounds its memory on large grids.
@@ -30,7 +30,7 @@ def check_psd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     those of `a` over its largest real or imaginary part, where above 1."""
     m = _as_hermitian(a, name)
     scale = max(abs(m.real).max(), abs(m.imag).max(), 1.0)
-    _check_psd(np.linalg.eigvalsh(m / scale), name)
+    _check_psd((m / scale)[None], name)
     return m
 
 
@@ -124,8 +124,8 @@ def rate_surface(h_c: np.ndarray, r_c: np.ndarray, q: np.ndarray,
     h_c, r_c = _link(h_c, r_c, q.shape[0], "H_c", "R_c")
     if not len(c_grid) or not len(power_scales):
         raise DegenerateInputError("grids must be non-empty")
-    if not all(math.isfinite(s) and s > 0 for s in power_scales):
-        raise DegenerateInputError("power scales must be positive and finite")
+    for s in power_scales:
+        _check_positive(s, "power scale")
     step, h_h = max(1, _BLOCK // (len(c_grid) * q.size)), h_c.conj().T
     blocks = []
     for lo in range(0, len(power_scales), step):

@@ -113,8 +113,7 @@ def find_root(f, lo: float, hi: float, tol: float) -> float:
     hi = float(hi)
     if not lo < hi:
         raise DegenerateInputError(f"invalid bracket [{lo}, {hi}]")
-    if tol <= 0:
-        raise DegenerateInputError("tol must be positive")
+    _check_positive(tol, "tol")
     xpre, xcur = lo, hi
     fpre, fcur = _value(f, xpre), _value(f, xcur)
     if fpre == 0.0:

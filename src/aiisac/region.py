@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bottleneck import AiBudget
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, _check_unit
 from .gaussian import (PerfPoint, ScalarScenario, effective_snrs, split_distortion,
                        split_rate)
 
@@ -55,10 +55,10 @@ class Frontier:
                 and self.alphas.shape == self.rates.shape == self.distortions.shape):
             raise DegenerateInputError("alphas, rates and distortions must be "
                                        "1-D arrays of equal length")
-        bad = ~((self.alphas >= 0.0) & (self.alphas <= 1.0))
-        if bad.any():
-            raise DegenerateInputError(f"alpha must lie in [0,1], got {self.alphas[bad][0]}")
-        # PerfPoint's rule, at the least rate and distortion (NaN carries through).
+        # The unit interval at the least and largest alpha, and PerfPoint's
+        # rule at the least rate and distortion; NaN carries through each.
+        for end in (self.alphas.min(initial=0.0), self.alphas.max(initial=0.0)):
+            _check_unit(float(end), "alpha")
         PerfPoint(float(self.rates.min(initial=0.0)), float(self.distortions.min(initial=0.0)))
         if (np.diff(self.alphas) < 0).any():
             raise DegenerateInputError("frontier points must be ordered by alpha")

@@ -169,6 +169,25 @@ class TestKktSplit:
         assert kkt_power_split(prob)[0] == 1e-20
         assert optimize_alpha(prob, 0.4).alpha_star == 1.0
 
+    def test_flat_objective_ties_to_communication(self):
+        # At 5e-324 bits both SNRs are 0 and dJ/d(alpha) is exactly 0 on the
+        # whole split; Brent's reference returned the bracket end 1e-12,
+        # where the closed form, like every tie, gives alpha = 1.
+        prob = make_problem(c_ai=5e-324)
+        assert prob.snrs == (0.0, 0.0)
+        assert kkt_power_split(prob)[0] == prob.total_power
+        assert optimize_alpha(prob, 0.5).alpha_star == 1.0
+
+    def test_optimum_where_gain_times_latent_noise_overflows(self):
+        # 1e8 times N_z = 2.4e300 overflowed, so both SNRs read 0 and the
+        # optimum was that of two dead links, J* = -0.3. Both SNRs are
+        # 1/kappa: alpha = 1 gives R = 0.5 bits and D = sigma^2 = 1.
+        prob = make_problem(c_ai=0.5, power=1e300,
+                            scenario=replace(TABLE_I, gain_c=1e8, gain_s=1e8))
+        result = optimize_alpha(prob, 0.5)
+        assert result.alpha_star == 1.0
+        assert math.isclose(result.objective, 0.5 - 0.3, rel_tol=1e-12)
+
     def test_classical_limit_recovery(self):
         base = dict(total_power=1.0, total_time=1.0, weight=0.5,
                     scenario=INTERIOR, mode="convex")
@@ -344,7 +363,8 @@ class TestProblem:
     def test_non_positive_total_rejected(self, field, value):
         # NaN passed `x <= 0`: a NaN power failed later with "invalid
         # bracket [nan, nan]", and a NaN time was accepted.
-        with pytest.raises(ValueError, match="total power and time must be positive"):
+        with pytest.raises(ValueError,
+                           match=f"{field.replace('_', ' ')} must be positive and finite"):
             replace(make_problem(), **{field: value})
 
     def test_snrs_computed_once(self, monkeypatch):

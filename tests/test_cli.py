@@ -621,8 +621,9 @@ class TestMimoSurfacePath:
     @pytest.mark.parametrize("text", [
         "", "mimo_nt = 64\nmimo_nr = 64\nsnr_step_db = 10\n"], ids=["one_block", "blocks"])
     def test_one_psd_decomposition_per_matrix(self, text, tmp_path, monkeypatch):
-        # One eigvalsh (R_c), one stacked eigh (the scaled Q's, also Q's
-        # PSD test) and two stacked Choleskys per block, and no
+        # One eigh for R_c's PSD test, one stacked eigh per block (the
+        # scaled Q's, also Q's PSD test) and two stacked Choleskys per
+        # block, all through the one eigh of bottleneck._check_psd, and no
         # MimoScenario with its sensing fields.
         cfg_path = tmp_path / "surface.cfg"
         cfg_path.write_text(text)
@@ -630,7 +631,7 @@ class TestMimoSurfacePath:
         per_block = max(1, mimo._BLOCK // (len(cli.HALF_BIT_BUDGETS) * cfg.mimo_nt ** 2))
         blocks = -(-len(cfg.snr_axis_db()) // per_block)
         counts = Counter()
-        for name in ("eigvalsh", "eigh", "cholesky"):
+        for name in ("eigh", "cholesky"):
             monkeypatch.setattr(np.linalg, name,
                                 _counting(getattr(np.linalg, name), name, counts))
         monkeypatch.setattr(mimo.MimoScenario, "__post_init__",
@@ -638,7 +639,7 @@ class TestMimoSurfacePath:
                                       counts))
         assert main(["mimo-surface", "--config", str(cfg_path),
                      "--out", str(tmp_path / "s.csv")]) == 0
-        assert counts == {"eigvalsh": 1, "eigh": blocks, "cholesky": 2 * blocks}
+        assert counts == {"eigh": blocks + 1, "cholesky": 2 * blocks}
 
     @pytest.mark.parametrize("fields", [
         dict(snr_min_db=-7.3, snr_step_db=0.1, snr_max_db=-3.0),
@@ -919,6 +920,7 @@ def test_fuzzed_config_exits_cleanly(fields, command, tmp_path):
     ("allocate", _FOUND, 0),
     ("verify", _FOUND, 0),
     ("frontier", {"power": 1e308, "noise_c": 1.0, "noise_s": 1.0}, 0),
+    ("verify", {"alloc_c_ai": 5e-324}, 0),
 ])
 def test_known_configs_exit_cleanly(command, fields, code, tmp_path):
     # Configs that ended in an OverflowError traceback (allocate, verify),
@@ -934,14 +936,12 @@ def test_known_configs_exit_cleanly(command, fields, code, tmp_path):
     # gaussian.distortion returns the same 0; and N_z = P kappa and x gamma kappa
     # overflow at 1e300 W and 1e-10 bits, where the sweep wrote SNRs of 0;
     # and N_z = P kappa overflows at 1e300 W and 1e-10 bits (allocate and
-    # verify) and at 1e308 W and 0.5 bits (frontier), which exited 1.
+    # verify) and at 1e308 W and 0.5 bits (frontier), which exited 1; and
+    # at 5e-324 bits both SNRs are 0, J is flat, and verify failed its
+    # optimizer check on a Brent reference of alpha = 1e-12 against 1.
     assert _exit_code_of_clean_run(command, fields, tmp_path) == code
 
 
-# gaussian-sweep's order-20 rule warns that an average may be off by more
-# than 1e-4 in absolute units, which a large prior variance exceeds even on
-# a rounding-level miss of the unit mass; the warning is not an error.
-@pytest.mark.filterwarnings("ignore:order-20 fading rule misses:RuntimeWarning")
 @pytest.mark.parametrize("preset", PRESETS)
 @pytest.mark.parametrize("prior_var", [1e7, 1e10, 1e300, 5e-324])
 def test_commands_agree_on_extreme_prior_var(preset, prior_var, tmp_path):

@@ -457,9 +457,9 @@ class TestErgodicColumns:
     @pytest.mark.parametrize("k_db, g, prior_var, rate_warns, dist_warns", [
         (6.0, 10.0, 1.0, False, False),
         (18.0, 10.0, 1.0, True, False),
-        (16.0, 0.1, 30.0, False, True),
+        (16.0, 0.1, 30.0, False, False),
         (20.0, 10.0, 1.0, True, True),
-    ], ids=["neither", "rate_only", "distortion_only", "both"])
+    ], ids=["neither", "rate_only", "prior_above_one", "both"])
     def test_warns_once_where_either_column_would(self, k_db, g, prior_var,
                                                   rate_warns, dist_warns):
         k, rule = 10 ** (k_db / 10), QuadratureRule(20)
@@ -475,6 +475,18 @@ class TestErgodicColumns:
         assert (bool(rate), bool(dist)) == (rate_warns, dist_warns)
         both = warnings_of(lambda: ergodic_columns(g, g, KAPS, (k,), prior_var, rule))
         assert both == (rate or dist)
+
+    @pytest.mark.parametrize("k_factor, warns", [(3.98, False), (0.0, False), (100.0, True)])
+    @pytest.mark.parametrize("prior_var", [1.0, 1e7, 1e300])
+    def test_distortion_miss_judged_in_units_of_the_prior(self, k_factor, prior_var, warns):
+        # An MMSE is at most sigma^2, so a miss of the unit mass shifts it by
+        # at most the miss in units of sigma^2. Judged on the MMSE itself, it
+        # warned at 1e7 for K = 3.98 (miss 5.2e-8) and at 1e300 for K = 0
+        # (miss 2.2e-16); K = 100 (miss 1.3e-4) warns at every sigma^2.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ergodic_distortion(10.0, KAPS, k_factor, prior_var, QuadratureRule(20))
+        assert bool(caught) == warns
 
 
 class TestOneKernelInputs:

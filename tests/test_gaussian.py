@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aiisac.bottleneck import AiBudget, equivalent_noise, kappa
@@ -29,10 +29,10 @@ class TestDomainChecks:
     @pytest.mark.parametrize("value", [math.nan, -1.0])
     @pytest.mark.parametrize("field, message", [
         ("power", "power must be positive"),
-        ("gain_c", "channel gains must be non-negative"),
-        ("gain_s", "channel gains must be non-negative"),
-        ("noise_c", "noise variances must be positive"),
-        ("noise_s", "noise variances must be positive"),
+        ("gain_c", "communication gain must be >= 0 and finite"),
+        ("gain_s", "sensing gain must be >= 0 and finite"),
+        ("noise_c", "communication noise variance must be positive"),
+        ("noise_s", "sensing noise variance must be positive"),
         ("prior_var", "prior variance must be positive"),
     ])
     def test_scenario_field_rejected(self, field, message, value):
@@ -97,24 +97,32 @@ class TestLatentSnrs:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(pc=_power_and_capacity(), gains=st.tuples(_GAIN, _GAIN),
            noises=st.tuples(_NOISE, _NOISE))
+    # g N_z overflows where P kappa does not: the SNR read 0.
+    @example(pc=(1e300, 0.5), gains=(1e8, 1.0), noises=(0.1, 0.1))
+    # g P overflows: the SNR read nan (inf / inf), an error.
+    @example(pc=(1e181, 1.0), gains=(0.0, 1e128), noises=(1.0, 1.0))
     def test_effective_snrs_are_the_link_or_its_saturation(self, pc, gains, noises):
         power, c = pc
         sc = ScalarScenario(power, *gains, *noises, 1.0)
         budget = AiBudget(c)
         kap = kappa(budget)
-        if power * kap < math.inf:
-            # The SNRs at the closed-form N_z, bit for bit, or an error
-            # where they are not finite.
-            want = link_snrs(sc, equivalent_noise(budget, power))
-            if all(map(math.isfinite, want)):
-                assert effective_snrs(sc, budget) == want
+        nz = power * kap
+        # Per link: the link form, bit for bit, where its products g P, P kappa
+        # and g N_z and its denominator N + g N_z are finite (or at C = inf),
+        # else the saturating form within 1e-12; an error where an SNR is
+        # not finite.
+        want = []
+        for s, g, n in zip(link_snrs(sc, nz), gains, noises):
+            if kap == 0 or all(x < math.inf for x in (g * power, nz, g * nz, n + g * nz)):
+                want.append((s, True))
             else:
-                with pytest.raises(DegenerateInputError, match="effective SNRs"):
-                    effective_snrs(sc, budget)
+                want.append((1.0 / (n / (g * power) + kap) if g else 0.0, False))
+        if not all(math.isfinite(w) for w, _ in want):
+            with pytest.raises(DegenerateInputError, match="effective SNRs"):
+                effective_snrs(sc, budget)
             return
-        for got, g, n in zip(effective_snrs(sc, budget), gains, noises):
-            want = 1.0 / (n / (g * power) + kap) if g else 0.0
-            assert math.isclose(got, want, rel_tol=1e-12)
+        for got, (w, exact) in zip(effective_snrs(sc, budget), want):
+            assert got == w if exact else math.isclose(got, w, rel_tol=1e-12)
 
     def test_saturates_where_the_latent_noise_overflows(self):
         # N_z = P kappa overflowed to inf, and both SNRs read 0.
@@ -128,6 +136,20 @@ class TestLatentSnrs:
         # A gain times kappa that overflows still saturates at 1/kappa.
         sc = ScalarScenario(1e300, 0.0, 1e300, 1.0, 1.0, 1.0)
         assert latent_snrs(sc, self.KAP) == (0.0, 1.0 / self.KAP)
+
+    def test_gain_times_latent_noise_overflows(self):
+        # P kappa = 2.4e300 is finite, but 1e8 times it is not: the
+        # communication SNR read 0, where it is 1/kappa = 0.414 to 1e-9.
+        sc = ScalarScenario(1e300, 1e8, 1.0, 0.1, 0.1, 1.0)
+        g_c, g_s = effective_snrs(sc, AiBudget(0.5))
+        assert math.isclose(g_c, 1.0 / kappa(AiBudget(0.5)), rel_tol=1e-12)
+        assert g_s == link_snrs(sc, equivalent_noise(AiBudget(0.5), 1e300))[1]
+
+    def test_infinite_kappa_with_an_underflowing_gain_times_power(self):
+        # kappa is inf at 5e-324 bits, and g P = 1e-330 underflows to 0: the
+        # saturating form raised ZeroDivisionError.
+        sc = ScalarScenario(1e-300, 1e-30, 1.0, 1.0, 1.0, 1.0)
+        assert effective_snrs(sc, AiBudget(5e-324)) == (0.0, 0.0)
 
 
 class TestRateAndDistortion:

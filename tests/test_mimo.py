@@ -215,7 +215,7 @@ class TestRateSurface:
     @pytest.mark.parametrize("scale", [-1.0, 0.0, math.nan, math.inf])
     def test_bad_scale_rejected(self, scale):
         sc = make_scenario(np.eye(2), np.eye(2), 0.1 * np.eye(2))
-        with pytest.raises(ValueError, match="power scales"):
+        with pytest.raises(ValueError, match="power scale must be positive and finite"):
             rate_surface(sc.h_c, sc.r_c, sc.q, [1.0], [1.0, scale])
 
 

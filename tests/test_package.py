@@ -311,16 +311,17 @@ def _linalg_sites(source: str) -> list[tuple[str, str]]:
     return sites
 
 
-# The one call site of each factorization: overflow and PSD rules live there.
+# The one call site of each factorization: overflow and PSD rules live there,
+# and no other eigen-solver or factorization of numpy.linalg is called.
 _FACTORIZATIONS = {"cholesky": "bottleneck._cholesky",
-                   "eigh": "bottleneck._active_groups",
-                   "eigvalsh": "mimo.check_psd"}
+                   "eigh": "bottleneck._check_psd"}
+_DECOMPOSITIONS = {"cholesky", "eig", "eigh", "eigvals", "eigvalsh", "qr", "svd"}
 
 
 def test_each_factorization_has_one_call_site():
     sites = sorted((name, f"{path.stem}.{scope}") for path in _MODULES
                    for name, scope in _linalg_sites(path.read_text(encoding="utf-8"))
-                   if name in _FACTORIZATIONS)
+                   if name in _DECOMPOSITIONS)
     assert sites == sorted(_FACTORIZATIONS.items())
 
 
@@ -354,6 +355,8 @@ def _raise_messages(source: str) -> list[tuple[str, str]]:
 
 # The one raise site of each input rule that several modules apply.
 _SHARED_RULES = {"must be positive and finite, got": "errors._check_positive",
+                 "must be >= 0 and finite, got": "errors._check_nonnegative",
+                 "must lie in [0,1], got": "errors._check_unit",
                  "capacity must be >= 0 bits": "bottleneck.AiBudget.__post_init__",
                  "rate and distortion must be >= 0": "gaussian.PerfPoint.__post_init__"}
 
