@@ -103,23 +103,27 @@ def cmd_gaussian_sweep(cfg: RunConfig, out: str | None) -> int:
     return EXIT_OK
 
 
+# frontier's rows over the shared alpha grid, built once: the alpha cells
+# are formatted in, the c_ai, rate, distortion and baseline cells left open.
+_FRONTIER_ROWS = "\n".join(f"%s,{a:.17g},%.17g,%s,%.17g,%s" for a in region.ALPHAS.tolist())
+# One budget's distortions as one format, split at the commas: a %.17g
+# string has none.
+_GRID_CELLS = ",".join(["%.17g"] * region.DEFAULT_GRID)
+
+
 def cmd_frontier(cfg: RunConfig, out: str | None) -> int:
     sc = _scenario(cfg)
     fronts = [region.frontier(sc, AiBudget(c)) for c in FRONTIER_BUDGETS]
-    # Each distinct cell is formatted once: the alpha grid, shared by every
-    # budget, goes into the row template, and each distortion string fills
+    # Each distinct cell is formatted once: each distortion string fills
     # both the distortion and the (equal) baseline_distortion column.
-    alphas = fronts[0].alphas.tolist()
-    template = "\n".join(f"%s,{a:.17g},%.17g,%s,%.17g,%s" for a in alphas)
-    cells = [None] * (5 * len(alphas))
+    cells = [None] * (5 * region.DEFAULT_GRID)
     blocks = []
     for c, front in zip(FRONTIER_BUDGETS, fronts):
-        dists = ["%.17g" % d for d in front.distortions.tolist()]
-        cells[0::5] = ["%.17g" % c] * len(alphas)
+        cells[0::5] = ["%.17g" % c] * region.DEFAULT_GRID
         cells[1::5] = front.rates.tolist()
-        cells[2::5] = cells[4::5] = dists
+        cells[2::5] = cells[4::5] = (_GRID_CELLS % tuple(front.distortions.tolist())).split(",")
         cells[3::5] = region.separated_baseline(front).rates.tolist()
-        blocks.append(template % tuple(cells))
+        blocks.append(_FRONTIER_ROWS % tuple(cells))
     _emit(out, [f"# {_header(cfg)}", "c_ai,alpha,rate,distortion,baseline_rate,"
                 "baseline_distortion", *blocks])
     return EXIT_OK
@@ -207,13 +211,12 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, float, float]]:
     draws = {}
     for _ in range(20):
         n = int(rng.integers(1, 5))
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        q = a @ a.conj().T
-        draws.setdefault(n, []).append((q, float(rng.uniform(0.5, 8.0))))
+        re, im = rng.normal(size=(2, n, n))  # the stream's next 2 n^2 normals
+        draws.setdefault(n, []).append((re + 1j * im, float(rng.uniform(0.5, 8.0))))
     mi_dev = 0.0
     for group in draws.values():
-        qs, cs = (np.array(x) for x in zip(*group))
-        qs = _hermitian_part(qs)  # as covariance_map takes Q
+        a, cs = (np.array(x) for x in zip(*group))
+        qs = _hermitian_part(a @ a.conj().swapaxes(-1, -2))  # as covariance_map takes Q
         j = np.arange(len(cs))
         rzs = proportional_maps(qs, cs.tolist())[j, j]
         mi_dev = max(mi_dev, float(np.max(np.abs(gaussian_mis(qs, rzs) - cs))))

@@ -82,8 +82,7 @@ class RunConfig:
     mc_samples: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if self.preset not in PRESETS:
-            raise ConfigError(f"unknown preset {self.preset!r}; choose from {PRESETS}")
+        _preset_fields(self.preset)  # an unknown preset raises there
         for name, value in vars(self).items():
             if (isinstance(value, float) and not math.isfinite(value)
                     and not (name == "alloc_c_ai" and value == math.inf)):

@@ -7,7 +7,8 @@ A time-sharing baseline, derived from the frontier's arrays, gives the
 separated comparison curve.
 
 The frontier is one pass over a uniform 201-point alpha grid, held as three
-read-only float64 arrays (alphas, rates, distortions); rates are taken with
+read-only float64 arrays (alphas, rates, distortions); the alphas are one
+grid, ALPHAS, built once and shared by every frontier. Rates are taken with
 math.log2 element by element, so they equal gaussian.split_rate bit for
 bit. Membership needs no grid: a bisection over the floats decides it exactly.
 """
@@ -26,6 +27,9 @@ from .gaussian import (PerfPoint, ScalarScenario, effective_snrs, split_distorti
                        split_rate)
 
 DEFAULT_GRID = 201
+# The one alpha grid, read-only, shared by every frontier and its baseline.
+ALPHAS = np.linspace(0.0, 1.0, DEFAULT_GRID)
+ALPHAS.flags.writeable = False
 _ONE_BITS = 0x3FF0000000000000  # 1.0: non-negative doubles sort like their bits
 _BITS, _FLOAT = struct.Struct("<q"), struct.Struct("<d")
 
@@ -74,12 +78,11 @@ class Frontier:
 
 def frontier(sc: ScalarScenario, budget: AiBudget) -> Frontier:
     """gaussian.split_rate and split_distortion of the budget's effective
-    SNRs at each split alpha of the uniform DEFAULT_GRID grid."""
+    SNRs at each split alpha of the shared grid ALPHAS."""
     g_c, g_s = effective_snrs(sc, budget)
-    alphas = np.linspace(0.0, 1.0, DEFAULT_GRID)
     # split_rate per element, inlined: a call per element doubles this pass
-    rates = np.fromiter(map(math.log2, (1.0 + alphas * g_c).tolist()), float, DEFAULT_GRID)
-    return Frontier(budget, alphas, rates, split_distortion(g_s, sc.prior_var, alphas))
+    rates = np.fromiter(map(math.log2, (1.0 + ALPHAS * g_c).tolist()), float, DEFAULT_GRID)
+    return Frontier(budget, ALPHAS, rates, split_distortion(g_s, sc.prior_var, ALPHAS))
 
 
 def separated_baseline(front: Frontier) -> Frontier:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from aiisac import allocate, bottleneck, cli, mimo, numerics
+from aiisac import allocate, bottleneck, cli, mimo, numerics, region
 from aiisac.allocate import grid_argmax
 from aiisac.bottleneck import AiBudget, covariance_map, gaussian_mi
 from aiisac.cli import _allocation_problem, _verify_checks, main
@@ -35,6 +35,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             preset_config("bogus")
 
+    def test_unknown_preset_field(self):
+        # RunConfig built directly checks its preset at the same raise site.
+        with pytest.raises(ConfigError, match="unknown preset 'bogus'; choose from"):
+            RunConfig(preset="bogus")
+
     def test_parse_basic(self):
         cfg = parse_config("power = 5.0\nseed = 7\n# comment\n[allocate]\n"
                            "weight = 0.5\n")
@@ -50,6 +55,11 @@ class TestConfig:
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("frobnicate = 1\n")
+
+    def test_line_without_equals_names_it(self):
+        with pytest.raises(ConfigError,
+                           match="line 2: expected 'key = value', got 'power 0.5'"):
+            parse_config("seed = 1\npower 0.5\n")
 
     def test_bad_value(self):
         with pytest.raises(ConfigError):
@@ -212,6 +222,8 @@ class TestCommands:
         ("mimo-surface", "snr_step_db = 1e-7"),
         ("mimo-surface", "snr_max_db = 1e300"),
         ("mimo-surface", "mimo_nt = 65"),
+        ("frontier", "power 0.5"),
+        ("gaussian-sweep", "rician_k_db = 3001"),
     ])
     def test_malformed_value_exit_code(self, command, line, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -403,6 +415,30 @@ class TestCommands:
                       for row in zip([c] * 201, taus.tolist(), rates, dists, base, dists)]
         # Line lists, so that a failure reports the first differing line.
         assert out.read_text(encoding="utf-8").split("\n") == [*lines, ""]
+
+    @pytest.mark.parametrize("prior_var", [5e-324, 1e-300, 1.0, 1e300])
+    def test_frontier_writer_matches_write_csv(self, prior_var, tmp_path):
+        # Distortion cells of 0, subnormals and exponent forms, which each
+        # budget's one format-and-split of its distortions must keep: at
+        # power 10 the sensing SNR reaches 100, so 5e-324 gives 0 and 5e-324.
+        cfg = replace(preset_config("tableI-normalized"), prior_var=prior_var)
+        sc = cli._scenario(cfg)
+        fronts = [region.frontier(sc, AiBudget(c)) for c in cli.FRONTIER_BUDGETS]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert cli.cmd_frontier(cfg, str(a)) == 0
+        cli._write_csv(str(b), cli._header(cfg),
+                       ["c_ai", "alpha", "rate", "distortion", "baseline_rate",
+                        "baseline_distortion"],
+                       [(c, alpha, r, d, br, d) for c, front in zip(cli.FRONTIER_BUDGETS, fronts)
+                        for alpha, r, d, br in zip(
+                            front.alphas.tolist(), front.rates.tolist(),
+                            front.distortions.tolist(),
+                            region.separated_baseline(front).rates.tolist())])
+        assert a.read_bytes() == b.read_bytes()
+        # Every frontier, of any scenario, shares one read-only alpha grid.
+        fronts.append(region.frontier(cli._scenario(RunConfig()), AiBudget(1.0)))
+        assert all(front.alphas is fronts[0].alphas for front in fronts)
+        assert not fronts[0].alphas.flags.writeable
 
     @pytest.mark.parametrize("preset", PRESETS)
     @pytest.mark.parametrize("seed", [0, 1, 7, 20240817, 2**31 - 1])

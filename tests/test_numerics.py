@@ -80,6 +80,19 @@ class TestFindRoot:
         with pytest.raises(BracketError):
             find_root(lambda x: x * x + 1.0, -1.0, 1.0, tol=1e-12)
 
+    @pytest.mark.parametrize("lo, hi", [(0.25, 1.0), (-1.0, 0.25)])
+    def test_zero_at_a_bracket_end_is_returned_at_once(self, lo, hi):
+        # f is exactly 0 at 0.25: that end is the root, after the two end
+        # evaluations and no iteration.
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 0.25
+
+        assert find_root(f, lo, hi, tol=1e-12) == 0.25
+        assert calls == [lo, hi]
+
     @pytest.mark.parametrize("f", [
         lambda x: math.nan if 0.0 < x < 1.0 else x - 0.3,  # inside
         lambda x: math.nan if x > 0.5 else x - 0.7,        # at an end

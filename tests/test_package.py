@@ -99,6 +99,8 @@ _OUT_OF_DOMAIN = {
     "surface-scale": lambda: rate_surface(_MIMO.h_c, _MIMO.r_c, _MIMO.q, [1.0], [0.0]),
     "surface-capacity": lambda: rate_surface(_MIMO.h_c, _MIMO.r_c, _MIMO.q,
                                              [-1.0], [1.0]),
+    "surface-q-not-square": lambda: rate_surface(np.eye(2), np.eye(2), np.ones((2, 3)),
+                                                 [1.0], [1.0]),
     "allocation-power": lambda: AllocationProblem(0.0, 1.0, 0.3, AiBudget(4.0),
                                                   _SCENARIO),
     "allocation-power-inf": lambda: AllocationProblem(math.inf, 1.0, 0.3, AiBudget(4.0),
@@ -133,11 +135,15 @@ _OUT_OF_DOMAIN = {
 }
 
 
-@pytest.mark.parametrize("build", _OUT_OF_DOMAIN.values(), ids=_OUT_OF_DOMAIN)
-def test_out_of_domain_inputs_raise_package_errors(build):
+# The message of each _OUT_OF_DOMAIN case that no other test names.
+_OUT_OF_DOMAIN_MESSAGES = {"surface-q-not-square": r"Q must be square, got shape \(2, 3\)"}
+
+
+@pytest.mark.parametrize("name", _OUT_OF_DOMAIN)
+def test_out_of_domain_inputs_raise_package_errors(name):
     # Library callers can catch AiIsacError alone; it is still a ValueError.
-    with pytest.raises(DegenerateInputError):
-        build()
+    with pytest.raises(DegenerateInputError, match=_OUT_OF_DOMAIN_MESSAGES.get(name)):
+        _OUT_OF_DOMAIN[name]()
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -358,7 +364,8 @@ _SHARED_RULES = {"must be positive and finite, got": "errors._check_positive",
                  "must be >= 0 and finite, got": "errors._check_nonnegative",
                  "must lie in [0,1], got": "errors._check_unit",
                  "capacity must be >= 0 bits": "bottleneck.AiBudget.__post_init__",
-                 "rate and distortion must be >= 0": "gaussian.PerfPoint.__post_init__"}
+                 "rate and distortion must be >= 0": "gaussian.PerfPoint.__post_init__",
+                 "unknown preset": "config._preset_fields"}
 
 
 def test_each_shared_rule_has_one_raise_site():
