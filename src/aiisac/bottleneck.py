@@ -194,17 +194,13 @@ def _active_groups(qs: np.ndarray
                    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The Hermitian stack qs (J x n x n), PSD by _check_psd, grouped by rank r:
     the count of eigenvalues above RANK_RTOL times the largest, the last r. Per
-    rank, ascending: member indices, active eigenvalues (M x r), vectors (M x n x r).
-    A stack of one rank is one group of slices, with no index copies."""
+    rank, ascending: member indices, active eigenvalues (M x r), vectors (M x n x r)."""
     evals, evecs = _check_psd(qs, "Q")
     ranks = np.count_nonzero(evals > RANK_RTOL * evals[:, -1:], axis=1)
-    if len(ranks) and (ranks == ranks[0]).all():
-        lo = evals.shape[1] - int(ranks[0])
-        return [(np.arange(len(ranks)), evals[:, lo:], evecs[:, :, lo:])]
     groups = []
-    for r in sorted(set(ranks.tolist())):
-        members, cols = np.flatnonzero(ranks == r), np.arange(-r, 0)
-        groups.append((members, evals[members][:, cols], evecs[members][:, :, cols]))
+    for r in np.flatnonzero(np.bincount(ranks)):
+        members, lo = np.flatnonzero(ranks == r), evals.shape[1] - r
+        groups.append((members, evals[members, lo:], evecs[members, :, lo:]))
     return groups
 
 

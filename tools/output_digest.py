@@ -1,31 +1,25 @@
 """One sha256 per benchmark workload over every job's output, for byte-identity checks.
 
     python3 tools/output_digest.py --seeds 1 2 3 4 5
-    python3 tools/output_digest.py --seeds 3 --workloads design
 
-Run from the root of each tree to compare: equal lines mean every job of
-those workloads and seeds gave the same exit code and the same output bytes.
-The jobs are the benchmark's own (bench/workloads.py, imported and not
-changed), run in this process as the harness runs them, with one BLAS
-thread. Each digest covers, per seed and job in order, the seed, the job's
-key, its exit code and its output text.
+Run from the root of each tree to compare: equal lines mean every job of the
+sweep, surface and design workloads at those seeds gave the same exit code
+and the same output bytes. The jobs are the benchmark's own
+(bench/workloads.py, imported and not changed), run in this process as the
+harness runs them, with one BLAS thread. Each digest covers, per seed and job
+in order, the seed, the job's key, its exit code and its output text.
 """
-import os
-
-# One BLAS/OpenMP thread, as in bench/run.py, set before numpy is imported.
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-             "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse  # noqa: E402
-import hashlib  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-from pathlib import Path  # noqa: E402
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
+# bench/run.py sets its one-BLAS-thread variables on import, before numpy.
+import run  # noqa: E402,F401
 import workloads  # noqa: E402
 
 
@@ -46,11 +40,9 @@ def digest(workload: str, seeds: list[int]) -> str:
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seeds", type=int, nargs="+", required=True)
-    p.add_argument("--workloads", nargs="+", default=["sweep", "surface", "design"],
-                   choices=workloads.WORKLOADS)
     args = p.parse_args(argv)
     seeds = " ".join(map(str, args.seeds))
-    for workload in args.workloads:
+    for workload in ("sweep", "surface", "design"):
         print(f"{workload} seeds {seeds}: {digest(workload, args.seeds)}")
     return 0
 
