@@ -8,7 +8,9 @@ log-det budget exactly but is trace-minimal only for a flat spectrum of Q.
 Both matrix forms are stacked kernels over J x n x n stacks of validated
 matrices, proportional_maps for the map and gaussian_mis for the mutual
 information; covariance_map and gaussian_mi validate one matrix and run
-the kernel on a 1-stack.
+the kernel on a 1-stack. proportional_map_mis gives each Q's MI with its
+own map from one eigh. The map product (_maps) and the active-subspace MI
+(_group_mis) are each written once, per group of Q of equal rank.
 """
 from __future__ import annotations
 
@@ -204,29 +206,73 @@ def _active_groups(qs: np.ndarray
     return groups
 
 
+def _map_groups(qs: np.ndarray, c_grid: Sequence[float]
+                ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """_active_groups of qs once each capacity is checked as an AiBudget, so
+    one below 0 or NaN raises DegenerateInputError naming it. Where some
+    capacity is finite, a zero Q, which has no map, raises it too."""
+    for c in c_grid:
+        AiBudget(c)
+    groups = _active_groups(qs)
+    # Ranks ascend, so a zero Q is in the first group.
+    if any(c != math.inf for c in c_grid) and groups and not groups[0][1].shape[1]:
+        raise DegenerateInputError("Q has no active subspace (zero matrix)")
+    return groups
+
+
+def _maps(vals: np.ndarray, vecs: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+    """R_z = zeta * Q on the active subspace of each Q of a group (active
+    eigenvalues M x r, vectors M x n x r): M x n x n for a zeta per member,
+    or C x M x n x n for zeta of shape C x 1."""
+    scaled = (zeta[..., None] * vals)[..., None, :]
+    return _hermitian_part((vecs * scaled) @ vecs.conj().swapaxes(-1, -2))
+
+
+def _group_mis(vals: np.ndarray, vecs: np.ndarray, rzs: np.ndarray) -> np.ndarray:
+    """log2 det(I + R_z^-1 Q) on the active subspace of each Q of a group
+    (eigenpairs as in _maps, r >= 1) with its R_z in rzs (M x n x n), from
+    two stacked Cholesky log-dets."""
+    sub = "on the active subspace of Q"
+    with np.errstate(over="ignore", invalid="ignore"):
+        r_sub = _hermitian_part(vecs.conj().swapaxes(-1, -2) @ rzs @ vecs)
+        total = r_sub + vals[:, None, :] * np.eye(vals.shape[1])
+    # R_z first: where it is not positive definite, the error names it.
+    noise = _logdet(r_sub, f"R_z {sub}")
+    return (_logdet(total, f"R_z + Q {sub}") - noise) / math.log(2.0)
+
+
 def proportional_maps(qs: np.ndarray, c_grid: Sequence[float]) -> np.ndarray:
     """covariance_map for every capacity in c_grid and every Hermitian Q in
     the stack qs (J x n x n), as a C x J x n x n stack, from one stacked
     eigh. Active subspaces are sliced per group of Q of equal rank, so each
-    R_z is bit for bit the product for its Q alone.  Each capacity is
-    checked as an AiBudget, so one below 0 or NaN raises DegenerateInputError
-    naming it, and so does a Q that is not PSD, whatever the capacities.
+    R_z is bit for bit the product for its Q alone. A capacity below 0 or
+    NaN raises DegenerateInputError naming it, and so does a Q that is not
+    PSD, whatever the capacities.
     """
-    for c in c_grid:
-        AiBudget(c)
+    groups = _map_groups(qs, c_grid)
     out = np.zeros((len(c_grid),) + qs.shape, dtype=complex)
-    groups = _active_groups(qs)
     finite = [i for i, c in enumerate(c_grid) if c != math.inf]
     if not finite:
         return out
     for members, vals, vecs in groups:
-        # Ranks ascend, so a zero Q fails before any map is built.
-        if not vals.shape[1]:
-            raise DegenerateInputError("Q has no active subspace (zero matrix)")
-        zeta = np.array([_kappa(c_grid[i] / vals.shape[1]) for i in finite])
-        rz = (vecs * (zeta[:, None, None] * vals)[:, :, None, :]
-              ) @ vecs.conj().swapaxes(-1, -2)
-        out[np.ix_(finite, members)] = _hermitian_part(rz)
+        zeta = np.array([[_kappa(c_grid[i] / vals.shape[1])] for i in finite])
+        out[np.ix_(finite, members)] = _maps(vals, vecs, zeta)
+    return out
+
+
+def proportional_map_mis(qs: np.ndarray, cs: Sequence[float]) -> np.ndarray:
+    """gaussian_mi of each Hermitian Q in the stack qs (J x n x n) with its
+    own map at its own capacity, covariance_map(qs[j], cs[j]), from one
+    stacked eigh and two stacked Cholesky log-dets per group of Q of equal
+    rank: bit for bit gaussian_mis(qs, proportional_maps(qs, cs)[j, j]),
+    which builds C x J maps to read J. A capacity below 0 or NaN, a Q that
+    is not PSD and a zero Q raise as there.
+    """
+    out = np.zeros(len(qs))
+    for members, vals, vecs in _map_groups(qs, cs):
+        if vals.shape[1]:
+            zeta = np.array([_kappa(cs[j] / vals.shape[1]) for j in members])
+            out[members] = _group_mis(vals, vecs, _maps(vals, vecs, zeta))
     return out
 
 
@@ -238,16 +284,9 @@ def gaussian_mis(qs: np.ndarray, rzs: np.ndarray) -> np.ndarray:
     raises DegenerateInputError, and a zero Q gives 0.
     """
     out = np.zeros(len(qs))
-    sub = "on the active subspace of Q"
     for members, vals, vecs in _active_groups(qs):
-        if not vals.shape[1]:
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):
-            r_sub = _hermitian_part(vecs.conj().swapaxes(-1, -2) @ rzs[members] @ vecs)
-            total = r_sub + vals[:, None, :] * np.eye(vals.shape[1])
-        # R_z first: where it is not positive definite, the error names it.
-        noise = _logdet(r_sub, f"R_z {sub}")
-        out[members] = (_logdet(total, f"R_z + Q {sub}") - noise) / math.log(2.0)
+        if vals.shape[1]:
+            out[members] = _group_mis(vals, vecs, rzs[members])
     return out
 
 

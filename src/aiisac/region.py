@@ -61,10 +61,13 @@ class Frontier:
                                        "1-D arrays of equal length")
         # The unit interval at the least and largest alpha, and PerfPoint's
         # rule at the least rate and distortion; NaN carries through each.
-        for end in (self.alphas.min(initial=0.0), self.alphas.max(initial=0.0)):
-            _check_unit(float(end), "alpha")
+        # ALPHAS, built once at import, needs no unit or order check.
+        own_grid = self.alphas is not ALPHAS
+        if own_grid:
+            for end in (self.alphas.min(initial=0.0), self.alphas.max(initial=0.0)):
+                _check_unit(float(end), "alpha")
         PerfPoint(float(self.rates.min(initial=0.0)), float(self.distortions.min(initial=0.0)))
-        if (np.diff(self.alphas) < 0).any():
+        if own_grid and (np.diff(self.alphas) < 0).any():
             raise DegenerateInputError("frontier points must be ordered by alpha")
         for arr in (self.alphas, self.rates, self.distortions):
             arr.flags.writeable = False

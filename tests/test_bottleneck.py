@@ -15,6 +15,7 @@ from aiisac.bottleneck import (
     gaussian_mi,
     gaussian_mis,
     kappa,
+    proportional_map_mis,
     proportional_maps,
 )
 from aiisac.errors import DegenerateInputError, SingularMatrixError
@@ -303,6 +304,64 @@ class TestGaussianMis:
                            match="R_z on the active subspace of Q is not "
                                  "positive definite"):
             gaussian_mis(qs, rzs)
+
+
+def _composed_mis(qs, cs):
+    """Each Q's MI with its own map, as the C x J map stack's diagonal."""
+    j = np.arange(len(cs))
+    return gaussian_mis(qs, proportional_maps(qs, cs)[j, j])
+
+
+def _outcome(fn, *args):
+    """The result's bytes, or the class and message of what fn raised."""
+    try:
+        return fn(*args).tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _low_rank_stack(rng, n, size):
+    """size Q = a a^H with a of size n x k, k drawn from 1 to n, and capacities
+    drawn as verify draws them."""
+    qs = []
+    for _ in range(size):
+        k = int(rng.integers(1, n + 1))
+        a = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+        qs.append(a @ a.conj().T)
+    return _hermitian(np.array(qs)), rng.uniform(0.5, 8.0, size).tolist()
+
+
+class TestProportionalMapMis:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_composition_bit_for_bit(self, n, seed):
+        rng = np.random.default_rng(100 * n + seed)
+        qs, cs = _low_rank_stack(rng, n, 12)
+        mixed, _ = _mixed_rank_stack(rng, n)
+        for stack, c in ((qs, cs), (mixed, rng.uniform(0.5, 8.0, len(mixed)).tolist())):
+            got = proportional_map_mis(stack, c)
+            assert got.tobytes() == _composed_mis(stack, c).tobytes()
+            assert np.max(np.abs(got - c)) <= 1e-9
+
+    @pytest.mark.parametrize("fault", ["zero_q", "indefinite_q", "negative_c", "nan_c",
+                                       "zero_c", "inf_c", "all_inf_c", "all_inf_zero_q"])
+    def test_errors_equal_composition(self, fault):
+        qs, cs = _low_rank_stack(np.random.default_rng(5), 3, 6)
+        if fault == "zero_q":
+            qs[2] = 0.0
+        elif fault == "indefinite_q":
+            qs[4] = np.diag([1.0, 0.5, -1.0])
+        elif fault in ("negative_c", "nan_c", "zero_c", "inf_c"):
+            cs[3] = {"negative_c": -1.0, "nan_c": math.nan, "zero_c": 0.0,
+                     "inf_c": math.inf}[fault]
+        else:
+            cs = [math.inf] * len(cs)
+            if fault == "all_inf_zero_q":
+                qs = np.zeros_like(qs[:1])
+                cs = cs[:1]
+        got = _outcome(proportional_map_mis, qs, cs)
+        assert got == _outcome(_composed_mis, qs, cs)
+        assert (got == bytes(8)) if fault == "all_inf_zero_q" else isinstance(got, tuple)
 
 
 @pytest.mark.parametrize("fn", [lambda q: covariance_map(q, 2.0),

@@ -699,6 +699,30 @@ class TestMimoSurfacePath:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestVerifyPath:
+    """verify decomposes each dimension group of its random Q's once."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 12345])
+    def test_one_psd_decomposition_per_dimension_group(self, seed, tmp_path, monkeypatch):
+        # Each Q = a a^H is full rank, so a dimension group is one rank group:
+        # one eigh and two stacked Choleskys (R_z, then R_z + Q) per group,
+        # and no other factorization anywhere in verify.
+        cfg = replace(RunConfig(), seed=seed)
+        rng = RandomStream(seed=seed, stream=7).generator()
+        dims = set()
+        for _ in range(20):  # verify's draws, in its order
+            n = int(rng.integers(1, 5))
+            rng.normal(size=(2, n, n))
+            rng.uniform(0.5, 8.0)
+            dims.add(n)
+        counts = Counter()
+        for name in ("eigh", "cholesky"):
+            monkeypatch.setattr(np.linalg, name,
+                                _counting(getattr(np.linalg, name), name, counts))
+        assert cli.cmd_verify(cfg, str(tmp_path / "v.txt")) == 0
+        assert counts == {"eigh": len(dims), "cholesky": 2 * len(dims)}
+
+
 def _argparse_reference(argv: list[str]) -> tuple[str, RunConfig, str | None]:
     """(command, RunConfig, --out) of argv as the argparse front end read
     them: one flat parser, --preset as the base of --config, then --seed

@@ -64,6 +64,26 @@ def test_no_subcommand_loads_scipy():
     assert loaded == [[command, []] for command in commands]
 
 
+# sha256 over every job of each benchmark workload at seed 1 (its seed, key,
+# exit code and output bytes), as tools/output_digest.py prints it. A change
+# to any job's output moves one; a benchmark refresh that changes the jobs
+# re-derives them.
+_WORKLOAD_DIGESTS = {
+    "sweep": "a0291c9df1522670b9ec33db96e7d4cf1d22ffa7b222083877913bb245a829cc",
+    "surface": "6da24bbbfb2c8fbed9f1441c788d743a3f1e36d957a664c65e3d8a2007689ba6",
+    "design": "67d910b346d2ad45baac3f661d4cb2e0e2f4cec58d3fd0e3e5c987767cffdf69",
+}
+
+
+def test_benchmark_outputs_unchanged():
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "tools/output_digest.py", "--seeds", "1"],
+                          cwd=root, capture_output=True, text=True, timeout=300,
+                          check=True)
+    assert proc.stdout.splitlines() == [f"{workload} seeds 1: {digest}"
+                                        for workload, digest in _WORKLOAD_DIGESTS.items()]
+
+
 _OUT_OF_DOMAIN = {
     "fading-kind": lambda: FadingModel("nakagami"),
     "rician-k": lambda: FadingModel("rician", k_factor=-1.0),

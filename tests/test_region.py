@@ -126,6 +126,9 @@ class TestFrontier:
 
     @pytest.mark.parametrize("alphas, rates, dists, message", [
         ([0.0, 1.5], [0.0, 1.0], [1.0, 1.0], r"alpha must lie in \[0,1\], got 1.5"),
+        ([-0.5, 1.0], [0.0, 1.0], [1.0, 1.0], r"alpha must lie in \[0,1\], got -0.5"),
+        ([0.0, math.nan], [0.0, 1.0], [1.0, 1.0], r"alpha must lie in \[0,1\], got nan"),
+        ([math.nan, 0.5], [0.0, 1.0], [1.0, 1.0], r"alpha must lie in \[0,1\], got nan"),
         ([0.0, 1.0], [-1e-3, 1.0], [1.0, 1.0], "rate and distortion must be >= 0"),
         ([0.0, 1.0], [0.0, 1.0], [1.0, -1e-3], "rate and distortion must be >= 0"),
         ([0.5, 0.2], [0.0, 1.0], [1.0, 1.0], "ordered by alpha"),
@@ -138,6 +141,31 @@ class TestFrontier:
         with pytest.raises(ValueError, match=message):
             Frontier(AiBudget(1.0), np.array(alphas), np.array(rates),
                      np.array(dists))
+
+    def test_only_the_shared_grid_skips_the_grid_checks(self):
+        # ALPHAS itself keeps PerfPoint's rule; a view of it is the caller's grid.
+        ones = np.ones(DEFAULT_GRID)
+        rates = np.zeros(DEFAULT_GRID)
+        rates[3] = -1.0
+        with pytest.raises(DegenerateInputError) as exc:
+            Frontier(AiBudget(1.0), region.ALPHAS, rates, ones)
+        assert str(exc.value) == "rate and distortion must be >= 0, got (-1.0, 0.0)"
+        with pytest.raises(DegenerateInputError) as exc:
+            Frontier(AiBudget(1.0), region.ALPHAS[::-1], ones, ones)
+        assert str(exc.value) == "frontier points must be ordered by alpha"
+
+    def test_shared_grid_not_rechecked(self, monkeypatch):
+        # ALPHAS lies in [0, 1] in ascending order from import on, so a
+        # frontier and its baseline on it take no order pass over it.
+        def no_diff(*args, **kwargs):
+            raise AssertionError("np.diff called")
+
+        monkeypatch.setattr(np, "diff", no_diff)
+        front = frontier(TABLE_I, AiBudget(4.0))
+        base = separated_baseline(front)
+        assert front.alphas is base.alphas is region.ALPHAS
+        grid = region.ALPHAS.tolist()
+        assert grid == sorted(grid) and grid[0] == 0.0 and grid[-1] == 1.0
 
 
 class TestSeparatedBaseline:
