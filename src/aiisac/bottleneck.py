@@ -187,9 +187,7 @@ def covariance_map(q: np.ndarray, c_ai: float) -> np.ndarray:
     do a capacity of zero, below zero or NaN and an R_z that overflows.
     """
     q = _as_hermitian(q, "Q")
-    with np.errstate(over="ignore", invalid="ignore"):
-        rz = proportional_maps(q[None], [c_ai])[0, 0]
-    return _finite(rz, "R_z = zeta * Q")
+    return _finite(proportional_maps(q[None], [c_ai])[0, 0], "R_z = zeta * Q")
 
 
 def _active_groups(qs: np.ndarray
@@ -220,12 +218,22 @@ def _map_groups(qs: np.ndarray, c_grid: Sequence[float]
     return groups
 
 
+def _zeta(c_ai: float, rank: int) -> float:
+    """zeta = kappa of the per-mode share c_ai / rank of a capacity c_ai >= 0:
+    inf where a positive share underflows to 0, as 1 / expm1 of a subnormal
+    share overflows, so that such an R_z overflows rather than reading as C = 0."""
+    share = c_ai / rank
+    return math.inf if share == 0.0 < c_ai else _kappa(share)
+
+
 def _maps(vals: np.ndarray, vecs: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     """R_z = zeta * Q on the active subspace of each Q of a group (active
     eigenvalues M x r, vectors M x n x r): M x n x n for a zeta per member,
-    or C x M x n x n for zeta of shape C x 1."""
-    scaled = (zeta[..., None] * vals)[..., None, :]
-    return _hermitian_part((vecs * scaled) @ vecs.conj().swapaxes(-1, -2))
+    or C x M x n x n for zeta of shape C x 1. A zeta or product that
+    overflows gives entries that are not finite, with no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = (zeta[..., None] * vals)[..., None, :]
+        return _hermitian_part((vecs * scaled) @ vecs.conj().swapaxes(-1, -2))
 
 
 def _group_mis(vals: np.ndarray, vecs: np.ndarray, rzs: np.ndarray) -> np.ndarray:
@@ -255,7 +263,7 @@ def proportional_maps(qs: np.ndarray, c_grid: Sequence[float]) -> np.ndarray:
     if not finite:
         return out
     for members, vals, vecs in groups:
-        zeta = np.array([[_kappa(c_grid[i] / vals.shape[1])] for i in finite])
+        zeta = np.array([[_zeta(c_grid[i], vals.shape[1])] for i in finite])
         out[np.ix_(finite, members)] = _maps(vals, vecs, zeta)
     return out
 
@@ -271,7 +279,7 @@ def proportional_map_mis(qs: np.ndarray, cs: Sequence[float]) -> np.ndarray:
     out = np.zeros(len(qs))
     for members, vals, vecs in _map_groups(qs, cs):
         if vals.shape[1]:
-            zeta = np.array([_kappa(cs[j] / vals.shape[1]) for j in members])
+            zeta = np.array([_zeta(cs[j], vals.shape[1]) for j in members])
             out[members] = _group_mis(vals, vecs, _maps(vals, vecs, zeta))
     return out
 

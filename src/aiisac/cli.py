@@ -78,19 +78,22 @@ def cmd_gaussian_sweep(cfg: RunConfig, out: str | None) -> int:
     g_c, g_s = link_snrs(sc, 0.0)  # the mean SNRs, with no latent noise
     k, pv = cfg.rician_k, cfg.prior_var
     c_grid = cfg.capacity_axis()
-    # c = 0 can only open the grid: no capacity, so rate 0 and the prior
-    # variance as distortion.
-    rows = [(c_grid[0], 0.0, 0.0, 0.0, pv, pv, pv)] if c_grid[0] == 0.0 else []
-    c_pos = c_grid[len(rows):]
+    # kappa = 1/(2^C - 1) is unbounded at c = 0 and overflows below about
+    # 8e-309 bits; as it falls while c rises, those capacities open the grid.
+    # They have rate 0 and the prior variance as distortion, where every
+    # SNR saturates at kappa = inf.
+    kaps = [_kappa(c) if c else math.inf for c in c_grid]
+    n_sat = kaps.count(math.inf)
+    rows = [(c, 0.0, 0.0, 0.0, pv, pv, pv) for c in c_grid[:n_sat]]
+    c_pos, kaps = c_grid[n_sat:], kaps[n_sat:]
     if c_pos:
         # One evaluation gives the rate and distortion columns of both
-        # K-factors, Rayleigh (K = 0) and Rician, over every capacity c > 0.
-        kaps = np.array([_kappa(c) for c in c_pos])
+        # K-factors, Rayleigh (K = 0) and Rician, over every other capacity.
         (rate_ray, dist_ray), (rate_ric, dist_ric) = fading.ergodic_columns(
-            g_c, g_s, kaps, (0.0, k), pv, rule)
+            g_c, g_s, np.array(kaps), (0.0, k), pv, rule)
         cols = (rate_ray, rate_ric, dist_ray, dist_ric)
         for c, kap, r_ray, r_ric, d_ray, d_ric in zip(
-                c_pos, kaps.tolist(), *(col.tolist() for col in cols)):
+                c_pos, kaps, *(col.tolist() for col in cols)):
             # The scalar link at the latent noise N_z = P kappa, so the AWGN
             # cells are gaussian.rate and distortion at c.
             s_c, s_s = latent_snrs(sc, kap)

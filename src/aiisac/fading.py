@@ -18,10 +18,11 @@ origin) and missed the Rayleigh closed form by 3.3e-2 bits at M = 20 and
 2.2e-3 bits at M = 128 for mean SNRs up to 25 dB; the composite rule
 misses it by 3.8e-5 bits at M = 20, 8.5e-8 at M = 40 and 1e-11 at
 M >= 80.  The kernel checks each input once, evaluates the SNRs at every
-K-factor, node and mean SNR as one array, and warns where its weights miss
-the gain density's unit mass by a little and raises ConvergenceError where
-they miss it by more than 1e-2.  The weights are cached per (order, K);
-each entry of a column is the float a scalar one-K call gives.  Where
+mean SNR, K-factor, kappa and node as one array, warns where its weights
+miss the gain density's unit mass by a little and raises ConvergenceError
+where they miss it by more than 1e-2, and sums every row with its K's
+weights by one np.vecdot.  The weights are cached per (order, K); each
+entry of a column is the float a scalar one-K call gives.  Where
 x*gamma*kappa overflows, the SNR is taken in a form that saturates at
 1/kappa.  A seeded Monte-Carlo oracle on the same rate and MMSE transforms
 is an independent check.  The Bessel factor exp(-z) I0(z) and the scaled
@@ -202,17 +203,19 @@ def _average(gammas, priors, kappa: float | np.ndarray, k_factors,
     else the MMSE at prior variance priors[i], by the weights _weights
     caches for (rule.order, K).
 
-    Returns per K-factor, per mean SNR a column, an entry per kappa, or a
-    float where kappa is a scalar: one stacked SNR array over K-factors,
-    mean SNRs, kappas and nodes, one dot with its K's w per row, so each
-    entry is the float a one-K call gives. A miss m of the density's unit
-    mass shifts an average by about m times its values, so every call,
-    cached weights or not, raises ConvergenceError where m exceeds
-    DENSITY_FAIL, and otherwise warns once per K where m * max(1, peak)
-    exceeds DENSITY_TOL, peak being its largest rate in bits or MMSE over the
-    prior. An input outside its domain, a kappa of two or more axes, or a
-    value that is not finite raises DegenerateInputError. Every K is checked,
-    and its unit mass tested, before any K's values are tested or warned of.
+    Returns per K-factor, per mean SNR a column, a contiguous array with an
+    entry per kappa, or a float where kappa is a scalar: one stacked SNR
+    array over mean SNRs, K-factors, kappas and nodes, and one np.vecdot of
+    it with the K-factors' stacked w, which sums each row by the dot w.dot
+    runs, so each entry is the float a one-K call gives. A miss m of the
+    density's unit mass shifts an average by about m times its values, so
+    every call, cached weights or not, raises ConvergenceError where m
+    exceeds DENSITY_FAIL, and otherwise warns once per K where
+    m * max(1, peak) exceeds DENSITY_TOL, peak being its largest rate in
+    bits or MMSE over the prior. An input outside its domain, a kappa of two
+    or more axes, or a value that is not finite raises DegenerateInputError.
+    Every K is checked, and its unit mass tested, before any K's values are
+    tested or warned of; the sums come after every check.
     """
     for g, prior_var in zip(gammas, priors):
         _check_positive(g, "mean SNR")
@@ -241,16 +244,15 @@ def _average(gammas, priors, kappa: float | np.ndarray, k_factors,
     # product x*gamma*kappa, as rounding is monotone.
     bound = max(float(r[1][-1]) for r in rules) * float(max(gammas)) * kap_top
     with np.errstate(over="ignore", invalid="ignore"):
-        snr = _snr(nodes[:, None, None, :] * gams[:, None, None],
-                   kap.reshape(-1, 1), bound)
+        # Mean SNR first, so each integrand fills one contiguous block.
+        snr = _snr(gams[:, None, None, None] * nodes[:, None, :], kap.reshape(-1, 1), bound)
         for j, prior_var in enumerate(priors):
-            _integrand(snr[:, j], prior_var, snr[:, j])
+            _integrand(snr[j], prior_var, snr[j])
     # Every value is >= 0 or NaN, and NaN and inf carry through the max, so
-    # one reduction per K-factor and mean SNR checks both; an MMSE's peak is
+    # one reduction per mean SNR and K-factor checks both; an MMSE's peak is
     # read over its prior.
-    peaks = snr.reshape(len(rules), len(gammas), -1).max(axis=2, initial=0.0).tolist()
-    out = []
-    for (k_factor, _, w, miss), peak, values in zip(rules, peaks, snr):
+    peaks = snr.reshape(len(gammas), len(rules), -1).max(axis=2, initial=0.0).T.tolist()
+    for (k_factor, _, _, miss), peak in zip(rules, peaks):
         if not all(map(math.isfinite, peak)):
             raise DegenerateInputError(
                 f"the order-{rule.order} fading average overflows at the rule's "
@@ -261,10 +263,11 @@ def _average(gammas, priors, kappa: float | np.ndarray, k_factors,
                 f"density's unit mass by {miss:.2e}; averages may be off by more "
                 f"than {DENSITY_TOL:g}, raise the quadrature order",
                 RuntimeWarning, stacklevel=3)
-        # w.dot is np.dot without its dispatch: the same sum, bit for bit.
-        sums = np.array(list(map(w.dot, values.reshape(-1, len(w)))), dtype=float)
-        out.append(sums.tolist() if kap.ndim == 0 else sums.reshape(len(gammas), -1))
-    return out
+    # One dot per row with its K's w, each by the DOUBLE_dot loop that w.dot
+    # runs on two vectors, so every sum is the per-row w.dot's float; like
+    # w.dot, a sum that overflows warns. K x mean SNR x kappa.
+    sums = np.vecdot(snr, np.array([r[2] for r in rules])[:, None, :]).swapaxes(0, 1)
+    return sums[..., 0].tolist() if kap.ndim == 0 else list(sums)
 
 
 def ergodic_rate(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from aiisac.bottleneck import (
     proportional_maps,
 )
 from aiisac.errors import DegenerateInputError, SingularMatrixError
+from aiisac.mimo import rate_surface
 
 
 class TestKappa:
@@ -362,6 +364,26 @@ class TestProportionalMapMis:
         got = _outcome(proportional_map_mis, qs, cs)
         assert got == _outcome(_composed_mis, qs, cs)
         assert (got == bytes(8)) if fault == "all_inf_zero_q" else isinstance(got, tuple)
+
+
+@pytest.mark.parametrize("c", [5e-324, 1e-320])
+@pytest.mark.parametrize("call, message", [
+    (lambda c: covariance_map(np.eye(2), c), "R_z = zeta * Q overflows"),
+    (lambda c: rate_surface(np.eye(2), np.eye(2), np.eye(2), [c], [1.0]),
+     "the effective covariance overflows"),
+    (lambda c: proportional_map_mis(np.eye(2)[None], [c]),
+     "the R_z on the active subspace of Q overflows"),
+], ids=["covariance_map", "rate_surface", "proportional_map_mis"])
+def test_subnormal_capacity_overflows_the_map(call, c, message):
+    # At rank 2 the per-mode share of 5e-324 bits underflowed to 0 and read
+    # as "kappa is unbounded at zero capacity"; at 1e-320 bits
+    # proportional_map_mis warned twice (invalid value in multiply, then in
+    # matmul) before it raised. zeta = 1/expm1 of a subnormal overflows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateInputError) as info:
+            call(c)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("fn", [lambda q: covariance_map(q, 2.0),

@@ -559,6 +559,25 @@ class TestCommands:
             assert math.isclose(float(got), float(want), rel_tol=1e-12), name
         assert all(math.isclose(float(v), 1e-10, rel_tol=1e-5) for v in big[1:4])
 
+    def test_sweep_below_the_smallest_capacity_with_a_finite_kappa(self, tmp_path):
+        # kappa = 1/(2^C - 1) overflows below about 8e-309 bits, and the sweep
+        # exited 1 with "kappa must be >= 0 and finite, got inf". Such rows
+        # read as the c = 0 row, and the rows after them are unchanged.
+        def sweep(text):
+            cfg, out = tmp_path / "c.cfg", tmp_path / "c.csv"
+            cfg.write_text(text)
+            assert main(["gaussian-sweep", "--config", str(cfg), "--out", str(out)]) == 0
+            return out.read_text()
+
+        assert sweep("c_min = 5e-324\nc_max = 5e-324\n") == (
+            "# preset = tableI-dbm, seed = 20240817\n"
+            "c_ai,rate_awgn,rate_rayleigh,rate_rician,dist_awgn,dist_rayleigh,dist_rician\n"
+            "4.9406564584124654e-324,0,0,0,1,1,1\n")
+        low = sweep("c_min = 0\nc_max = 2\nc_step = 1\n").splitlines()
+        tiny = sweep("c_min = 1e-309\nc_max = 2\nc_step = 1\n").splitlines()
+        assert tiny[2] == "1.0000000000000019e-309,0,0,0,1,1,1"
+        assert low[2] == "0,0,0,0,1,1,1" and tiny[3:] == low[3:]
+
     @pytest.mark.parametrize("c_ai", [1e-10, 5e-9])
     def test_allocate_and_verify_saturate_where_the_latent_noise_overflows(
             self, c_ai, tmp_path):

@@ -647,3 +647,70 @@ class TestManyKFactors:
         # _average bounds every product x gamma kappa by the last node.
         nodes = _weights(QuadratureRule(order), k)[0]
         assert np.all(np.diff(nodes) > 0) and nodes[-1] == nodes.max()
+
+
+def _per_row_dots(gammas, priors, kappa, k_factors, rule):
+    """_average's columns by the per-row reduction it replaced, kept as the
+    oracle of its stacked product: per K-factor, mean SNR and kappa, the
+    integrand at the K's nodes and one w.dot with the K's weights."""
+    kaps = np.atleast_1d(np.asarray(kappa, dtype=float)).tolist()
+    out = []
+    for k in k_factors:
+        nodes, w, _ = _weights(rule, k)
+        cols = [[w.dot(fading._integrand(conditional_snr(nodes, g, kap), prior))
+                 for kap in kaps] for g, prior in zip(gammas, priors)]
+        out.append([col[0] for col in cols] if np.ndim(kappa) == 0 else cols)
+    return out
+
+
+class TestStackedProduct:
+    """_average sums every row of every K-factor by one np.vecdot, whose
+    float64 loop is the dot w.dot runs, so each entry is the per-row w.dot."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(order=st.integers(1, 128),
+           others=st.lists(st.floats(0.0, 100.0), max_size=2),
+           at=st.integers(0, 2),
+           g_c=st.floats(1e-3, 1e6), g_s=st.floats(1e-3, 1e6),
+           prior_var=st.floats(1e-3, 1e3),
+           kappa=st.one_of(st.floats(0.0, 1e3),
+                           st.lists(st.floats(0.0, 1e3), max_size=6).map(np.array)))
+    def test_columns_equal_per_row_dots_bit_for_bit(self, order, others, at, g_c, g_s,
+                                                    prior_var, kappa):
+        # One to three K-factors, 0 among them; a rate and an MMSE column.
+        ks = others[:at] + [0.0] + others[at:]
+        rule, gammas, priors = QuadratureRule(order), (g_c, g_s), (None, prior_var)
+        want = _per_row_dots(gammas, priors, kappa, ks, rule)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "order-.* fading rule misses")
+            try:
+                got = fading._average(gammas, priors, kappa, ks, rule)
+            except ConvergenceError:
+                assert max(_weights(rule, k)[2] for k in ks) > fading.DENSITY_FAIL
+                return
+        assert len(got) == len(ks)
+        for cols, want_cols in zip(got, want):
+            if np.ndim(kappa) == 0:
+                assert all(type(v) is float for v in cols) and cols == want_cols
+                continue
+            for col, want_col in zip(cols, want_cols, strict=True):
+                assert col.dtype == np.float64 and col.flags.c_contiguous
+                assert col.shape == kappa.shape and col.tolist() == want_col
+
+    def test_sweep_makes_one_stacked_product(self, tmp_path, monkeypatch):
+        # The per-row reduction made 2 * 2 * 32 w.dot calls here: two
+        # K-factors, two integrands and 32 capacities above 0.
+        calls = []
+        vecdot = np.vecdot
+        monkeypatch.setattr(np, "vecdot", lambda *a, **kw: calls.append(1) or vecdot(*a, **kw))
+        assert main(["gaussian-sweep", "--out", str(tmp_path / "s.csv")]) == 0
+        assert len(calls) == 1
+
+    def test_an_overflowing_sum_warns_as_w_dot_did(self):
+        # The order-128 K = 0 weights sum to 1 + 4.4e-16, so an MMSE near the
+        # largest prior sums past it: w.dot warned "overflow encountered in
+        # dot" and gave inf, and the stacked product does the same.
+        with pytest.warns(RuntimeWarning, match="overflow encountered in"):
+            got = ergodic_distortion(1e-3, np.array([1e300, 1.0]), 0.0,
+                                     1.7976931348623157e308, RULE)
+        assert got[0] == math.inf and got[1] < math.inf
