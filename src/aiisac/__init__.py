@@ -8,7 +8,6 @@ from .bottleneck import (
     achieved_mi,
     covariance_map,
     enforce_mi_numerically,
-    equivalent_noise,
     gaussian_mi,
     kappa,
 )
@@ -26,7 +25,6 @@ from .gaussian import (
     distortion,
     effective_snrs,
     rate,
-    scaling_gap,
 )
 from .fading import (
     FadingModel,
@@ -42,7 +40,6 @@ from .region import Frontier, frontier, in_region, separated_baseline
 from .allocate import (
     AllocationProblem,
     kkt_power_split,
-    kkt_residual_check,
     objective,
     optimize_alpha,
 )
@@ -55,11 +52,10 @@ __all__ = [
     "ConfigError", "ConvergenceError", "DegenerateInputError", "FadingModel",
     "Frontier", "MimoScenario", "PerfPoint", "QuadratureRule", "RandomStream",
     "RunConfig", "ScalarScenario", "SingularMatrixError", "achieved_mi",
-    "conditional_snr", "covariance_map", "crlb", "distortion", "effective_snrs",
-    "enforce_mi_numerically", "equivalent_noise", "ergodic_distortion",
+    "conditional_snr", "covariance_map", "crlb", "distortion",
+    "effective_snrs", "enforce_mi_numerically", "ergodic_distortion",
     "ergodic_rate", "fisher_info", "frontier", "gaussian_mi", "in_region",
-    "kappa", "kkt_power_split", "kkt_residual_check", "mimo_rate",
-    "monte_carlo_oracle", "objective", "optimize_alpha", "parse_config",
-    "preset_config", "rate", "rate_surface", "rayleigh_rate_exact",
-    "scaling_gap", "separated_baseline",
+    "kappa", "kkt_power_split", "mimo_rate", "monte_carlo_oracle", "objective",
+    "optimize_alpha", "parse_config", "preset_config", "rate", "rate_surface",
+    "rayleigh_rate_exact", "separated_baseline",
 ]

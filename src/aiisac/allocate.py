@@ -103,16 +103,6 @@ def _residual(problem: AllocationProblem, alpha: float) -> float:
     return abs(slope) / problem.total_power
 
 
-def kkt_residual_check(problem: AllocationProblem, p_c: float) -> float:
-    """KKT mismatch at P_c: the stationarity mismatch
-    |w_r dR/dP_c - w_d (-dD/dP_s)| for 0 < P_c < P, its positive part
-    max(., 0) at P_c = 0 and its negative part at P_c = P, where a slope
-    pointing out of [0, P] is no violation."""
-    if not 0.0 <= p_c <= problem.total_power:
-        raise DegenerateInputError("P_c must lie in [0, total power]")
-    return _residual(problem, p_c / problem.total_power)
-
-
 def _brent_alpha(problem: AllocationProblem) -> float:
     """Interior stationarity root in alpha by Brent's method, or the better
     end of the split, 1 on a tie as in _sensing_share.  The rate's marginal

@@ -66,18 +66,6 @@ def _kappa(c_ai: float) -> float:
     return math.exp(-x) if x >= 709.0 else 1.0 / math.expm1(x)
 
 
-def equivalent_noise(budget: AiBudget, power: float) -> float:
-    """Equivalent noise variance N_z = P kappa = P / (2^C - 1); zero in the
-    classical limit. Raises DegenerateInputError where N_z overflows. The
-    reference form for tests; the package's SNR paths take kappa instead."""
-    _check_positive(power, "power")
-    nz = power * kappa(budget)
-    if not nz < math.inf:
-        raise DegenerateInputError(f"N_z = P / (2^C - 1) overflows at power "
-                                   f"{power!r} and {budget.c_ai!r} bits")
-    return nz
-
-
 def achieved_mi(power: float, noise_var: float) -> float:
     """Mutual information log2(1 + P / N_z) of the scalar Gaussian latent."""
     if noise_var == 0.0:
@@ -88,8 +76,8 @@ def achieved_mi(power: float, noise_var: float) -> float:
 def enforce_mi_numerically(power: float, target_c_ai: float, tol: float) -> float:
     """Noise variance found by root-finding on log2(1 + P/N_z) = C.
 
-    Cross-validates the closed form: the result agrees with
-    equivalent_noise within the root tolerance.  Raises ConvergenceError
+    Cross-validates the closed form: the result agrees with N_z = P kappa
+    within the root tolerance.  Raises ConvergenceError
     where the root misses tol and DegenerateInputError where N_z overflows.
     """
     for value, name in ((power, "power"), (target_c_ai, "target capacity"), (tol, "tol")):

@@ -9,8 +9,9 @@ import math
 from dataclasses import dataclass, fields
 
 from .bottleneck import MAX_DIM
-from .errors import ConfigError
-from .numerics import MAX_QUADRATURE_ORDER
+from .errors import (ConfigError, DegenerateInputError, _check_integer, _check_nonnegative,
+                     _check_positive, _check_unit)
+from .numerics import QuadratureRule
 
 # The fields each preset sets; every other field keeps its RunConfig default.
 _PRESET_FIELDS = {
@@ -26,6 +27,9 @@ MAX_GRID_POINTS = 10_000
 # Largest magnitude of a dB field, so that its linear value (and the
 # mimo-surface power scale, 10 dB lower) is a positive finite float.
 MAX_DB = 3000.0
+_DB = ("rician_k_db", "snr_min_db", "snr_max_db")
+_POSITIVE = ("power", "noise_c", "noise_s", "gain_c", "gain_s", "prior_var", "c_step",
+             "snr_step_db")
 
 
 def db_to_linear(x_db: float) -> float:
@@ -51,11 +55,11 @@ class RunConfig:
     power as 0.01 W, while tableI-normalized keeps the dimensionless
     value 10 in the same unit as the 0.1 noise variances.
 
-    Every float must be finite, except alloc_c_ai = inf, the classical
-    limit with no learning bottleneck; neither the capacity nor the SNR
-    axis may exceed MAX_GRID_POINTS points, nor mimo_nt or mimo_nr the
-    MAX_DIM of the matrix validator, nor a dB field MAX_DB in magnitude.
-    Malformed values raise ConfigError.
+    Each field passes the errors rule of the quantity it feeds, so every
+    float must be finite, except alloc_c_ai = inf, the classical limit with
+    no learning bottleneck; neither axis may exceed MAX_GRID_POINTS points,
+    nor mimo_nt or mimo_nr the MAX_DIM of the matrix validator, nor a dB
+    field MAX_DB in magnitude. Malformed values raise ConfigError.
     """
 
     preset: str = "tableI-dbm"
@@ -83,43 +87,40 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         _preset_fields(self.preset)  # an unknown preset raises there
-        for name, value in vars(self).items():
-            if (isinstance(value, float) and not math.isfinite(value)
-                    and not (name == "alloc_c_ai" and value == math.inf)):
-                raise ConfigError(f"{name} must be finite, got {value}")
-        if self.power <= 0 or self.noise_c <= 0 or self.noise_s <= 0:
-            raise ConfigError("power and noise variances must be positive")
-        if self.gain_c <= 0 or self.gain_s <= 0:
-            raise ConfigError("channel gains must be positive")
-        if self.alloc_c_ai <= 0:
-            raise ConfigError("alloc_c_ai must be positive")
-        if self.prior_var <= 0:
-            raise ConfigError("prior variance must be positive")
-        if not 1 <= self.quadrature_order <= MAX_QUADRATURE_ORDER:
-            raise ConfigError(f"quadrature order must lie in [1, {MAX_QUADRATURE_ORDER}]")
-        if self.c_min < 0 or self.c_step <= 0 or self.c_max < self.c_min:
-            raise ConfigError("invalid capacity grid: need 0 <= c_min <= c_max "
-                              "and c_step > 0")
-        if self.snr_step_db <= 0 or self.snr_max_db < self.snr_min_db:
-            raise ConfigError("invalid SNR grid: need snr_min_db <= snr_max_db "
-                              "and snr_step_db > 0")
-        for axis, lo, hi, step in (
-                ("capacity", self.c_min, self.c_max, self.c_step),
-                ("SNR", self.snr_min_db, self.snr_max_db, self.snr_step_db)):
+        try:
+            for name in _POSITIVE:
+                _check_positive(getattr(self, name), name)
+            if self.alloc_c_ai != math.inf:  # inf is the classical limit
+                _check_positive(self.alloc_c_ai, "alloc_c_ai")
+            QuadratureRule(self.quadrature_order)
+            for name in ("c_min", "c_max"):
+                _check_nonnegative(getattr(self, name), name)
+            for name in ("weight", "alpha0"):
+                _check_unit(getattr(self, name), name)
+            for name in ("mimo_nt", "mimo_nr"):
+                _check_integer(getattr(self, name), name, 1, MAX_DIM)
+            _check_integer(self.seed, "seed")
+            _check_integer(self.mc_samples, "mc_samples", 1)
+        except DegenerateInputError as exc:
+            raise ConfigError(str(exc)) from None
+        for name in _DB:  # finite before any grid arithmetic
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        for axis, lo, hi, step, span in (
+                ("capacity", self.c_min, self.c_max, self.c_step, "c_max must be >= c_min"),
+                ("SNR", self.snr_min_db, self.snr_max_db, self.snr_step_db,
+                 "snr_max_db must be >= snr_min_db")):
+            if hi < lo:
+                raise ConfigError(f"{span}, got {hi} < {lo}")
             # Counted without building the points; the first test keeps
             # floor() off a span of inf.
             if ((hi - lo) / step > MAX_GRID_POINTS
                     or _axis_steps(lo, hi, step) + 1 > MAX_GRID_POINTS):
                 raise ConfigError(f"{axis} grid has more than {MAX_GRID_POINTS} "
                                   f"points; raise its step")
-        db = (self.rician_k_db, self.snr_min_db, self.snr_max_db)
-        if max(map(abs, db)) > MAX_DB:
-            raise ConfigError(f"dB values must lie in [-{MAX_DB:g}, {MAX_DB:g}]")
-        if not (1 <= self.mimo_nt <= MAX_DIM and 1 <= self.mimo_nr <= MAX_DIM):
-            raise ConfigError(f"mimo_nt and mimo_nr must lie in [1, {MAX_DIM}]")
-        for name in ("weight", "alpha0"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], "
+        for name in _DB:
+            if not abs(getattr(self, name)) <= MAX_DB:
+                raise ConfigError(f"{name} must lie in [-{MAX_DB:g}, {MAX_DB:g}], "
                                   f"got {getattr(self, name)}")
 
     @property
@@ -185,7 +186,4 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
             updates[key] = _TYPES[key](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {value!r}") from exc
-    try:
-        return RunConfig(**{**values, **updates})
-    except (ValueError, ConfigError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(**{**values, **updates})

@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the one check of each
-scalar range rule: positive and finite, >= 0 and finite, and [0, 1]."""
+scalar input rule: positive and finite, >= 0 and finite, [0, 1], an integer."""
 
 import math
+from numbers import Integral
 
 
 class AiIsacError(ValueError):
@@ -47,3 +48,10 @@ def _check_unit(value: float, name: str) -> None:
     """Raise DegenerateInputError unless value lies in [0, 1]."""
     if not 0.0 <= value <= 1.0:
         raise DegenerateInputError(f"{name} must lie in [0,1], got {value}")
+
+
+def _check_integer(value: int, name: str, lo: float = -math.inf, hi: float = math.inf) -> None:
+    """Raise DegenerateInputError unless value is an integer, not a bool, in [lo, hi]."""
+    # int first: the Integral ABC check, for numpy's integers, is ~15x slower.
+    if isinstance(value, bool) or not (isinstance(value, (int, Integral)) and lo <= value <= hi):
+        raise DegenerateInputError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")

@@ -38,7 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateInputError, _check_nonnegative, _check_positive
+from .errors import (ConvergenceError, DegenerateInputError, _check_integer, _check_nonnegative,
+                     _check_positive)
 from .numerics import QuadratureRule, RandomStream
 
 # Largest error in a fading average, from weights that miss the gain
@@ -213,7 +214,9 @@ def _average(gammas, priors, kappa: float | np.ndarray, k_factors,
     exceeds DENSITY_FAIL, and otherwise warns once per K where
     m * max(1, peak) exceeds DENSITY_TOL, peak being its largest rate in
     bits or MMSE over the prior. An input outside its domain, a kappa of two
-    or more axes, or a value that is not finite raises DegenerateInputError.
+    or more axes, or a value that is not finite raises DegenerateInputError,
+    as does a peak that (1 + m + M ulps) times overflows, which bounds every
+    sum of M values >= 0 by weights summing to 1 + m, so no sum overflows.
     Every K is checked, and its unit mass tested, before any K's values are
     tested or warned of; the sums come after every check.
     """
@@ -249,23 +252,22 @@ def _average(gammas, priors, kappa: float | np.ndarray, k_factors,
         for j, prior_var in enumerate(priors):
             _integrand(snr[j], prior_var, snr[j])
     # Every value is >= 0 or NaN, and NaN and inf carry through the max, so
-    # one reduction per mean SNR and K-factor checks both; an MMSE's peak is
-    # read over its prior.
+    # one reduction per mean SNR and K checks both and bounds each sum by top
+    # times the peak; an MMSE's peak is read over its prior.
     peaks = snr.reshape(len(gammas), len(rules), -1).max(axis=2, initial=0.0).T.tolist()
     for (k_factor, _, _, miss), peak in zip(rules, peaks):
-        if not all(map(math.isfinite, peak)):
+        top = 1.0 + miss + rule.order * _EPS
+        if not all(p * top < math.inf for p in peak):
             raise DegenerateInputError(
-                f"the order-{rule.order} fading average overflows at the rule's "
-                f"largest gains; lower the mean SNR")
+                f"the order-{rule.order} fading average overflows; "
+                f"lower the mean SNR or the prior variance")
         if miss * max(1.0, *(v / (p or 1.0) for v, p in zip(peak, priors))) > DENSITY_TOL:
             warnings.warn(
                 f"order-{rule.order} fading rule misses the K = {k_factor:g} gain "
                 f"density's unit mass by {miss:.2e}; averages may be off by more "
                 f"than {DENSITY_TOL:g}, raise the quadrature order",
                 RuntimeWarning, stacklevel=3)
-    # One dot per row with its K's w, each by the DOUBLE_dot loop that w.dot
-    # runs on two vectors, so every sum is the per-row w.dot's float; like
-    # w.dot, a sum that overflows warns. K x mean SNR x kappa.
+    # By w.dot's DOUBLE_dot loop, one sum per K, mean SNR and kappa.
     sums = np.vecdot(snr, np.array([r[2] for r in rules])[:, None, :]).swapaxes(0, 1)
     return sums[..., 0].tolist() if kap.ndim == 0 else list(sums)
 
@@ -387,9 +389,7 @@ def monte_carlo_oracle(
     standard error is the standard deviation over sqrt(n_samples), taken
     from deviations squared in place in the one integrand buffer.
     """
-    if (not isinstance(n_samples, (int, np.integer)) or isinstance(n_samples, bool)
-            or n_samples < 1):
-        raise DegenerateInputError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    _check_integer(n_samples, "n_samples", 1)
     _check_positive(prior_var, "prior variance")
     gains = _sample_gains(model, n_samples, stream.generator())
     snr = conditional_snr(gains, gamma_bar, kappa)

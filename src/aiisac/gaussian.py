@@ -108,26 +108,3 @@ def rate(sc: ScalarScenario, budget: AiBudget) -> float:
 def distortion(sc: ScalarScenario, budget: AiBudget) -> float:
     """MMSE sensing distortion prior_var / (1 + effective sensing SNR)."""
     return split_distortion(effective_snrs(sc, budget)[1], sc.prior_var, 0.0)
-
-
-def scaling_gap(sc: ScalarScenario, c_grid: list[float]) -> float:
-    """Fitted slope of log2(R_inf - R(C)) versus C.
-
-    The rate penalty decays like 2^(-C), a slope near -1, only past the
-    knee C = log2(1 + gamma), gamma the classical communication SNR; a grid
-    below it reads shallower. C = 4..8 gives -1.02 at gamma = 0.1 but -0.65
-    at gamma = 100 (knee 6.66 bits), where C = 14..18 gives -0.999.
-    A grid point without a positive gap, C = inf among them, raises
-    DegenerateInputError.
-    """
-    grid = [float(c) for c in c_grid]
-    if len(grid) < 4:
-        raise DegenerateInputError("need at least 4 capacity grid points for the fit")
-    r_inf = rate(sc, AiBudget(math.inf))
-    gaps = [r_inf - rate(sc, AiBudget(c)) for c in grid]
-    if any(g <= 0 for g in gaps):
-        raise DegenerateInputError(
-            "rate gap must be positive at every grid point for a log fit"
-        )
-    slope = np.polyfit(np.asarray(grid), np.log2(np.asarray(gaps)), 1)[0]
-    return float(slope)

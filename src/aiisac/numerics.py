@@ -16,7 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BracketError, ConvergenceError, DegenerateInputError, _check_positive
+from .errors import (BracketError, ConvergenceError, DegenerateInputError, _check_integer,
+                     _check_positive)
 
 MAX_QUADRATURE_ORDER = 128
 
@@ -30,13 +31,7 @@ class QuadratureRule:
     order: int
 
     def __post_init__(self) -> None:
-        order = self.order
-        if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
-            raise DegenerateInputError(f"quadrature order must be an integer, got {order!r}")
-        if order < 1 or order > MAX_QUADRATURE_ORDER:
-            raise DegenerateInputError(
-                f"quadrature order must be in [1, {MAX_QUADRATURE_ORDER}], got {order}"
-            )
+        _check_integer(self.order, "quadrature order", 1, MAX_QUADRATURE_ORDER)
 
     def graded(self, split: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
         """Nodes x and log-weights of the order-M composite rule on (0, inf):

@@ -10,12 +10,11 @@ from aiisac.allocate import (
     _sensing_share,
     grid_argmax,
     kkt_power_split,
-    kkt_residual_check,
     objective,
     objective_gradient,
     optimize_alpha,
 )
-from aiisac.bottleneck import AiBudget, achieved_mi, equivalent_noise
+from aiisac.bottleneck import AiBudget, achieved_mi, kappa
 from aiisac.config import PRESETS, preset_config
 from aiisac.errors import DegenerateInputError
 from aiisac.gaussian import ScalarScenario, effective_snrs
@@ -203,13 +202,8 @@ class TestKktResidual:
         prob = AllocationProblem(total_power=1.0, total_time=1.0, weight=0.5,
                                  budget=AiBudget(4.0), scenario=INTERIOR,
                                  mode="convex")
-        p_c, _, resid = kkt_power_split(prob)
-        assert resid <= 1e-8
-        assert kkt_residual_check(prob, p_c) <= 1e-8
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            kkt_residual_check(make_problem(), 1.0)
+        assert kkt_power_split(prob)[2] <= 1e-8
+        assert optimize_alpha(prob, 0.4).kkt_residual <= 1e-8
 
 
 def random_problem(rng):
@@ -353,7 +347,7 @@ class TestClosedForm:
         sc = ScalarScenario(power=0.01, gain_c=1.0, gain_s=1e300, noise_c=0.1,
                             noise_s=0.1, prior_var=1.0)
         prob = make_problem(c_ai=math.inf, scenario=sc)
-        assert math.isfinite(kkt_residual_check(prob, 0.0))
+        assert math.isfinite(kkt_power_split(prob)[2])
         assert math.isfinite(objective_gradient(prob, 0.0))
 
 
@@ -378,7 +372,6 @@ class TestProblem:
         prob = make_problem(scenario=INTERIOR, power=1.0)
         optimize_alpha(prob, 0.4)
         kkt_power_split(prob)
-        kkt_residual_check(prob, 0.5)
         grid_argmax(prob, 101)
         objective_gradient(prob, 0.5)
         assert len(calls) == 1
@@ -401,6 +394,6 @@ class TestProblem:
         # The MI in the trace is that of the closed-form latent noise
         # N_z = P/(2^C - 1), the noise the link SNRs are computed with.
         prob = make_problem(c_ai=c_ai, scenario=INTERIOR, power=power)
-        mi = achieved_mi(power, equivalent_noise(prob.budget, power))
+        mi = achieved_mi(power, power * kappa(prob.budget))
         assert [row[3] for row in optimize_alpha(prob, 0.4).trace] == [mi, mi]
         assert (mi == math.inf) == (c_ai == math.inf)

@@ -12,7 +12,6 @@ from aiisac.bottleneck import (
     achieved_mi,
     covariance_map,
     enforce_mi_numerically,
-    equivalent_noise,
     gaussian_mi,
     gaussian_mis,
     kappa,
@@ -60,30 +59,6 @@ class TestKappa:
             assert np.all(rz.imag == 0.0) and np.all(rz[~np.eye(r, dtype=bool)] == 0.0)
 
 
-class TestEquivalentNoise:
-    def test_values(self):
-        assert equivalent_noise(AiBudget(1.0), 1.0) == 1.0
-        assert equivalent_noise(AiBudget(math.inf), 5.0) == 0.0
-        assert math.isclose(equivalent_noise(AiBudget(4.0), 10.0), 10.0 / 15.0,
-                            rel_tol=1e-12)
-
-    def test_errors(self):
-        with pytest.raises(DegenerateInputError, match="unbounded at zero capacity"):
-            equivalent_noise(AiBudget(0.0), 1.0)
-        with pytest.raises(ValueError):
-            equivalent_noise(AiBudget(1.0), 0.0)
-
-    def test_overflow_rejected(self):
-        # N_z = inf came back as a value, and gave an SNR of 0.
-        with pytest.raises(DegenerateInputError, match="N_z = P / .* overflows"):
-            equivalent_noise(AiBudget(0.5), 1e308)
-
-    def test_nan_power_rejected(self):
-        # NaN passed `power <= 0` and came out as a NaN noise variance.
-        with pytest.raises(ValueError, match="power must be positive"):
-            equivalent_noise(AiBudget(2.0), math.nan)
-
-
 class TestEnforceMi:
     @pytest.mark.parametrize("power, c, tol", [
         (math.nan, 2.0, 1e-12), (1.0, math.nan, 1e-12), (1.0, 2.0, math.nan),
@@ -111,7 +86,7 @@ class TestEnforceMi:
     def test_closed_form_agreement_grid(self, power):
         for c in np.arange(0.5, 8.5, 0.5):
             nz = enforce_mi_numerically(power, float(c), 1e-12)
-            ref = equivalent_noise(AiBudget(float(c)), power)
+            ref = power * kappa(AiBudget(float(c)))
             assert math.isclose(nz, ref, rel_tol=1e-9)
             assert abs(achieved_mi(power, nz) - c) <= 1e-12
 
@@ -121,8 +96,7 @@ class TestEnforceMi:
         # e^-u overflows at the bracket's low end; it raised OverflowError.
         # At (1e-320, 1e-10) even the root lies there, with P e^-u = 7e-11.
         nz = enforce_mi_numerically(power, c, 1e-12)
-        assert math.isclose(nz, equivalent_noise(AiBudget(c), power),
-                            rel_tol=1e-12)
+        assert math.isclose(nz, power * kappa(AiBudget(c)), rel_tol=1e-12)
 
     @pytest.mark.parametrize("power, c, rel", [(1.0, 1e-8, 1e-14),
                                                (1e-300, 1e-10, 1e-13)])
@@ -131,7 +105,7 @@ class TestEnforceMi:
         # was off by 1.4e-8 and 7.6e-7 relative here, with log1p by 2e-16
         # and 2.7e-14.
         nz = enforce_mi_numerically(power, c, 1e-12)
-        ref = equivalent_noise(AiBudget(c), power)
+        ref = power * kappa(AiBudget(c))
         assert abs(nz - ref) <= rel * ref
 
 
@@ -144,8 +118,8 @@ class TestCovarianceMap:
     def test_scalar_reduces_to_equivalent_noise(self):
         for c, p in [(1.0, 1.0), (4.0, 10.0), (2.5, 0.3)]:
             rz = covariance_map(np.array([[p]]), c)
-            assert math.isclose(float(rz[0, 0].real),
-                                equivalent_noise(AiBudget(c), p), rel_tol=1e-12)
+            assert math.isclose(float(rz[0, 0].real), p * kappa(AiBudget(c)),
+                                rel_tol=1e-12)
 
     def test_diag_example(self):
         q = np.diag([4.0, 1.0])

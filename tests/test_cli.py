@@ -6,7 +6,7 @@ import math
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,7 +23,51 @@ from aiisac.gaussian import ScalarScenario, distortion, effective_snrs, rate
 from aiisac.numerics import RandomStream
 
 
+# An out-of-range value of each float field of RunConfig, and those of each
+# integer field.
+_FLOAT_OUT_OF_RANGE = {
+    "power": 0.0, "noise_c": -1.0, "noise_s": 0.0, "gain_c": -1.0, "gain_s": 0.0,
+    "prior_var": 0.0, "c_min": -1.0, "c_max": -0.5, "c_step": 0.0,
+    "rician_k_db": 3001.0, "snr_min_db": -3001.0, "snr_max_db": 3001.0,
+    "snr_step_db": -1.0, "weight": 1.5, "alpha0": -0.5, "alloc_c_ai": 0.0}
+_INT_OUT_OF_RANGE = {"quadrature_order": (0, 129), "mimo_nt": (0, 65),
+                     "mimo_nr": (0, 65), "seed": (), "mc_samples": (0,)}
+# Each field with a value it rejects: NaN, +-inf, out of range, and for an
+# integer field a wrong type. alloc_c_ai = inf is the classical limit.
+_BAD_FIELDS = (
+    [(name, value) for name, bad in _FLOAT_OUT_OF_RANGE.items()
+     for value in (math.nan, math.inf, -math.inf, bad)
+     if (name, value) != ("alloc_c_ai", math.inf)]
+    + [(name, value) for name, bad in _INT_OUT_OF_RANGE.items()
+       for value in (*bad, math.nan, math.inf, -math.inf, 20.5, True, 2.5)]
+    + [("preset", "bogus")])
+
+
 class TestConfig:
+    def test_bad_field_table_covers_every_field(self):
+        assert ({name for name, _ in _BAD_FIELDS}
+                == {field.name for field in fields(RunConfig)})
+
+    @pytest.mark.parametrize("name, value", _BAD_FIELDS)
+    def test_bad_field_is_a_config_error_naming_it(self, name, value):
+        # quadrature_order = 20.5 and mimo_nt = 2.5 (or 2.5 antennas in any
+        # integer field) passed RunConfig; the first made gaussian-sweep exit
+        # 1, the second mimo-surface raise a bare TypeError.
+        for load in (lambda: RunConfig(**{name: value}),
+                     lambda: parse_config(f"{name} = {value}\n")):
+            with pytest.raises(ConfigError) as exc:
+                load()
+            assert name in str(exc.value) or name.replace("_", " ") in str(exc.value)
+
+    @pytest.mark.parametrize("name", sorted(_FLOAT_OUT_OF_RANGE))
+    def test_unparsable_float_names_its_field(self, name):
+        with pytest.raises(ConfigError, match=f"bad value for '{name}'"):
+            parse_config(f"{name} = True\n")
+
+    def test_classical_limit_loads(self):
+        assert RunConfig(alloc_c_ai=math.inf).alloc_c_ai == math.inf
+        assert parse_config("alloc_c_ai = inf\n").alloc_c_ai == math.inf
+
     def test_defaults(self):
         cfg = RunConfig()
         assert cfg.preset == "tableI-dbm"
@@ -1000,6 +1044,8 @@ def test_fuzzed_config_exits_cleanly(fields, command, tmp_path):
     ("verify", _FOUND, 0),
     ("frontier", {"power": 1e308, "noise_c": 1.0, "noise_s": 1.0}, 0),
     ("verify", {"alloc_c_ai": 5e-324}, 0),
+    ("gaussian-sweep", {"prior_var": 1.7976931348623157e308, "quadrature_order": 128,
+                        "c_min": 1e-300, "c_max": 1e-300}, 1),
 ])
 def test_known_configs_exit_cleanly(command, fields, code, tmp_path):
     # Configs that ended in an OverflowError traceback (allocate, verify),
@@ -1017,7 +1063,9 @@ def test_known_configs_exit_cleanly(command, fields, code, tmp_path):
     # and N_z = P kappa overflows at 1e300 W and 1e-10 bits (allocate and
     # verify) and at 1e308 W and 0.5 bits (frontier), which exited 1; and
     # at 5e-324 bits both SNRs are 0, J is flat, and verify failed its
-    # optimizer check on a Brent reference of alpha = 1e-12 against 1.
+    # optimizer check on a Brent reference of alpha = 1e-12 against 1. Last,
+    # an MMSE near the largest prior sums past the float range: the sweep
+    # wrote an inf distortion after a numpy overflow warning.
     assert _exit_code_of_clean_run(command, fields, tmp_path) == code
 
 

@@ -706,11 +706,14 @@ class TestStackedProduct:
         assert main(["gaussian-sweep", "--out", str(tmp_path / "s.csv")]) == 0
         assert len(calls) == 1
 
-    def test_an_overflowing_sum_warns_as_w_dot_did(self):
+    def test_an_overflowing_sum_raises_without_a_warning(self):
         # The order-128 K = 0 weights sum to 1 + 4.4e-16, so an MMSE near the
-        # largest prior sums past it: w.dot warned "overflow encountered in
-        # dot" and gave inf, and the stacked product does the same.
-        with pytest.warns(RuntimeWarning, match="overflow encountered in"):
-            got = ergodic_distortion(1e-3, np.array([1e300, 1.0]), 0.0,
-                                     1.7976931348623157e308, RULE)
-        assert got[0] == math.inf and got[1] < math.inf
+        # largest prior sums past it: the product warned "overflow encountered
+        # in vecdot" and gave inf. The peak bounds every sum, so the kernel
+        # raises before it sums; at kappa = 1 alone the sum stays finite.
+        prior_var = 1.7976931348623157e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError, match="fading average overflows"):
+                ergodic_distortion(1e-3, np.array([1e300, 1.0]), 0.0, prior_var, RULE)
+            assert ergodic_distortion(1e-3, 1.0, 0.0, prior_var, RULE) < math.inf

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aiisac.bottleneck import AiBudget, equivalent_noise, kappa
+from aiisac.bottleneck import AiBudget, kappa
 from aiisac.errors import DegenerateInputError
 from aiisac.gaussian import (
     PerfPoint,
@@ -16,7 +16,6 @@ from aiisac.gaussian import (
     latent_snrs,
     link_snrs,
     rate,
-    scaling_gap,
 )
 
 UNIT = ScalarScenario(power=1.0, gain_c=1.0, gain_s=1.0, noise_c=0.1,
@@ -143,7 +142,7 @@ class TestLatentSnrs:
         sc = ScalarScenario(1e300, 1e8, 1.0, 0.1, 0.1, 1.0)
         g_c, g_s = effective_snrs(sc, AiBudget(0.5))
         assert math.isclose(g_c, 1.0 / kappa(AiBudget(0.5)), rel_tol=1e-12)
-        assert g_s == link_snrs(sc, equivalent_noise(AiBudget(0.5), 1e300))[1]
+        assert g_s == link_snrs(sc, 1e300 * kappa(AiBudget(0.5)))[1]
 
     def test_infinite_kappa_with_an_underflowing_gain_times_power(self):
         # kappa is inf at 5e-324 bits, and g P = 1e-330 underflows to 0: the
@@ -185,22 +184,3 @@ class TestRateAndDistortion:
             UNIT.prior_var * 2.0 ** -math.log2(1.0 + g_s),
             rel_tol=1e-14,
         )
-
-
-class TestScalingGap:
-    def test_slope_near_minus_one(self):
-        slope = scaling_gap(TABLE_I, [4.0, 5.0, 6.0, 7.0, 8.0])
-        assert -1.15 <= slope <= -0.85
-
-    def test_infinite_point_rejected(self):
-        with pytest.raises(ValueError):
-            scaling_gap(TABLE_I, [4.0, 5.0, 6.0, math.inf])
-
-    def test_too_few_points(self):
-        with pytest.raises(ValueError):
-            scaling_gap(TABLE_I, [4.0, 5.0, 6.0])
-
-    def test_degenerate_gap(self):
-        sc = ScalarScenario(1.0, 0.0, 1.0, 0.1, 0.1, 1.0)
-        with pytest.raises(DegenerateInputError, match="rate gap must be positive"):
-            scaling_gap(sc, [4.0, 5.0, 6.0, 7.0])
