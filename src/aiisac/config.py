@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from numbers import Real
 
 from .bottleneck import MAX_DIM
 from .errors import (ConfigError, DegenerateInputError, _check_integer, _check_nonnegative,
@@ -55,9 +56,10 @@ class RunConfig:
     power as 0.01 W, while tableI-normalized keeps the dimensionless
     value 10 in the same unit as the 0.1 noise variances.
 
-    Each field passes the errors rule of the quantity it feeds, so every
-    float must be finite, except alloc_c_ai = inf, the classical limit with
-    no learning bottleneck; neither axis may exceed MAX_GRID_POINTS points,
+    Each float field must be a real number and not a bool, and each field
+    passes the errors rule of the quantity it feeds, so every float must be
+    finite, except alloc_c_ai = inf, the classical limit with no learning
+    bottleneck; neither axis may exceed MAX_GRID_POINTS points,
     nor mimo_nt or mimo_nr the MAX_DIM of the matrix validator, nor a dB
     field MAX_DB in magnitude. Malformed values raise ConfigError.
     """
@@ -86,6 +88,7 @@ class RunConfig:
     mc_samples: int = 1_000_000
 
     def __post_init__(self) -> None:
+        _check_types(self)
         _preset_fields(self.preset)  # an unknown preset raises there
         try:
             for name in _POSITIVE:
@@ -141,6 +144,24 @@ class RunConfig:
 
 
 _TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
+
+
+# The float fields, each held to _check_types' real-number rule.
+_FLOATS = tuple(name for name, kind in _TYPES.items() if kind is float)
+
+
+def _check_types(cfg: RunConfig) -> None:
+    """ConfigError unless preset is a str and each float field a real number
+    that is not a bool (True would pass every range rule as 1); the integer
+    fields are left to _check_integer. A float passes on its type alone, as
+    the Real test costs about 0.5 us a field."""
+    if not isinstance(cfg.preset, str):
+        raise ConfigError(f"preset must be a string, got {cfg.preset!r}")
+    for name in _FLOATS:
+        value = getattr(cfg, name)
+        if type(value) is not float and (isinstance(value, bool)
+                                         or not isinstance(value, Real)):
+            raise ConfigError(f"{name} must be a real number, got {value!r}")
 
 
 def _preset_fields(name: str) -> dict:

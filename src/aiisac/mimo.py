@@ -1,26 +1,44 @@
 """MIMO rate and estimation bounds with a capacity-limited learning module.
 
 The latent-noise covariance follows the proportional mapping R_z = zeta * Q
-from the transmit covariance; rates are log-determinants against the
-effective noise covariance and sensing performance is scalar Fisher
+from the transmit covariance.  Under that map the whitened link splits into
+independent eigenmodes (Telatar, 1999): each mode of gain sigma_i is the
+scalar link at SNR x / (1 + zeta x), x = scale * sigma_i, the saturating
+form the fading kernel uses.  Sensing performance is scalar Fisher
 information / CRLB for a linear Gaussian parameter model.  This module
 checks its inputs; overflow of what it computes is decided in bottleneck.
 """
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bottleneck import (AiBudget, _as_hermitian, _check_psd, _cholesky, _finite,
-                         _hermitian_part, _logdet, proportional_maps)
-from .errors import DegenerateInputError, _check_positive
+from .bottleneck import (RANK_RTOL, AiBudget, _as_hermitian, _check_psd, _cholesky, _finite,
+                         _hermitian_part, _map_groups, _zeta, proportional_maps)
+from .errors import DegenerateInputError, SingularMatrixError, _check_positive
+from .fading import _snr
 
-# Most matrix entries (capacities x scales x n^2) in one stacked pass of
-# rate_surface, which bounds its memory on large grids.
-_BLOCK = 1 << 16
+# An x past the float range is taken as its largest value: its SNR
+# x / (1 + zeta x) is then 1 / zeta to within 2^-53 where zeta * max >= 2^53.
+_SATURATING_ZETA = 2.0 ** 53 / sys.float_info.max
+
+
+def _pow4(v: float) -> int:
+    """The k with v / 4^k in [1/4, 1) for a v > 0: sqrt(v / 4^k) is sqrt(v) / 2^k."""
+    return (math.frexp(v)[1] + 1) // 2
+
+
+def _psd(a: np.ndarray, name: str) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """check_psd's Hermitian copy m of a, the scale s it tests m at, and the
+    ascending eigenvalues and eigenvectors of m / s from that test's eigh."""
+    m = _as_hermitian(a, name)
+    scale = max(abs(m.real).max(), abs(m.imag).max(), 1.0)
+    evals, evecs = _check_psd((m / scale)[None], name)
+    return m, scale, evals[0], evecs[0]
 
 
 def check_psd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -28,25 +46,22 @@ def check_psd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     -PSD_RTOL (1e-10) times the largest eigenvalue magnitude (the zero
     matrix passes).  The rule is scale-free, so the eigenvalues tested are
     those of `a` over its largest real or imaginary part, where above 1."""
-    m = _as_hermitian(a, name)
-    scale = max(abs(m.real).max(), abs(m.imag).max(), 1.0)
-    _check_psd((m / scale)[None], name)
-    return m
+    return _psd(a, name)[0]
 
 
-def _link(h: np.ndarray, r: np.ndarray, n: int, h_name: str,
-          r_name: str) -> tuple[np.ndarray, np.ndarray]:
+def _link(h: np.ndarray, r: np.ndarray, n: int, h_name: str, r_name: str
+          ) -> tuple[np.ndarray, tuple[np.ndarray, float, np.ndarray, np.ndarray]]:
     """Validated link: a complex copy of the finite 2-D channel h with n
-    columns, and its PSD noise covariance r with one row per channel row."""
+    columns, and _psd of its noise covariance r, with one row per channel row."""
     m = np.atleast_2d(np.asarray(h, complex))
     if m.ndim != 2 or m.shape[1] != n:
         raise DegenerateInputError(f"{h_name} must be 2-D with {n} columns "
                                    f"(Q's dimension), got shape {m.shape}")
     if not np.isfinite(m).all():
         raise DegenerateInputError(f"{h_name} has non-finite entries")
-    cov = check_psd(r, r_name)
-    if cov.shape[0] != m.shape[0]:
-        raise DegenerateInputError(f"{r_name} has shape {cov.shape} but {h_name} "
+    cov = _psd(r, r_name)
+    if cov[0].shape[0] != m.shape[0]:
+        raise DegenerateInputError(f"{r_name} has shape {cov[0].shape} but {h_name} "
                                    f"has {m.shape[0]} rows")
     return m, cov
 
@@ -72,8 +87,8 @@ class MimoScenario:
 
     def __post_init__(self) -> None:
         q = check_psd(self.q, "Q")
-        h_c, r_c = _link(self.h_c, self.r_c, q.shape[0], "H_c", "R_c")
-        h_s, r_s = _link(self.h_s, self.r_s, q.shape[0], "H_s", "R_s")
+        h_c, (r_c, *_) = _link(self.h_c, self.r_c, q.shape[0], "H_c", "R_c")
+        h_s, (r_s, *_) = _link(self.h_s, self.r_s, q.shape[0], "H_s", "R_s")
         dmu = np.atleast_1d(np.asarray(self.dmu, complex)).ravel()
         if dmu.size != h_s.shape[0]:
             raise DegenerateInputError(f"dmu has {dmu.size} entries but H_s has "
@@ -115,24 +130,55 @@ def rate_surface(h_c: np.ndarray, r_c: np.ndarray, q: np.ndarray,
     grid [capacity x power scale], row-major; any sequences serve as grids.
 
     H_c and R_c are checked as MimoScenario checks them, Q for finite
-    Hermitian entries.  Each block of scaled Q's is one stacked eigh in
-    proportional_maps, which tests them for PSD and overflow and checks the
-    capacities, then stacked matmuls and Choleskys, which reject an
-    effective covariance that overflows (all DegenerateInputError).
+    Hermitian entries.  Three decompositions serve the whole grid: the eigh
+    of R_c's PSD test, Q's eigh (with the capacity checks of
+    proportional_maps, which give the rank r of Q's active subspace
+    U_r L_r U_r^H), and the singular values of the whitened link
+    W = R_c^-1/2 H_c U_r L_r^1/2, whose squares sigma_i are the mode gains
+    (their relative error grows with W's condition number, not with its
+    square as a Gram matrix's eigenvalues would).  A cell is then
+    sum_i log2(1 + x_i / (1 + zeta x_i)) at x_i = scale * sigma_i and
+    zeta = 1 / (2^(C/r) - 1).  Each factor of W is scaled by a power of 2
+    into [1/4, 1), and the scales are put back into x by ldexp, so nothing
+    before x overflows and no rounding changes.  Where x overflows, its SNR
+    saturates at 1 / zeta, exact to rounding while zeta >= _SATURATING_ZETA;
+    at a smaller zeta (C = inf among them) the x that overflows raises
+    DegenerateInputError.  Each cell is computed on its own, so a column
+    does not depend on the other scales.  An R_c whose smallest eigenvalue
+    is at most RANK_RTOL times its largest raises SingularMatrixError.
     """
     q = _as_hermitian(q, "Q")
-    h_c, r_c = _link(h_c, r_c, q.shape[0], "H_c", "R_c")
+    h_c, (_, scale, r_vals, r_vecs) = _link(h_c, r_c, q.shape[0], "H_c", "R_c")
     if not len(c_grid) or not len(power_scales):
         raise DegenerateInputError("grids must be non-empty")
     for s in power_scales:
         _check_positive(s, "power scale")
-    step, h_h = max(1, _BLOCK // (len(c_grid) * q.size)), h_c.conj().T
-    blocks = []
-    for lo in range(0, len(power_scales), step):
-        with np.errstate(over="ignore", invalid="ignore"):
-            qs = q * np.asarray(power_scales[lo:lo + step])[:, None, None]
-            noise = _hermitian_part(r_c + h_c @ proportional_maps(qs, c_grid) @ h_h)
-            total = noise + _hermitian_part(h_c @ qs @ h_h)
-        blocks.append(_logdet(total, "effective covariance")
-                      - _logdet(noise, "effective noise covariance"))
-    return np.concatenate(blocks, axis=1) / math.log(2.0)
+    [(_, vals, vecs)] = _map_groups(q[None], c_grid)
+    if not r_vals[0] > RANK_RTOL * r_vals[-1]:
+        raise SingularMatrixError("R_c is not positive definite")
+    rank = vals.shape[1]
+    rates = np.zeros((len(c_grid), len(power_scales)))
+    if not rank:  # a zero Q at capacities that are all infinite
+        return rates
+    # W * 2^-k, up to a unitary factor on the left, which leaves its
+    # singular values; each factor is scaled by a power of 2, so exactly.
+    kh = math.frexp(max(abs(h_c.real).max(), abs(h_c.imag).max()))[1]
+    kq, kr, ks = _pow4(vals[0, -1]), _pow4(r_vals[-1]), _pow4(scale)
+    k = kh + kq - kr - ks
+    h = np.ldexp(h_c.real, -kh) + 1j * np.ldexp(h_c.imag, -kh)
+    w = ((r_vecs.conj().T @ h @ (vecs[0] * np.sqrt(np.ldexp(vals[0], -2 * kq))))
+         / (np.sqrt(np.ldexp(r_vals, -2 * kr))
+            * math.sqrt(math.ldexp(scale, -2 * ks)))[:, None])
+    sigma = np.linalg.svd(w, compute_uv=False) ** 2
+    sigma = sigma[sigma > 0.0]
+    with np.errstate(over="ignore"):
+        x = np.ldexp(np.multiply.outer(sigma, np.asarray(power_scales, float)), 2 * k)
+    zeta = np.array([_zeta(c, rank) for c in c_grid])[:, None]
+    if zeta.min() < _SATURATING_ZETA:
+        _finite(x, "the SNR of a whitened mode")
+    x = np.minimum(x, sys.float_info.max)[:, None, :]
+    snr = _snr(x, zeta, float(x.max(initial=0.0)) * float(zeta.max()))
+    # Modes summed in order, one cell at a time; a zeta of inf passes nothing.
+    rates = sum(np.log1p(snr), rates) / math.log(2.0)
+    rates[zeta[:, 0] == math.inf] = 0.0
+    return rates

@@ -32,11 +32,11 @@ _FLOAT_OUT_OF_RANGE = {
     "snr_step_db": -1.0, "weight": 1.5, "alpha0": -0.5, "alloc_c_ai": 0.0}
 _INT_OUT_OF_RANGE = {"quadrature_order": (0, 129), "mimo_nt": (0, 65),
                      "mimo_nr": (0, 65), "seed": (), "mc_samples": (0,)}
-# Each field with a value it rejects: NaN, +-inf, out of range, and for an
-# integer field a wrong type. alloc_c_ai = inf is the classical limit.
+# Each field with a value it rejects: NaN, +-inf, out of range, and a wrong
+# type. alloc_c_ai = inf is the classical limit.
 _BAD_FIELDS = (
     [(name, value) for name, bad in _FLOAT_OUT_OF_RANGE.items()
-     for value in (math.nan, math.inf, -math.inf, bad)
+     for value in (math.nan, math.inf, -math.inf, bad, True, None)
      if (name, value) != ("alloc_c_ai", math.inf)]
     + [(name, value) for name, bad in _INT_OUT_OF_RANGE.items()
        for value in (*bad, math.nan, math.inf, -math.inf, 20.5, True, 2.5)]
@@ -58,6 +58,32 @@ class TestConfig:
             with pytest.raises(ConfigError) as exc:
                 load()
             assert name in str(exc.value) or name.replace("_", " ") in str(exc.value)
+
+    @pytest.mark.parametrize("value", [True, False, "1", None, np.True_, 1j])
+    @pytest.mark.parametrize("name", sorted(_FLOAT_OUT_OF_RANGE))
+    def test_float_field_of_another_type_is_a_config_error(self, name, value):
+        # power = True loaded as 1 W, since a bool passes every range rule;
+        # "1" and None raised a bare TypeError from the comparison.
+        with pytest.raises(ConfigError, match=f"^{name} must be a real number"):
+            RunConfig(**{name: value})
+        with pytest.raises(ConfigError, match=f"^{name} must be a real number"):
+            replace(RunConfig(), **{name: value})
+
+    @pytest.mark.parametrize("value", [1, np.float32(0.5), np.int64(2), 0.5])
+    def test_real_numbers_of_other_types_load(self, value):
+        assert RunConfig(power=value, c_max=value).power == value
+
+    def test_preset_must_be_a_string(self):
+        with pytest.raises(ConfigError, match="^preset must be a string"):
+            RunConfig(preset=["tableI-dbm"])
+
+    @pytest.mark.parametrize("text", ["", "power = 3\nmimo_nt = 5\nweight = 1\n",
+                                      "preset = tableI-normalized\nseed = -4\n"])
+    def test_parsed_fields_have_their_defaults_types(self, text):
+        # parse_config converts every value it reads to its field's type.
+        cfg = parse_config(text, base=preset_config("tableI-normalized"))
+        assert [type(getattr(cfg, f.name)) for f in fields(RunConfig)] == \
+            [type(f.default) for f in fields(RunConfig)]
 
     @pytest.mark.parametrize("name", sorted(_FLOAT_OUT_OF_RANGE))
     def test_unparsable_float_names_its_field(self, name):
@@ -300,8 +326,9 @@ class TestCommands:
     # and 1.9999999999999987 on the three configs, now 3.9999999999999996,
     # 4 and 2; alpha_star, J_star, kkt_residual and the objective column
     # unchanged),
-    # mimo-surface's as written per grid point, before it ran as one pass
-    # over its whole grid, gaussian-sweep's fading columns as written since
+    # mimo-surface's as written since each cell sums the saturating SNRs of
+    # the whitened link's modes (every cell within 8.1e-15 bits, 1.0e-11
+    # relative, of the log-det difference it replaced), gaussian-sweep's fading columns as written since
     # its Gauss rules come from numpy.polynomial (each cell within 4e-15
     # relative of the scipy.special rules' output) and its AWGN columns as
     # written since they come from gaussian.link_snrs at N_z = P kappa, as
@@ -319,9 +346,9 @@ class TestCommands:
         ("gaussian-sweep", "tableI-normalized",
          "478ccefe789366c02f5e476bf550d5a39c77ee95f0c47af35581b9daea261040"),
         ("mimo-surface", "tableI-dbm",
-         "295bc582d1d23a2859504d09a31bb6628d4dbdb69eb80af7057a56f3db73e145"),
+         "6f98dbbfc0d6ebc21ec35931e4d9475dc9e5330c3c5129c2f877ba6ca1ed959c"),
         ("mimo-surface", "tableI-normalized",
-         "ee9b17a96388a742ed637b6645f4f1441935c5252b59fe770226b0d370610c25"),
+         "f9b1d24032d7b50260005eeaaa78148fb44831704dd0c383549233243a22c6c8"),
         ("frontier", "tableI-dbm",
          "df6d6d86497b26417127e0a01e69ee2a159578c64b8a7935c5143f6ccb081ef1"),
         ("frontier", "tableI-normalized",
@@ -335,7 +362,7 @@ class TestCommands:
         ("frontier", "off-preset",
          "89b4efcf3748b60e995f9c5a063684b5040e2d463a2df1c2755f7cbc0ddde1e1"),
         ("mimo-surface", "off-preset",
-         "69a2ff0f2ae81125226531a6d1708277d641f22bd0d87bef980d09cb3e932c8a"),
+         "7252d365a16bdf7628f4e37d63074305c1d5a93c8bd8b50a33fc28a9b4e461f3"),
         ("allocate", "off-preset",
          "ba09790f0546b22d70b36bc2dbc8fb1c30d87323b7fc2eaf2d52a36c68b453fa"),
     ])
@@ -717,20 +744,21 @@ def _counting(fn, name, counts):
 class TestMimoSurfacePath:
     """mimo-surface checks and formats each input once."""
 
-    @pytest.mark.parametrize("text", [
-        "", "mimo_nt = 64\nmimo_nr = 64\nsnr_step_db = 10\n"], ids=["one_block", "blocks"])
-    def test_one_psd_decomposition_per_matrix(self, text, tmp_path, monkeypatch):
-        # One eigh for R_c's PSD test, one stacked eigh per block (the
-        # scaled Q's, also Q's PSD test) and two stacked Choleskys per
-        # block, all through the one eigh of bottleneck._check_psd, and no
-        # MimoScenario with its sensing fields.
+    @pytest.mark.parametrize("nt", [2, 64])
+    @pytest.mark.parametrize("axis", ["snr_min_db = 0\nsnr_max_db = 10\nsnr_step_db = 10\n",
+                                      ""], ids=["2_points", "31_points"])
+    def test_three_decompositions_whatever_the_grid(self, nt, axis, tmp_path, monkeypatch):
+        # One eigh each for R_c's PSD test and Q's (with its active
+        # subspace), both through the one eigh of bottleneck._check_psd, and
+        # one SVD of the whitened link; no Cholesky and no MimoScenario with
+        # its sensing fields. Before, each block of power scales took one
+        # eigh and two Choleskys, and each cell its own map and matmuls.
+        text = f"mimo_nt = {nt}\nmimo_nr = {nt}\n{axis}"
         cfg_path = tmp_path / "surface.cfg"
         cfg_path.write_text(text)
-        cfg = parse_config(text)
-        per_block = max(1, mimo._BLOCK // (len(cli.HALF_BIT_BUDGETS) * cfg.mimo_nt ** 2))
-        blocks = -(-len(cfg.snr_axis_db()) // per_block)
+        assert len(parse_config(text).snr_axis_db()) == (2 if axis else 31)
         counts = Counter()
-        for name in ("eigh", "cholesky"):
+        for name in ("eigh", "cholesky", "svd"):
             monkeypatch.setattr(np.linalg, name,
                                 _counting(getattr(np.linalg, name), name, counts))
         monkeypatch.setattr(mimo.MimoScenario, "__post_init__",
@@ -738,7 +766,7 @@ class TestMimoSurfacePath:
                                       counts))
         assert main(["mimo-surface", "--config", str(cfg_path),
                      "--out", str(tmp_path / "s.csv")]) == 0
-        assert counts == {"eigh": blocks + 1, "cholesky": 2 * blocks}
+        assert counts == {"eigh": 2, "svd": 1}
 
     @pytest.mark.parametrize("fields", [
         dict(snr_min_db=-7.3, snr_step_db=0.1, snr_max_db=-3.0),
@@ -1035,7 +1063,9 @@ def test_fuzzed_config_exits_cleanly(fields, command, tmp_path):
                 "alloc_c_ai": math.inf}, 0),
     ("verify", {"power": 1e308}, 1),
     ("mimo-surface", {"noise_c": 1e308}, 0),
-    ("mimo-surface", {"power": 1e307}, 1),
+    ("mimo-surface", {"power": 1e307}, 0),
+    ("mimo-surface", {"noise_c": 1e-300, "power": 1e8}, 0),
+    ("mimo-surface", {"noise_c": 1e-300, "power": 1e9}, 0),
     ("gaussian-sweep", {"rician_k_db": 2000.0}, 1),
     ("frontier", {"prior_var": 1e-300, "noise_s": 1e-300}, 0),
     ("gaussian-sweep", {"power": 1e300, "noise_c": 1.0, "noise_s": 1.0,
@@ -1055,7 +1085,10 @@ def test_known_configs_exit_cleanly(command, fields, code, tmp_path):
     # In the last two, g_c / g_s overflows: allocate wrote a nan optimum.
     # Then: N_z overflows (verify at 1e308 W); the Hermitian part of
     # R_c = 1e308 I overflowed into 496 nan rows; zeta Q and R_c + H R_z H^H
-    # overflow into nan and inf rates at 1e307 W; the K = 2000 dB weights
+    # overflowed into nan and inf rates at 1e307 W, which then exited 1 (each
+    # mode's SNR now saturates at 1 / zeta where s P / (n N) overflows, as at
+    # 1e-300 noise, where 1e9 W overflowed the whitened link's Gram matrix
+    # and 1e8 W its SNR); the K = 2000 dB weights
     # printed numpy warnings; the distortion underflows to 0, a plain
     # ValueError traceback from Frontier, then rejected with exit 1 though
     # gaussian.distortion returns the same 0; and N_z = P kappa and x gamma kappa

@@ -1,6 +1,8 @@
 import math
 import re
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -186,8 +188,10 @@ class TestFisherAndCrlb:
 
 
 class TestRateSurface:
-    def test_single_point(self):
-        # Every grid point equals mimo_rate of its own scaled scenario.
+    def test_each_point_meets_the_log_det_reference(self):
+        # Each grid point, and mimo_rate of its own scaled scenario, within
+        # ORACLE_RTOL of a 40-digit log-det (2.7e-15 at most); both were a
+        # stacked log-det difference, which missed it by up to 6.8e-14 here.
         rng = np.random.default_rng(31)
         h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -196,9 +200,11 @@ class TestRateSurface:
         surf = rate_surface(sc.h_c, sc.r_c, sc.q, c_grid, scales)
         for i, c in enumerate(c_grid):
             for j, scale in enumerate(scales):
-                ref = mimo_rate(make_scenario(h, sc.q * scale, sc.r_c, c_ai=c,
-                                              h_s=sc.h_s, r_s=sc.r_s, dmu=sc.dmu))
-                assert surf[i, j] == ref
+                ref = _log_det_rate(sc, c, scale)
+                point = mimo_rate(make_scenario(h, sc.q * scale, sc.r_c, c_ai=c,
+                                                h_s=sc.h_s, r_s=sc.r_s, dmu=sc.dmu))
+                for got in (surf[i, j], point):
+                    assert abs(got - ref) <= ORACLE_RTOL * ref
 
     def test_monotone_both_axes(self):
         sc = make_scenario(np.eye(2), 0.005 * np.eye(2), 0.1 * np.eye(2))
@@ -219,75 +225,113 @@ class TestRateSurface:
             rate_surface(sc.h_c, sc.r_c, sc.q, [1.0], [1.0, scale])
 
 
-def _per_point_rate(sc, c, scale):
-    """The per-point rate: the scaled Q's own eigh, active subspace and
-    zeta = 1/expm1((C/r) ln2), then one Cholesky per covariance; kept here
-    as the reference the stacked rate_surface must match bit for bit."""
-    q = sc.q * scale
-    rz = np.zeros_like(q)
-    if not math.isinf(c):
-        qh = 0.5 * (q + q.conj().T)
-        evals, evecs = np.linalg.eigh(qh)
-        keep = evals > 1e-12 * float(evals[-1])
-        vecs, vals = evecs[:, keep], evals[keep]
-        zeta = 1.0 / math.expm1((c / vals.size) * math.log(2.0))
-        rz = (vecs * (zeta * vals)) @ vecs.conj().T
-        rz = 0.5 * (rz + rz.conj().T)
-    h = sc.h_c
-    signal = h @ q @ h.conj().T
-    noise = sc.r_c + h @ rz @ h.conj().T
-    noise = 0.5 * (noise + noise.conj().T)
-    total = noise + 0.5 * (signal + signal.conj().T)
-
-    def logdet(m):
-        return 2.0 * float(np.sum(np.log(np.real(np.diag(np.linalg.cholesky(m))))))
-
-    return (logdet(total) - logdet(noise)) / math.log(2.0)
+# Relative tolerance of rate_surface against the mpmath references below.
+# The whitened modes meet it within 2.2e-14 (the 8 x 8 link of seed 13,
+# whose mode gains span a factor of 5e5), most links within 1e-14; the
+# stacked log-det difference they replace missed it by up to 2.2e-10.
+ORACLE_RTOL = 5e-14
 
 
-def _random_template(rng, nt, rank):
-    m = int(rng.integers(1, 9))
+def _log_det_rate(sc, c, scale, rank=None):
+    """log2 det(R + H (sQ + R_z) H^H) - log2 det(R + H R_z H^H) with
+    R_z = zeta s Q, zeta = 1 / (2^(C / rank) - 1), in 40-digit mpmath from
+    the float inputs. Below full rank, Q is the float Q's part on its rank
+    largest eigenvalues: those below RANK_RTOL times the largest are null."""
+    with mp.workdps(40):
+        h, r, q = (mp.matrix(m.tolist()) for m in (sc.h_c, sc.r_c, sc.q))
+        rank = rank or q.rows
+        if rank < q.rows:
+            vals, vecs = mp.eighe(q)
+            q = sum((vals[k] * vecs[:, k] * vecs[:, k].H
+                     for k in range(q.rows - rank, q.rows)), mp.zeros(q.rows))
+        zeta = 0 if c == math.inf else 1 / (mp.mpf(2) ** (mp.mpf(c) / rank) - 1)
+        noise = r + h * (zeta * mp.mpf(scale) * q) * h.H
+        total = noise + h * (mp.mpf(scale) * q) * h.H
+        return float(mp.re(mp.log(mp.det(total)) - mp.log(mp.det(noise))) / mp.log(2))
+
+
+def _closed_form(nt, noise, power, c, scale):
+    """The CLI link's rate, nt log2(1 + a / (1 + a zeta)) at a = s P / (nt N)
+    and zeta = 1 / (2^(C / nt) - 1), in 50-digit mpmath."""
+    with mp.workdps(50):
+        zeta = 0 if c == math.inf else 1 / (mp.mpf(2) ** (mp.mpf(c) / nt) - 1)
+        a = mp.mpf(scale) * mp.mpf(power / nt) / mp.mpf(noise)
+        return nt * mp.log(1 + a / (1 + a * zeta), 2)
+
+
+def _random_link(rng, m, nt, rank):
+    """A complex link: an m x nt channel, a well-conditioned R_c and
+    Q = a a^H with a of shape nt x rank, not diagonal below full rank."""
     h = rng.normal(size=(m, nt)) + 1j * rng.normal(size=(m, nt))
     a = rng.normal(size=(nt, rank)) + 1j * rng.normal(size=(nt, rank))
     b = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
     return make_scenario(h, a @ a.conj().T, b @ b.conj().T + 0.1 * np.eye(m))
 
 
-# 72 random complex templates: nt = 1..8, each at full rank and at 8 drawn
-# ranks, of which those below nt are rank-deficient.
-TEMPLATES = [(nt, nt if i == 0 else int(np.random.default_rng(nt * 10 + i)
-                                      .integers(1, nt + 1)), nt * 10 + i)
-             for nt in range(1, 9) for i in range(9)]
+# 12 random complex links with m, nt in 1..5, a 1 x 5 link, whose 5 x 5
+# Gram matrix W^H W has four spurious eigenvalues near zero (W's one
+# singular value has no such partner), and 5 with m in 1..8 and nt in 6..8.
+# A third of them have a Q of lower rank, whose null eigenvalues round to
+# about 1e-16 of the largest and must fall below RANK_RTOL.
+LINKS = ([(seed, *map(int, np.random.default_rng(seed).integers(1, 6, size=2)))
+          for seed in range(12)] + [(12, 1, 5)]
+         + [(seed, *map(int, np.random.default_rng(seed).integers([1, 6], 9)))
+            for seed in range(13, 18)])
 
 
 class TestStackedSurface:
-    C_GRID = [0.25, 0.5, 1.0, 3.3, 8.0, 30.0, math.inf]
+    C_GRID = [0.25, 1.0, 3.3, 8.0, 30.0, math.inf]
 
-    @pytest.mark.parametrize("nt, rank, seed", TEMPLATES)
-    def test_bit_identical_to_per_point(self, nt, rank, seed):
-        rng = np.random.default_rng(seed)
-        sc = _random_template(rng, nt, rank)
-        scales = list(10.0 ** rng.uniform(-3.0, 3.0, size=7)) + [1e-3, 1e3]
-        ref = [[_per_point_rate(sc, c, s) for s in scales] for c in self.C_GRID]
-        assert np.array_equal(rate_surface(sc.h_c, sc.r_c, sc.q, self.C_GRID, scales),
-                              ref)
+    @pytest.mark.parametrize("seed, m, nt", LINKS)
+    def test_random_link_meets_the_log_det_reference(self, seed, m, nt):
+        rng = np.random.default_rng(100 + seed)
+        rank = int(rng.integers(1, nt)) if seed % 3 == 2 and nt > 1 else nt
+        sc = _random_link(rng, m, nt, rank)
+        scales = [1e-3, *10.0 ** rng.uniform(-3.0, 3.0, size=3), 1e3]
+        surf = rate_surface(sc.h_c, sc.r_c, sc.q, self.C_GRID, scales)
+        for i, c in enumerate(self.C_GRID):
+            for j, scale in enumerate(scales):
+                ref = _log_det_rate(sc, c, scale, rank)
+                assert abs(surf[i, j] - ref) <= ORACLE_RTOL * ref
         budget_sc = make_scenario(sc.h_c, sc.q, sc.r_c, c_ai=0.5)
-        assert mimo_rate(budget_sc) == _per_point_rate(sc, 0.5, 1.0)
+        assert abs(mimo_rate(budget_sc) - (ref := _log_det_rate(sc, 0.5, 1.0, rank))) \
+            <= ORACLE_RTOL * ref
 
     @pytest.mark.parametrize("nt", [1, 2, 4, 8])
-    def test_cli_template_bit_identical(self, nt):
+    def test_cli_template_meets_the_closed_form(self, nt):
+        # n log2(1 + a / (1 + a zeta)), a = s P / (n N), zeta = 1/(2^(C/n) - 1),
+        # at 50 digits: the log-det difference missed it by up to 1.2e-12.
         eye = np.eye(nt)
-        sc = make_scenario(eye, (0.01 / nt) * eye, 0.1 * eye)
+        c_grid = [0.5 * i for i in range(1, 17)] + [math.inf]
+        scales = [10.0 ** ((snr - 10.0) / 10.0) for snr in range(-5, 26)]
+        surf = rate_surface(eye, 0.1 * eye, (0.01 / nt) * eye, c_grid, scales)
+        for i, c in enumerate(c_grid):
+            for j, scale in enumerate(scales):
+                ref = _closed_form(nt, 0.1, 0.01, c, scale)
+                assert abs(surf[i, j] - ref) <= 2e-15 * ref
+
+    @pytest.mark.parametrize("noise, power", [(1e-300, 1e8), (1e-300, 1e9), (0.1, 1e307)])
+    def test_snr_past_the_float_range_meets_the_closed_form(self, noise, power):
+        # The CLI link where x = s P / (n N) overflows at the top scales: its
+        # SNR saturates at 1 / zeta, and each cell meets the closed form. At
+        # 1e9 W the Gram matrix of the unscaled W overflowed as well.
+        eye = np.eye(2)
         c_grid = [0.5 * i for i in range(1, 17)]
         scales = [10.0 ** ((snr - 10.0) / 10.0) for snr in range(-5, 26)]
-        ref = [[_per_point_rate(sc, c, s) for s in scales] for c in c_grid]
-        assert np.array_equal(rate_surface(sc.h_c, sc.r_c, sc.q, c_grid, scales), ref)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            surf = rate_surface(eye, noise * eye, (power / 2) * eye, c_grid, scales)
+        assert power / 2 / noise * scales[-1] == math.inf
+        for i, c in enumerate(c_grid):
+            for j, scale in enumerate(scales):
+                ref = _closed_form(2, noise, power, c, scale)
+                assert abs(surf[i, j] - ref) <= 2e-15 * ref
 
-    def test_blocks_of_scales_agree(self):
-        # 64 x 64 matrices at 16 capacities hold more than one block of
-        # entries per scale, so every scale is its own stacked pass.
+    def test_each_scales_column_is_computed_alone(self):
+        # A scale's column is bit for bit the same whatever other scales
+        # share the grid, here on 64 x 64 matrices of rank 40.
         rng = np.random.default_rng(4)
-        sc = _random_template(rng, 64, 40)
+        sc = _random_link(rng, 8, 64, 40)
         c_grid = [0.5 * i for i in range(1, 17)]
         surf = rate_surface(sc.h_c, sc.r_c, sc.q, c_grid, [0.5, 2.0])
         assert np.array_equal(surf[:, 1],
@@ -306,18 +350,55 @@ class TestStackedSurface:
             rate_surface(sc.h_c, sc.r_c, sc.q, [1.0, math.inf], [1.0, 2.0])
 
     def test_overflowing_scale_is_a_domain_error(self):
+        # x = scale * sigma overflows at scale 1e10: at C = inf (zeta = 0)
+        # the rate grows without bound. At C = 1 the SNR saturates at 1 / zeta
+        # (this raised too), so two modes carry the 1-bit budget.
         sc = make_scenario(np.eye(2), 1e300 * np.eye(2), np.eye(2))
-        with pytest.raises(DegenerateInputError, match="overflows"):
-            rate_surface(sc.h_c, sc.r_c, sc.q, [1.0], [1.0, 1e10])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError,
+                               match="the SNR of a whitened mode overflows"):
+                rate_surface(sc.h_c, sc.r_c, sc.q, [1.0, math.inf], [1.0, 1e10])
+            got = rate_surface(sc.h_c, sc.r_c, sc.q, [1.0], [1.0, 1e10])
+        assert np.all(np.abs(got - 1.0) <= 2.0 ** -51)
 
-    @pytest.mark.parametrize("r_c, q", [(np.eye(2), 1e308 * np.eye(2)),
-                                        (1.7e308 * np.eye(2), 1e307 * np.eye(2))],
-                             ids=["zeta_q", "r_c_plus_h_r_z_h"])
-    def test_overflowing_noise_covariance_is_a_domain_error(self, r_c, q):
-        # zeta Q, or R_c + H R_z H^H, overflowed into nan and inf rates.
-        with pytest.raises(DegenerateInputError,
-                           match="the effective covariance overflows"):
-            rate_surface(np.eye(2), r_c, q, [1.0], [1.0])
+    def test_overflowing_zeta_q_saturates(self):
+        # zeta Q overflowed, and rate_surface raised "the effective covariance
+        # overflows". Each mode's SNR now saturates at 1 / zeta = 2^(1/2) - 1,
+        # so two modes carry the 1-bit budget, to within 2 ulps.
+        got = rate_surface(np.eye(2), np.eye(2), 1e308 * np.eye(2), [1.0], [1.0])
+        assert abs(got[0, 0] - 1.0) <= 2.0 ** -51
+
+    def test_overflowing_noise_sum_gives_the_exact_rate(self):
+        # R_c + H R_z H^H overflowed and raised as above; its modes are finite:
+        # 2 log2(1 + a / (1 + a zeta)), a = 1e307 / 1.7e308, zeta = 1/(2^(1/2) - 1).
+        got = rate_surface(np.eye(2), 1.7e308 * np.eye(2), 1e307 * np.eye(2), [1.0], [1.0])
+        with mp.workdps(40):
+            a = mp.mpf(1e307) / mp.mpf(1.7e308)
+            ref = 2 * mp.log(1 + a / (1 + a / (mp.sqrt(2) - 1)), 2)
+        assert abs(got[0, 0] - ref) <= 2e-16 * ref and round(got[0, 0], 5) == 0.14492
+
+    @pytest.mark.parametrize("c", [5e-324, 1e-320])
+    def test_subnormal_capacity_passes_nothing(self, c):
+        # zeta = 1 / expm1 of a subnormal share overflows: the map raised
+        # "the effective covariance overflows"; it now passes no bits, which
+        # is within c of the truth, with no numpy warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rate_surface(np.eye(2), np.eye(2), np.eye(2), [c], [1.0]) == 0.0
+
+    @pytest.mark.parametrize("r_c", [
+        np.zeros((2, 2)), np.ones((2, 2)),
+        np.outer([1.0, 2j, -0.5], [1.0, -2j, -0.5]) + np.outer([3.0, 1j, 1.0], [3.0, -1j, 1.0])],
+        ids=["zero", "ones", "rank_2_of_3"])
+    def test_singular_noise_rejected_at_finite_capacity(self, r_c):
+        # R_c + H R_z H^H is positive definite here, and a rate was returned;
+        # the link is now whitened by R_c itself, at every capacity. The
+        # smallest eigenvalue of a rank-deficient R_c rounds to either sign,
+        # and at most RANK_RTOL times the largest is singular.
+        n = r_c.shape[0]
+        with pytest.raises(SingularMatrixError, match="R_c is not positive definite"):
+            rate_surface(np.eye(n), r_c, np.eye(n), [1.0], [1.0])
 
     def test_overflowing_eigenvalue_is_a_domain_error(self):
         # The full-rank Q's eigenvalue 1.5a overflowed and Q was reported as

@@ -69,7 +69,7 @@ def test_no_subcommand_loads_scipy():
 # re-derives them.
 _WORKLOAD_DIGESTS = {
     "sweep": "a0291c9df1522670b9ec33db96e7d4cf1d22ffa7b222083877913bb245a829cc",
-    "surface": "6da24bbbfb2c8fbed9f1441c788d743a3f1e36d957a664c65e3d8a2007689ba6",
+    "surface": "0d4fd36322b866bd52a6e21e8013876266220920538de8e765b5306e4a2d917d",
     "design": "67d910b346d2ad45baac3f661d4cb2e0e2f4cec58d3fd0e3e5c987767cffdf69",
 }
 
@@ -335,7 +335,8 @@ def _linalg_sites(source: str) -> list[tuple[str, str]]:
 # The one call site of each factorization: overflow and PSD rules live there,
 # and no other eigen-solver or factorization of numpy.linalg is called.
 _FACTORIZATIONS = {"cholesky": "bottleneck._cholesky",
-                   "eigh": "bottleneck._check_psd"}
+                   "eigh": "bottleneck._check_psd",
+                   "svd": "mimo.rate_surface"}
 _DECOMPOSITIONS = {"cholesky", "eig", "eigh", "eigvals", "eigvalsh", "qr", "svd"}
 
 
