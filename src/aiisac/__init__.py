@@ -29,12 +29,11 @@ from .gaussian import (
 from .fading import (
     FadingModel,
     conditional_snr,
-    ergodic_distortion,
     ergodic_rate,
     monte_carlo_oracle,
     rayleigh_rate_exact,
 )
-from .mimo import MimoScenario, crlb, fisher_info, mimo_rate, rate_surface
+from .mimo import MimoScenario, mimo_rate, rate_surface
 from .numerics import QuadratureRule, RandomStream
 from .region import Frontier, frontier, in_region, separated_baseline
 from .allocate import (
@@ -52,10 +51,9 @@ __all__ = [
     "ConfigError", "ConvergenceError", "DegenerateInputError", "FadingModel",
     "Frontier", "MimoScenario", "PerfPoint", "QuadratureRule", "RandomStream",
     "RunConfig", "ScalarScenario", "SingularMatrixError", "achieved_mi",
-    "conditional_snr", "covariance_map", "crlb", "distortion",
-    "effective_snrs", "enforce_mi_numerically", "ergodic_distortion",
-    "ergodic_rate", "fisher_info", "frontier", "gaussian_mi", "in_region",
-    "kappa", "kkt_power_split", "mimo_rate", "monte_carlo_oracle", "objective",
-    "optimize_alpha", "parse_config", "preset_config", "rate", "rate_surface",
-    "rayleigh_rate_exact", "separated_baseline",
+    "conditional_snr", "covariance_map", "distortion", "effective_snrs",
+    "enforce_mi_numerically", "ergodic_rate", "frontier", "gaussian_mi",
+    "in_region", "kappa", "kkt_power_split", "mimo_rate", "monte_carlo_oracle",
+    "objective", "optimize_alpha", "parse_config", "preset_config", "rate",
+    "rate_surface", "rayleigh_rate_exact", "separated_baseline",
 ]

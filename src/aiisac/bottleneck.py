@@ -148,18 +148,14 @@ def _check_psd(ms: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     return evals, evecs
 
 
-def _cholesky(m: np.ndarray, name: str) -> np.ndarray:
-    """Lower Cholesky factor of a positive definite matrix or of each in a
-    stack; raises _finite's overflow error, else SingularMatrixError, naming m."""
+def _logdet(m: np.ndarray, name: str) -> np.ndarray:
+    """Natural log-determinants, by Cholesky, of a positive definite matrix or
+    of each in a stack; raises _finite's overflow error, else
+    SingularMatrixError, naming m."""
     try:
-        return np.linalg.cholesky(_finite(m, f"the {name}"))
+        chol = np.linalg.cholesky(_finite(m, f"the {name}"))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"{name} is not positive definite") from exc
-
-
-def _logdet(m: np.ndarray, name: str) -> np.ndarray:
-    """Natural log-determinants, by _cholesky, of a matrix or of each in a stack."""
-    chol = _cholesky(m, name)
     return 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1))),
                         axis=-1)
 

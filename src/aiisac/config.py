@@ -106,9 +106,10 @@ class RunConfig:
             _check_integer(self.mc_samples, "mc_samples", 1)
         except DegenerateInputError as exc:
             raise ConfigError(str(exc)) from None
-        for name in _DB:  # finite before any grid arithmetic
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in _DB:  # before any grid arithmetic; fails NaN and +-inf too
+            if not abs(getattr(self, name)) <= MAX_DB:
+                raise ConfigError(f"{name} must lie in [-{MAX_DB:g}, {MAX_DB:g}], "
+                                  f"got {getattr(self, name)}")
         for axis, lo, hi, step, span in (
                 ("capacity", self.c_min, self.c_max, self.c_step, "c_max must be >= c_min"),
                 ("SNR", self.snr_min_db, self.snr_max_db, self.snr_step_db,
@@ -121,10 +122,6 @@ class RunConfig:
                     or _axis_steps(lo, hi, step) + 1 > MAX_GRID_POINTS):
                 raise ConfigError(f"{axis} grid has more than {MAX_GRID_POINTS} "
                                   f"points; raise its step")
-        for name in _DB:
-            if not abs(getattr(self, name)) <= MAX_DB:
-                raise ConfigError(f"{name} must lie in [-{MAX_DB:g}, {MAX_DB:g}], "
-                                  f"got {getattr(self, name)}")
 
     @property
     def rician_k(self) -> float:

@@ -20,7 +20,7 @@ class ConvergenceError(AiIsacError):
 
 class DegenerateInputError(AiIsacError):
     """Argument outside its domain (a zero or negative capacity, a matrix that
-    is not Hermitian PSD, an unsorted grid, zero Fisher information) or whose
+    is not Hermitian PSD, an unsorted or empty grid) or whose
     result overflows. Like every AiIsacError, it is still a ValueError."""
 
 

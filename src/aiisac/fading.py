@@ -1,8 +1,8 @@
 """Ergodic rate and average distortion over fading channels.
 
 One kernel gives every fading average: ergodic_columns is one call into
-it for every K-factor it is given, and ergodic_rate and ergodic_distortion
-are its one-K cases.  It averages, over the channel power gain x, the rate
+it for every K-factor it is given, and ergodic_rate is its one-K rate
+case.  It averages, over the channel power gain x, the rate
 log2(1 + snr(x)) in bits or the MMSE prior_var / (1 + snr(x)) at each mean
 SNR it is given, for every kappa of a column and every K-factor at once.
 The gain is non-central chi-square with unit scattered power and K-factor
@@ -281,24 +281,16 @@ def ergodic_rate(
     return _average((gamma_bar,), (None,), kappa, (k_factor,), rule)[0][0]
 
 
-def ergodic_distortion(
-    gamma_bar: float, kappa: float | np.ndarray, k_factor: float,
-    prior_var: float, rule: QuadratureRule,
-) -> float | np.ndarray:
-    """Fading-averaged MMSE distortion E[prior_var / (1 + snr(x))] over the
-    Rician gain with K-factor k_factor (K = 0 is Rayleigh): a float for a
-    scalar kappa, else one entry per kappa."""
-    return _average((gamma_bar,), (prior_var,), kappa, (k_factor,), rule)[0][0]
-
-
 def ergodic_columns(
     g_c: float, g_s: float, kappa: float | np.ndarray, k_factors,
     prior_var: float, rule: QuadratureRule,
 ) -> list[tuple]:
-    """One pair (ergodic_rate(g_c, kappa, K, rule), ergodic_distortion(g_s,
-    kappa, K, prior_var, rule)) per K-factor K of the sequence k_factors, in
-    order: the same floats, from one evaluation that warns at most once
-    per K-factor."""
+    """One pair per K-factor K of the sequence k_factors, in order: the
+    ergodic rate ergodic_rate(g_c, kappa, K, rule), and the fading-averaged
+    MMSE distortion E[prior_var / (1 + snr(x))] at mean SNR g_s over the
+    Rician gain with K-factor K (K = 0 is Rayleigh), each a float for a
+    scalar kappa, else one entry per kappa; from one evaluation that warns
+    at most once per K-factor."""
     return [tuple(pair) for pair in
             _average((g_c, g_s), (None, prior_var), kappa, k_factors, rule)]
 

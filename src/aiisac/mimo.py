@@ -1,12 +1,11 @@
-"""MIMO rate and estimation bounds with a capacity-limited learning module.
+"""MIMO rate with a capacity-limited learning module.
 
 The latent-noise covariance follows the proportional mapping R_z = zeta * Q
 from the transmit covariance.  Under that map the whitened link splits into
 independent eigenmodes (Telatar, 1999): each mode of gain sigma_i is the
 scalar link at SNR x / (1 + zeta x), x = scale * sigma_i, the saturating
-form the fading kernel uses.  Sensing performance is scalar Fisher
-information / CRLB for a linear Gaussian parameter model.  This module
-checks its inputs; overflow of what it computes is decided in bottleneck.
+form the fading kernel uses.  This module checks its inputs; overflow of
+what it computes is decided in bottleneck.
 """
 from __future__ import annotations
 
@@ -17,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bottleneck import (RANK_RTOL, AiBudget, _as_hermitian, _check_psd, _cholesky, _finite,
-                         _hermitian_part, _map_groups, _zeta, proportional_maps)
+from .bottleneck import (RANK_RTOL, AiBudget, _as_hermitian, _check_psd, _finite, _map_groups,
+                         _zeta)
 from .errors import DegenerateInputError, SingularMatrixError, _check_positive
 from .fading import _snr
 
@@ -75,6 +74,8 @@ class MimoScenario:
     construction: finite entries, PSD covariances, and shapes that chain
     (channels have Q's dimension as columns; R_c, R_s and dmu have their
     channel's row count), each failure a DegenerateInputError naming the field.
+    The sensing fields (H_s, R_s, dmu) are checked, but no library function
+    reads them: mimo_rate reads the communication link and the budget.
     """
 
     h_c: np.ndarray
@@ -104,24 +105,6 @@ def mimo_rate(sc: MimoScenario) -> float:
     """log2 det(I + H_c Q H_c^H (R_c + H_c R_z H_c^H)^{-1}), bits per use:
     rate_surface at the scenario's one point."""
     return float(rate_surface(sc.h_c, sc.r_c, sc.q, [sc.budget.c_ai], [1.0])[0, 0])
-
-
-def fisher_info(sc: MimoScenario) -> float:
-    """Fisher information dmu^H (R_s + H_s R_z H_s^H)^{-1} dmu, real >= 0;
-    raises DegenerateInputError where it or that covariance overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        rz = proportional_maps(sc.q[None], [sc.budget.c_ai])[0, 0]
-        cov = _hermitian_part(sc.r_s + sc.h_s @ rz @ sc.h_s.conj().T)
-    y = np.linalg.solve(_cholesky(cov, "effective sensing covariance"), sc.dmu)
-    return _finite(float(np.real(np.vdot(y, y))), "the Fisher information")
-
-
-def crlb(sc: MimoScenario) -> float:
-    """Cramér-Rao bound 1 / fisher_info; raises if the parameter is unobservable."""
-    info = fisher_info(sc)
-    if info <= 0.0:
-        raise DegenerateInputError("Fisher information is zero")
-    return 1.0 / info
 
 
 def rate_surface(h_c: np.ndarray, r_c: np.ndarray, q: np.ndarray,

@@ -32,7 +32,7 @@ from aiisac.config import RunConfig
 from aiisac.fading import (
     FadingModel,
     conditional_snr,
-    ergodic_distortion,
+    ergodic_columns,
     ergodic_rate,
     monte_carlo_oracle,
     rayleigh_rate_exact,
@@ -90,17 +90,13 @@ def test_criterion_03_monte_carlo_agreement():
         gamma = 10 ** (g_db / 10)
         for c in (1.0, 4.0, 8.0):
             kap = kappa(AiBudget(c))
-            for model in (FadingModel("rayleigh"),
-                          FadingModel("rician", k_factor=k6)):
+            # Rayleigh and Rician pairs, as gaussian-sweep reads them.
+            pairs = ergodic_columns(gamma, gamma, kap, (0.0, k6), 1.0, RULE)
+            for model, (qr, qd) in zip((FadingModel("rayleigh"),
+                                        FadingModel("rician", k_factor=k6)), pairs):
                 est = monte_carlo_oracle(model, gamma, kap, 1.0, 10_000_000,
                                          stream.split(idx))
                 idx += 1
-                if model.kind == "rayleigh":
-                    qr = ergodic_rate(gamma, kap, 0.0, RULE)
-                    qd = ergodic_distortion(gamma, kap, 0.0, 1.0, RULE)
-                else:
-                    qr = ergodic_rate(gamma, kap, k6, RULE)
-                    qd = ergodic_distortion(gamma, kap, k6, 1.0, RULE)
                 worst_r = max(worst_r, abs(est.rate - qr))
                 worst_d = max(worst_d, abs(est.distortion - qd))
     passed = worst_r <= 3e-3 and worst_d <= 3e-3
@@ -162,11 +158,9 @@ def test_criterion_06_fading_ordering():
     for c in np.arange(0.25, 8.25, 0.25):
         kap = kappa(AiBudget(float(c)))
         r_awgn = math.log2(1 + conditional_snr(1.0, gamma, kap))
-        r_ray = ergodic_rate(gamma, kap, 0.0, RULE)
-        r_ric = ergodic_rate(gamma, kap, k6, RULE)
         d_awgn = 1.0 / (1 + conditional_snr(1.0, gamma, kap))
-        d_ray = ergodic_distortion(gamma, kap, 0.0, 1.0, RULE)
-        d_ric = ergodic_distortion(gamma, kap, k6, 1.0, RULE)
+        [(r_ray, d_ray), (r_ric, d_ric)] = ergodic_columns(gamma, gamma, kap, (0.0, k6),
+                                                           1.0, RULE)
         ok &= r_ric >= r_awgn - 1e-12 >= r_ray - 2e-12
         ok &= r_awgn >= r_ray - 1e-12
         ok &= d_ric <= d_awgn + 1e-12 <= d_ray + 2e-12

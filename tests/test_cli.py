@@ -158,6 +158,9 @@ class TestConfig:
         with pytest.raises(ConfigError, match="more than"):
             RunConfig(c_max=float(MAX_GRID_POINTS), c_step=1.0)
         with pytest.raises(ConfigError, match="more than"):
+            RunConfig(snr_min_db=-2500.0, snr_max_db=2500.0, snr_step_db=0.5)
+        # The dB range is checked before any grid arithmetic.
+        with pytest.raises(ConfigError, match="snr_max_db must lie in"):
             RunConfig(snr_min_db=0.0, snr_max_db=float(MAX_GRID_POINTS),
                       snr_step_db=1.0)
 

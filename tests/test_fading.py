@@ -17,7 +17,6 @@ from aiisac.fading import (
     _weights,
     conditional_snr,
     ergodic_columns,
-    ergodic_distortion,
     ergodic_rate,
     monte_carlo_oracle,
     rayleigh_rate_exact,
@@ -27,6 +26,14 @@ from aiisac.numerics import QuadratureRule, RandomStream
 
 RULE = QuadratureRule(128)
 RULE40 = QuadratureRule(40)
+
+
+def _distortion(g_s, kap, k, prior_var, rule):
+    """The distortion column of a one-K ergodic_columns call at mean SNR g_s.
+    Its rate column, at a mean SNR of 1e-300, stays near 0 bits, so it adds
+    no error, overflow or warning: the call raises and warns as the
+    distortion column alone would."""
+    return ergodic_columns(1e-300, g_s, kap, (k,), prior_var, rule)[0][1]
 
 
 def _rate_at_mean_gain(gamma, kap, k):
@@ -58,7 +65,7 @@ class TestConditionalSnr:
         kap = 1.0 / math.expm1(1e-10 * math.log(2.0))
         for k in (0.0, 10 ** 0.6):
             for average in (lambda g: ergodic_rate(g, kap, k, RULE),
-                            lambda g: ergodic_distortion(g, kap, k, 1.0, RULE)):
+                            lambda g: _distortion(g, kap, k, 1.0, RULE)):
                 assert math.isclose(average(1e300), average(1e290), rel_tol=1e-12)
 
     def test_ceiling_bounds_rate(self):
@@ -112,9 +119,9 @@ class TestRayleigh:
         assert ergodic_rate(1e-12, 0.0, 0.0, RULE) < 1e-10
 
     def test_distortion_limits(self):
-        assert abs(ergodic_distortion(1e-12, 0.0, 0.0, 1.0, RULE) - 1.0) < 1e-10
-        d1 = ergodic_distortion(1.0, 0.0, 0.0, 1.0, RULE)
-        d2 = ergodic_distortion(2.0, 0.0, 0.0, 1.0, RULE)
+        assert abs(_distortion(1e-12, 0.0, 0.0, 1.0, RULE) - 1.0) < 1e-10
+        d1 = _distortion(1.0, 0.0, 0.0, 1.0, RULE)
+        d2 = _distortion(2.0, 0.0, 0.0, 1.0, RULE)
         assert d2 < d1 < 1.0
 
 
@@ -130,9 +137,9 @@ class TestRician:
 
     @pytest.mark.parametrize("average, match", [
         (lambda: ergodic_rate(10.0, 0.0, -1e-3, RULE40), "K-factor"),
-        (lambda: ergodic_distortion(10.0, 0.0, -1e-3, 1.0, RULE40), "K-factor"),
-        (lambda: ergodic_distortion(10.0, 0.0, 4.0, 0.0, RULE40), "prior"),
-        (lambda: ergodic_distortion(10.0, 0.0, 0.0, -1.0, RULE40), "prior"),
+        (lambda: _distortion(10.0, 0.0, -1e-3, 1.0, RULE40), "K-factor"),
+        (lambda: _distortion(10.0, 0.0, 4.0, 0.0, RULE40), "prior"),
+        (lambda: _distortion(10.0, 0.0, 0.0, -1.0, RULE40), "prior"),
     ], ids=["rate_negative_k", "distortion_negative_k", "zero_prior",
             "negative_prior"])
     def test_invalid_argument_raises(self, average, match):
@@ -160,8 +167,8 @@ class TestRician:
             for kap in (0.0, 1.0 / 15.0, 1.0 / 255.0):
                 assert abs(ergodic_rate(g, kap, k, r20)
                            - ergodic_rate(g, kap, k, RULE)) <= 1e-4
-                assert abs(ergodic_distortion(g, kap, k, 1.0, r20)
-                           - ergodic_distortion(g, kap, k, 1.0, RULE)) <= 1e-4
+                assert abs(_distortion(g, kap, k, 1.0, r20)
+                           - _distortion(g, kap, k, 1.0, RULE)) <= 1e-4
 
     def test_under_resolved_order_warns(self):
         # At K = 20 dB the order-20 weights miss the density's unit mass by
@@ -172,7 +179,7 @@ class TestRician:
     def test_unresolved_density_raises(self):
         # At K = 40 dB the order-20 weights miss the unit mass by 0.156.
         with pytest.raises(ConvergenceError, match=r"order-20 .* K = 10000 "):
-            ergodic_distortion(10.0, 0.0, 1e4, 1.0, QuadratureRule(20))
+            _distortion(10.0, 0.0, 1e4, 1.0, QuadratureRule(20))
 
     def test_overflowing_weights_raise_without_warnings(self):
         # At K = 2000 dB the weights overflowed with three numpy warnings
@@ -319,7 +326,7 @@ class TestNanRejected:
 
     def test_distortion_prior(self):
         with pytest.raises(ValueError, match="prior variance"):
-            ergodic_distortion(10.0, 0.0, 0.0, math.nan, RULE40)
+            _distortion(10.0, 0.0, 0.0, math.nan, RULE40)
 
     @pytest.mark.parametrize("oracle, match", [
         (lambda s: monte_carlo_oracle(FadingModel("rayleigh"), 10.0, math.nan,
@@ -346,9 +353,9 @@ class TestColumnAverages:
         dist_ref = [_per_point_average(lambda x: 30.0 / (1.0 + _snr(x, g, kap)),
                                        k, order) for kap in KAPS]
         rate_col = ergodic_rate(g, KAPS, k, rule)
-        dist_col = ergodic_distortion(g, KAPS, k, 30.0, rule)
+        dist_col = _distortion(g, KAPS, k, 30.0, rule)
         rate_row = [ergodic_rate(g, kap, k, rule) for kap in KAPS]
-        dist_row = [ergodic_distortion(g, kap, k, 30.0, rule) for kap in KAPS]
+        dist_row = [_distortion(g, kap, k, 30.0, rule) for kap in KAPS]
         assert rate_row == rate_ref and dist_row == dist_ref
         assert rate_col.tolist() == rate_ref and dist_col.tolist() == dist_ref
 
@@ -424,7 +431,7 @@ class TestErgodicColumns:
         rule = QuadratureRule(order)
         [(rates, dists)] = ergodic_columns(g_c, g_s, KAPS, (k,), 30.0, rule)
         assert rates.tolist() == [ergodic_rate(g_c, kap, k, rule) for kap in KAPS]
-        assert dists.tolist() == [ergodic_distortion(g_s, kap, k, 30.0, rule)
+        assert dists.tolist() == [_distortion(g_s, kap, k, 30.0, rule)
                                   for kap in KAPS]
 
     @pytest.mark.parametrize("g", [0.0, -1.0, math.inf, math.nan])
@@ -432,7 +439,7 @@ class TestErgodicColumns:
         assert (_error_of(lambda: ergodic_columns(g, 10.0, KAPS, (0.0,), 1.0, RULE40))
                 == _error_of(lambda: ergodic_rate(g, KAPS, 0.0, RULE40)))
         assert (_error_of(lambda: ergodic_columns(10.0, g, KAPS, (0.0,), 1.0, RULE40))
-                == _error_of(lambda: ergodic_distortion(g, KAPS, 0.0, 1.0, RULE40)))
+                == _error_of(lambda: _distortion(g, KAPS, 0.0, 1.0, RULE40)))
 
     @pytest.mark.parametrize("columns, per_point", [
         (lambda: ergodic_columns(10.0, 10.0, -KAPS, (0.0,), 1.0, RULE40),
@@ -442,13 +449,13 @@ class TestErgodicColumns:
         (lambda: ergodic_columns(10.0, 10.0, KAPS, (math.nan,), 1.0, RULE40),
          lambda: ergodic_rate(10.0, KAPS, math.nan, RULE40)),
         (lambda: ergodic_columns(10.0, 10.0, KAPS, (4.0,), 0.0, RULE40),
-         lambda: ergodic_distortion(10.0, KAPS, 4.0, 0.0, RULE40)),
+         lambda: _distortion(10.0, KAPS, 4.0, 0.0, RULE40)),
         (lambda: ergodic_columns(10.0, 10.0, KAPS, (4.0,), -1.0, RULE40),
-         lambda: ergodic_distortion(10.0, KAPS, 4.0, -1.0, RULE40)),
+         lambda: _distortion(10.0, KAPS, 4.0, -1.0, RULE40)),
         (lambda: ergodic_columns(1e306, 10.0, KAPS, (10.0,), 1.0, RULE),
          lambda: ergodic_rate(1e306, KAPS, 10.0, RULE)),
         (lambda: ergodic_columns(10.0, 10.0, KAPS, (1e4,), 1.0, QuadratureRule(20)),
-         lambda: ergodic_distortion(10.0, KAPS, 1e4, 1.0, QuadratureRule(20))),
+         lambda: _distortion(10.0, KAPS, 1e4, 1.0, QuadratureRule(20))),
     ], ids=["negative_kappa", "negative_scalar_kappa", "nan_k_factor", "zero_prior",
             "negative_prior", "overflow", "unresolved_density"])
     def test_error_matches_per_point(self, columns, per_point):
@@ -471,7 +478,7 @@ class TestErgodicColumns:
             return [str(w.message) for w in caught]
 
         rate = warnings_of(lambda: ergodic_rate(g, KAPS, k, rule))
-        dist = warnings_of(lambda: ergodic_distortion(g, KAPS, k, prior_var, rule))
+        dist = warnings_of(lambda: _distortion(g, KAPS, k, prior_var, rule))
         assert (bool(rate), bool(dist)) == (rate_warns, dist_warns)
         both = warnings_of(lambda: ergodic_columns(g, g, KAPS, (k,), prior_var, rule))
         assert both == (rate or dist)
@@ -485,7 +492,7 @@ class TestErgodicColumns:
         # (miss 2.2e-16); K = 100 (miss 1.3e-4) warns at every sigma^2.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            ergodic_distortion(10.0, KAPS, k_factor, prior_var, QuadratureRule(20))
+            _distortion(10.0, KAPS, k_factor, prior_var, QuadratureRule(20))
         assert bool(caught) == warns
 
 
@@ -495,7 +502,7 @@ class TestOneKernelInputs:
     STREAM = RandomStream(seed=42, stream=0)
     AVERAGES = {
         "rate": lambda kap, k, pv: ergodic_rate(10.0, kap, k, RULE40),
-        "distortion": lambda kap, k, pv: ergodic_distortion(10.0, kap, k, pv, RULE40),
+        "distortion": lambda kap, k, pv: _distortion(10.0, kap, k, pv, RULE40),
         "columns": lambda kap, k, pv: ergodic_columns(10.0, 10.0, kap, (k,), pv,
                                                       RULE40)[0],
     }
@@ -528,7 +535,7 @@ class TestOneKernelInputs:
             FadingModel(kind, k_factor=k)
 
     @pytest.mark.parametrize("call", [
-        lambda s: ergodic_distortion(10.0, KAPS, 0.0, math.inf, RULE40),
+        lambda s: _distortion(10.0, KAPS, 0.0, math.inf, RULE40),
         lambda s: ergodic_columns(10.0, 10.0, KAPS, (0.0,), math.inf, RULE40),
         lambda s: monte_carlo_oracle(FadingModel("rayleigh"), 10.0, 0.1, math.inf,
                                      100, s),
@@ -543,7 +550,7 @@ class TestOneKernelInputs:
         [(rate, dist)] = ergodic_columns(100.0, 0.1, 1.0 / 15.0, (4.0,), 30.0, RULE40)
         assert type(rate) is float and type(dist) is float
         assert rate == ergodic_rate(100.0, 1.0 / 15.0, 4.0, RULE40)
-        assert dist == ergodic_distortion(0.1, 1.0 / 15.0, 4.0, 30.0, RULE40)
+        assert dist == _distortion(0.1, 1.0 / 15.0, 4.0, 30.0, RULE40)
 
 
 def _outcome(call):
@@ -571,7 +578,7 @@ class TestManyKFactors:
         assert len(pairs) == len(self.KS)
         for k, (rates, dists) in zip(self.KS, pairs):
             assert rates.tolist() == ergodic_rate(g_c, KAPS, k, rule).tolist()
-            assert dists.tolist() == ergodic_distortion(g_s, KAPS, k, 30.0, rule).tolist()
+            assert dists.tolist() == _distortion(g_s, KAPS, k, 30.0, rule).tolist()
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(order=st.integers(1, 128),
@@ -715,5 +722,5 @@ class TestStackedProduct:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DegenerateInputError, match="fading average overflows"):
-                ergodic_distortion(1e-3, np.array([1e300, 1.0]), 0.0, prior_var, RULE)
-            assert ergodic_distortion(1e-3, 1.0, 0.0, prior_var, RULE) < math.inf
+                _distortion(1e-3, np.array([1e300, 1.0]), 0.0, prior_var, RULE)
+            assert _distortion(1e-3, 1.0, 0.0, prior_var, RULE) < math.inf

@@ -15,9 +15,7 @@ from aiisac.gaussian import ScalarScenario
 from aiisac.gaussian import rate as scalar_rate
 from aiisac.mimo import (
     MimoScenario,
-    crlb,
     check_psd,
-    fisher_info,
     mimo_rate,
     rate_surface,
 )
@@ -80,7 +78,7 @@ class TestValidation:
             "h_s_columns", "r_c_shape", "r_s_shape", "dmu_length", "dmu_nan",
             "dmu_inf"])
     def test_inconsistent_fields_rejected(self, fields, message):
-        # Each used to reach mimo_rate or fisher_info and come back as NaN
+        # Each used to reach a rate or sensing function and come back as NaN
         # or as a raw numpy broadcast or gufunc error.
         base = dict(h_c=np.eye(2), h_s=np.eye(2), q=np.eye(2), r_c=np.eye(2),
                     r_s=np.eye(2), dmu=np.ones(2), budget=AiBudget(2.0))
@@ -90,7 +88,7 @@ class TestValidation:
     def test_rectangular_channels_accepted(self):
         sc = make_scenario(np.ones((3, 2)), np.eye(2), np.eye(3), c_ai=2.0,
                            h_s=np.ones((4, 2)), r_s=np.eye(4), dmu=np.ones(4))
-        assert math.isfinite(mimo_rate(sc)) and math.isfinite(fisher_info(sc))
+        assert math.isfinite(mimo_rate(sc))
 
     def test_zero_and_max_dim_accepted(self):
         assert np.array_equal(check_psd(np.zeros((2, 2))), np.zeros((2, 2)))
@@ -147,44 +145,6 @@ class TestMimoRate:
         r1 = covariance_map(q, 1.0)
         r2 = covariance_map(q, 4.0)
         assert np.all(np.linalg.eigvalsh(r1 - r2) >= -1e-12)
-
-
-class TestFisherAndCrlb:
-    def test_unobservable(self):
-        sc = make_scenario(np.eye(2), np.eye(2), 0.1 * np.eye(2),
-                           dmu=np.zeros(2))
-        assert fisher_info(sc) == 0.0
-        with pytest.raises(DegenerateInputError, match="Fisher information is zero"):
-            crlb(sc)
-
-    def test_scalar_classical(self):
-        g, sigma2 = 3.0, 0.5
-        sc = make_scenario(np.array([[1.0]]), np.array([[1.0]]),
-                           np.array([[1.0]]), dmu=np.array([g]),
-                           r_s=np.array([[sigma2]]))
-        assert math.isclose(fisher_info(sc), g * g / sigma2, rel_tol=1e-12)
-        assert math.isclose(crlb(sc), sigma2 / (g * g), rel_tol=1e-12)
-
-    def test_monotone_in_budget(self):
-        rng = np.random.default_rng(23)
-        for _ in range(5):
-            h = rng.normal(size=(2, 2))
-            dmu = rng.normal(size=2)
-            infos = [fisher_info(make_scenario(np.eye(2), np.diag([2.0, 1.0]),
-                                               np.eye(2), c_ai=c, h_s=h,
-                                               r_s=0.2 * np.eye(2), dmu=dmu))
-                     for c in (0.5, 2.0, 8.0, math.inf)]
-            assert all(a <= b + 1e-12 for a, b in zip(infos, infos[1:]))
-
-    def test_overflowing_sensing_covariance_is_a_domain_error(self):
-        # R_s + H_s R_z H_s^H overflowed: fisher_info returned 0.0 after
-        # overflow warnings, and crlb called the parameter unobservable.
-        sc = make_scenario(np.eye(2), 1e307 * np.eye(2), np.eye(2), c_ai=1.0,
-                           r_s=1.7e308 * np.eye(2))
-        for fn in (fisher_info, crlb):
-            with pytest.raises(DegenerateInputError,
-                               match="the effective sensing covariance overflows"):
-                fn(sc)
 
 
 class TestRateSurface:
@@ -423,7 +383,7 @@ class TestStackedSurface:
         rates = rate_surface(np.eye(2), r, np.eye(2), [1.0, math.inf], [1.0])
         assert np.all(np.isfinite(rates)) and np.all(rates >= 0.0)
         sc = make_scenario(np.eye(2), np.eye(2), r, c_ai=1.0, r_s=r)
-        assert np.isfinite(fisher_info(sc)) and np.isfinite(mimo_rate(sc))
+        assert np.isfinite(mimo_rate(sc))
 
 
 class TestLinkSurface:
