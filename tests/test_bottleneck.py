@@ -9,6 +9,7 @@ from aiisac.bottleneck import (
     AiBudget,
     _as_hermitian,
     _hermitian_part,
+    _logdet,
     achieved_mi,
     covariance_map,
     enforce_mi_numerically,
@@ -226,6 +227,40 @@ class TestGaussianMi:
         with pytest.raises(DegenerateInputError,
                            match="R_z \\+ Q on the active subspace of Q overflows"):
             gaussian_mi(a * np.eye(2), a * np.eye(2))
+
+
+
+class TestLogdet:
+    """_logdet: the one Cholesky, with its overflow and singular-matrix rules."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_slogdet(self, n):
+        rng = np.random.default_rng(60 + n)
+        a = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
+        ms = _hermitian(a @ a.conj().swapaxes(-1, -2) + 0.1 * np.eye(n))
+        sign, ref = np.linalg.slogdet(ms)
+        assert np.allclose(sign, 1.0)
+        got = _logdet(ms, "M")
+        assert got.shape == (5,)
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
+        assert _logdet(ms[2], "M") == got[2]
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_entry_is_an_overflow(self, bad):
+        m = np.eye(2)
+        m[1, 1] = bad
+        with pytest.raises(DegenerateInputError, match="^the M overflows$") as info:
+            _logdet(m, "M")
+        assert not isinstance(info.value, SingularMatrixError)
+
+    @pytest.mark.parametrize("m", [np.zeros((2, 2)), np.diag([1.0, -1.0]),
+                                   np.stack([np.eye(2), np.diag([1.0, 0.0])])],
+                             ids=["zero", "indefinite", "one_of_a_stack"])
+    def test_not_positive_definite_is_singular(self, m):
+        with pytest.raises(SingularMatrixError,
+                           match="^M is not positive definite$") as info:
+            _logdet(m, "M")
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def _hermitian(m):

@@ -90,6 +90,15 @@ class TestValidation:
                            h_s=np.ones((4, 2)), r_s=np.eye(4), dmu=np.ones(4))
         assert math.isfinite(mimo_rate(sc))
 
+    def test_sensing_fields_are_checked_but_not_read(self):
+        # No library function reads h_s, r_s or dmu: the rate is bit for bit
+        # the same whatever sensing link the scenario carries.
+        base = make_scenario(np.ones((3, 2)), np.eye(2), np.eye(3), c_ai=2.0)
+        other = make_scenario(np.ones((3, 2)), np.eye(2), np.eye(3), c_ai=2.0,
+                              h_s=np.zeros((4, 2)), r_s=1e-300 * np.eye(4),
+                              dmu=np.zeros(4))
+        assert mimo_rate(other) == mimo_rate(base)
+
     def test_zero_and_max_dim_accepted(self):
         assert np.array_equal(check_psd(np.zeros((2, 2))), np.zeros((2, 2)))
         assert np.array_equal(check_psd(np.eye(64)), np.eye(64))
