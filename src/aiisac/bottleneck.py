@@ -5,12 +5,10 @@ the Gaussian model, like an additive noise of variance N_z = P / (2^C - 1).
 The matrix version maps a transmit covariance Q to the proportional noise
 covariance R_z = zeta * Q on the active subspace of Q, which meets the
 log-det budget exactly but is trace-minimal only for a flat spectrum of Q.
-Both matrix forms are stacked kernels over J x n x n stacks of validated
-matrices, proportional_maps for the map and gaussian_mis for the mutual
-information; covariance_map and gaussian_mi validate one matrix and run
-the kernel on a 1-stack. proportional_map_mis gives each Q's MI with its
-own map from one eigh. The map product (_maps) and the active-subspace MI
-(_group_mis) are each written once, per group of Q of equal rank.
+covariance_map gives that map and gaussian_mi the mutual information of one
+pair (Q, R_z); proportional_map_mis gives each Q of a stack its MI with its
+own map. The map product (_maps) and the active-subspace MI (_group_mis) are
+each written once, per group of Q of equal rank.
 """
 from __future__ import annotations
 
@@ -171,7 +169,11 @@ def covariance_map(q: np.ndarray, c_ai: float) -> np.ndarray:
     do a capacity of zero, below zero or NaN and an R_z that overflows.
     """
     q = _as_hermitian(q, "Q")
-    return _finite(proportional_maps(q[None], [c_ai])[0, 0], "R_z = zeta * Q")
+    [(_, vals, vecs)] = _map_groups(q[None], [c_ai])
+    if c_ai == math.inf:
+        return np.zeros_like(q)
+    zeta = np.array([_zeta(c_ai, vals.shape[1])])
+    return _finite(_maps(vals, vecs, zeta)[0], "R_z = zeta * Q")
 
 
 def _active_groups(qs: np.ndarray
@@ -212,9 +214,9 @@ def _zeta(c_ai: float, rank: int) -> float:
 
 def _maps(vals: np.ndarray, vecs: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     """R_z = zeta * Q on the active subspace of each Q of a group (active
-    eigenvalues M x r, vectors M x n x r): M x n x n for a zeta per member,
-    or C x M x n x n for zeta of shape C x 1. A zeta or product that
-    overflows gives entries that are not finite, with no numpy warning."""
+    eigenvalues M x r, vectors M x n x r), with its own zeta (M): M x n x n.
+    A zeta or product that overflows gives entries that are not finite, with
+    no numpy warning."""
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = (zeta[..., None] * vals)[..., None, :]
         return _hermitian_part((vecs * scaled) @ vecs.conj().swapaxes(-1, -2))
@@ -233,33 +235,17 @@ def _group_mis(vals: np.ndarray, vecs: np.ndarray, rzs: np.ndarray) -> np.ndarra
     return (_logdet(total, f"R_z + Q {sub}") - noise) / math.log(2.0)
 
 
-def proportional_maps(qs: np.ndarray, c_grid: Sequence[float]) -> np.ndarray:
-    """covariance_map for every capacity in c_grid and every Hermitian Q in
-    the stack qs (J x n x n), as a C x J x n x n stack, from one stacked
-    eigh. Active subspaces are sliced per group of Q of equal rank, so each
-    R_z is bit for bit the product for its Q alone. A capacity below 0 or
-    NaN raises DegenerateInputError naming it, and so does a Q that is not
-    PSD, whatever the capacities.
-    """
-    groups = _map_groups(qs, c_grid)
-    out = np.zeros((len(c_grid),) + qs.shape, dtype=complex)
-    finite = [i for i, c in enumerate(c_grid) if c != math.inf]
-    if not finite:
-        return out
-    for members, vals, vecs in groups:
-        zeta = np.array([[_zeta(c_grid[i], vals.shape[1])] for i in finite])
-        out[np.ix_(finite, members)] = _maps(vals, vecs, zeta)
-    return out
-
-
 def proportional_map_mis(qs: np.ndarray, cs: Sequence[float]) -> np.ndarray:
     """gaussian_mi of each Hermitian Q in the stack qs (J x n x n) with its
     own map at its own capacity, covariance_map(qs[j], cs[j]), from one
     stacked eigh and two stacked Cholesky log-dets per group of Q of equal
-    rank: bit for bit gaussian_mis(qs, proportional_maps(qs, cs)[j, j]),
-    which builds C x J maps to read J. A capacity below 0 or NaN, a Q that
-    is not PSD and a zero Q raise as there.
+    rank: bit for bit that per-Q composition. cs must have one capacity per
+    Q, else DegenerateInputError names both lengths; a capacity below 0 or
+    NaN, a Q that is not PSD and a zero Q at a finite capacity raise as
+    there.
     """
+    if len(cs) != len(qs):
+        raise DegenerateInputError(f"{len(qs)} matrices but {len(cs)} capacities")
     out = np.zeros(len(qs))
     for members, vals, vecs in _map_groups(qs, cs):
         if vals.shape[1]:
@@ -268,29 +254,19 @@ def proportional_map_mis(qs: np.ndarray, cs: Sequence[float]) -> np.ndarray:
     return out
 
 
-def gaussian_mis(qs: np.ndarray, rzs: np.ndarray) -> np.ndarray:
-    """gaussian_mi for every pair of Hermitian Q and R_z in the stacks qs
-    and rzs (J x n x n), as J values in bits, from one stacked eigh and two
-    stacked Cholesky log-dets per group of Q of equal rank; each value is
-    bit for bit that of its pair alone.  A Q that is not PSD, or an overflow,
-    raises DegenerateInputError, and a zero Q gives 0.
-    """
-    out = np.zeros(len(qs))
-    for members, vals, vecs in _active_groups(qs):
-        if vals.shape[1]:
-            out[members] = _group_mis(vals, vecs, rzs[members])
-    return out
-
-
 def gaussian_mi(q: np.ndarray, r_z: np.ndarray) -> float:
     """log2 det(I + R_z^-1 Q), evaluated on the active subspace of Q.
 
     Q must be PSD and R_z positive definite on the active subspace, and
-    both of one shape; contributions on the null space of Q do not enter.
-    An overflow raises DegenerateInputError, as in gaussian_mis.
+    both of one shape; contributions on the null space of Q do not enter,
+    and a zero Q gives 0. A Q that is not PSD, or an overflow, raises
+    DegenerateInputError.
     """
     q = _as_hermitian(q, "Q")
     r_z = _as_hermitian(r_z, "R_z")
     if q.shape != r_z.shape:
         raise DegenerateInputError(f"Q has shape {q.shape} but R_z has shape {r_z.shape}")
-    return float(gaussian_mis(q[None], r_z[None])[0])
+    [(_, vals, vecs)] = _active_groups(q[None])
+    if not vals.shape[1]:
+        return 0.0
+    return float(_group_mis(vals, vecs, r_z[None])[0])

@@ -114,16 +114,16 @@ def rate_surface(h_c: np.ndarray, r_c: np.ndarray, q: np.ndarray,
 
     H_c and R_c are checked as MimoScenario checks them, Q for finite
     Hermitian entries.  Three decompositions serve the whole grid: the eigh
-    of R_c's PSD test, Q's eigh (with the capacity checks of
-    proportional_maps, which give the rank r of Q's active subspace
-    U_r L_r U_r^H), and the singular values of the whitened link
-    W = R_c^-1/2 H_c U_r L_r^1/2, whose squares sigma_i are the mode gains
-    (their relative error grows with W's condition number, not with its
-    square as a Gram matrix's eigenvalues would).  A cell is then
-    sum_i log2(1 + x_i / (1 + zeta x_i)) at x_i = scale * sigma_i and
-    zeta = 1 / (2^(C/r) - 1).  Each factor of W is scaled by a power of 2
-    into [1/4, 1), and the scales are put back into x by ldexp, so nothing
-    before x overflows and no rounding changes.  Where x overflows, its SNR
+    of R_c's PSD test, Q's eigh (with the capacity checks of _map_groups,
+    which give the rank r of Q's active subspace U_r L_r U_r^H), and the
+    singular values of the whitened link W = R_c^-1/2 H_c U_r L_r^1/2,
+    whose squares sigma_i are the mode gains (their relative error grows
+    with W's condition number, not with its square as a Gram matrix's
+    eigenvalues would).  A cell is then sum_i log2(1 + x_i / (1 + zeta x_i))
+    at x_i = scale * sigma_i and zeta = 1 / (2^(C/r) - 1), which is
+    infinite at C = 0, so that row is 0.  Each factor of W is scaled by a
+    power of 2 into [1/4, 1), and the scales are put back into x by ldexp,
+    so nothing before x overflows and no rounding changes.  Where x overflows, its SNR
     saturates at 1 / zeta, exact to rounding while zeta >= _SATURATING_ZETA;
     at a smaller zeta (C = inf among them) the x that overflows raises
     DegenerateInputError.  Each cell is computed on its own, so a column
@@ -156,7 +156,8 @@ def rate_surface(h_c: np.ndarray, r_c: np.ndarray, q: np.ndarray,
     sigma = sigma[sigma > 0.0]
     with np.errstate(over="ignore"):
         x = np.ldexp(np.multiply.outer(sigma, np.asarray(power_scales, float)), 2 * k)
-    zeta = np.array([_zeta(c, rank) for c in c_grid])[:, None]
+    # C = 0 passes nothing, as the c = 0 rows of the scalar paths read 0 bits.
+    zeta = np.array([math.inf if c == 0 else _zeta(c, rank) for c in c_grid])[:, None]
     if zeta.min() < _SATURATING_ZETA:
         _finite(x, "the SNR of a whitened mode")
     x = np.minimum(x, sys.float_info.max)[:, None, :]

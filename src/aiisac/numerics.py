@@ -178,7 +178,3 @@ class RandomStream:
         mask = (1 << 64) - 1
         key = (int(self.seed) & mask) | ((int(self.stream) & mask) << 64)
         return np.random.Generator(np.random.Philox(key=key))
-
-    def split(self, stream: int) -> "RandomStream":
-        """Same seed, different stream index."""
-        return RandomStream(seed=self.seed, stream=stream)

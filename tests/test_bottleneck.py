@@ -14,10 +14,8 @@ from aiisac.bottleneck import (
     covariance_map,
     enforce_mi_numerically,
     gaussian_mi,
-    gaussian_mis,
     kappa,
     proportional_map_mis,
-    proportional_maps,
 )
 from aiisac.errors import DegenerateInputError, SingularMatrixError
 
@@ -49,11 +47,11 @@ class TestKappa:
         assert kappa(AiBudget(2000.0)) == 0.0
 
     @pytest.mark.parametrize("c", [0.25, 3.3, 30.0, 1023.0, 1100.0, math.inf])
-    def test_proportional_maps_zeta_is_kappa(self, c):
+    def test_map_zeta_is_kappa(self, c):
         # R_z of Q = I_r is zeta(C/r) I_r, so it shows the zeta the map
         # uses; C ln2 >= 709 at 1023 and 1100 takes kappa's exp(-x) branch.
         for r in (1, 2):
-            rz = proportional_maps(np.eye(r)[None], [c])[0, 0]
+            rz = covariance_map(np.eye(r), c)
             zeta = kappa(AiBudget(c / r))
             assert [v.hex() for v in np.diag(rz).real.tolist()] == [zeta.hex()] * r
             assert np.all(rz.imag == 0.0) and np.all(rz[~np.eye(r, dtype=bool)] == 0.0)
@@ -128,8 +126,11 @@ class TestCovarianceMap:
         assert math.isclose(gaussian_mi(q, rz), 4.0, abs_tol=1e-12)
 
     def test_zero_matrix_rejected(self):
+        # A zero Q has a map at C = inf only: the zero matrix.
         with pytest.raises(DegenerateInputError):
             covariance_map(np.zeros((2, 2)), 1.0)
+        got = covariance_map(np.zeros((2, 2)), math.inf)
+        assert got.tobytes() == np.zeros((2, 2), complex).tobytes()
 
     def test_overflow_rejected(self):
         # zeta = 2.41 here, so zeta * Q overflowed into an all-NaN R_z.
@@ -144,20 +145,20 @@ class TestCovarianceMap:
             covariance_map(np.array([[a, a / 2], [a / 2, a]]), 1.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_proportional_maps_equal_covariance_map_bit_for_bit(self, n):
-        # One call maps full-rank and rank-1 Q's interleaved, so it slices
-        # several rank groups; a zero Q has a map at C = inf only.
+    def test_mixed_rank_maps_are_zeta_times_q(self, n):
+        # Full-rank, rank-1 and diag(1, 0, ...) Q's: R_z = kappa(C/r) Q at
+        # rank r, meeting the budget, and the zero matrix at C = inf.
         qs, _ = _mixed_rank_stack(np.random.default_rng(60 + n), n)
-        c_grid = [0.5, 3.0, math.inf]
-        got = proportional_maps(qs, c_grid)
-        assert got.shape == (len(c_grid),) + qs.shape
-        for i, c in enumerate(c_grid):
-            for j, q in enumerate(qs):
-                assert got[i, j].tobytes() == covariance_map(q, c).tobytes()
-        qs[4] = 0.0
-        got = proportional_maps(qs, [math.inf])
-        assert got.tobytes() == np.zeros_like(got).tobytes()
-        assert covariance_map(qs[4], math.inf).tobytes() == got[0, 4].tobytes()
+        for q in qs:
+            r = np.linalg.matrix_rank(q, hermitian=True)
+            for c in (0.5, 3.0):
+                rz = covariance_map(q, c)
+                ref = kappa(AiBudget(c / r)) * q
+                assert rz.shape == q.shape and np.array_equal(rz, rz.conj().T)
+                assert np.max(np.abs(rz - ref)) <= 1e-13 * np.max(np.abs(ref))
+                assert math.isclose(gaussian_mi(q, rz), c, rel_tol=1e-12)
+            got = covariance_map(q, math.inf)
+            assert got.tobytes() == np.zeros_like(q).tobytes()
 
     def test_budget_always_met(self):
         rng = np.random.default_rng(11)
@@ -180,9 +181,8 @@ class TestCovarianceMap:
         t_star = float(np.real(np.trace(rz_star)))
         grid = np.geomspace(1e-3, 10.0, 200)
         n1, n2 = (a.ravel() for a in np.meshgrid(grid, grid, indexing="ij"))
-        rzs = np.zeros((n1.size, 2, 2), complex)
-        rzs[:, 0, 0], rzs[:, 1, 1] = n1, n2
-        mis = gaussian_mis(np.broadcast_to(q.astype(complex), rzs.shape), rzs)
+        # MI of Q with R_z = diag(n1, n2), exact for these diagonal pairs.
+        mis = np.log2(1.0 + 2.0 / n1) + np.log2(1.0 + 2.0 / n2)
         feasible = mis <= c + 1e-12
         assert np.all(n1[feasible] + n2[feasible] >= t_star - 1e-6)
 
@@ -228,6 +228,44 @@ class TestGaussianMi:
                            match="R_z \\+ Q on the active subspace of Q overflows"):
             gaussian_mi(a * np.eye(2), a * np.eye(2))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_mixed_rank_pairs_meet_the_log_det_reference(self, n):
+        # A full-rank Q gives log2 det(R_z + Q) / det(R_z); a rank-1
+        # Q = lambda u u^H gives log2(1 + lambda / u^H R_z u), with
+        # lambda = tr Q and u^H R_z u = tr(R_z Q) / tr Q.
+        qs, rzs = _mixed_rank_stack(np.random.default_rng(40 + n), n)
+        for q, rz in zip(qs, rzs):
+            if np.linalg.matrix_rank(q, hermitian=True) == n:
+                ref = (np.linalg.slogdet(rz + q)[1] - np.linalg.slogdet(rz)[1]) / math.log(2.0)
+            else:
+                tr = float(np.trace(q).real)
+                ref = math.log2(1.0 + tr * tr / float(np.trace(rz @ q).real))
+            assert math.isclose(gaussian_mi(q, rz), ref, rel_tol=1e-13)
+
+    def test_zero_q_gives_zero(self):
+        qs, rzs = _mixed_rank_stack(np.random.default_rng(7), 3)
+        qs[4] = 0.0
+        got = np.array([gaussian_mi(q, rz) for q, rz in zip(qs, rzs)])
+        assert got[4] == 0.0
+        assert np.all(np.delete(got, 4) > 0.0)
+
+    @pytest.mark.parametrize("where", [0, 5, -1])
+    def test_one_indefinite_q_raises(self, where):
+        qs, rzs = _mixed_rank_stack(np.random.default_rng(8), 2)
+        qs[where] = np.diag([1.0, -1.0])
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            for q, rz in zip(qs, rzs):
+                gaussian_mi(q, rz)
+
+    def test_singular_on_active_subspace_raises(self):
+        # diag(1, 0) is active on e1 only, where diag(0, 1) vanishes.
+        qs, rzs = _mixed_rank_stack(np.random.default_rng(9), 2)
+        qs[3], rzs[3] = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        with pytest.raises(SingularMatrixError,
+                           match="R_z on the active subspace of Q is not "
+                                 "positive definite"):
+            for q, rz in zip(qs, rzs):
+                gaussian_mi(q, rz)
 
 
 class TestLogdet:
@@ -284,42 +322,9 @@ def _mixed_rank_stack(rng, n):
             _hermitian(np.array(rzs)[order]))
 
 
-class TestGaussianMis:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_equals_gaussian_mi_bit_for_bit(self, n):
-        qs, rzs = _mixed_rank_stack(np.random.default_rng(40 + n), n)
-        got = gaussian_mis(qs, rzs)
-        assert got.shape == (len(qs),)
-        assert got.tolist() == [gaussian_mi(q, rz) for q, rz in zip(qs, rzs)]
-
-    def test_zero_q_gives_zero(self):
-        qs, rzs = _mixed_rank_stack(np.random.default_rng(7), 3)
-        qs[4] = 0.0
-        got = gaussian_mis(qs, rzs)
-        assert got[4] == 0.0
-        assert np.all(np.delete(got, 4) > 0.0)
-
-    @pytest.mark.parametrize("where", [0, 5, -1])
-    def test_one_indefinite_q_raises(self, where):
-        qs, rzs = _mixed_rank_stack(np.random.default_rng(8), 2)
-        qs[where] = np.diag([1.0, -1.0])
-        with pytest.raises(ValueError, match="not positive semidefinite"):
-            gaussian_mis(qs, rzs)
-
-    def test_singular_on_active_subspace_raises(self):
-        # diag(1, 0) is active on e1 only, where diag(0, 1) vanishes.
-        qs, rzs = _mixed_rank_stack(np.random.default_rng(9), 2)
-        qs[3], rzs[3] = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-        with pytest.raises(SingularMatrixError,
-                           match="R_z on the active subspace of Q is not "
-                                 "positive definite"):
-            gaussian_mis(qs, rzs)
-
-
 def _composed_mis(qs, cs):
-    """Each Q's MI with its own map, as the C x J map stack's diagonal."""
-    j = np.arange(len(cs))
-    return gaussian_mis(qs, proportional_maps(qs, cs)[j, j])
+    """Each Q's MI with its own map, one Q at a time."""
+    return np.array([gaussian_mi(q, covariance_map(q, c)) for q, c in zip(qs, cs)])
 
 
 def _outcome(fn, *args):
@@ -372,6 +377,15 @@ class TestProportionalMapMis:
         got = _outcome(proportional_map_mis, qs, cs)
         assert got == _outcome(_composed_mis, qs, cs)
         assert (got == bytes(8)) if fault == "all_inf_zero_q" else isinstance(got, tuple)
+
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_one_capacity_per_q(self, size):
+        # Two capacities for three Q's raised a bare IndexError, and a fourth
+        # was ignored; the lengths are checked before the capacities and Q's.
+        qs = np.stack([np.eye(2), np.eye(2), np.diag([1.0, -1.0])])
+        with pytest.raises(DegenerateInputError,
+                           match=f"^3 matrices but {size} capacities$"):
+            proportional_map_mis(qs, [-1.0] * size)
 
 
 @pytest.mark.parametrize("c", [5e-324, 1e-320])

@@ -356,6 +356,16 @@ class TestStackedSurface:
             warnings.simplefilter("error")
             assert rate_surface(np.eye(2), np.eye(2), np.eye(2), [c], [1.0]) == 0.0
 
+    def test_zero_capacity_passes_nothing(self):
+        # C = 0 raised "kappa is unbounded at zero capacity", where 5e-324
+        # bits gave 0 and the scalar rate at C = 0 is 0 bits.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rates = rate_surface(np.eye(2), np.eye(2), np.eye(2), [0.0, 5e-324, 1.0],
+                                 [1.0, 2.0])
+            assert mimo_rate(make_scenario(np.eye(2), np.eye(2), np.eye(2), 0.0)) == 0.0
+        assert np.all(rates[:2] == 0.0) and np.all(rates[2] > 0.0)
+
     @pytest.mark.parametrize("r_c", [
         np.zeros((2, 2)), np.ones((2, 2)),
         np.outer([1.0, 2j, -0.5], [1.0, -2j, -0.5]) + np.outer([3.0, 1j, 1.0], [3.0, -1j, 1.0])],

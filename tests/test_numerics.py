@@ -242,8 +242,3 @@ class TestRandomStream:
         a = RandomStream(seed=1, stream=0).generator().normal(size=8)
         b = RandomStream(seed=1, stream=1).generator().normal(size=8)
         assert not np.array_equal(a, b)
-
-    def test_split(self):
-        s = RandomStream(seed=3, stream=0)
-        assert s.split(5).stream == 5
-        assert s.split(5).seed == 3

@@ -17,6 +17,7 @@ from aiisac import (AiBudget, FadingModel, Frontier, PerfPoint, QuadratureRule,
                     rayleigh_rate_exact)
 from aiisac import errors
 from aiisac.allocate import AllocationProblem
+from aiisac.bottleneck import proportional_map_mis
 from aiisac.errors import DegenerateInputError
 from aiisac.fading import ergodic_columns
 from aiisac.mimo import MimoScenario, check_psd, rate_surface
@@ -138,6 +139,8 @@ _OUT_OF_DOMAIN = {
     "mi-sum-overflow": lambda: gaussian_mi(_BIG * np.eye(2), _BIG * np.eye(2)),
     "mi-eigen-overflow": lambda: gaussian_mi(
         np.array([[_BIG, _BIG / 2], [_BIG / 2, _BIG]]), np.eye(2)),
+    "map-mis-short-cs": lambda: proportional_map_mis(np.stack([np.eye(2)] * 3), [1.0] * 2),
+    "map-mis-long-cs": lambda: proportional_map_mis(np.stack([np.eye(2)] * 3), [1.0] * 4),
     "mimo-dmu-nan": lambda: replace(_MIMO, dmu=np.array([1.0, math.nan])),
     "quadrature-order": lambda: QuadratureRule(0),
     "root-bracket": lambda: find_root(lambda x: x, 1.0, -1.0, tol=1e-12),
